@@ -6,16 +6,30 @@ Run it from the root of a checkout. It runs the package from `src`, in
 child processes limited to one BLAS/OpenMP thread, each a closed loop with
 one caller:
 
-- shipped_sweep: `fracineq sweep --summary --svg` on the shipped grid, then
-  `read_csv` and `summarize` of the CSV it wrote.
+- shipped_sweep: `fracineq sweep --summary --svg` on the shipped grid, one
+  call per family, then `read_csv` and `summarize` of each CSV written.
 - deep_quadrature: `fracineq sweep` on a seeded t21 grid whose families
-  have fractional-power kinks at the left endpoint, so quadrature dominates.
+  have fractional-power kinks at the left endpoint, so quadrature dominates;
+  again one call per family.
 - point_queries: seeded `bound`, `identity` and `certify` calls, each one
   `cli.main` call in process.
 
+Each call is timed, and a fixed piece of reference work that does not use
+fracineq is timed just before and after it. A call's cost is its time in
+units of that reference work (`ref`). Costs hold still while the speed of a
+shared host swings by up to 2x, so the time metrics are costs:
+
+- call_cost: a sweep of the whole grid (the sum of each family's median
+  cost), or one query (the median over the pool of each query's median).
+- ops_per_kref: records, or queries, per 1000 ref over one pass of every
+  input, reloads included.
+
+setup_s, the median wall time of 9 fresh interpreters importing fracineq
+and building the inputs, and peak_rss_mb are as measured.
+
 With `--trace 0` the last line of output is a JSON object whose metrics are
-the end-to-end ones of BENCHMARK.json; the lines before it give the same
-figures under the names of each workload's own metrics. With `--trace 1`
+the end-to-end ones of BENCHMARK.json; the lines before it give wall times
+and costs under the names of each workload's own metrics. With `--trace 1`
 the metrics are the per-layer ones, from a traced run of fixed size that
 wraps the public functions of each package module. The same fixed work runs
 untraced just before and after it, which gives the tracing overhead. Spans
@@ -95,27 +109,39 @@ def metric(value: float, unit: str) -> dict:
 
 
 def print_table(workload: str, setup_s: float, m: dict) -> None:
-    """Each workload's figures under the names of its own metrics."""
-    rows = [("setup_s", setup_s, "s")]
+    """Each workload's figures under the names of its own metrics.
+
+    Costs are in reference units (see worker.Run); times are as measured,
+    host slowdowns included.
+    """
+    rows = [("setup_s", setup_s, "s"), ("ref_unit_ms", m["ref_unit_s"] * 1e3, "ms (this run's host speed)")]
     if workload == "point_queries":
+        n = m["inputs"]
         rows += [
-            ("query_p50_ms", m["call_p50_s"] * 1e3, "ms"),
-            ("query_tail_ms", m["call_tail_s"] * 1e3, f"ms ({m['tail_label']} of {m['calls']} queries)"),
+            ("query_p50_ms", m["call_p50_s"] * 1e3, f"ms (of {m['calls']} queries)"),
+            ("query_tail_ms", m["call_tail_s"] * 1e3, f"ms ({m['tail_label']} of the same)"),
             ("queries_per_s", m["ops_per_s"], "1/s"),
+            ("query_cost_p50", m["input_cost_p50"], f"ref (median of {n} distinct queries' median cost)"),
+            ("query_cost_tail", m["input_cost_tail"], "ref (highest percentile with ten queries beyond)"),
+            ("queries_per_kref", m["ops_per_kref"], "1/kref"),
         ]
     else:
         rows += [
-            ("sweep_s", m["call_p50_s"], f"s (median of {m['calls']} sweeps)"),
-            ("records_per_s", m["ops_per_s"], "1/s"),
+            ("sweep_s", m["pass_s"], f"s (sum of {m['inputs']} families' median sweep)"),
+            ("sweep_cost", m["pass_cost"], "ref (the same in reference units)"),
         ]
         if m["reload_s"] is not None:
-            rows.append(("reload_s", m["reload_s"], "s"))
+            rows += [("reload_s", m["reload_s"], "s"), ("reload_cost", m["reload_cost"], "ref")]
+        rows += [
+            ("records_per_s", m["ops_per_s"], f"1/s (over {m['calls']} family sweeps)"),
+            ("records_per_kref", m["ops_per_kref"], "1/kref"),
+        ]
     rows += [
         ("peak_rss_mb", m["peak_rss_mb"], "MB"),
         ("failure_ratio", m["failed"] / m["attempted"], f"({m['failed']} of {m['attempted']})"),
     ]
     for name, value, unit in rows:
-        print(f"{workload}  {name:<16} {value:.6g} {unit}")
+        print(f"{workload}  {name:<18} {value:.6g} {unit}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -158,9 +184,9 @@ def main(argv: list[str] | None = None) -> int:
             print_table(args.workload, setup_s, untraced)
             values = {
                 "setup_s": setup_s,
-                "call_p50_ms": untraced["call_p50_s"] * 1e3,
-                "call_tail_ms": untraced["call_tail_s"] * 1e3,
-                "ops_per_s": untraced["ops_per_s"],
+                # a sweep of the whole grid, or one query
+                "call_cost": untraced["pass_cost" if args.workload != "point_queries" else "input_cost_p50"],
+                "ops_per_kref": untraced["ops_per_kref"],
                 "peak_rss_mb": untraced["peak_rss_mb"],
             }
             metrics = {k: metric(v, UNITS[k]) for k, v in values.items()}

@@ -36,13 +36,9 @@ family.u15 = 0.6666666666666666*(u-0)^1.5 on [0.01,1]
 def tiny_inputs(workload, tmp_path):
     if workload == "point_queries":
         return worker.query_pool(7, per_kind=1)
-    cfg = tmp_path / "grid.cfg"
-    out = ["--out", str(tmp_path / "records.csv")]
     if workload == "deep_quadrature":
-        cfg.write_text(worker.deep_config_text(7, families=1, alphas=2, xfracs=3))
-        return ["sweep", "--config", str(cfg), *out]
-    cfg.write_text(TINY_GRID)
-    return ["sweep", "--config", str(cfg), *out, "--summary", "--svg", str(tmp_path / "s.svg")]
+        return worker.split_by_family(worker.deep_config_text(7, families=1, alphas=2, xfracs=3), tmp_path)
+    return worker.split_by_family(TINY_GRID, tmp_path, "--summary", "--svg", str(tmp_path / "s-{k}.svg"))
 
 
 def traced(workload, inputs):

@@ -33,6 +33,8 @@ from fracineq import cli, funcmodel, hh_core, sweep  # noqa: E402
 
 IMPORT_S = time.perf_counter() - _t_import
 
+import numpy as np  # noqa: E402  (after the import timing: fracineq loads it)
+
 WORKLOADS = ("shipped_sweep", "deep_quadrature", "point_queries")
 
 # criterion 1 of the acceptance gate: |lhs - rhs| <= 1e-8 * (1 + |lhs|)
@@ -45,19 +47,23 @@ BOUND_KINDS = ("t21", "t22", "t23", "t24", "c13", "c14", "c15", "c16")
 QUERY_KINDS = BOUND_KINDS + ("hh", "identity", "certify")
 QUERIES_PER_KIND = 20
 
+# Units of reference work timed beside each sweep call and each query.
+REF_UNITS = {"shipped_sweep": 10, "deep_quadrature": 10, "point_queries": 1}
+
 
 # -- seeded inputs ----------------------------------------------------------
 
 
-def deep_config_text(seed: int, families: int = 4, alphas: int = 10, xfracs: int = 22) -> str:
+def deep_config_text(seed: int, families: int = 4, alphas: int = 20, xfracs: int = 11) -> str:
     """A t21 grid whose cost sits in quadrature.
 
     Families are two-term power sums anchored at 0 on [0, 1] with fractional
     exponents in (1, 3), so f has a fractional-power kink at the left
     endpoint that the quadrature must resolve. Draws are stratified (one per
-    equal slice of each range) so the work varies little between seeds. Four
-    families make one sweep last over a second on a 2-core Xeon, long enough
-    to average the second-scale speed changes of a shared host.
+    equal slice of each range) so the work varies little between seeds.
+    The panel count depends most on alpha: 20 slices of it keep the panel
+    evaluations of seeds 11-18 within 3.3% of each other, where 10 alphas
+    and 22 x fractions, the same 880 records, spread them over 12%.
     """
     rng = random.Random(seed)
     lines = []
@@ -114,15 +120,33 @@ def query_pool(seed: int, per_kind: int = QUERIES_PER_KIND) -> list[tuple[str, l
     return pool
 
 
+def split_by_family(text: str, work: Path, *extra: str) -> list[list[str]]:
+    """One `sweep` argv per family of the grid in `text`, in grid order.
+
+    Lhs integrals and certificates are per family, so the per-family sweeps
+    do the same work as the whole grid. Each is short enough that the
+    reference work timed beside it (see `Run`) sees the host's speed
+    during it.
+    """
+    lines = text.splitlines()
+    common = [ln for ln in lines if not ln.startswith("family.")]
+    argvs = []
+    for k, fam in enumerate(ln for ln in lines if ln.startswith("family.")):
+        cfg = work / f"grid-{k}.cfg"
+        cfg.write_text("\n".join(common + [fam]) + "\n")
+        out = ["--out", str(work / f"records-{k}.csv")]
+        argvs.append(["sweep", "--config", str(cfg), *out, *(a.format(k=k) for a in extra)])
+    return argvs
+
+
 def build_inputs(workload: str, seed: int, work: Path):
     """Everything the workload hands the program, made from the seed."""
     work.mkdir(parents=True, exist_ok=True)
     if workload == "shipped_sweep":
-        return ["sweep", "--out", str(work / "records.csv"), "--summary", "--svg", str(work / "scatter.svg")]
+        svg = str(work / "scatter-{k}.svg")
+        return split_by_family(sweep.standard_config_text(), work, "--summary", "--svg", svg)
     if workload == "deep_quadrature":
-        cfg = work / "deep.cfg"
-        cfg.write_text(deep_config_text(seed))
-        return ["sweep", "--config", str(cfg), "--out", str(work / "records.csv")]
+        return split_by_family(deep_config_text(seed), work)
     return query_pool(seed)
 
 
@@ -142,18 +166,60 @@ def call_main(argv: list[str]) -> tuple[int | None, str, float]:
     return code, out.getvalue(), time.perf_counter() - t0
 
 
-class Run:
-    """Latencies, operation counts and correctness problems of one process."""
+def reference(units: int) -> float:
+    """Seconds per unit of a fixed piece of work that does not use fracineq.
 
-    def __init__(self) -> None:
+    A unit is 200 steps of Python float arithmetic and tiny numpy array
+    operations, the mix the program itself runs; about 1 ms on a 2-core
+    Xeon VM at its fastest.
+    """
+    t0 = time.perf_counter()
+    acc = 0.0
+    for i in range(200 * units):
+        acc += (i * 0.5) ** 0.5
+        acc += float((np.arange(8.0) * acc).sum()) * 1e-12
+    return (time.perf_counter() - t0) / units
+
+
+class Run:
+    """Latencies, operation counts and correctness problems of one process.
+
+    With `ref_units`, each timed call is bracketed by timings of that much
+    reference work, and the call's time is also kept as a cost in
+    reference units: its seconds over the mean seconds per unit of the
+    reference work just before and just after it. The host this was tuned
+    on slows everything by up to 2x for seconds to minutes at a time, and
+    the reference slows with it, so costs repeat where times do not.
+    """
+
+    def __init__(self, ref_units: int = 0) -> None:
         self.calls: list[float] = []
-        self.reloads: list[float] = []
+        self.ref_units = ref_units
+        self.refs: list[float] = []
+        if ref_units:
+            self.refs.append(reference(ref_units))
+        # times and costs of each distinct input's calls and reloads, keyed
+        # by its index among the inputs, and the records or queries of a pass
+        self.times: dict[int, list[float]] = {}
+        self.costs: dict[int, list[float]] = {}
+        self.reload_times: dict[int, list[float]] = {}
+        self.reload_costs: dict[int, list[float]] = {}
+        self.ops_per_pass = 0
         self.attempted = 0
         self.failed = 0
         self.problems: list[str] = []
-        self.first_csv: bytes | None = None
+        self.first_csv: dict[int, bytes] = {}
         # output of each distinct t21 query, for the identity check
         self.t21_out: dict[tuple[str, ...], str] = {}
+
+    def timed(self, key: int, seconds: float, reload: bool = False) -> None:
+        times, costs = (self.reload_times, self.reload_costs) if reload else (self.times, self.costs)
+        times.setdefault(key, []).append(seconds)
+        if not reload:
+            self.calls.append(seconds)
+        if self.ref_units:
+            self.refs.append(reference(self.ref_units))
+            costs.setdefault(key, []).append(seconds / ((self.refs[-2] + self.refs[-1]) / 2))
 
     def problem(self, text: str) -> None:
         if len(self.problems) < 20:
@@ -164,15 +230,15 @@ _WROTE = re.compile(r"^wrote (\d+) records to ", re.M)
 _COUNTS = re.compile(r"errors = (\d+)\s+violations = (\d+)")
 
 
-def sweep_once(run: Run, argv: list[str], reload: bool) -> None:
+def sweep_once(run: Run, key: int, argv: list[str], reload: bool) -> None:
     code, out, seconds = call_main(argv)
-    run.calls.append(seconds)
+    run.timed(key, seconds)
     csv_path = Path(argv[argv.index("--out") + 1])
     if reload:
         t0 = time.perf_counter()
         records = sweep.read_csv(csv_path)
         summary = sweep.summarize(records)
-        run.reloads.append(time.perf_counter() - t0)
+        run.timed(key, time.perf_counter() - t0, reload=True)
     wrote = _WROTE.search(out)
     counts = _COUNTS.search(out)
     if code is None or wrote is None or counts is None:
@@ -191,22 +257,21 @@ def sweep_once(run: Run, argv: list[str], reload: bool) -> None:
         if (summary.errors, summary.violations) != (errors, violations):
             run.problem("reloaded summary disagrees with the printed one")
     data = csv_path.read_bytes()
-    if run.first_csv is None:
-        run.first_csv = data
-    elif data != run.first_csv:
-        run.problem("sweep CSV differs from the first run's CSV in this set")
+    first = run.first_csv.setdefault(key, data)
+    if data != first:
+        run.problem(f"sweep CSV of {argv} differs from its first one in this set")
 
 
-def check_identity_sample(run: Run, argv: list[str], seed: int) -> None:
+def check_identity_sample(run: Run, argvs: list[list[str]], seed: int) -> None:
     """CSV lhs against the identity's independent right side, at seeded points."""
-    if "--config" in argv:
+    lhs_at = {}
+    families = {}
+    for argv in argvs:
         text = Path(argv[argv.index("--config") + 1]).read_text()
-    else:
-        text = sweep.standard_config_text()
-    grid, _ = sweep.apply_derivative_shrink(sweep.grid_from_config_text(text))
-    records = sweep.read_csv(Path(argv[argv.index("--out") + 1]))
-    lhs_at = {(r.family_id, r.alpha, r.x): r.lhs for r in records if r.theorem_id == "T21"}
-    families = dict(grid.families)
+        grid, _ = sweep.apply_derivative_shrink(sweep.grid_from_config_text(text))
+        families.update(grid.families)
+        records = sweep.read_csv(Path(argv[argv.index("--out") + 1]))
+        lhs_at.update({(r.family_id, r.alpha, r.x): r.lhs for r in records if r.theorem_id == "T21"})
     rng = random.Random(seed ^ 0x5EED)
     keys = sorted(lhs_at, key=repr)
     for key in rng.sample(keys, min(IDENTITY_SAMPLE, len(keys))):
@@ -246,9 +311,9 @@ def query_consistent(kind: str, code: int | None, out: str) -> bool:
     return (last == ok_line.get(kind, "bound holds")) == (code == 0)
 
 
-def query_once(run: Run, kind: str, argv: list[str]) -> None:
+def query_once(run: Run, key: int, kind: str, argv: list[str]) -> None:
     code, out, seconds = call_main(argv)
-    run.calls.append(seconds)
+    run.timed(key, seconds)
     run.attempted += 1
     if query_failed(kind, code, out):
         run.failed += 1
@@ -281,19 +346,24 @@ def check_query_identity(run: Run, seed: int) -> None:
 
 def run_measure(workload: str, seed: int, inputs, seconds: float) -> Run:
     """Closed loop with one caller until `seconds` have passed."""
-    run = Run()
+    run = Run(REF_UNITS[workload])
     start = time.perf_counter()
     if workload == "point_queries":
+        run.ops_per_pass = len(inputs)
         i = 0
         while time.perf_counter() - start < seconds or i < len(inputs):
             kind, argv = inputs[i % len(inputs)]
-            query_once(run, kind, argv)
+            query_once(run, i % len(inputs), kind, argv)
             i += 1
         return run
     reload = workload == "shipped_sweep"
-    # two sweeps at least, so every set checks its CSVs against each other
-    while time.perf_counter() - start < seconds or len(run.calls) < 2:
-        sweep_once(run, inputs, reload)
+    # two passes at least, so every set checks its CSVs against each other
+    passes = 0
+    while time.perf_counter() - start < seconds or passes < 2:
+        for key, argv in enumerate(inputs):
+            sweep_once(run, key, argv, reload)
+        passes += 1
+    run.ops_per_pass = run.attempted // passes
     return run
 
 
@@ -301,10 +371,11 @@ def run_fixed(workload: str, inputs) -> Run:
     """A fixed amount of work, for the traced run's counters."""
     run = Run()
     if workload == "point_queries":
-        for kind, argv in inputs:
-            query_once(run, kind, argv)
+        for i, (kind, argv) in enumerate(inputs):
+            query_once(run, i, kind, argv)
     else:
-        sweep_once(run, inputs, workload == "shipped_sweep")
+        for key, argv in enumerate(inputs):
+            sweep_once(run, key, argv, workload == "shipped_sweep")
     return run
 
 
@@ -315,23 +386,26 @@ def check_outputs(workload: str, run: Run, inputs, seed: int) -> None:
         return
     check_identity_sample(run, inputs, seed)
     if workload == "shipped_sweep":
-        check_csv_across_runs(run, Path(inputs[inputs.index("--out") + 1]).parent.parent)
+        check_csv_across_runs(run, inputs)
 
 
-def check_csv_across_runs(run: Run, out_dir: Path) -> None:
-    """Every shipped sweep of one source tree writes the same CSV, across runs too.
+def check_csv_across_runs(run: Run, argvs: list[list[str]]) -> None:
+    """Every shipped sweep of one source tree writes the same CSVs, across runs too.
 
-    The first run of a source tree records its CSV digest in `out_dir`; later
-    runs of the same tree compare against it, so a set of runs is checked
-    against itself rather than against a fixed hash.
+    The first run of a source tree and grid split records the digest of its
+    CSVs beside its work directory; later runs compare against it, so a set
+    of runs is checked against itself rather than against a fixed hash.
     """
     src = Path(fracineq.__file__).parent
     tree = hashlib.sha256()
     for path in sorted(src.rglob("*")):
         if path.suffix in (".py", ".cfg"):
             tree.update(path.relative_to(src).as_posix().encode() + path.read_bytes())
+    for argv in argvs:
+        tree.update(Path(argv[argv.index("--config") + 1]).read_bytes())
+    out_dir = Path(argvs[0][argvs[0].index("--out") + 1]).parent.parent
     record = out_dir / f"shipped-csv-{tree.hexdigest()[:16]}.sha256"
-    digest = hashlib.sha256(run.first_csv or b"").hexdigest()
+    digest = hashlib.sha256(b"".join(run.first_csv[k] for k in sorted(run.first_csv))).hexdigest()
     if not record.exists():
         record.write_text(digest)
     elif record.read_text() != digest:
@@ -339,11 +413,7 @@ def check_csv_across_runs(run: Run, out_dir: Path) -> None:
 
 
 def tail(latencies: list[float]) -> tuple[float, str]:
-    """Highest of p99/p95/p90/p75 with ten samples beyond it, else the max.
-
-    A sweep workload makes too few calls for p75, so its tail is always its
-    slowest sweep; the query workload's is p99.
-    """
+    """Highest of p99/p95/p90/p75 with ten samples beyond it, else the max."""
     xs = sorted(latencies)
     n = len(xs)
     for p in (99, 95, 90, 75):
@@ -354,21 +424,47 @@ def tail(latencies: list[float]) -> tuple[float, str]:
 
 
 def summary(run: Run) -> dict:
-    """The untraced figures, from which `run.py` takes its metrics."""
-    t, label = tail(run.calls)
-    busy = sum(run.calls) + sum(run.reloads)
-    return {
+    """The figures from which `run.py` takes its metrics.
+
+    A pass is one call of every distinct input: the whole grid of a sweep
+    workload, family by family, or the whole query pool. Costs are in
+    reference units (see `Run`): each input's median cost, then their sum
+    over a pass or their median over the inputs. Times are over every call
+    as it came.
+    """
+    def pass_sum(by_input: dict[int, list[float]]) -> float:
+        return sum(statistics.median(v) for v in by_input.values())
+
+    tail_s, label = tail(run.calls)
+    busy = sum(run.calls) + sum(map(sum, run.reload_times.values()))
+    out = {
         "calls": len(run.calls),
+        "inputs": len(run.times),
         "call_p50_s": statistics.median(run.calls),
-        "call_tail_s": t,
+        "call_tail_s": tail_s,
         "tail_label": label,
-        "reload_s": statistics.median(run.reloads) if run.reloads else None,
+        "pass_s": pass_sum(run.times),
+        "reload_s": pass_sum(run.reload_times) if run.reload_times else None,
         "ops_per_s": run.attempted / busy,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "attempted": run.attempted,
         "failed": run.failed,
         "problems": run.problems,
     }
+    if run.ref_units:
+        costs = [statistics.median(c) for c in run.costs.values()]
+        reload_cost = pass_sum(run.reload_costs)
+        out.update(
+            {
+                "ref_unit_s": statistics.median(run.refs),
+                "input_cost_p50": statistics.median(costs),
+                "input_cost_tail": tail(costs)[0],
+                "pass_cost": sum(costs),
+                "reload_cost": reload_cost,
+                "ops_per_kref": run.ops_per_pass / (sum(costs) + reload_cost) * 1e3,
+            }
+        )
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
