@@ -6,13 +6,15 @@ runs the sampling convexity certifier on a function, and ``sweep`` crosses a
 parameter grid and writes a CSV of records.
 
 Exit codes: 0 success, 1 a checked inequality or residual failed, 2 usage or
-input errors, 3 quadrature could not reach tolerance. All numeric output is
-printed to 12 significant digits.
+input errors (inputs that overflow floating point among them), 3 quadrature
+could not reach tolerance or its integrand turned non-finite. All numeric
+output is printed to 12 significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from enum import IntEnum
 
@@ -110,6 +112,8 @@ def _print_certification(report: BoundReport) -> None:
 
 
 def _cmd_identity(args: argparse.Namespace) -> ExitCode:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise DomainError(f"--tol must be finite and >= 0, got {args.tol!r}")
     f = parse_function(args.f)
     f, a, note = _shrink_for_derivative(f, args.a)
     if note:
@@ -358,6 +362,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(ExitCode.USAGE)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return int(ExitCode.USAGE)
+    except OverflowError:
+        print(
+            "error: inputs overflow floating point (a result exceeds 1.8e308)",
+            file=sys.stderr,
+        )
         return int(ExitCode.USAGE)
     except QuadratureToleranceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,14 +21,15 @@ class DomainError(FracineqError, ValueError):
 
 
 class ParseError(FracineqError, ValueError):
-    """A function spec string violates the mini-grammar.
+    """A function spec string or a sweep config violates its grammar.
 
-    ``position`` is the 0-based index into the original input where the
-    offending token starts.
+    ``position`` locates the offending token: the 0-based index into a
+    function spec where it starts, or, with ``unit="line"``, the 1-based
+    line of a sweep config.
     """
 
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: int, unit: str = "position") -> None:
+        super().__init__(f"{message} (at {unit} {position})")
         self.position = position
 
 
@@ -41,17 +42,24 @@ class DerivativeSingularityError(FracineqError, ValueError):
 
 
 class QuadratureToleranceError(FracineqError, ArithmeticError):
-    """Adaptive quadrature exhausted its subdivision budget.
+    """Adaptive quadrature exhausted its subdivision budget or went non-finite.
 
     Carries the best available ``value`` and its ``error_estimate`` so callers
     can report how close the integrator got to the requested tolerance.
+    ``reason`` replaces the default "estimated error > tolerance" wording.
     """
 
-    def __init__(self, value: float, error_estimate: float, tolerance: float) -> None:
+    def __init__(
+        self,
+        value: float,
+        error_estimate: float,
+        tolerance: float,
+        reason: str | None = None,
+    ) -> None:
+        if reason is None:
+            reason = f"estimated error {error_estimate:.3e} > tolerance {tolerance:.3e}"
         super().__init__(
-            "quadrature tolerance not met: "
-            f"estimated error {error_estimate:.3e} > tolerance {tolerance:.3e} "
-            f"(value so far {value!r})"
+            f"quadrature tolerance not met: {reason} (value so far {value!r})"
         )
         self.value = value
         self.error_estimate = error_estimate

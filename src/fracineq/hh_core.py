@@ -128,8 +128,9 @@ class ProblemInstance:
     q: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "x", "alpha", "s"):
-            if not math.isfinite(getattr(self, name)):
+        for name in ("a", "b", "x", "alpha", "s", "p", "q"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
                 raise DomainError(f"{name} must be finite")
         if not self.a < self.b:
             raise DomainError(f"requires a < b, got a={self.a!r}, b={self.b!r}")

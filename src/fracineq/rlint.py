@@ -16,7 +16,10 @@ uniformly. Panels are refined by halving, with the panel error estimated as
 the difference between the one-panel rule and the sum of its two halves;
 refinement stops when the summed estimate meets max(abs_tol, rel_tol*|I|)
 and fails loudly (QuadratureToleranceError) when the subdivision budget runs
-out. alpha = 1 reduces to the classical integral; alpha = 0 is rejected.
+out or the integrand turns non-finite. Each panel keeps its two half values,
+which are its children's one-panel values, so a split evaluates only the
+four new quarter panels, in one call of the integrand. alpha = 1 reduces to
+the classical integral; alpha = 0 is rejected.
 """
 
 from __future__ import annotations
@@ -72,18 +75,12 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panel(fn, lo: float, hi: float, nodes, weights) -> float:
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    return half * float(np.dot(weights, fn(mid + half * nodes)))
-
-
-def _panel_with_estimate(fn, lo, hi, nodes, weights) -> tuple[float, float]:
-    # value from the two-half rule; error from its disagreement with one panel
-    coarse = _panel(fn, lo, hi, nodes, weights)
-    mid = 0.5 * (lo + hi)
-    fine = _panel(fn, lo, mid, nodes, weights) + _panel(fn, mid, hi, nodes, weights)
-    return fine, abs(fine - coarse)
+def _panels(fn, panels, nodes, weights) -> list[float]:
+    """Gauss-Legendre values on each (lo, hi) of ``panels``, from one call of fn."""
+    half = np.array([0.5 * (hi - lo) for lo, hi in panels])
+    mid = np.array([0.5 * (lo + hi) for lo, hi in panels])
+    vals = fn((mid[:, None] + half[:, None] * nodes).ravel()).reshape(len(panels), -1)
+    return [h * float(np.dot(weights, v)) for h, v in zip(half.tolist(), vals)]
 
 
 def integrate_adaptive(
@@ -93,8 +90,9 @@ def integrate_adaptive(
 
     Returns (value, error_estimate) with the estimate driven below
     max(abs_tol, rel_tol * |value|). Raises QuadratureToleranceError when
-    max_subdivisions panel splits cannot reach the tolerance; the exception
-    carries the best value and its achieved estimate.
+    max_subdivisions panel splits cannot reach the tolerance, or at once when
+    the running value or estimate turns non-finite; the exception carries the
+    best value and its achieved estimate.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("integration limits must be finite")
@@ -104,31 +102,43 @@ def integrate_adaptive(
         return 0.0, 0.0
 
     nodes, weights = _leggauss(cfg.nodes_per_panel)
-    value, err = _panel_with_estimate(fn, lo, hi, nodes, weights)
-    # heap of (-error, tiebreak, panel_lo, panel_hi, value, error)
-    heap = [(-err, 0, lo, hi, value, err)]
+    mid = 0.5 * (lo + hi)
+    coarse, left, right = _panels(fn, ((lo, hi), (lo, mid), (mid, hi)), nodes, weights)
+    # a panel's value is the sum of its halves, its error their gap to the
+    # one-panel rule; heap of (-error, tiebreak, lo, hi, value, error, halves)
+    value = left + right
+    err = abs(value - coarse)
+    heap = [(-err, 0, lo, hi, value, err, left, right)]
     total, total_err = value, err
     seq = 1
-    for _ in range(cfg.max_subdivisions):
+    for splits in range(cfg.max_subdivisions + 1):
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        if not (math.isfinite(total) and math.isfinite(total_err)):
+            raise QuadratureToleranceError(
+                total, total_err, tol,
+                "the integrand returned a non-finite value, or its panel sums overflowed",
+            )
         if total_err <= tol:
             return total, total_err
-        _, _, plo, phi, pval, perr = heapq.heappop(heap)
+        if splits == cfg.max_subdivisions:
+            raise QuadratureToleranceError(total, total_err, tol)
+        _, _, plo, phi, pval, perr, pleft, pright = heapq.heappop(heap)
         mid = 0.5 * (plo + phi)
         if not plo < mid < phi:
             # panel at floating-point resolution; nothing left to refine
             raise QuadratureToleranceError(total, total_err, tol)
-        lval, lerr = _panel_with_estimate(fn, plo, mid, nodes, weights)
-        rval, rerr = _panel_with_estimate(fn, mid, phi, nodes, weights)
+        lmid = 0.5 * (plo + mid)
+        rmid = 0.5 * (mid + phi)
+        q1, q2, q3, q4 = _panels(
+            fn, ((plo, lmid), (lmid, mid), (mid, rmid), (rmid, phi)), nodes, weights
+        )
+        lval, rval = q1 + q2, q3 + q4
+        lerr, rerr = abs(lval - pleft), abs(rval - pright)
         total += lval + rval - pval
         total_err = max(total_err + lerr + rerr - perr, 0.0)
-        heapq.heappush(heap, (-lerr, seq, plo, mid, lval, lerr))
-        heapq.heappush(heap, (-rerr, seq + 1, mid, phi, rval, rerr))
+        heapq.heappush(heap, (-lerr, seq, plo, mid, lval, lerr, q1, q2))
+        heapq.heappush(heap, (-rerr, seq + 1, mid, phi, rval, rerr, q3, q4))
         seq += 2
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-    if total_err <= tol:
-        return total, total_err
-    raise QuadratureToleranceError(total, total_err, tol)
 
 
 def _check_order(alpha: float) -> None:

@@ -607,24 +607,33 @@ def grid_from_config_text(text: str) -> SweepGrid:
 
     Keys: alphas, svals, xfracs, qvals (comma-separated numbers), theorems
     (comma-separated from t21, t22, t23, t24, hh) and one 'family.<id> =
-    <function spec>' line per family. ParseError positions are line indices.
+    <function spec>' line per family. A key may appear once. ParseErrors name
+    the 1-based line.
     """
     lists: dict[str, tuple[float, ...]] = {}
     theorems: tuple[TheoremId, ...] | None = None
     families: list[tuple[str, FunctionModel]] = []
-    for lineno, raw in enumerate(text.splitlines()):
+    seen: dict[str, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ParseError("expected 'key = value'", lineno)
+            raise ParseError("expected 'key = value'", lineno, unit="line")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in seen:
+            raise ParseError(
+                f"key {key!r} repeats line {seen[key]}", lineno, unit="line"
+            )
+        seen[key] = lineno
         if key in _LIST_KEYS:
             try:
                 lists[key] = tuple(float(tok) for tok in value.split(","))
             except ValueError:
-                raise ParseError(f"{key} expects comma-separated numbers", lineno) from None
+                raise ParseError(
+                    f"{key} expects comma-separated numbers", lineno, unit="line"
+                ) from None
         elif key == "theorems":
             toks = [t.strip().lower() for t in value.split(",")]
             unknown = [t for t in toks if t not in _THEOREM_TOKENS]
@@ -633,15 +642,21 @@ def grid_from_config_text(text: str) -> SweepGrid:
                     f"unknown theorem id(s) {', '.join(unknown)} "
                     f"(expected t21, t22, t23, t24, hh)",
                     lineno,
+                    unit="line",
                 )
             theorems = tuple(_THEOREM_TOKENS[t] for t in toks)
         elif key.startswith("family."):
             fid = key[len("family.") :].strip()
             if not fid:
-                raise ParseError("family key needs an id: family.<id> = <spec>", lineno)
-            families.append((fid, parse_function(value)))
+                raise ParseError(
+                    "family key needs an id: family.<id> = <spec>", lineno, unit="line"
+                )
+            try:
+                families.append((fid, parse_function(value)))
+            except ParseError as exc:
+                raise ParseError(f"{key}: {exc}", lineno, unit="line") from None
         else:
-            raise ParseError(f"unknown config key {key!r}", lineno)
+            raise ParseError(f"unknown config key {key!r}", lineno, unit="line")
     missing = [k for k in _LIST_KEYS if k not in lists]
     if theorems is None:
         missing.append("theorems")

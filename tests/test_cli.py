@@ -262,6 +262,62 @@ class TestUsage:
         assert code == cli.ExitCode.USAGE
 
 
+class TestHostileInputs:
+    """Malformed numbers end in exit 2 and one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [
+            (
+                ["identity", "--f", U2, "--a", "0", "--b", "1", "--x", "0.5",
+                 "--alpha", "0.5", "--tol", "nan"],
+                "--tol must be finite",
+            ),
+            (
+                ["bound", "--thm", "t22", "--f", U2, "--a", "0", "--b", "1", "--x", "0.5",
+                 "--alpha", "0.5", "--s", "1", "--q", "inf"],
+                "q must be finite",
+            ),
+            (
+                ["bound", "--thm", "c14", "--f", U2, "--a", "0", "--b", "1", "--x", "0.5",
+                 "--s", "1", "--q", "nan"],
+                "q must be finite",
+            ),
+            (
+                ["bound", "--thm", "t23", "--f", U2, "--a", "0", "--b", "1", "--x", "0.5",
+                 "--alpha", "0.5", "--s", "1", "--q", "2", "--p", "inf"],
+                "p must be finite",
+            ),
+            (
+                ["bound", "--thm", "t21", "--f", "1*(u-0)^2 on [0,1e200]", "--a", "0",
+                 "--b", "1e200", "--x", "5e199", "--alpha", "3", "--s", "1"],
+                "overflow",
+            ),
+            (
+                ["identity", "--f", U2, "--a", "0", "--b", "1", "--x", "0.5",
+                 "--alpha", "1e300"],
+                "overflow",
+            ),
+        ],
+        ids=["tol-nan", "q-inf", "q-nan", "p-inf", "bound-overflow", "alpha-overflow"],
+    )
+    def test_usage_exit_with_one_line(self, argv, needle, capsys):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == cli.ExitCode.USAGE
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert needle in err
+        assert "Traceback" not in err
+
+    def test_repeated_config_key_is_usage(self, capsys, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TINY_CONFIG + "alphas = 2\n")
+        code = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == cli.ExitCode.USAGE
+        assert err == "error: key 'alphas' repeats line 1 (at line 7)\n"
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
         proc = subprocess.run(

@@ -5,6 +5,7 @@ rule for monomials, and direct high-precision evaluation of the singular
 kernel integral with mpmath.
 """
 
+import heapq
 import math
 
 import mpmath
@@ -183,3 +184,172 @@ class TestRLValidation:
             rl_left(u2, -0.5, 0.5, 0.5)
         with pytest.raises(DomainError):
             rl_left(u2, 0.0, 0.5, 1.5)
+
+
+# -- the three-call-per-panel integrator, kept as an exactness oracle --------
+
+
+def _ref_panel(fn, lo, hi, nodes, weights):
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    return half * float(np.dot(weights, fn(mid + half * nodes)))
+
+
+def _ref_panel_with_estimate(fn, lo, hi, nodes, weights):
+    coarse = _ref_panel(fn, lo, hi, nodes, weights)
+    mid = 0.5 * (lo + hi)
+    fine = _ref_panel(fn, lo, mid, nodes, weights) + _ref_panel(fn, mid, hi, nodes, weights)
+    return fine, abs(fine - coarse)
+
+
+def _ref_integrate(fn, lo, hi, cfg=DEFAULT_CONFIG):
+    """Each panel and each of its halves evaluated afresh: six calls per split."""
+    nodes, weights = np.polynomial.legendre.leggauss(cfg.nodes_per_panel)
+    value, err = _ref_panel_with_estimate(fn, lo, hi, nodes, weights)
+    heap = [(-err, 0, lo, hi, value, err)]
+    total, total_err = value, err
+    seq = 1
+    for _ in range(cfg.max_subdivisions):
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        if total_err <= tol:
+            return total, total_err
+        _, _, plo, phi, pval, perr = heapq.heappop(heap)
+        mid = 0.5 * (plo + phi)
+        if not plo < mid < phi:
+            raise QuadratureToleranceError(total, total_err, tol)
+        lval, lerr = _ref_panel_with_estimate(fn, plo, mid, nodes, weights)
+        rval, rerr = _ref_panel_with_estimate(fn, mid, phi, nodes, weights)
+        total += lval + rval - pval
+        total_err = max(total_err + lerr + rerr - perr, 0.0)
+        heapq.heappush(heap, (-lerr, seq, plo, mid, lval, lerr))
+        heapq.heappush(heap, (-rerr, seq + 1, mid, phi, rval, rerr))
+        seq += 2
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+    if total_err <= tol:
+        return total, total_err
+    raise QuadratureToleranceError(total, total_err, tol)
+
+
+class Counted:
+    """Wraps an integrand and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, v):
+        self.calls += 1
+        return self.fn(v)
+
+
+def _kinked(alpha, x=0.8):
+    # u^1.3 under the left operator's substitution at order alpha
+    f = parse_function("1*(u-0)^1.3 on [0,1]")
+    return lambda v: f.evaluate(np.clip(x - x * np.power(v, 1.0 / alpha), 0.0, x))
+
+
+EXACT_CASES = {
+    "smooth": (lambda u: np.exp(-u) * np.cos(3.0 * u), 0.0, 2.0),
+    "kinked-0.3": (_kinked(0.3), 0.0, 1.0),
+    "kinked-0.7": (_kinked(0.7), 0.0, 1.0),
+    "kinked-2.5": (_kinked(2.5), 0.0, 1.0),
+    "oscillatory": (lambda u: np.sin(40.0 * u) * u, 0.0, math.pi),
+}
+
+
+def _singular(u):
+    with np.errstate(divide="ignore"):
+        return np.abs(u - 1.0 / 3.0) ** -0.4
+
+
+class TestExactAgainstReference:
+    @pytest.mark.parametrize("name", sorted(EXACT_CASES))
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            DEFAULT_CONFIG,
+            QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=20000),
+        ],
+        ids=["default", "tight"],
+    )
+    def test_value_error_and_calls(self, name, cfg):
+        fn, lo, hi = EXACT_CASES[name]
+        ref, new = Counted(fn), Counted(fn)
+        try:
+            expect = _ref_integrate(ref, lo, hi, cfg)
+        except QuadratureToleranceError as exc:
+            expect = exc
+        try:
+            got = integrate_adaptive(new, lo, hi, cfg)
+        except QuadratureToleranceError as exc:
+            got = exc
+        assert type(got) is type(expect)
+        if isinstance(expect, tuple):
+            assert got == expect
+        else:
+            assert (got.value, got.error_estimate, got.tolerance) == (
+                expect.value, expect.error_estimate, expect.tolerance,
+            )
+        # the reference makes 3 calls at the start and 6 per split
+        splits = (ref.calls - 3) // 6
+        assert ref.calls == 3 + 6 * splits
+        assert new.calls == 1 + splits
+
+    @pytest.mark.parametrize("name", ["kinked-0.3", "kinked-0.7", "oscillatory", "singular"])
+    def test_budget_exhaustion_payload(self, name):
+        fn, lo, hi = EXACT_CASES.get(name, (_singular, 0.0, 1.0))
+        cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=3)
+        with pytest.raises(QuadratureToleranceError) as expect:
+            _ref_integrate(fn, lo, hi, cfg)
+        counted = Counted(fn)
+        with pytest.raises(QuadratureToleranceError) as got:
+            integrate_adaptive(counted, lo, hi, cfg)
+        assert (got.value.value, got.value.error_estimate, got.value.tolerance) == (
+            expect.value.value, expect.value.error_estimate, expect.value.tolerance,
+        )
+        assert str(got.value) == str(expect.value)
+        assert counted.calls == 1 + 3
+
+    def test_each_call_is_whole_panels(self):
+        sizes = []
+
+        def fn(v):
+            sizes.append(v.size)
+            return _kinked(0.3)(v)
+
+        integrate_adaptive(fn, 0.0, 1.0)
+        assert sizes[0] == 3 * 15
+        assert len(sizes) > 1 and set(sizes[1:]) == {4 * 15}
+
+
+class TestNonFiniteIntegrand:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_fails_at_first_estimate(self, bad):
+        counted = Counted(lambda u: np.full_like(u, bad))
+        with pytest.raises(QuadratureToleranceError, match="non-finite value") as exc:
+            integrate_adaptive(counted, 0.0, 1.0)
+        assert counted.calls == 1
+        assert not math.isfinite(exc.value.value) or not math.isfinite(
+            exc.value.error_estimate
+        )
+
+    def test_fails_when_a_split_turns_non_finite(self):
+        kinked = _kinked(0.3)
+        counted = Counted(lambda v: kinked(v) if counted.calls < 3 else v * math.nan)
+        with pytest.raises(QuadratureToleranceError, match="non-finite value"):
+            integrate_adaptive(counted, 0.0, 1.0)
+        assert counted.calls == 3
+
+    def test_infinite_node_is_not_returned_as_converged(self):
+        # refinement lands a node on the pole at 1/3; the three-call
+        # integrator then met its relative tolerance with (inf, inf)
+        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=20000)
+        assert _ref_integrate(_singular, 0.0, 1.0, cfg) == (math.inf, math.inf)
+        with pytest.raises(QuadratureToleranceError, match="non-finite value"):
+            integrate_adaptive(_singular, 0.0, 1.0, cfg)
+
+    def test_nan_half_fails_at_once(self):
+        counted = Counted(lambda u: np.where(u > 0.5, math.nan, u))
+        with pytest.raises(QuadratureToleranceError, match="non-finite value"):
+            integrate_adaptive(counted, 0.0, 1.0)
+        assert counted.calls == 1

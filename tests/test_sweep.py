@@ -304,8 +304,29 @@ class TestConfigGrammar:
             )
 
     def test_family_spec_errors_propagate(self):
-        with pytest.raises(ParseError):
-            grid_from_config_text("family.f = 1*(v-0)^2 on [0,1]")
+        with pytest.raises(ParseError, match=r"family\.f: .*\(at line 2\)"):
+            grid_from_config_text("alphas = 1\nfamily.f = 1*(v-0)^2 on [0,1]")
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("betas = 1.0", 1),
+            ("# header\n\nalphas 1.0", 3),
+            ("alphas = 1\nsvals = 1\nqvals = x", 3),
+        ],
+    )
+    def test_errors_name_the_line_from_one(self, text, line):
+        with pytest.raises(ParseError, match=rf"\(at line {line}\)$") as exc:
+            grid_from_config_text(text)
+        assert exc.value.position == line
+        assert "position" not in str(exc.value)
+
+    @pytest.mark.parametrize("key", ["alphas", "theorems", "family.f"])
+    def test_repeated_key_names_both_lines(self, key):
+        value = {"alphas": "1", "theorems": "t21", "family.f": "1*(u-0)^2 on [0,1]"}[key]
+        text = f"{key} = {value}\nsvals = 1\n# again\n{key} = {value}\n"
+        with pytest.raises(ParseError, match=rf"'{key}' repeats line 1 \(at line 4\)"):
+            grid_from_config_text(text)
 
 
 class TestDerivativeShrink:
