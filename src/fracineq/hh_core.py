@@ -26,6 +26,12 @@ arithmetic path for reduction checks. Two conventions here are deliberate
 and surfaced in CLI output: the second bracket of t23 pairs with the right
 endpoint derivative |f'(b)|^q, and the weights of c16 carry exponent 2.
 
+Each t21..t24 right side is one formula on precomputed floats (rhs_from_values,
+dispatched by the FRACTIONAL_BOUNDS table, which also names each bound's
+hypothesis). rhs_t21..rhs_t24 evaluate |f'|, the weights and the constants
+for one instance and apply it; sweeps compute those inputs once and reuse
+them across records.
+
 hh_sandwich evaluates the two-sided endpoint-average inequality for s-convex
 f >= 0 itself:
 
@@ -37,6 +43,7 @@ whose right constant is attained by f(u) = u^s on [0, 1].
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -61,6 +68,8 @@ from .specfun import log_gamma
 
 __all__ = [
     "TheoremId",
+    "BoundSpec",
+    "FRACTIONAL_BOUNDS",
     "ProblemInstance",
     "BoundReport",
     "ProofConstants",
@@ -78,6 +87,12 @@ __all__ = [
     "rhs_t22",
     "rhs_t23",
     "rhs_t24",
+    "DerivValues",
+    "abs_deriv_values",
+    "bound_weights",
+    "c1_c2",
+    "c3_root",
+    "rhs_from_values",
     "hh_sandwich",
     "hh_sandwich_with_error",
     "proof_constants",
@@ -283,12 +298,22 @@ def identity_rhs(inst: ProblemInstance, cfg: QuadratureConfig = DEFAULT_CONFIG) 
     return identity_rhs_with_error(inst, cfg)[0]
 
 
-def _weights(inst: ProblemInstance) -> tuple[float, float]:
-    a, b, x, alpha = inst.a, inst.b, inst.x, inst.alpha
+def bound_weights(a: float, b: float, x: float, alpha: float) -> tuple[float, float]:
+    """Endpoint weights (x-a)^(alpha+1)/(b-a) and (b-x)^(alpha+1)/(b-a)."""
     return (
         (x - a) ** (alpha + 1.0) / (b - a),
         (b - x) ** (alpha + 1.0) / (b - a),
     )
+
+
+def c1_c2(alpha: float, s: float) -> tuple[float, float]:
+    """The constants c1, c2 of the t21 and t23 right sides."""
+    return _c1(alpha, s), _c2(alpha, s)
+
+
+def c3_root(alpha: float, p: float) -> float:
+    """c3(alpha, p)^(1/p), the Holder constant of the t22 and t24 right sides."""
+    return _c3(alpha, p) ** (1.0 / p)
 
 
 def _abs_deriv_at(fp: FunctionModel, u: float) -> float:
@@ -303,32 +328,128 @@ def _require_q(inst: ProblemInstance, theorem: str, minimum: float) -> float:
     return inst.q
 
 
+class DerivValues(NamedTuple):
+    """|f'| at the five points the bounds t21..t24 read; NaN where unread."""
+
+    x: float
+    a: float
+    b: float
+    mid_a: float  # at (x + a)/2
+    mid_b: float  # at (x + b)/2
+
+
+# One right-side formula per bound, on precomputed floats. The public
+# rhs_t21..rhs_t24 and the sweep both reach them through rhs_from_values.
+
+
+def _formula_t21(d, wa, wb, alpha, s, q, c1, c2, c3p):
+    return wa * (c1 * d.x + c2 * d.a) + wb * (c1 * d.x + c2 * d.b)
+
+
+def _formula_t22(d, wa, wb, alpha, s, q, c1, c2, c3p):
+    inner_a = ((d.x**q + d.a**q) / (s + 1.0)) ** (1.0 / q)
+    inner_b = ((d.x**q + d.b**q) / (s + 1.0)) ** (1.0 / q)
+    return c3p * (wa * inner_a + wb * inner_b)
+
+
+def _formula_t23(d, wa, wb, alpha, s, q, c1, c2, c3p):
+    kappa = alpha / (alpha + 1.0)
+    pref = kappa ** (1.0 - 1.0 / q)
+    inner_a = (c1 * d.x**q + c2 * d.a**q) ** (1.0 / q)
+    inner_b = (c1 * d.x**q + c2 * d.b**q) ** (1.0 / q)
+    return pref * (wa * inner_a + wb * inner_b)
+
+
+def _formula_t24(d, wa, wb, alpha, s, q, c1, c2, c3p):
+    pref = c3p * 2.0 ** ((s - 1.0) / q)
+    return pref * (wa * d.mid_a + wb * d.mid_b)
+
+
+class BoundSpec(NamedTuple):
+    """How one fractional bound is certified and evaluated."""
+
+    target: str  # hypothesis function: "abs_deriv" is |f'|, "abs_deriv_pow" |f'|^q
+    mode: str  # "convex" or "concave"
+    q_name: str | None  # the bound's name in q errors; None when q is unused
+    holder: bool  # uses c3^(1/p) instead of c1, c2, so needs q > 1
+    midpoints: bool  # reads |f'| at the midpoints instead of at x, a, b
+    formula: Callable[..., float]  # see rhs_from_values for its arguments
+
+
+FRACTIONAL_BOUNDS = {
+    TheoremId.T21: BoundSpec("abs_deriv", "convex", None, False, False, _formula_t21),
+    TheoremId.T22: BoundSpec(
+        "abs_deriv_pow", "convex", "the Holder-split bound", True, False, _formula_t22
+    ),
+    TheoremId.T23: BoundSpec(
+        "abs_deriv_pow", "convex", "the power-mean bound", False, False, _formula_t23
+    ),
+    TheoremId.T24: BoundSpec(
+        "abs_deriv_pow", "concave", "the concave midpoint bound", True, True, _formula_t24
+    ),
+}
+
+
+def abs_deriv_values(
+    fp: FunctionModel, a: float, b: float, x: float, theorems: Iterable[TheoremId]
+) -> DerivValues:
+    """|f'| at the points any of the given bounds reads, NaN at the others."""
+    nan = math.nan
+    fx = fa = fb = fma = fmb = nan
+    midpoints = [FRACTIONAL_BOUNDS[t].midpoints for t in theorems]
+    if not all(midpoints):
+        fx, fa, fb = _abs_deriv_at(fp, x), _abs_deriv_at(fp, a), _abs_deriv_at(fp, b)
+    if any(midpoints):
+        fma = _abs_deriv_at(fp, 0.5 * (x + a))
+        fmb = _abs_deriv_at(fp, 0.5 * (x + b))
+    return DerivValues(fx, fa, fb, fma, fmb)
+
+
+def rhs_from_values(
+    theorem_id: TheoremId,
+    d: DerivValues,
+    wa: float,
+    wb: float,
+    alpha: float,
+    s: float,
+    q: float | None,
+    c1: float,
+    c2: float,
+    c3p: float,
+) -> float:
+    """Right side of bound t21..t24 from |f'| values, weights and constants.
+
+    c1, c2 come from c1_c2(alpha, s), c3p from c3_root(alpha, p); a bound
+    reads only the ones it needs.
+    """
+    return FRACTIONAL_BOUNDS[theorem_id].formula(d, wa, wb, alpha, s, q, c1, c2, c3p)
+
+
+def _rhs(theorem_id: TheoremId, inst: ProblemInstance) -> float:
+    spec = FRACTIONAL_BOUNDS[theorem_id]
+    q = None
+    if spec.q_name is not None:
+        q = _require_q(inst, spec.q_name, 1.0)
+        if spec.holder and not q > 1.0:
+            raise DomainError(f"{spec.q_name} requires q > 1, got {q!r}")
+    d = abs_deriv_values(inst.f.derivative(), inst.a, inst.b, inst.x, (theorem_id,))
+    wa, wb = bound_weights(inst.a, inst.b, inst.x, inst.alpha)
+    c1 = c2 = c3p = math.nan
+    if spec.holder:
+        c3p = c3_root(inst.alpha, inst.p)
+    else:
+        c1, c2 = c1_c2(inst.alpha, inst.s)
+    return rhs_from_values(theorem_id, d, wa, wb, inst.alpha, inst.s, q, c1, c2, c3p)
+
+
 def rhs_t21(inst: ProblemInstance) -> float:
     """First-power bound right side; no q involved."""
-    fp = inst.f.derivative()
-    c1, c2 = _c1(inst.alpha, inst.s), _c2(inst.alpha, inst.s)
-    wa, wb = _weights(inst)
-    fx = _abs_deriv_at(fp, inst.x)
-    fa = _abs_deriv_at(fp, inst.a)
-    fb = _abs_deriv_at(fp, inst.b)
-    return wa * (c1 * fx + c2 * fa) + wb * (c1 * fx + c2 * fb)
+    return _rhs(TheoremId.T21, inst)
 
 
 def rhs_t22(inst: ProblemInstance) -> float:
     """Holder-split bound right side; needs a conjugate pair with q > 1."""
-    q = _require_q(inst, "the Holder-split bound", 1.0)
-    if not q > 1.0:
-        raise DomainError(f"the Holder-split bound requires q > 1, got {q!r}")
-    fp = inst.f.derivative()
-    s = inst.s
-    pref = _c3(inst.alpha, inst.p) ** (1.0 / inst.p)
-    wa, wb = _weights(inst)
-    fx = _abs_deriv_at(fp, inst.x)
-    fa = _abs_deriv_at(fp, inst.a)
-    fb = _abs_deriv_at(fp, inst.b)
-    inner_a = ((fx**q + fa**q) / (s + 1.0)) ** (1.0 / q)
-    inner_b = ((fx**q + fb**q) / (s + 1.0)) ** (1.0 / q)
-    return pref * (wa * inner_a + wb * inner_b)
+    return _rhs(TheoremId.T22, inst)
 
 
 def rhs_t23(inst: ProblemInstance) -> float:
@@ -337,31 +458,12 @@ def rhs_t23(inst: ProblemInstance) -> float:
     The second bracket pairs with |f'(b)|^q (right endpoint), matching the
     first bracket's pairing with |f'(a)|^q.
     """
-    q = _require_q(inst, "the power-mean bound", 1.0)
-    fp = inst.f.derivative()
-    c1, c2 = _c1(inst.alpha, inst.s), _c2(inst.alpha, inst.s)
-    wa, wb = _weights(inst)
-    fx = _abs_deriv_at(fp, inst.x)
-    fa = _abs_deriv_at(fp, inst.a)
-    fb = _abs_deriv_at(fp, inst.b)
-    kappa = inst.alpha / (inst.alpha + 1.0)
-    pref = kappa ** (1.0 - 1.0 / q)
-    inner_a = (c1 * fx**q + c2 * fa**q) ** (1.0 / q)
-    inner_b = (c1 * fx**q + c2 * fb**q) ** (1.0 / q)
-    return pref * (wa * inner_a + wb * inner_b)
+    return _rhs(TheoremId.T23, inst)
 
 
 def rhs_t24(inst: ProblemInstance) -> float:
     """Reverse endpoint-average bound right side (s-concave |f'|^q)."""
-    q = _require_q(inst, "the concave midpoint bound", 1.0)
-    if not q > 1.0:
-        raise DomainError(f"the concave midpoint bound requires q > 1, got {q!r}")
-    fp = inst.f.derivative()
-    wa, wb = _weights(inst)
-    fma = _abs_deriv_at(fp, 0.5 * (inst.x + inst.a))
-    fmb = _abs_deriv_at(fp, 0.5 * (inst.x + inst.b))
-    pref = _c3(inst.alpha, inst.p) ** (1.0 / inst.p) * 2.0 ** ((inst.s - 1.0) / q)
-    return pref * (wa * fma + wb * fmb)
+    return _rhs(TheoremId.T24, inst)
 
 
 def _certify_hypothesis(
@@ -407,6 +509,22 @@ def _report(
     )
 
 
+def _bound(
+    theorem_id: TheoremId,
+    rhs: Callable[[ProblemInstance], float],
+    inst: ProblemInstance,
+    cfg: QuadratureConfig,
+    samples: int,
+    seed: int,
+) -> BoundReport:
+    spec = FRACTIONAL_BOUNDS[theorem_id]
+    if spec.q_name is not None:
+        _require_q(inst, spec.q_name, 1.0)
+    cert = _certify_hypothesis(inst, spec.target, spec.mode, samples, seed)
+    lhs, qerr = identity_lhs_with_error(inst, cfg)
+    return _report(theorem_id, abs(lhs), rhs(inst), inst, cert, qerr)
+
+
 def bound_t21(
     inst: ProblemInstance,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -414,9 +532,7 @@ def bound_t21(
     seed: int = 0,
 ) -> BoundReport:
     """First-power bound: |identity| vs c1/c2-weighted endpoint derivatives."""
-    cert = _certify_hypothesis(inst, "abs_deriv", "convex", samples, seed)
-    lhs, qerr = identity_lhs_with_error(inst, cfg)
-    return _report(TheoremId.T21, abs(lhs), rhs_t21(inst), inst, cert, qerr)
+    return _bound(TheoremId.T21, rhs_t21, inst, cfg, samples, seed)
 
 
 def bound_t22(
@@ -426,10 +542,7 @@ def bound_t22(
     seed: int = 0,
 ) -> BoundReport:
     """Holder-split bound under s-convex |f'|^q."""
-    _require_q(inst, "the Holder-split bound", 1.0)
-    cert = _certify_hypothesis(inst, "abs_deriv_pow", "convex", samples, seed)
-    lhs, qerr = identity_lhs_with_error(inst, cfg)
-    return _report(TheoremId.T22, abs(lhs), rhs_t22(inst), inst, cert, qerr)
+    return _bound(TheoremId.T22, rhs_t22, inst, cfg, samples, seed)
 
 
 def bound_t23(
@@ -439,10 +552,7 @@ def bound_t23(
     seed: int = 0,
 ) -> BoundReport:
     """Power-mean bound under s-convex |f'|^q; q = 1 collapses to bound_t21."""
-    _require_q(inst, "the power-mean bound", 1.0)
-    cert = _certify_hypothesis(inst, "abs_deriv_pow", "convex", samples, seed)
-    lhs, qerr = identity_lhs_with_error(inst, cfg)
-    return _report(TheoremId.T23, abs(lhs), rhs_t23(inst), inst, cert, qerr)
+    return _bound(TheoremId.T23, rhs_t23, inst, cfg, samples, seed)
 
 
 def bound_t24(
@@ -452,10 +562,7 @@ def bound_t24(
     seed: int = 0,
 ) -> BoundReport:
     """Reverse endpoint-average bound under s-concave |f'|^q."""
-    _require_q(inst, "the concave midpoint bound", 1.0)
-    cert = _certify_hypothesis(inst, "abs_deriv_pow", "concave", samples, seed)
-    lhs, qerr = identity_lhs_with_error(inst, cfg)
-    return _report(TheoremId.T24, abs(lhs), rhs_t24(inst), inst, cert, qerr)
+    return _bound(TheoremId.T24, rhs_t24, inst, cfg, samples, seed)
 
 
 _CLASSICAL = {

@@ -15,6 +15,13 @@ are cached per (family, s, target, mode, q); certificate sampling seeds are
 derived deterministically from the run seed and the cache key, so a sweep is
 reproducible record-for-record and its CSV byte-for-byte.
 
+Right sides read per-family |f'| values. The bounds t21..t24 read |f'| only
+at x, a, b and the midpoints (x+a)/2 and (x+b)/2, so each family evaluates
+them once per x; the weights are computed once per (alpha, x), c1 and c2
+once per (alpha, s) and c3^(1/p) once per (alpha, p). Each record then
+applies hh_core.rhs_from_values, the formula rhs_t21..rhs_t24 also use, so
+a record's rhs equals the public right side to the bit.
+
 Quadrature failures at a single grid point produce error rows (NaN metrics,
 certified false) rather than aborting the sweep.
 """
@@ -30,15 +37,18 @@ from importlib import resources
 from .errors import CsvSchemaError, DomainError, ParseError, QuadratureToleranceError
 from .funcmodel import CERT_SAMPLES, FunctionModel, certify_pointwise, parse_function
 from .hh_core import (
+    FRACTIONAL_BOUNDS,
     ProblemInstance,
     TheoremId,
+    _ratio,
+    abs_deriv_values,
+    bound_weights,
+    c1_c2,
+    c3_root,
     conjugate_exponent,
     hh_sandwich_with_error,
     identity_lhs_with_error,
-    rhs_t21,
-    rhs_t22,
-    rhs_t23,
-    rhs_t24,
+    rhs_from_values,
 )
 from .rlint import DEFAULT_CONFIG, QuadratureConfig
 
@@ -185,12 +195,22 @@ def run_sweep(
     failures become error rows; everything else fails loudly.
     """
     records: list[SweepRecord] = []
-    fp_by_family = {fid: f.derivative() for fid, f in grid.families}
     lhs_cache: dict = {}
     cert_cache: dict = {}
     bound_thms = [t for t in grid.theorems if t is not TheoremId.HH11]
+    # each constant once per distinct argument pair, and only if a bound reads it
+    holder = [FRACTIONAL_BOUNDS[t].holder for t in bound_thms]
+    c12: dict = {}
+    if not all(holder):
+        c12 = {(alpha, s): c1_c2(alpha, s) for alpha in grid.alphas for s in grid.svals}
+    c3p: dict = {}
+    if any(holder):
+        pvals = [conjugate_exponent(q) for q in grid.qvals]
+        c3p = {(alpha, p): c3_root(alpha, p) for alpha in grid.alphas for p in pvals}
 
     def cert(fid, f, fp, s, target, mode, q):
+        if target != "abs_deriv_pow":
+            q = None
         key = (fid, s, target, mode, q)
         if key not in cert_cache:
             if target == "f":
@@ -217,13 +237,23 @@ def run_sweep(
 
     for fid, f in grid.families:
         a, b = f.lo, f.hi
-        fp = fp_by_family[fid]
+        xs = [a + frac * (b - a) for frac in grid.xfracs]
+        fp = deriv = weights = None
+        if bound_thms:  # the sandwich needs no f', which may be singular at lo
+            fp = f.derivative()
+            # the bounds read |f'| only at x, a, b and the midpoints: once per
+            # family and x, not once per record
+            deriv = {x: abs_deriv_values(fp, a, b, x, bound_thms) for x in xs}
+            weights = {
+                (alpha, x): bound_weights(a, b, x, alpha)
+                for alpha in grid.alphas
+                for x in xs
+            }
         for s in grid.svals:
             if TheoremId.HH11 in grid.theorems:
                 c = cert(fid, f, fp, s, "f", "convex", None)
                 try:
                     (left, mid, right), err = hh_sandwich_with_error(f, a, b, s, cfg)
-                    ratio = mid / right if right != 0.0 else (0.0 if mid == 0.0 else math.inf)
                     records.append(
                         SweepRecord(
                             TheoremId.HH11.value,
@@ -236,7 +266,7 @@ def run_sweep(
                             lhs=mid,
                             rhs=right,
                             margin=min(right - mid, mid - left),
-                            ratio=ratio,
+                            ratio=_ratio(mid, right),
                             certified=c.verdict,
                             quad_error_est=err,
                         )
@@ -251,40 +281,30 @@ def run_sweep(
             if not bound_thms:
                 continue
             for alpha in grid.alphas:
-                for frac in grid.xfracs:
-                    x = a + frac * (b - a)
+                c1, c2 = c12.get((alpha, s), (math.nan, math.nan))
+                for x in xs:
+                    wa, wb = weights[alpha, x]
                     for q in grid.qvals:
                         p = conjugate_exponent(q)
+                        k3 = c3p.get((alpha, p), math.nan)
                         got = lhs(fid, f, alpha, x)
-                        for thm in bound_thms:
-                            if thm is TheoremId.T21:
-                                c = cert(fid, f, fp, s, "abs_deriv", "convex", None)
-                            elif thm is TheoremId.T24:
-                                c = cert(fid, f, fp, s, "abs_deriv_pow", "concave", q)
-                            else:
-                                c = cert(fid, f, fp, s, "abs_deriv_pow", "convex", q)
-                            if isinstance(got, QuadratureToleranceError):
+                        if isinstance(got, QuadratureToleranceError):
+                            for thm in bound_thms:
                                 records.append(
                                     _error_record(
-                                        thm, fid, alpha, s, x, p, q,
-                                        got.error_estimate,
+                                        thm, fid, alpha, s, x, p, q, got.error_estimate
                                     )
                                 )
-                                continue
-                            lhs_val, qerr = got
-                            inst = ProblemInstance(f, a, b, x, alpha, s, q=q)
-                            if thm is TheoremId.T21:
-                                rhs = rhs_t21(inst)
-                            elif thm is TheoremId.T22:
-                                rhs = rhs_t22(inst)
-                            elif thm is TheoremId.T23:
-                                rhs = rhs_t23(inst)
-                            else:
-                                rhs = rhs_t24(inst)
-                            ratio = (
-                                lhs_val / rhs
-                                if rhs != 0.0
-                                else (0.0 if lhs_val == 0.0 else math.inf)
+                            continue
+                        lhs_val, qerr = got
+                        # one instance per grid point runs every domain check
+                        # the public right sides would run
+                        ProblemInstance(f, a, b, x, alpha, s, q=q)
+                        for thm in bound_thms:
+                            spec = FRACTIONAL_BOUNDS[thm]
+                            c = cert(fid, f, fp, s, spec.target, spec.mode, q)
+                            rhs = rhs_from_values(
+                                thm, deriv[x], wa, wb, alpha, s, q, c1, c2, k3
                             )
                             records.append(
                                 SweepRecord(
@@ -298,7 +318,7 @@ def run_sweep(
                                     lhs=lhs_val,
                                     rhs=rhs,
                                     margin=rhs - lhs_val,
-                                    ratio=ratio,
+                                    ratio=_ratio(lhs_val, rhs),
                                     certified=c.verdict,
                                     quad_error_est=qerr,
                                 )

@@ -1,6 +1,7 @@
 """The endpoint identity, the four bounds, their classical forms, the sandwich."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,10 @@ from fracineq.hh_core import (
     identity_rhs,
     identity_rhs_with_error,
     proof_constants,
+    rhs_t21,
+    rhs_t22,
+    rhs_t23,
+    rhs_t24,
 )
 from fracineq.rlint import QuadratureConfig, integrate_adaptive
 
@@ -164,6 +169,28 @@ class TestBoundsFrozen:
         inst = ProblemInstance(u2, 0.0, 1.0, 0.5, 1.0, 1.0)
         with pytest.raises(DomainError):
             bound_t22(inst, samples=200)
+
+
+class TestRightSideQRules:
+    @pytest.mark.parametrize(
+        "rhs,q,message",
+        [
+            (rhs_t22, None, "the Holder-split bound requires the exponent q"),
+            (rhs_t23, None, "the power-mean bound requires the exponent q"),
+            (rhs_t24, None, "the concave midpoint bound requires the exponent q"),
+            (rhs_t22, 1.0, "the Holder-split bound requires q > 1, got 1.0"),
+            (rhs_t24, 1.0, "the concave midpoint bound requires q > 1, got 1.0"),
+        ],
+    )
+    def test_q_errors_name_the_bound(self, u2, rhs, q, message):
+        inst = ProblemInstance(u2, 0.0, 1.0, 0.5, 1.0, 1.0, q=q)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            rhs(inst)
+
+    def test_first_power_needs_no_q_and_power_mean_takes_one(self, u2):
+        no_q = ProblemInstance(u2, 0.0, 1.0, 0.5, 1.0, 1.0)
+        q_one = ProblemInstance(u2, 0.0, 1.0, 0.5, 1.0, 1.0, q=1.0)
+        assert rhs_t23(q_one) == rhs_t21(no_q) > 0.0
 
 
 class TestBoundsHold:

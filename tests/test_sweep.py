@@ -2,11 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from fracineq.errors import CsvSchemaError, DomainError, ParseError
-from fracineq.funcmodel import parse_function
-from fracineq.hh_core import TheoremId
+from fracineq.funcmodel import FunctionModel, parse_function
+from fracineq.hh_core import (
+    ProblemInstance,
+    TheoremId,
+    conjugate_exponent,
+    rhs_t21,
+    rhs_t22,
+    rhs_t23,
+    rhs_t24,
+)
 from fracineq.rlint import QuadratureConfig
 from fracineq.sweep import (
     CSV_COLUMNS,
@@ -144,6 +153,110 @@ class TestRunSweep:
         summary = summarize(records)
         assert summary.errors == 4
         assert summary.violations == 0
+
+    def test_sandwich_only_grid_needs_no_derivative(self):
+        # f' = u^(-1/2)/2 is unbounded at 0, but the sandwich never reads f'
+        g = SweepGrid(
+            alphas=(1.0,),
+            svals=(0.5,),
+            xfracs=(0.5,),
+            qvals=(2.0,),
+            families=(("root", parse_function("1*(u-0)^0.5 on [0,1]")),),
+            theorems=(TheoremId.HH11,),
+        )
+        rows = run_sweep(g, samples=256)
+        assert [r.theorem_id for r in rows] == ["HH11"]
+        assert math.isfinite(rows[0].lhs)
+
+
+PUBLIC_RHS = {
+    TheoremId.T21: rhs_t21,
+    TheoremId.T22: rhs_t22,
+    TheoremId.T23: rhs_t23,
+    TheoremId.T24: rhs_t24,
+}
+
+
+def _rhs_grid():
+    # every bound, two q values, x at both endpoints, and a family whose
+    # domain starts at 0.01 like the shipped fractional-power families
+    return SweepGrid(
+        alphas=(0.5, 2.0),
+        svals=(0.5, 1.0),
+        xfracs=(0.0, 0.5, 1.0),
+        qvals=(1.5, 3.0),
+        families=(
+            ("u2", parse_function("1*(u-0)^2 on [0,1]")),
+            ("u15", parse_function("0.6666666666666666*(u-0)^1.5 on [0.01,1]")),
+        ),
+        theorems=ALL_THEOREMS,
+    )
+
+
+class TestRightSidesFromValues:
+    """The sweep's hoisted right sides against the public per-instance path."""
+
+    def test_bound_rows_equal_public_right_sides(self):
+        grid = _rhs_grid()
+        models = dict(grid.families)
+        rows = [r for r in run_sweep(grid, samples=256) if r.theorem_id != "HH11"]
+        assert len(rows) == 2 * 2 * 2 * 3 * 2 * 4
+        for r in rows:
+            f = models[r.family_id]
+            inst = ProblemInstance(f, f.lo, f.hi, r.x, r.alpha, r.s, q=r.q)
+            rhs = PUBLIC_RHS[TheoremId(r.theorem_id)](inst)
+            assert r.p == inst.p
+            assert r.rhs == rhs
+            assert r.margin == rhs - r.lhs
+            assert r.ratio == r.lhs / rhs
+
+    def test_quadrature_failure_gives_one_error_row_per_theorem_and_q(self):
+        grid = _rhs_grid()
+        cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
+        rows = [r for r in run_sweep(grid, cfg, samples=256) if r.theorem_id != "HH11"]
+        assert len(rows) == 2 * 2 * 2 * 3 * 2 * 4
+        failed = {(r.family_id, r.s, r.alpha, r.x) for r in rows if math.isnan(r.lhs)}
+        assert failed
+        expected = sorted(
+            (t.value, q, conjugate_exponent(q)) for t in PUBLIC_RHS for q in grid.qvals
+        )
+        for point in failed:
+            at = [r for r in rows if (r.family_id, r.s, r.alpha, r.x) == point]
+            assert sorted((r.theorem_id, r.q, r.p) for r in at) == expected
+            for r in at:
+                assert math.isnan(r.rhs) and math.isnan(r.margin) and math.isnan(r.ratio)
+                assert not r.certified
+
+    def test_work_is_per_family_and_point_not_per_record(self, monkeypatch):
+        # pinned counts: a change that brings per-record work back must say so
+        derivatives, deriv_points, instances = [], [], []
+        derivative, evaluate = FunctionModel.derivative, FunctionModel.evaluate
+        post_init = ProblemInstance.__post_init__
+
+        def counting_derivative(self):
+            derivatives.append(derivative(self))
+            return derivatives[-1]
+
+        def counting_evaluate(self, u):
+            if np.ndim(u) == 0 and any(self is fp for fp in derivatives):
+                deriv_points.append(u)
+            return evaluate(self, u)
+
+        def counting_post_init(self):
+            instances.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(FunctionModel, "derivative", counting_derivative)
+        monkeypatch.setattr(FunctionModel, "evaluate", counting_evaluate)
+        monkeypatch.setattr(ProblemInstance, "__post_init__", counting_post_init)
+        grid = _rhs_grid()
+        run_sweep(grid, samples=256)
+        families, svals, alphas, xs, qs = 2, 2, 2, 3, 2
+        assert len(derivatives) == families
+        # |f'| at x, a, b, (x+a)/2 and (x+b)/2
+        assert len(deriv_points) == 5 * families * xs
+        # one per grid point for the right sides plus one per lhs integral
+        assert len(instances) == families * svals * alphas * xs * qs + families * alphas * xs
 
 
 class TestViolationRule:
