@@ -4,10 +4,11 @@ The package evaluates left and right Riemann-Liouville integrals with
 certified adaptive quadrature, checks a weighted endpoint identity for
 differentiable functions, and verifies a family of Hermite-Hadamard type
 bounds that hold when |f'| or |f'|^q is s-convex (or s-concave) in the
-second sense. A sampling certifier decides the hypothesis; bounds are only
-asserted on certified instances. Batch sweeps over parameter grids produce
-CSV records and tightness summaries, also available from the ``fracineq``
-command line tool.
+second sense. A certifier decides the hypothesis: it proves or refutes it
+from the power-sum terms where a rule applies and samples it otherwise;
+bounds are only asserted on certified instances. Batch sweeps over
+parameter grids produce CSV records and tightness summaries, also
+available from the ``fracineq`` command line tool.
 """
 
 from .errors import (
@@ -23,9 +24,8 @@ from .funcmodel import (
     CertificationReport,
     FunctionModel,
     PowerTerm,
+    certify_model,
     certify_pointwise,
-    certify_s_concave,
-    certify_s_convex,
     parse_function,
 )
 from .rlint import (
@@ -94,9 +94,8 @@ __all__ = [
     "FunctionModel",
     "parse_function",
     "CertificationReport",
+    "certify_model",
     "certify_pointwise",
-    "certify_s_convex",
-    "certify_s_concave",
     "QuadratureConfig",
     "DEFAULT_CONFIG",
     "integrate_adaptive",

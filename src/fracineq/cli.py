@@ -2,8 +2,9 @@
 
 Four subcommands: ``identity`` checks the weighted endpoint identity at one
 point, ``bound`` evaluates a single bound and verifies lhs <= rhs, ``certify``
-runs the sampling convexity certifier on a function, and ``sweep`` crosses a
-parameter grid and writes a CSV of records.
+proves, refutes or sample-certifies a convexity hypothesis on a function, and
+``sweep`` crosses a parameter grid and writes a CSV of records. ``bound`` and
+``certify`` print how the certificate was decided.
 
 Exit codes: 0 success, 1 a checked inequality or residual failed, 2 usage or
 input errors (inputs that overflow floating point among them), 3 quadrature
@@ -25,9 +26,14 @@ from .errors import (
     ParseError,
     QuadratureToleranceError,
 )
-from .funcmodel import CERT_SAMPLES, FunctionModel, certify_pointwise, parse_function
+from .funcmodel import (
+    CERT_SAMPLES,
+    CertificationReport,
+    FunctionModel,
+    certify_model,
+    parse_function,
+)
 from .hh_core import (
-    BoundReport,
     ProblemInstance,
     TheoremId,
     bound_classical,
@@ -97,17 +103,28 @@ def _shrink_for_derivative(f: FunctionModel, a: float) -> tuple[FunctionModel, f
     return f.with_domain(lo, f.hi), max(a, lo), note
 
 
-def _print_certification(report: BoundReport) -> None:
-    cert = report.certification
-    if report.hypothesis_certified:
-        print(f"hypothesis certified: yes ({cert.samples} samples, seed {cert.seed})")
+def _kind_text(cert: CertificationReport) -> str:
+    """How the certificate was decided: its rule, or its sample count and seed."""
+    if cert.kind == "sampled":
+        return f"sampled: {cert.samples} triples, seed {cert.seed}"
+    return f"{cert.kind}: {cert.rule}"
+
+
+def _print_certification(cert: CertificationReport, subject: str) -> None:
+    if cert.kind == "proved":
+        print(f"hypothesis certified: yes ({_kind_text(cert)})")
+        return
+    x, y, lam = cert.witness
+    detail = (
+        f"{_kind_text(cert)}; worst violation {_g12(cert.worst_violation)} at "
+        f"x={_g12(x)}, y={_g12(y)}, lam={_g12(lam)}"
+    )
+    if cert.verdict:
+        print(f"hypothesis certified: yes ({detail})")
     else:
-        x, y, lam = cert.witness
         print(
-            "hypothesis certified: NO "
-            f"(worst violation {_g12(cert.worst_violation)} at "
-            f"x={_g12(x)}, y={_g12(y)}, lam={_g12(lam)}); "
-            "the bound is not asserted for this function"
+            f"hypothesis certified: NO ({detail}); "
+            f"the {subject} is not asserted for this function"
         )
 
 
@@ -166,7 +183,7 @@ def _cmd_bound(args: argparse.Namespace) -> ExitCode:
     print(f"rhs = {_g12(report.rhs)}")
     print(f"margin = {_g12(report.margin)}")
     print(f"ratio = {_g12(report.ratio)}")
-    _print_certification(report)
+    _print_certification(report.certification, "bound")
     if report.lhs <= report.rhs + BOUND_SLACK * (1.0 + abs(report.rhs)):
         print("bound holds")
         return ExitCode.OK
@@ -183,8 +200,8 @@ def _cmd_bound_hh(args: argparse.Namespace) -> ExitCode:
     if ignored:
         print(f"note: {', '.join(ignored)} not used by hh")
     f = parse_function(args.f)
-    cert = certify_pointwise(
-        f.evaluate, args.a, args.b, args.s, "convex", args.samples, args.seed
+    cert = certify_model(
+        f, "f", None, args.a, args.b, args.s, "convex", args.samples, args.seed
     )
     (left, mid, right), err = hh_sandwich_with_error(
         f, args.a, args.b, args.s, DEFAULT_CONFIG
@@ -194,16 +211,7 @@ def _cmd_bound_hh(args: argparse.Namespace) -> ExitCode:
     print(f"right (endpoint average) = {_g12(right)}")
     print(f"slack left = {_g12(mid - left)}")
     print(f"slack right = {_g12(right - mid)}")
-    if cert.verdict:
-        print(f"hypothesis certified: yes ({cert.samples} samples, seed {cert.seed})")
-    else:
-        x, y, lam = cert.witness
-        print(
-            "hypothesis certified: NO "
-            f"(worst violation {_g12(cert.worst_violation)} at "
-            f"x={_g12(x)}, y={_g12(y)}, lam={_g12(lam)}); "
-            "the sandwich is not asserted for this function"
-        )
+    _print_certification(cert, "sandwich")
     band = BOUND_SLACK * (1.0 + abs(right))
     if mid >= left - band and mid <= right + band:
         print("sandwich holds")
@@ -214,18 +222,19 @@ def _cmd_bound_hh(args: argparse.Namespace) -> ExitCode:
 
 def _cmd_certify(args: argparse.Namespace) -> ExitCode:
     f = parse_function(args.f)
-    report = certify_pointwise(
-        f.evaluate, f.lo, f.hi, args.s, args.mode, args.samples, args.seed
+    report = certify_model(
+        f, "f", None, f.lo, f.hi, args.s, args.mode, args.samples, args.seed
     )
-    x, y, lam = report.witness
     kind = f"s-{args.mode}" if args.s != 1.0 else args.mode
     print(f"function: {f.render()}")
-    print(
-        f"checked {kind} with s = {_g12(args.s)} on "
-        f"{report.samples} triples (seed {report.seed})"
-    )
-    print(f"worst violation = {_g12(report.worst_violation)} (tolerance {_g12(report.tol)})")
-    print(f"worst triple: x={_g12(x)}, y={_g12(y)}, lam={_g12(lam)}")
+    print(f"checked {kind} with s = {_g12(args.s)} ({_kind_text(report)})")
+    if report.kind != "proved":
+        x, y, lam = report.witness
+        print(
+            f"worst violation = {_g12(report.worst_violation)} "
+            f"(tolerance {_g12(report.tol)})"
+        )
+        print(f"worst triple: x={_g12(x)}, y={_g12(y)}, lam={_g12(lam)}")
     if report.verdict:
         print("certified")
         return ExitCode.OK
@@ -316,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bound.set_defaults(func=_cmd_bound)
 
     certify = sub.add_parser(
-        "certify", help="sample-certify s-convexity or s-concavity of f"
+        "certify", help="prove or sample-certify s-convexity or s-concavity of f"
     )
     _add_model_args(certify, interval=False)
     certify.add_argument("--s", type=float, required=True, help="convexity order in (0, 1]")
@@ -327,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=CERT_SAMPLES,
-        help=f"sample count (default {CERT_SAMPLES})",
+        help=f"sample count when no rule decides (default {CERT_SAMPLES})",
     )
     certify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     certify.set_defaults(func=_cmd_certify)

@@ -17,13 +17,29 @@ e.g. ``1*(u-0)^2 + -0.5*(u-0)^1 on [0,2]``. Whitespace is insignificant
 between tokens. ``render`` emits this same form with shortest round-trip
 float literals, so ``parse_function(m.render()) == m``.
 
-Certification of s-convexity is probabilistic: the defining inequality
+Certification decides the defining inequality of s-convexity in the
+second sense,
 
-    g(lam*x + (1-lam)*y) <= lam^s g(x) + (1-lam)^s g(y)
+    g(lam*x + (1-lam)*y) <= lam^s g(x) + (1-lam)^s g(y),
 
-is sampled on seeded random triples plus a deterministic boundary set, and
-the signed worst violation is compared against a scale-aware tolerance. A
-failed certificate is a result, not an error.
+(or its reverse for s-concavity) in one of three ways, recorded as the
+report's ``kind``:
+
+- ``proved``: a sound rule applies to the power-sum terms of g. Nonnegative
+  s-convex functions form a convex cone, and c*(u-c0)^r with c >= 0 and c0
+  at or below the interval's left end is s-convex for every s <= r when
+  0 < r <= 1, and for every s when r = 0 or r >= 1 (Hudzik & Maligranda
+  1994, Aequationes Math. 48:100-111). Exponents are compared exactly, as
+  fractions of the floats.
+- ``refuted``: a rule names a witness triple, and the sampler's own violation
+  formula and tolerance confirm it. A nonnegative s-concave g with s < 1 is
+  identically 0 (take x = y), so the witness is (e, e, 1/2) at an endpoint e.
+- ``sampled``: no rule applies, so the inequality is checked on seeded random
+  triples plus a deterministic boundary set, and the signed worst violation
+  is compared against a scale-aware tolerance. Only a failure found this way
+  is certain; a pass is probable, not proved.
+
+A failed certificate is a result, not an error.
 """
 
 from __future__ import annotations
@@ -31,6 +47,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,8 +58,7 @@ __all__ = [
     "FunctionModel",
     "parse_function",
     "CertificationReport",
-    "certify_s_convex",
-    "certify_s_concave",
+    "certify_model",
     "certify_pointwise",
 ]
 
@@ -51,6 +67,9 @@ CERT_TOL = 1e-10
 
 # Default number of random triples per certification run.
 CERT_SAMPLES = 20_000
+
+# How a certificate was decided; see the module docstring.
+CERT_KINDS = ("proved", "refuted", "sampled")
 
 
 @dataclass(frozen=True)
@@ -258,22 +277,61 @@ def parse_function(spec: str) -> FunctionModel:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of a sampled s-convexity or s-concavity check.
+    """Outcome of an s-convexity or s-concavity check.
 
-    ``worst_violation`` is the signed maximum of (violated side minus
-    satisfied side) over all sampled triples; positive means the defining
-    inequality failed by that amount. ``witness`` is the (x, y, lambda)
-    triple attaining it. ``verdict`` is True iff worst_violation <= tol.
+    ``kind`` is "proved", "refuted" or "sampled" (see the module docstring);
+    ``rule`` names the rule behind a proved or refuted report and is None for
+    a sampled one. ``worst_violation`` is the signed maximum of (violated side
+    minus satisfied side) over the checked triples; positive means the
+    defining inequality failed by that amount. ``witness`` is the (x, y,
+    lambda) triple attaining it. ``verdict`` is True iff worst_violation <=
+    tol. A proved report checked no triple: it carries samples = 0,
+    worst_violation = tol = 0 (the exact supremum, reached at lambda = 0) and
+    no witness. A refuted report checked one triple, its witness.
     """
 
     verdict: bool
     worst_violation: float
-    witness: tuple[float, float, float]
+    witness: tuple[float, float, float] | None
     samples: int
     s: float
     mode: str
     seed: int
     tol: float
+    kind: str
+    rule: str | None = None
+
+
+def _check_certify_args(lo: float, hi: float, s: float, mode: str, samples: int) -> None:
+    if mode not in ("convex", "concave"):
+        raise DomainError(f"mode must be 'convex' or 'concave', got {mode!r}")
+    if not 0.0 < s <= 1.0:
+        raise DomainError(f"s must lie in (0, 1], got {s!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(f"certification interval invalid: [{lo!r}, {hi!r}]")
+    if samples < 0:
+        raise DomainError("samples must be >= 0")
+
+
+def _worst_violation(fn, lo, hi, s, mode, lam, xs, ys) -> tuple[int, float, float]:
+    """Index of the worst triple, its signed violation and the tolerance.
+
+    The weights lam^s use the continuous extension 0^s = 0 at lam in {0, 1};
+    the tolerance is CERT_TOL * (1 + max|g|) over the points evaluated.
+    """
+    mix = np.clip(lam * xs + (1.0 - lam) * ys, lo, hi)
+
+    def _vals(pts: np.ndarray) -> np.ndarray:
+        out = np.asarray(fn(pts), dtype=float)
+        return np.broadcast_to(out, pts.shape)
+
+    gx, gy, gm = _vals(xs), _vals(ys), _vals(mix)
+    combo = np.power(lam, s) * gx + np.power(1.0 - lam, s) * gy
+    viol = gm - combo if mode == "convex" else combo - gm
+
+    worst = int(np.argmax(viol))
+    scale = max(np.abs(gx).max(), np.abs(gy).max(), np.abs(gm).max())
+    return worst, float(viol[worst]), CERT_TOL * (1.0 + float(scale))
 
 
 def certify_pointwise(
@@ -285,7 +343,7 @@ def certify_pointwise(
     samples: int = CERT_SAMPLES,
     seed: int = 0,
 ) -> CertificationReport:
-    """Certify a vectorized callable on [lo, hi] in the second sense.
+    """Sample-certify a vectorized callable on [lo, hi] in the second sense.
 
     mode "convex" checks g(lam x + (1-lam) y) <= lam^s g(x) + (1-lam)^s g(y);
     mode "concave" checks the reversed inequality. The weights lam^s use the
@@ -293,14 +351,7 @@ def certify_pointwise(
     uniform draw over [lo, hi]^2 x [0, 1] plus a deterministic boundary set
     (lam in {0, 1/2, 1} against all endpoint pairs).
     """
-    if mode not in ("convex", "concave"):
-        raise DomainError(f"mode must be 'convex' or 'concave', got {mode!r}")
-    if not 0.0 < s <= 1.0:
-        raise DomainError(f"s must lie in (0, 1], got {s!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError(f"certification interval invalid: [{lo!r}, {hi!r}]")
-    if samples < 0:
-        raise DomainError("samples must be >= 0")
+    _check_certify_args(lo, hi, s, mode, samples)
 
     ends = np.array([lo, hi])
     xb, yb = np.repeat(ends, 2), np.tile(ends, 2)
@@ -315,20 +366,7 @@ def certify_pointwise(
     lam = np.concatenate([lam_b, lam_r])
     xs = np.concatenate([xs_b, xs_r])
     ys = np.concatenate([ys_b, ys_r])
-    mix = np.clip(lam * xs + (1.0 - lam) * ys, lo, hi)
-
-    def _vals(pts: np.ndarray) -> np.ndarray:
-        out = np.asarray(fn(pts), dtype=float)
-        return np.broadcast_to(out, pts.shape)
-
-    gx, gy, gm = _vals(xs), _vals(ys), _vals(mix)
-    combo = np.power(lam, s) * gx + np.power(1.0 - lam, s) * gy
-    viol = gm - combo if mode == "convex" else combo - gm
-
-    worst = int(np.argmax(viol))
-    scale = max(np.abs(gx).max(), np.abs(gy).max(), np.abs(gm).max())
-    tol = CERT_TOL * (1.0 + float(scale))
-    worst_violation = float(viol[worst])
+    worst, worst_violation, tol = _worst_violation(fn, lo, hi, s, mode, lam, xs, ys)
     return CertificationReport(
         verdict=worst_violation <= tol,
         worst_violation=worst_violation,
@@ -338,18 +376,108 @@ def certify_pointwise(
         mode=mode,
         seed=int(seed),
         tol=tol,
+        kind="sampled",
     )
 
 
-def certify_s_convex(
-    g: FunctionModel, s: float, samples: int = CERT_SAMPLES, seed: int = 0
-) -> CertificationReport:
-    """Certify that a model is s-convex in the second sense on its domain."""
-    return certify_pointwise(g.evaluate, g.lo, g.hi, s, "convex", samples, seed)
+def _target_fn(g_source: FunctionModel, target: str, q: float | None):
+    """The vectorized hypothesis function g: f, |f'| or |f'|^q."""
+    if target == "f":
+        return g_source.evaluate
+    if target == "abs_deriv":
+        return lambda u: np.abs(g_source.evaluate(u))
+    if target == "abs_deriv_pow":
+        return lambda u: np.abs(g_source.evaluate(u)) ** q
+    raise DomainError(f"unknown certification target {target!r}")
 
 
-def certify_s_concave(
-    g: FunctionModel, s: float, samples: int = CERT_SAMPLES, seed: int = 0
+def _rule(
+    g_source: FunctionModel, target: str, q: float | None, a: float, s: float, mode: str
+) -> tuple[str, str] | None:
+    """("proved", rule) or ("refuted", rule) from the terms of g, else None.
+
+    A "refuted" answer is only a candidate: certify_model still has to
+    confirm its witness numerically.
+    """
+    terms = [t for t in g_source.terms if t.coeff != 0.0]
+    if not terms:
+        return "proved", "g = 0"
+    positive = {t.coeff > 0.0 for t in terms}
+    if len(positive) > 1 or any(t.shift > a for t in terms):
+        return None
+    if target == "f" and positive == {False}:
+        return None
+    # g is now a sum of c*(u-c0)^r with c > 0 and c0 <= a (|f'| is -f' when
+    # every term of f' is negative): each term is >= 0 on [a, b]
+    exps = [Fraction(t.exponent) for t in terms]
+    powered = target == "abs_deriv_pow" and len(exps) > 1  # g = (sum)^q
+    if target == "abs_deriv_pow" and not powered:
+        exps = [exps[0] * Fraction(q)]  # (c*(u-c0)^r)^q = c^q*(u-c0)^(r*q)
+    s_exact = Fraction(s)
+    if mode == "convex":
+        if powered:
+            if all(r == 0 or r >= 1 for r in exps):
+                return "proved", "|f'| is a nonnegative convex power sum and q >= 1"
+            return None
+        if all(r == 0 or r >= 1 or (0 < r and s_exact <= r) for r in exps):
+            return "proved", "nonnegative power sum, each exponent 0, >= 1 or in [s, 1]"
+        return None
+    if s_exact == 1 and not powered and len(exps) == 1 and 0 <= exps[0] <= 1:
+        return "proved", "one nonnegative power term with exponent in [0, 1]"
+    if s_exact < 1 and all(r >= 0 for r in exps):
+        # g >= 0 is nondecreasing, so its largest endpoint value is max g
+        return "refuted", "a nonnegative s-concave g with s < 1 is 0"
+    return None
+
+
+def certify_model(
+    g_source: FunctionModel,
+    target: str,
+    q: float | None,
+    a: float,
+    b: float,
+    s: float,
+    mode: str,
+    samples: int = CERT_SAMPLES,
+    seed: int = 0,
 ) -> CertificationReport:
-    """Certify that a model is s-concave in the second sense on its domain."""
-    return certify_pointwise(g.evaluate, g.lo, g.hi, s, "concave", samples, seed)
+    """Decide whether g is s-convex (mode "convex") or s-concave on [a, b].
+
+    target "f" takes g = g_source; "abs_deriv" takes g = |g_source| and
+    "abs_deriv_pow" g = |g_source|^q, where g_source is f' (q >= 1). A rule
+    on the power-sum terms proves the hypothesis, or names a witness that
+    the sampler's violation formula and tolerance confirm. Otherwise, or
+    when g does not evaluate to finite values at a and b, certify_pointwise
+    samples it with the given count and seed.
+    """
+    _check_certify_args(a, b, s, mode, samples)
+    if a < g_source.lo or b > g_source.hi:
+        raise DomainError(
+            f"evaluation point outside domain [{g_source.lo!r}, {g_source.hi!r}]"
+        )
+    if target == "abs_deriv_pow" and not (q is not None and q >= 1.0):
+        raise DomainError(f"|f'|^q needs q >= 1, got {q!r}")
+    fn = _target_fn(g_source, target, q)
+    decided = _rule(g_source, target, q, a, s, mode)
+    if decided is not None:
+        kind, rule = decided
+        ends = np.array([a, b])
+        g_ends = np.asarray(fn(ends), dtype=float)
+        # a rule reasons about real numbers; where g overflows in floats (it
+        # is nondecreasing, so the endpoints show it) the sampler decides
+        if np.isfinite(g_ends).all():
+            if kind == "proved":
+                return CertificationReport(
+                    verdict=True, worst_violation=0.0, witness=None, samples=0,
+                    s=float(s), mode=mode, seed=int(seed), tol=0.0, kind=kind, rule=rule,
+                )
+            e = ends[int(np.argmax(g_ends))]  # the first maximum: a on a tie
+            lam, at = np.array([0.5]), np.array([e])
+            _, viol, tol = _worst_violation(fn, a, b, s, mode, lam, at, at)
+            if viol > tol:
+                e = float(e)
+                return CertificationReport(
+                    verdict=False, worst_violation=viol, witness=(e, e, 0.5), samples=1,
+                    s=float(s), mode=mode, seed=int(seed), tol=tol, kind=kind, rule=rule,
+                )
+    return certify_pointwise(fn, a, b, s, mode, samples, seed)

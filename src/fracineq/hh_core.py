@@ -14,7 +14,7 @@ operators in :mod:`fracineq.rlint`, J1 is the right integral with terminal x
 evaluated at a and J2 is the left integral with origin x evaluated at b.
 
 Four closed-form upper bounds for |identity| are provided (ids t21..t24),
-each valid under a sampled convexity hypothesis on |f'| or |f'|^q:
+each valid under a certified convexity hypothesis on |f'| or |f'|^q:
 
     t21: |f'| s-convex, first-power bound via the constants c1, c2;
     t22: |f'|^q s-convex, Holder split with the constant c3(alpha, p)^(1/p);
@@ -55,7 +55,7 @@ from .funcmodel import (
     CERT_SAMPLES,
     CertificationReport,
     FunctionModel,
-    certify_pointwise,
+    certify_model,
 )
 from .rlint import (
     DEFAULT_CONFIG,
@@ -467,25 +467,12 @@ def rhs_t24(inst: ProblemInstance) -> float:
 
 
 def _certify_hypothesis(
-    inst: ProblemInstance,
-    target: str,
-    mode: str,
-    samples: int,
-    seed: int,
+    inst: ProblemInstance, target: str, mode: str, samples: int, seed: int
 ) -> CertificationReport:
-    """Certify the convexity hypothesis a bound assumes.
-
-    target "abs_deriv" checks |f'|; "abs_deriv_pow" checks |f'|^q.
-    """
-    fp = inst.f.derivative()
-    if target == "abs_deriv":
-        fn = lambda u: np.abs(fp.evaluate(u))
-    elif target == "abs_deriv_pow":
-        q = inst.q
-        fn = lambda u: np.abs(fp.evaluate(u)) ** q
-    else:  # pragma: no cover - internal misuse
-        raise ValueError(f"unknown certification target {target!r}")
-    return certify_pointwise(fn, inst.a, inst.b, inst.s, mode, samples, seed)
+    """Certify the convexity hypothesis a bound assumes, on [a, b]."""
+    return certify_model(
+        inst.f.derivative(), target, inst.q, inst.a, inst.b, inst.s, mode, samples, seed
+    )
 
 
 def _report(

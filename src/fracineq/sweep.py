@@ -11,9 +11,13 @@ inequalities.
 
 A record is a violation when it is certified and margin < -1e-9 * (1 + rhs),
 one order looser than the quadrature tolerance driving lhs. Certifications
-are cached per (family, s, target, mode, q); certificate sampling seeds are
-derived deterministically from the run seed and the cache key, so a sweep is
-reproducible record-for-record and its CSV byte-for-byte.
+are cached per (family, s, target, mode, q) and decided by
+funcmodel.certify_model: proved or refuted by a rule on the power-sum terms
+where one applies, sampled otherwise. Certificate sampling seeds are derived
+deterministically from the run seed and the cache key, so a sweep is
+reproducible record-for-record and its CSV byte-for-byte. Each record keeps
+its certificate's kind, and the summary counts records per kind and bound;
+the kind is not yet a CSV column.
 
 Right sides read per-family |f'| values. The bounds t21..t24 read |f'| only
 at x, a, b and the midpoints (x+a)/2 and (x+b)/2, so each family evaluates
@@ -31,11 +35,17 @@ from __future__ import annotations
 import csv
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from .errors import CsvSchemaError, DomainError, ParseError, QuadratureToleranceError
-from .funcmodel import CERT_SAMPLES, FunctionModel, certify_pointwise, parse_function
+from .funcmodel import (
+    CERT_KINDS,
+    CERT_SAMPLES,
+    FunctionModel,
+    certify_model,
+    parse_function,
+)
 from .hh_core import (
     FRACTIONAL_BOUNDS,
     ProblemInstance,
@@ -99,7 +109,12 @@ _SHRINK_FRACTION = 1e-9
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One evaluated grid point; empty columns are None."""
+    """One evaluated grid point; empty columns are None.
+
+    ``certificate`` is the kind of the hypothesis certificate ("proved",
+    "refuted" or "sampled"). It is not a CSV column, so records read back
+    from a CSV and error rows carry None, and record equality ignores it.
+    """
 
     theorem_id: str
     family_id: str
@@ -114,6 +129,7 @@ class SweepRecord:
     ratio: float
     certified: bool
     quad_error_est: float
+    certificate: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -213,14 +229,10 @@ def run_sweep(
             q = None
         key = (fid, s, target, mode, q)
         if key not in cert_cache:
-            if target == "f":
-                fn = f.evaluate
-            elif target == "abs_deriv":
-                fn = lambda u: abs(fp.evaluate(u))
-            else:
-                fn = lambda u: abs(fp.evaluate(u)) ** q
-            cert_cache[key] = certify_pointwise(
-                fn, f.lo, f.hi, s, mode, samples, _derive_seed(seed, *key)
+            g_source = f if target == "f" else fp
+            cert_cache[key] = certify_model(
+                g_source, target, q, f.lo, f.hi, s, mode, samples,
+                _derive_seed(seed, *key),
             )
         return cert_cache[key]
 
@@ -269,6 +281,7 @@ def run_sweep(
                             ratio=_ratio(mid, right),
                             certified=c.verdict,
                             quad_error_est=err,
+                            certificate=c.kind,
                         )
                     )
                 except QuadratureToleranceError as exc:
@@ -321,6 +334,7 @@ def run_sweep(
                                     ratio=_ratio(lhs_val, rhs),
                                     certified=c.verdict,
                                     quad_error_est=qerr,
+                                    certificate=c.kind,
                                 )
                             )
     return records
@@ -343,6 +357,7 @@ class TheoremSummary:
     max_ratio: float | None
     argmax: SweepRecord | None
     mean_margin: float | None
+    kinds: dict  # records per certificate kind; empty when no kind is known
 
 
 @dataclass(frozen=True)
@@ -377,6 +392,7 @@ def summarize(records: list[SweepRecord]) -> SweepSummary:
             if r.certified and math.isfinite(r.margin) and math.isfinite(r.ratio)
         ]
         argmax = max(live, key=lambda r: r.ratio, default=None)
+        known = [r.certificate for r in rows if r.certificate is not None]
         by_theorem[tid.value] = TheoremSummary(
             count=len(rows),
             certified=sum(1 for r in rows if r.certified),
@@ -386,6 +402,7 @@ def summarize(records: list[SweepRecord]) -> SweepSummary:
             mean_margin=(
                 sum(r.margin for r in live) / len(live) if live else None
             ),
+            kinds={k: known.count(k) for k in CERT_KINDS} if known else {},
         )
     return SweepSummary(
         total=len(records),
@@ -406,11 +423,13 @@ def format_summary(summary: SweepSummary) -> str:
         f"errors = {summary.errors}  violations = {summary.violations}"
     ]
     for tid, ts in summary.by_theorem.items():
+        counts = (
+            f"{tid}: records={ts.count} certified={ts.certified} "
+            f"violations={ts.violations}"
+            + "".join(f" {kind}={n}" for kind, n in ts.kinds.items())
+        )
         if ts.argmax is None:
-            lines.append(
-                f"{tid}: records={ts.count} certified={ts.certified} "
-                f"violations={ts.violations} (no certified records)"
-            )
+            lines.append(f"{counts} (no certified records)")
             continue
         r = ts.argmax
         where = [f"family={r.family_id}", f"s={_g12(r.s)}"]
@@ -421,8 +440,7 @@ def format_summary(summary: SweepSummary) -> str:
         if r.q is not None:
             where.append(f"q={_g12(r.q)}")
         lines.append(
-            f"{tid}: records={ts.count} certified={ts.certified} "
-            f"violations={ts.violations} max_ratio={_g12(ts.max_ratio)} "
+            f"{counts} max_ratio={_g12(ts.max_ratio)} "
             f"({' '.join(where)}) mean_margin={_g12(ts.mean_margin)}"
         )
     return "\n".join(lines)

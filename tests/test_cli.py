@@ -66,7 +66,7 @@ class TestBoundCommand:
         out = capsys.readouterr().out
         assert code == cli.ExitCode.OK
         assert "bound holds" in out
-        assert "hypothesis certified: yes" in out
+        assert "hypothesis certified: yes (proved: " in out
 
     def test_missing_q_is_usage_error(self, capsys):
         code = cli.main(
@@ -133,7 +133,8 @@ class TestBoundCommand:
             ]
         )
         out = capsys.readouterr().out
-        assert "hypothesis certified: NO" in out
+        assert "hypothesis certified: NO (refuted: " in out
+        assert "worst violation" in out and "x=1, y=1, lam=0.5" in out
         assert "not asserted" in out
 
     def test_violated_bound_maps_to_exit_1(self, capsys, monkeypatch):
@@ -176,6 +177,7 @@ class TestBoundCommand:
         assert "note: --alpha not used by hh" in out
         assert "sandwich holds" in out
         assert "slack left" in out and "slack right" in out
+        assert "hypothesis certified: yes (proved: " in out
 
 
 class TestCertifyCommand:
@@ -184,6 +186,8 @@ class TestCertifyCommand:
         out = capsys.readouterr().out
         assert code == cli.ExitCode.OK
         assert out.rstrip().endswith("certified")
+        assert "with s = 0.5 (proved: " in out
+        assert "worst triple" not in out
 
     def test_not_certified(self, capsys):
         code = cli.main(
@@ -192,7 +196,19 @@ class TestCertifyCommand:
         out = capsys.readouterr().out
         assert code == cli.ExitCode.FAILURE
         assert "NOT certified" in out
+        assert "(refuted: " in out
+        assert "worst triple: x=0, y=0, lam=0.5" in out
+
+    def test_sampled_certificate_names_samples_and_seed(self, capsys):
+        code = cli.main(
+            ["certify", "--f", SQRT, "--s", "0.75", "--mode", "convex",
+             "--samples", "500", "--seed", "3"]
+        )
+        out = capsys.readouterr().out
+        assert code == cli.ExitCode.FAILURE
+        assert "(sampled: 512 triples, seed 3)" in out
         assert "worst triple" in out
+        assert out.rstrip().endswith("NOT certified")
 
     def test_parse_error_is_usage(self, capsys):
         code = cli.main(["certify", "--f", "bogus", "--s", "0.5", "--mode", "convex"])

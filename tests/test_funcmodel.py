@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 
 from fracineq.errors import DerivativeSingularityError, DomainError, ParseError
 from fracineq.funcmodel import (
+    CERT_SAMPLES,
     CERT_TOL,
+    CertificationReport,
     FunctionModel,
     PowerTerm,
+    certify_model,
     certify_pointwise,
-    certify_s_concave,
-    certify_s_convex,
     parse_function,
 )
 
@@ -189,23 +191,33 @@ def _lattice_worst(fn, lo, hi, s, mode, n=61):
     return float(viol.max())
 
 
+def _certify_f(g, s, mode, **kw):
+    return certify_model(g, "f", None, g.lo, g.hi, s, mode, **kw)
+
+
 class TestCertify:
     def test_sqrt_is_half_convex(self, sqrtu):
-        assert certify_s_convex(sqrtu, 0.5).verdict
+        report = _certify_f(sqrtu, 0.5, "convex")
+        assert report.verdict
+        assert report.kind == "proved"
 
     def test_sqrt_fails_above_its_order(self, sqrtu):
-        report = certify_s_convex(sqrtu, 0.75)
+        report = _certify_f(sqrtu, 0.75, "convex")
         assert not report.verdict
+        assert report.kind == "sampled"
         assert report.worst_violation > 1e-3
 
     def test_constant_is_never_s_concave_below_one(self, const1):
-        report = certify_s_concave(const1, 0.5)
+        report = _certify_f(const1, 0.5, "concave")
         assert not report.verdict
+        assert report.kind == "refuted"
         assert report.worst_violation == SQRT2_MINUS_1
         assert report.witness == (0.0, 0.0, 0.5)
 
     def test_constant_is_one_concave(self, const1):
-        assert certify_s_concave(const1, 1.0).verdict
+        report = _certify_f(const1, 1.0, "concave")
+        assert report.verdict
+        assert report.kind == "proved"
 
     def test_square_is_convex_not_concave(self, u2):
         assert certify_pointwise(u2.evaluate, 0.0, 1.0, 1.0, "convex").verdict
@@ -248,9 +260,206 @@ class TestCertify:
     def test_invalid_mode_rejected(self, u2):
         with pytest.raises(DomainError):
             certify_pointwise(u2.evaluate, 0.0, 1.0, 0.5, "sideways")
+        with pytest.raises(DomainError, match="mode"):
+            _certify_f(u2, 0.5, "sideways")
 
     def test_invalid_s_rejected(self, u2):
         with pytest.raises(DomainError):
             certify_pointwise(u2.evaluate, 0.0, 1.0, 0.0, "convex")
         with pytest.raises(DomainError):
             certify_pointwise(u2.evaluate, 0.0, 1.0, 1.5, "convex")
+        with pytest.raises(DomainError, match="s must lie"):
+            _certify_f(u2, 1.5, "convex")
+
+
+def _mp_g(g_source, target, q, u):
+    """g at u in 50-digit arithmetic, from the model's terms."""
+    with mpmath.workdps(50):
+        u = mpmath.mpf(u)
+        val = mpmath.fsum(
+            mpmath.mpf(t.coeff) * (u - mpmath.mpf(t.shift)) ** mpmath.mpf(t.exponent)
+            for t in g_source.terms
+        )
+        if target != "f":
+            val = abs(val)
+        return val ** mpmath.mpf(q) if target == "abs_deriv_pow" else val
+
+
+def mp_violation(report, g_source, target, q):
+    """The report's witness violation recomputed in 50-digit arithmetic."""
+    x, y, lam = report.witness
+    with mpmath.workdps(50):
+        x, y, lam, s = (mpmath.mpf(v) for v in (x, y, lam, report.s))
+        mix = lam * x + (1 - lam) * y
+        combo = lam**s * _mp_g(g_source, target, q, x) + (1 - lam) ** s * _mp_g(
+            g_source, target, q, y
+        )
+        gm = _mp_g(g_source, target, q, mix)
+        return gm - combo if report.mode == "convex" else combo - gm
+
+
+class TestCertifyModel:
+    """Rules decide what they can; the sampler decides the rest."""
+
+    def test_false_pass_shape_is_sampled_never_proved(self):
+        # |f'| = 0.8*1.243 u^0.243 + 1.8 u^0.8 at s = 0.433, the shape of a
+        # deep_quadrature family: the u^0.243 term is not 0.433-convex near 0
+        f = parse_function("0.8*(u-0)^1.243 + 1*(u-0)^1.8 on [0,1]")
+        fp = f.derivative()
+        report = certify_model(fp, "abs_deriv", None, 0.0, 1.0, 0.433, "convex")
+        assert report.kind == "sampled"
+        assert report.samples == CERT_SAMPLES + 12
+        # the sampler passes it, yet y = 0 with a small lambda refutes it:
+        # a false pass, which only the kind keeps from reading as a proof
+        assert report.verdict
+        witness = CertificationReport(
+            False, 0.0, (1.0, 0.0, 1e-6), 1, 0.433, "convex", 0, 0.0, "refuted"
+        )
+        assert mp_violation(witness, fp, "abs_deriv", None) > 1e-2
+
+    def test_exact_boundary(self):
+        f = parse_function("0.6666666666666666*(u-0)^1.5 on [0.01,1]")  # upow_s050
+        fp = f.derivative()
+        at = certify_model(fp, "abs_deriv", None, f.lo, f.hi, 0.5, "convex")
+        assert at.kind == "proved" and at.verdict
+        assert at.samples == 0 and at.witness is None
+        above = np.nextafter(0.5, 1.0)
+        past = certify_model(fp, "abs_deriv", None, f.lo, f.hi, above, "convex")
+        assert past.kind == "sampled"
+
+    def test_power_of_one_term_uses_the_exact_product(self):
+        # r*q = 0.25*3 = 0.75 proves s = 0.75 but not the next float up
+        fp = parse_function("1*(u-0)^0.25 on [0.01,1]")
+        assert certify_model(fp, "abs_deriv_pow", 3.0, 0.01, 1.0, 0.75, "convex").kind == "proved"
+        up = np.nextafter(0.75, 1.0)
+        assert certify_model(fp, "abs_deriv_pow", 3.0, 0.01, 1.0, up, "convex").kind == "sampled"
+        # the float product 0.1*3 rounds up past the exact product of the floats
+        fp = parse_function("1*(u-0)^0.1 on [0.01,1]")
+        rounded = 0.1 * 3.0
+        assert certify_model(fp, "abs_deriv_pow", 3.0, 0.01, 1.0, rounded, "convex").kind == "sampled"
+        below = np.nextafter(rounded, 0.0)
+        assert certify_model(fp, "abs_deriv_pow", 3.0, 0.01, 1.0, below, "convex").kind == "proved"
+
+    def test_convex_derivative_to_a_power_is_proved(self):
+        fp = parse_function("1*(u-0)^0 + 2*(u-0)^1.5 on [0,1]")
+        report = certify_model(fp, "abs_deriv_pow", 2.0, 0.0, 1.0, 0.3, "convex")
+        assert report.kind == "proved"
+        mixed = parse_function("1*(u-0)^0.5 + 2*(u-0)^1.5 on [0,1]")
+        assert certify_model(mixed, "abs_deriv_pow", 2.0, 0.0, 1.0, 0.3, "convex").kind == "sampled"
+
+    def test_negative_derivative_is_proved_through_its_absolute_value(self):
+        fp = parse_function("-2*(u-0)^1 on [0,1]")
+        assert certify_model(fp, "abs_deriv", None, 0.0, 1.0, 0.5, "convex").kind == "proved"
+        # f itself is then concave, so no rule proves it convex
+        assert certify_model(fp, "f", None, 0.0, 1.0, 0.5, "convex").kind == "sampled"
+
+    def test_mixed_signs_and_high_shifts_are_sampled(self):
+        mixed = parse_function("1*(u-0)^2 + -1*(u-0)^1 on [0,1]")
+        assert certify_model(mixed, "abs_deriv", None, 0.0, 1.0, 1.0, "convex").kind == "sampled"
+        shifted = parse_function("1*(u-0.5)^2 on [0,1]")
+        assert certify_model(shifted, "f", None, 0.0, 1.0, 1.0, "convex").kind == "sampled"
+        # a decreasing term: the largest endpoint value need not bound g, so
+        # the concave refutation is left to the sampler
+        falling = FunctionModel((PowerTerm(1.0, -1.0, -1.0),), 0.0, 1.0)
+        report = certify_model(falling, "abs_deriv", None, 0.0, 1.0, 0.5, "concave")
+        assert report.kind == "sampled" and not report.verdict
+
+    def test_concave_below_one_refutes_at_the_largest_endpoint(self, u2):
+        report = certify_model(u2, "f", None, 0.0, 1.0, 0.5, "concave")
+        assert report.kind == "refuted" and not report.verdict
+        assert report.witness == (1.0, 1.0, 0.5)
+        assert report.worst_violation == SQRT2_MINUS_1
+        assert report.worst_violation > report.tol
+
+    def test_refutation_within_tolerance_is_left_to_the_sampler(self, const1):
+        # (2^(1-s) - 1)*g is below CERT_TOL*(1 + g) just under s = 1
+        s = np.nextafter(1.0, 0.0)
+        report = certify_model(const1, "f", None, 0.0, 1.0, s, "concave")
+        assert report.kind == "sampled" and report.verdict
+
+    def test_zero_is_proved_both_ways(self, const1):
+        fp = const1.derivative()
+        for s in (0.25, 1.0):
+            for mode in ("convex", "concave"):
+                report = certify_model(fp, "abs_deriv_pow", 2.0, 0.0, 1.0, s, mode)
+                assert report.kind == "proved" and report.rule == "g = 0"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_values_go_to_the_sampler(self):
+        big = parse_function("1e300*(u-0)^2 on [0,1e10]")
+        report = certify_model(big, "f", None, 0.0, 1e10, 1.0, "convex", samples=64)
+        assert report.kind == "sampled"
+        assert report.verdict == certify_pointwise(
+            big.evaluate, 0.0, 1e10, 1.0, "convex", 64
+        ).verdict
+
+    def test_interval_outside_the_model_is_rejected(self, u2):
+        with pytest.raises(DomainError, match="outside domain"):
+            certify_model(u2, "f", None, -1.0, 1.0, 0.5, "convex")
+
+    def test_power_target_needs_q_at_least_one(self, u2):
+        with pytest.raises(DomainError, match="q >= 1"):
+            certify_model(u2, "abs_deriv_pow", 0.5, 0.0, 1.0, 0.5, "convex")
+        with pytest.raises(DomainError, match="q >= 1"):
+            certify_model(u2, "abs_deriv_pow", None, 0.0, 1.0, 0.5, "convex")
+
+
+@st.composite
+def _sign_definite(draw):
+    """A nonnegative (or, for |g|, nonpositive) power sum anchored at or below lo."""
+    lo = draw(st.sampled_from([0.0, 0.01, 0.5]))
+    hi = lo + draw(st.sampled_from([0.5, 1.0, 3.0]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    exps = draw(
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(0.05, 1.0),
+                st.floats(1.0, 3.0),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    terms = tuple(
+        PowerTerm(
+            sign * draw(st.floats(0.1, 3.0)),
+            lo - draw(st.sampled_from([0.0, 0.0, 0.25])),
+            r,
+        )
+        for r in exps
+    )
+    target = draw(st.sampled_from(["f", "abs_deriv", "abs_deriv_pow"]))
+    q = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    # s on the exponents themselves, and the next float either side
+    s = draw(
+        st.one_of(
+            st.floats(0.05, 1.0),
+            st.just(1.0),
+            st.sampled_from([r for r in exps if 0.0 < r <= 1.0] or [1.0]),
+        )
+    )
+    s = min(1.0, float(np.nextafter(s, draw(st.sampled_from([0.0, s, 2.0])))))
+    mode = draw(st.sampled_from(["convex", "concave"]))
+    return FunctionModel(terms, lo, hi), target, q, s, mode
+
+
+def g_fn(g, target, q):
+    """g as the tests build it, apart from the certifier's own code."""
+    if target == "f":
+        return g.evaluate
+    if target == "abs_deriv":
+        return lambda u: np.abs(g.evaluate(u))
+    return lambda u: np.abs(g.evaluate(u)) ** q
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_sign_definite())
+def test_proved_implies_the_sampler_passes(case):
+    g, target, q, s, mode = case
+    report = certify_model(g, target, q, g.lo, g.hi, s, mode, samples=2000)
+    sampled = certify_pointwise(g_fn(g, target, q), g.lo, g.hi, s, mode, 2000, seed=1)
+    if report.kind == "proved":
+        assert sampled.verdict
+    elif report.kind == "refuted":
+        assert not sampled.verdict

@@ -1,13 +1,20 @@
 """Grid runner, CSV schema, summaries, config grammar, scatter rendering."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from fracineq.errors import CsvSchemaError, DomainError, ParseError
-from fracineq.funcmodel import FunctionModel, parse_function
+from fracineq.funcmodel import (
+    FunctionModel,
+    certify_model,
+    certify_pointwise,
+    parse_function,
+)
 from fracineq.hh_core import (
+    FRACTIONAL_BOUNDS,
     ProblemInstance,
     TheoremId,
     conjugate_exponent,
@@ -33,6 +40,7 @@ from fracineq.sweep import (
     summarize,
     write_csv,
 )
+from test_funcmodel import g_fn, mp_violation
 
 ALL_THEOREMS = (
     TheoremId.T21,
@@ -294,6 +302,24 @@ class TestSummary:
         for tid in ("T21", "T22", "T23", "T24", "HH11"):
             assert tid in text
 
+    def test_kinds_are_counted_per_theorem(self, tmp_path):
+        records = run_sweep(_tiny_grid(), samples=512)
+        summary = summarize(records)
+        for tid, ts in summary.by_theorem.items():
+            assert sum(ts.kinds.values()) == ts.count
+        # T24 at s = 1/2 is refuted on both families; at s = 1 the constant
+        # |f'|^2 of linear is proved and the (2u)^2 of u2 is sampled
+        assert summary.by_theorem["T24"].kinds == {"proved": 4, "refuted": 8, "sampled": 4}
+        lines = format_summary(summary).splitlines()
+        assert lines[0].startswith("records = ")
+        assert "violations=0 proved=4 refuted=8 sampled=4 " in lines[4]
+        # the kind is not a CSV column yet: records read back carry none
+        path = tmp_path / "out.csv"
+        write_csv(records, path)
+        back = summarize(read_csv(path))
+        assert all(ts.kinds == {} for ts in back.by_theorem.values())
+        assert "proved=" not in format_summary(back)
+
 
 class TestCsv:
     def test_header_is_pinned(self, tmp_path):
@@ -492,3 +518,62 @@ class TestSvg:
         records = run_sweep(_tiny_grid(theorems=(TheoremId.HH11,)), samples=512)
         svg = render_svg(records)
         assert svg.startswith("<svg")
+
+
+def _shipped_certificates():
+    """Every certificate key of the shipped grid, as the sweep forms them."""
+    grid, _ = apply_derivative_shrink(standard_grid())
+    keys = []
+    for fid, f in grid.families:
+        fp = f.derivative()
+        found = set()
+        for s in grid.svals:
+            found.add((s, "f", "convex", None))
+            for spec in FRACTIONAL_BOUNDS.values():
+                for q in grid.qvals:
+                    pow_q = q if spec.target == "abs_deriv_pow" else None
+                    found.add((s, spec.target, spec.mode, pow_q))
+        for s, target, mode, q in sorted(found, key=repr):
+            keys.append((fid, f if target == "f" else fp, target, q, f.lo, f.hi, s, mode))
+    return keys
+
+
+class TestShippedCertificates:
+    """Rule-decided certificates of the shipped grid against independent oracles."""
+
+    def test_every_key_against_the_sampler_and_mpmath(self):
+        keys = _shipped_certificates()
+        assert len(keys) == 288
+        kinds = Counter()
+        for fid, g, target, q, a, b, s, mode in keys:
+            report = certify_model(g, target, q, a, b, s, mode, samples=2000)
+            kinds[report.kind] += 1
+            if report.kind == "proved":
+                sampled = certify_pointwise(g_fn(g, target, q), a, b, s, mode, 20_000)
+                assert sampled.verdict, (fid, target, q, s, mode)
+            elif report.kind == "refuted":
+                assert mp_violation(report, g, target, q) > 0, (fid, target, q, s, mode)
+        assert kinds == {"proved": 186, "refuted": 72, "sampled": 30}
+
+    def test_sweep_records_carry_the_certificate_kind(self):
+        g = SweepGrid(
+            alphas=(1.0,),
+            svals=(0.5, 1.0),
+            xfracs=(0.5,),
+            qvals=(2.0,),
+            families=(("u15", parse_function("0.6666666666666666*(u-0)^1.5 on [0.01,1]")),),
+            theorems=ALL_THEOREMS,
+        )
+        got = {(r.theorem_id, r.s): (r.certificate, r.certified) for r in run_sweep(g, samples=256)}
+        assert got == {
+            ("HH11", 0.5): ("proved", True),
+            ("HH11", 1.0): ("proved", True),
+            ("T21", 0.5): ("proved", True),
+            ("T21", 1.0): ("sampled", False),
+            ("T22", 0.5): ("proved", True),
+            ("T22", 1.0): ("proved", True),
+            ("T23", 0.5): ("proved", True),
+            ("T23", 1.0): ("proved", True),
+            ("T24", 0.5): ("refuted", False),
+            ("T24", 1.0): ("proved", True),
+        }
