@@ -34,7 +34,6 @@ from .rlint import (
     integrate_adaptive,
     rl_left,
     rl_left_with_error,
-    rl_power_rule_oracle,
     rl_right,
     rl_right_with_error,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "rl_right",
     "rl_left_with_error",
     "rl_right_with_error",
-    "rl_power_rule_oracle",
     "TheoremId",
     "ProblemInstance",
     "BoundReport",

@@ -47,6 +47,8 @@ from .hh_core import (
 )
 from .rlint import DEFAULT_CONFIG
 from .sweep import (
+    _derivative_domain,
+    _g12,
     apply_derivative_shrink,
     format_summary,
     grid_from_config_text,
@@ -70,8 +72,6 @@ class ExitCode(IntEnum):
 # slack granted when comparing lhs <= rhs, relative to the bound's size
 BOUND_SLACK = 1e-9
 
-_SHRINK_FRACTION = 1e-9
-
 _FRACTIONAL = {
     "t21": bound_t21,
     "t22": bound_t22,
@@ -87,20 +87,16 @@ _CONVENTION_NOTES = {
 }
 
 
-def _g12(v: float) -> str:
-    return format(v, ".12g")
-
-
 def _shrink_for_derivative(f: FunctionModel, a: float) -> tuple[FunctionModel, float, str | None]:
     """Nudge a off the left edge when f' is unbounded there."""
-    if not f.has_singular_derivative:
+    g = _derivative_domain(f)
+    if g is f:
         return f, a, None
-    lo = f.lo + _SHRINK_FRACTION * (f.hi - f.lo)
     note = (
         f"note: f' is unbounded at {_g12(f.lo)}; "
-        f"working on [{_g12(lo)}, {_g12(f.hi)}] instead"
+        f"working on [{_g12(g.lo)}, {_g12(g.hi)}] instead"
     )
-    return f.with_domain(lo, f.hi), max(a, lo), note
+    return g, max(a, g.lo), note
 
 
 def _kind_text(cert: CertificationReport) -> str:
@@ -281,8 +277,15 @@ def _add_model_args(p: argparse.ArgumentParser, interval: bool = True) -> None:
         p.add_argument("--b", type=float, required=True, help="interval right endpoint")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports malformed argv as one stderr line, like every other input error."""
+
+    def error(self, message: str):
+        self.exit(int(ExitCode.USAGE), f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracineq",
         description="verify endpoint-average inequalities for fractional integrals",
     )

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureToleranceError
 from .funcmodel import (
     CERT_SAMPLES,
     CertificationReport,
@@ -61,8 +61,7 @@ from .rlint import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     integrate_adaptive,
-    rl_left_with_error,
-    rl_right_with_error,
+    rl_batch_with_error,
 )
 from .specfun import log_gamma
 
@@ -77,6 +76,7 @@ __all__ = [
     "identity_lhs",
     "identity_rhs",
     "identity_lhs_with_error",
+    "identity_lhs_batch",
     "identity_rhs_with_error",
     "bound_t21",
     "bound_t22",
@@ -248,14 +248,38 @@ def identity_lhs_with_error(
     inst: ProblemInstance, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> tuple[float, float]:
     """Signed left side of the identity and its quadrature error estimate."""
-    f, a, b, x, alpha = inst.f, inst.a, inst.b, inst.x, inst.alpha
-    boundary = ((x - a) ** alpha * f.evaluate(a) + (b - x) ** alpha * f.evaluate(b)) / (
-        b - a
-    )
-    j1, e1 = rl_right_with_error(f, x, alpha, a, cfg)
-    j2, e2 = rl_left_with_error(f, x, alpha, b, cfg)
+    got = identity_lhs_batch([inst], cfg)[0]
+    if isinstance(got, QuadratureToleranceError):
+        raise got
+    return got
+
+
+def identity_lhs_batch(
+    insts: list[ProblemInstance], cfg: QuadratureConfig = DEFAULT_CONFIG
+) -> list:
+    """identity_lhs_with_error for instances that share f, a, b and alpha.
+
+    J1 and J2 of every instance are rows of one quadrature batch. Each entry
+    is (lhs, error_estimate), or the QuadratureToleranceError that
+    identity_lhs_with_error raises: J1's if J1 fails, else J2's.
+    """
+    f, a, b, alpha = insts[0].f, insts[0].a, insts[0].b, insts[0].alpha
+    if any((i.f, i.a, i.b, i.alpha) != (f, a, b, alpha) for i in insts):
+        raise DomainError("a batch of identity instances shares f, a, b and alpha")
+    fa, fb = f.evaluate(a), f.evaluate(b)
+    boundary = [
+        ((i.x - a) ** alpha * fa + (b - i.x) ** alpha * fb) / (b - a) for i in insts
+    ]
+    js = rl_batch_with_error(f, alpha, [p for i in insts for p in ((i.x, a), (i.x, b))], cfg)
     gfac = math.exp(log_gamma(alpha + 1.0)) / (b - a)
-    return boundary - gfac * (j1 + j2), gfac * (e1 + e2)
+    out: list = []
+    for bd, j1, j2 in zip(boundary, js[::2], js[1::2]):
+        failed = [j for j in (j1, j2) if isinstance(j, QuadratureToleranceError)]
+        if failed:
+            out.append(failed[0])
+        else:
+            out.append((bd - gfac * (j1[0] + j2[0]), gfac * (j1[1] + j2[1])))
+    return out
 
 
 def identity_lhs(inst: ProblemInstance, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

@@ -5,21 +5,27 @@ The left and right operators of order alpha > 0 on [a, b] are
     J_{a+}^alpha f(x) = (1/Gamma(alpha)) * int_a^x (x-t)^(alpha-1) f(t) dt
     J_{b-}^alpha f(x) = (1/Gamma(alpha)) * int_x^b (t-x)^(alpha-1) f(t) dt
 
-The kernel substitution v = ((x-t)/(x-a))^alpha removes the endpoint
-singularity exactly:
+The kernel substitution v = (|x-t|/|x-o|)^alpha, o the origin a or b,
+removes the endpoint singularity exactly. With the signed span d = x - o:
 
-    J_{a+}^alpha f(x) = ((x-a)^alpha / Gamma(alpha+1)) *
-                        int_0^1 f(x - (x-a) v^(1/alpha)) dv
+    J^alpha f(x) = (|d|^alpha / Gamma(alpha+1)) * int_0^1 f(x - d v^(1/alpha)) dv
 
-so one adaptive Gauss-Legendre scheme covers alpha < 1, = 1 and > 1
-uniformly. Panels are refined by halving, with the panel error estimated as
-the difference between the one-panel rule and the sum of its two halves;
-refinement stops when the summed estimate meets max(abs_tol, rel_tol*|I|)
-and fails loudly (QuadratureToleranceError) when the subdivision budget runs
-out or the integrand turns non-finite. Each panel keeps its two half values,
-which are its children's one-panel values, so a split evaluates only the
-four new quarter panels, in one call of the integrand. alpha = 1 reduces to
-the classical integral; alpha = 0 is rejected.
+so one formula serves both operators and one adaptive Gauss-Legendre scheme
+covers alpha < 1, = 1 and > 1 uniformly. Panels are refined by halving, with
+the panel error estimated as the difference between the one-panel rule and
+the sum of its two halves; refinement stops when the summed estimate meets
+max(abs_tol, rel_tol*|I|) and fails loudly (QuadratureToleranceError) when
+the subdivision budget runs out or the integrand turns non-finite. Each
+panel keeps its two half values, which are its children's one-panel values,
+so a split evaluates only the four new quarter panels.
+
+Integrals over the same [lo, hi] run as one batch: the integrand returns a
+row of values per integral, and each refinement round evaluates the quarter
+panels of every unfinished row in one call. Rows keep their own panels,
+tolerance and budget, so each result equals the one-integral result bit for
+bit. A sweep integrates both sides of the identity at every x of one
+(family, alpha) as one batch. alpha = 1 reduces to the classical integral;
+alpha = 0 is rejected.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, QuadratureToleranceError
-from .funcmodel import FunctionModel, PowerTerm
+from .funcmodel import FunctionModel
 from .specfun import log_gamma
 
 __all__ = [
@@ -42,7 +48,7 @@ __all__ = [
     "rl_right",
     "rl_left_with_error",
     "rl_right_with_error",
-    "rl_power_rule_oracle",
+    "rl_batch_with_error",
 ]
 
 
@@ -75,70 +81,105 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panels(fn, panels, nodes, weights) -> list[float]:
-    """Gauss-Legendre values on each (lo, hi) of ``panels``, from one call of fn."""
+def _evaluate(fn, panels, nodes, rows: int) -> tuple[list[float], np.ndarray]:
+    """Half-widths of ``panels`` and fn's values on their nodes from one call,
+    as rows x panels x nodes."""
     half = np.array([0.5 * (hi - lo) for lo, hi in panels])
     mid = np.array([0.5 * (lo + hi) for lo, hi in panels])
-    vals = fn((mid[:, None] + half[:, None] * nodes).ravel()).reshape(len(panels), -1)
-    return [h * float(np.dot(weights, v)) for h, v in zip(half.tolist(), vals)]
+    vals = fn((mid[:, None] + half[:, None] * nodes).ravel())
+    return half.tolist(), np.asarray(vals).reshape(rows, len(panels), len(nodes))
 
 
-def integrate_adaptive(
-    fn, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> tuple[float, float]:
-    """Integrate a vectorized callable over [lo, hi].
+def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
+    """Integrate a vectorized callable over [lo, hi], alone or in a batch.
 
-    Returns (value, error_estimate) with the estimate driven below
-    max(abs_tol, rel_tol * |value|). Raises QuadratureToleranceError when
-    max_subdivisions panel splits cannot reach the tolerance, or at once when
-    the running value or estimate turns non-finite; the exception carries the
-    best value and its achieved estimate.
+    With one QuadratureConfig, fn maps a node array to values of the same
+    length and the call returns (value, error_estimate) with the estimate
+    driven below max(abs_tol, rel_tol * |value|). It raises
+    QuadratureToleranceError when max_subdivisions panel splits cannot reach
+    the tolerance, or at once when the running value or estimate turns
+    non-finite; the exception carries the best value and its achieved
+    estimate.
+
+    With a sequence of configs, which share nodes_per_panel, fn returns one
+    row of values per config, as scipy's quad_vec does, and the call returns
+    a list with each row's (value, error_estimate), or the exception that
+    row would raise alone.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("integration limits must be finite")
     if lo > hi:
         raise DomainError(f"integration requires lo <= hi, got [{lo!r}, {hi!r}]")
+    single = isinstance(cfg, QuadratureConfig)
+    cfgs = [cfg] if single else list(cfg)
+    if any(c.nodes_per_panel != cfgs[0].nodes_per_panel for c in cfgs):
+        raise DomainError("a batch shares one nodes_per_panel")
     if lo == hi:
-        return 0.0, 0.0
+        return (0.0, 0.0) if single else [(0.0, 0.0)] * len(cfgs)
 
-    nodes, weights = _leggauss(cfg.nodes_per_panel)
+    nodes, weights = _leggauss(cfgs[0].nodes_per_panel)
     mid = 0.5 * (lo + hi)
-    coarse, left, right = _panels(fn, ((lo, hi), (lo, mid), (mid, hi)), nodes, weights)
+    half, vals = _evaluate(fn, ((lo, hi), (lo, mid), (mid, hi)), nodes, len(cfgs))
     # a panel's value is the sum of its halves, its error their gap to the
-    # one-panel rule; heap of (-error, tiebreak, lo, hi, value, error, halves)
-    value = left + right
-    err = abs(value - coarse)
-    heap = [(-err, 0, lo, hi, value, err, left, right)]
-    total, total_err = value, err
-    seq = 1
-    for splits in range(cfg.max_subdivisions + 1):
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if not (math.isfinite(total) and math.isfinite(total_err)):
-            raise QuadratureToleranceError(
-                total, total_err, tol,
-                "the integrand returned a non-finite value, or its panel sums overflowed",
-            )
-        if total_err <= tol:
-            return total, total_err
-        if splits == cfg.max_subdivisions:
-            raise QuadratureToleranceError(total, total_err, tol)
-        _, _, plo, phi, pval, perr, pleft, pright = heapq.heappop(heap)
-        mid = 0.5 * (plo + phi)
-        if not plo < mid < phi:
-            # panel at floating-point resolution; nothing left to refine
-            raise QuadratureToleranceError(total, total_err, tol)
-        lmid = 0.5 * (plo + mid)
-        rmid = 0.5 * (mid + phi)
-        q1, q2, q3, q4 = _panels(
-            fn, ((plo, lmid), (lmid, mid), (mid, rmid), (rmid, phi)), nodes, weights
-        )
-        lval, rval = q1 + q2, q3 + q4
-        lerr, rerr = abs(lval - pleft), abs(rval - pright)
-        total += lval + rval - pval
-        total_err = max(total_err + lerr + rerr - perr, 0.0)
-        heapq.heappush(heap, (-lerr, seq, plo, mid, lval, lerr, q1, q2))
-        heapq.heappush(heap, (-rerr, seq + 1, mid, phi, rval, rerr, q3, q4))
-        seq += 2
+    # one-panel rule; per row a heap of (-error, tiebreak, lo, hi, value,
+    # error, halves)
+    heaps, totals, errs = [], [], []
+    for row in vals:
+        coarse, left, right = (h * float(np.dot(weights, v)) for h, v in zip(half, row))
+        value = left + right
+        err = abs(value - coarse)
+        heaps.append([(-err, 0, lo, hi, value, err, left, right)])
+        totals.append(value)
+        errs.append(err)
+    results: list = [None] * len(cfgs)
+    active = range(len(cfgs))
+    splits = 0
+    while active:
+        panels: dict = {}  # quarter panel -> its index in this round's call
+        split = []  # (row, popped heap entry, indices of its four quarters)
+        for r in active:
+            c, total, total_err = cfgs[r], totals[r], errs[r]
+            tol = max(c.abs_tol, c.rel_tol * abs(total))
+            if not (math.isfinite(total) and math.isfinite(total_err)):
+                results[r] = QuadratureToleranceError(
+                    total, total_err, tol,
+                    "the integrand returned a non-finite value, or its panel sums overflowed",
+                )
+            elif total_err <= tol:
+                results[r] = (total, total_err)
+            elif splits == c.max_subdivisions:
+                results[r] = QuadratureToleranceError(total, total_err, tol)
+            else:
+                top = heapq.heappop(heaps[r])
+                plo, phi = top[2], top[3]
+                pmid = 0.5 * (plo + phi)
+                if not plo < pmid < phi:
+                    # panel at floating-point resolution; nothing left to refine
+                    results[r] = QuadratureToleranceError(total, total_err, tol)
+                    continue
+                lmid, rmid = 0.5 * (plo + pmid), 0.5 * (pmid + phi)
+                quarters = ((plo, lmid), (lmid, pmid), (pmid, rmid), (rmid, phi))
+                split.append((r, top, [panels.setdefault(q, len(panels)) for q in quarters]))
+        if not split:
+            break
+        half, vals = _evaluate(fn, panels, nodes, len(cfgs))
+        seq = 2 * splits + 1
+        for r, (_, _, plo, phi, pval, perr, pleft, pright), quarters in split:
+            q1, q2, q3, q4 = (half[k] * float(np.dot(weights, vals[r, k])) for k in quarters)
+            lval, rval = q1 + q2, q3 + q4
+            lerr, rerr = abs(lval - pleft), abs(rval - pright)
+            totals[r] += lval + rval - pval
+            errs[r] = max(errs[r] + lerr + rerr - perr, 0.0)
+            pmid = 0.5 * (plo + phi)
+            heapq.heappush(heaps[r], (-lerr, seq, plo, pmid, lval, lerr, q1, q2))
+            heapq.heappush(heaps[r], (-rerr, seq + 1, pmid, phi, rval, rerr, q3, q4))
+        active = [r for r, _, _ in split]
+        splits += 1
+    if not single:
+        return results
+    if isinstance(results[0], QuadratureToleranceError):
+        raise results[0]
+    return results[0]
 
 
 def _check_order(alpha: float) -> None:
@@ -151,6 +192,48 @@ def _scaled_config(cfg: QuadratureConfig, scale: float) -> QuadratureConfig:
     if scale <= 1.0:
         return cfg
     return replace(cfg, abs_tol=cfg.abs_tol / scale)
+
+
+def rl_batch_with_error(
+    f: FunctionModel,
+    alpha: float,
+    pairs: list[tuple[float, float]],
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+) -> list:
+    """J^alpha f with origin o, evaluated at x, for each (o, x) of ``pairs``.
+
+    o < x is the left integral J_{o+}^alpha f(x), o > x the right one
+    J_{o-}^alpha f(x); all are rows of one batch. Each entry is (value,
+    error_estimate), or the QuadratureToleranceError that integral raises
+    alone (its value and estimate unscaled); o == x gives (0.0, 0.0). The
+    caller checks that alpha > 0 and that every o and x lie in f's domain.
+    """
+    out: list = [(0.0, 0.0)] * len(pairs)
+    rows = [i for i, (o, x) in enumerate(pairs) if o != x]
+    if not rows:
+        return out
+    origin = np.array([pairs[i][0] for i in rows])[:, None]
+    at = np.array([pairs[i][1] for i in rows])[:, None]
+    span = at - origin
+    lo, hi = np.minimum(origin, at), np.maximum(origin, at)
+    inv_alpha = 1.0 / alpha
+    lg = log_gamma(alpha + 1.0)
+    scales = [math.exp(alpha * math.log(abs(d)) - lg) for d in span[:, 0].tolist()]
+
+    def integrand(v: np.ndarray) -> np.ndarray:
+        return f.evaluate(np.clip(at - span * np.power(v, inv_alpha), lo, hi))
+
+    cfgs = [_scaled_config(cfg, k) for k in scales]
+    for i, k, got in zip(rows, scales, integrate_adaptive(integrand, 0.0, 1.0, cfgs)):
+        out[i] = got if isinstance(got, QuadratureToleranceError) else (k * got[0], k * got[1])
+    return out
+
+
+def _one(f: FunctionModel, alpha: float, origin: float, x: float, cfg) -> tuple[float, float]:
+    got = rl_batch_with_error(f, alpha, [(origin, x)], cfg)[0]
+    if isinstance(got, QuadratureToleranceError):
+        raise got
+    return got
 
 
 def rl_left_with_error(
@@ -167,18 +250,7 @@ def rl_left_with_error(
             f"rl_left requires lo <= a <= x <= hi, got a={a!r}, x={x!r} "
             f"on [{f.lo!r}, {f.hi!r}]"
         )
-    if x == a:
-        return 0.0, 0.0
-    span = x - a
-    scale = math.exp(alpha * math.log(span) - log_gamma(alpha + 1.0))
-    inv_alpha = 1.0 / alpha
-
-    def integrand(v: np.ndarray) -> np.ndarray:
-        t = x - span * np.power(v, inv_alpha)
-        return f.evaluate(np.clip(t, a, x))
-
-    value, err = integrate_adaptive(integrand, 0.0, 1.0, _scaled_config(cfg, scale))
-    return scale * value, scale * err
+    return _one(f, alpha, a, x, cfg)
 
 
 def rl_right_with_error(
@@ -195,18 +267,7 @@ def rl_right_with_error(
             f"rl_right requires lo <= x <= b <= hi, got x={x!r}, b={b!r} "
             f"on [{f.lo!r}, {f.hi!r}]"
         )
-    if x == b:
-        return 0.0, 0.0
-    span = b - x
-    scale = math.exp(alpha * math.log(span) - log_gamma(alpha + 1.0))
-    inv_alpha = 1.0 / alpha
-
-    def integrand(v: np.ndarray) -> np.ndarray:
-        t = x + span * np.power(v, inv_alpha)
-        return f.evaluate(np.clip(t, x, b))
-
-    value, err = integrate_adaptive(integrand, 0.0, 1.0, _scaled_config(cfg, scale))
-    return scale * value, scale * err
+    return _one(f, alpha, b, x, cfg)
 
 
 def rl_left(
@@ -229,27 +290,3 @@ def rl_right(
 ) -> float:
     """Right Riemann-Liouville integral J_{b-}^alpha f evaluated at x."""
     return rl_right_with_error(f, b, alpha, x, cfg)[0]
-
-
-def rl_power_rule_oracle(term: PowerTerm, a: float, alpha: float, x: float) -> float:
-    """Closed form J_{a+}^alpha [c*(t-a)^e](x) for a term anchored at a.
-
-        = c * Gamma(e+1)/Gamma(e+alpha+1) * (x-a)^(e+alpha)
-
-    The Gamma ratio is formed in log space. Requires term.shift == a exactly
-    and term.exponent >= 0.
-    """
-    _check_order(alpha)
-    if term.shift != a:
-        raise DomainError(
-            f"power rule oracle requires shift == a, got shift={term.shift!r}, a={a!r}"
-        )
-    if term.exponent < 0.0:
-        raise DomainError("power rule oracle requires exponent >= 0")
-    if x < a:
-        raise DomainError(f"power rule oracle requires x >= a, got x={x!r}, a={a!r}")
-    if x == a:
-        return 0.0
-    e = term.exponent
-    ratio = math.exp(log_gamma(e + 1.0) - log_gamma(e + alpha + 1.0))
-    return term.coeff * ratio * (x - a) ** (e + alpha)

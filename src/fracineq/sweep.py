@@ -57,7 +57,7 @@ from .hh_core import (
     c3_root,
     conjugate_exponent,
     hh_sandwich_with_error,
-    identity_lhs_with_error,
+    identity_lhs_batch,
     rhs_from_values,
 )
 from .rlint import DEFAULT_CONFIG, QuadratureConfig
@@ -236,15 +236,15 @@ def run_sweep(
             )
         return cert_cache[key]
 
-    def lhs(fid, f, alpha, x):
-        key = (fid, alpha, x)
+    def lhs(fid, f, alpha, xs):
+        # every x of a (family, alpha) in one quadrature batch
+        key = (fid, alpha)
         if key not in lhs_cache:
-            inst = ProblemInstance(f, f.lo, f.hi, x, alpha, 1.0)
-            try:
-                value, err = identity_lhs_with_error(inst, cfg)
-                lhs_cache[key] = (abs(value), err)
-            except QuadratureToleranceError as exc:
-                lhs_cache[key] = exc
+            insts = [ProblemInstance(f, f.lo, f.hi, x, alpha, 1.0) for x in xs]
+            lhs_cache[key] = [
+                got if isinstance(got, QuadratureToleranceError) else (abs(got[0]), got[1])
+                for got in identity_lhs_batch(insts, cfg)
+            ]
         return lhs_cache[key]
 
     for fid, f in grid.families:
@@ -295,12 +295,12 @@ def run_sweep(
                 continue
             for alpha in grid.alphas:
                 c1, c2 = c12.get((alpha, s), (math.nan, math.nan))
-                for x in xs:
+                for k, x in enumerate(xs):
                     wa, wb = weights[alpha, x]
                     for q in grid.qvals:
                         p = conjugate_exponent(q)
                         k3 = c3p.get((alpha, p), math.nan)
-                        got = lhs(fid, f, alpha, x)
+                        got = lhs(fid, f, alpha, xs)[k]
                         if isinstance(got, QuadratureToleranceError):
                             for thm in bound_thms:
                                 records.append(
@@ -462,23 +462,11 @@ def write_csv(records: list[SweepRecord], path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for r in records:
-            writer.writerow(
-                [
-                    r.theorem_id,
-                    r.family_id,
-                    _cell(r.alpha),
-                    _cell(r.s),
-                    _cell(r.x),
-                    _cell(r.p),
-                    _cell(r.q),
-                    _cell(r.lhs),
-                    _cell(r.rhs),
-                    _cell(r.margin),
-                    _cell(r.ratio),
-                    _cell(r.certified),
-                    _cell(r.quad_error_est),
-                ]
-            )
+            writer.writerow([_cell(getattr(r, c)) for c in CSV_COLUMNS])
+
+
+_OPTIONAL = ("alpha", "x", "p", "q")
+_NUMERIC = _OPTIONAL + ("s", "lhs", "rhs", "margin", "ratio", "quad_error_est")
 
 
 def _parse_float(cell: str, column: str, row: int) -> float:
@@ -517,27 +505,15 @@ def read_csv(path) -> list[SweepRecord]:
                     f"row {i}: column 'certified' must be true/false, "
                     f"got {vals['certified']!r}"
                 )
-            optional = {
-                c: (None if vals[c] == "" else _parse_float(vals[c], c, i))
-                for c in ("alpha", "x", "p", "q")
+            # the first bad cell in _NUMERIC order names the row's error
+            nums = {
+                c: None if c in _OPTIONAL and vals[c] == "" else _parse_float(vals[c], c, i)
+                for c in _NUMERIC
             }
             records.append(
                 SweepRecord(
-                    theorem_id=vals["theorem_id"],
-                    family_id=vals["family_id"],
-                    alpha=optional["alpha"],
-                    s=_parse_float(vals["s"], "s", i),
-                    x=optional["x"],
-                    p=optional["p"],
-                    q=optional["q"],
-                    lhs=_parse_float(vals["lhs"], "lhs", i),
-                    rhs=_parse_float(vals["rhs"], "rhs", i),
-                    margin=_parse_float(vals["margin"], "margin", i),
-                    ratio=_parse_float(vals["ratio"], "ratio", i),
-                    certified=vals["certified"] == "true",
-                    quad_error_est=_parse_float(
-                        vals["quad_error_est"], "quad_error_est", i
-                    ),
+                    vals["theorem_id"], vals["family_id"],
+                    certified=vals["certified"] == "true", **nums,
                 )
             )
     return records
@@ -712,6 +688,13 @@ def grid_from_config_text(text: str) -> SweepGrid:
     )
 
 
+def _derivative_domain(f: FunctionModel) -> FunctionModel:
+    """f itself, or f on [lo + 1e-9*(hi-lo), hi] when f' is unbounded at lo."""
+    if not f.has_singular_derivative:
+        return f
+    return f.with_domain(f.lo + _SHRINK_FRACTION * (f.hi - f.lo), f.hi)
+
+
 def apply_derivative_shrink(grid: SweepGrid) -> tuple[SweepGrid, list[str]]:
     """Move singular-derivative families off their left edge when f' is needed.
 
@@ -727,14 +710,13 @@ def apply_derivative_shrink(grid: SweepGrid) -> tuple[SweepGrid, list[str]]:
     notes = []
     families = []
     for fid, f in grid.families:
-        if f.has_singular_derivative:
-            lo = f.lo + _SHRINK_FRACTION * (f.hi - f.lo)
-            f = f.with_domain(lo, f.hi)
+        g = _derivative_domain(f)
+        if g is not f:
             notes.append(
-                f"note: family {fid}: domain shrunk to [{lo!r}, {f.hi!r}] "
+                f"note: family {fid}: domain shrunk to [{g.lo!r}, {g.hi!r}] "
                 "(derivative singular at the left endpoint)"
             )
-        families.append((fid, f))
+        families.append((fid, g))
     if not notes:
         return grid, []
     return replace(grid, families=tuple(families)), notes

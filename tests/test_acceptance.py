@@ -26,8 +26,9 @@ from fracineq.hh_core import (
     identity_rhs_with_error,
     proof_constants,
 )
-from fracineq.rlint import QuadratureConfig, integrate_adaptive, rl_left, rl_power_rule_oracle
+from fracineq.rlint import QuadratureConfig, integrate_adaptive, rl_left
 from fracineq.sweep import apply_derivative_shrink, run_sweep, standard_grid, summarize
+from test_rlint import rl_power_rule_oracle
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
 XFRACS = (0.05, 0.1625, 0.275, 0.3875, 0.5, 0.6125, 0.725, 0.8375, 0.95)

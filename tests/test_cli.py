@@ -1,5 +1,6 @@
 """Exit codes and output of the command line front end."""
 
+import random
 import subprocess
 import sys
 
@@ -332,6 +333,50 @@ class TestHostileInputs:
         err = capsys.readouterr().err
         assert code == cli.ExitCode.USAGE
         assert err == "error: key 'alphas' repeats line 1 (at line 7)\n"
+
+
+HOSTILE = ("nan", "inf", "-inf", "1e308", "-1e308", "-0.5", "-3", "")
+VALID = {
+    "--x": "0.5", "--alpha": "0.5", "--s": "0.5", "--q": "2",
+    "--p": "2", "--tol": "1e-8", "--a": "0", "--b": "1",
+}
+POINT = ("--a", "--b", "--x", "--s")
+COMMANDS = (
+    [
+        ("identity", ("--a", "--b", "--x", "--alpha", "--tol")),
+        ("bound --thm t21", POINT + ("--alpha",)),
+        ("bound --thm c13", POINT),
+        ("bound --thm hh", ("--a", "--b", "--s")),
+        ("certify --mode convex", ("--s",)),
+    ]
+    + [(f"bound --thm {t}", POINT + ("--alpha", "--q", "--p")) for t in ("t22", "t23", "t24")]
+    + [(f"bound --thm {c}", POINT + ("--q", "--p")) for c in ("c14", "c15", "c16")]
+)
+
+
+def _hostile_argvs(seed, per_command):
+    """argv mixing valid values with NaN, inf, huge, negative and empty ones."""
+    rng = random.Random(seed)
+    argvs = []
+    for command, options in COMMANDS:
+        for _ in range(per_command):
+            argv = command.split() + ["--f", rng.choice((U2, SQRT))]
+            if command != "identity":
+                argv += ["--samples", "500"]
+            for opt in options:
+                value = VALID[opt] if rng.random() < 0.75 else rng.choice(HOSTILE)
+                # "--x -inf" reaches argparse as a flag, "--x=-inf" as a value
+                argv += [f"{opt}={value}"] if rng.random() < 0.5 else [opt, value]
+            argvs.append(argv)
+    return argvs
+
+
+@pytest.mark.parametrize("argv", _hostile_argvs(seed=2026, per_command=16), ids=repr)
+def test_hostile_argv_ends_in_exit_code_and_one_line(argv, capsys):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in set(cli.ExitCode)
+    assert err == "" or (err.count("\n") == 1 and err.endswith("\n")), err
 
 
 class TestModuleEntryPoint:

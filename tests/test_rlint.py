@@ -7,30 +7,63 @@ kernel integral with mpmath.
 
 import heapq
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fracineq.rlint as rlint
 
 from fracineq.errors import DomainError, QuadratureToleranceError
 from fracineq.funcmodel import FunctionModel, PowerTerm, parse_function
+from fracineq.hh_core import ProblemInstance, identity_lhs_with_error
 from fracineq.rlint import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     integrate_adaptive,
+    rl_batch_with_error,
     rl_left,
     rl_left_with_error,
-    rl_power_rule_oracle,
     rl_right,
     rl_right_with_error,
 )
+from fracineq.specfun import log_gamma
+from fracineq.sweep import grid_from_config_text, run_sweep
 
 # frozen closed forms for order 1/2 on [0, 1]
 INV_GAMMA_15 = 1.1283791670955126  # of the constant 1
 POWER_HALF_U2 = 0.6018022224509402  # of u^2, gamma(3)/gamma(3.5)
 
 ALPHAS = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]
+
+
+def rl_power_rule_oracle(term: PowerTerm, a: float, alpha: float, x: float) -> float:
+    """Closed form J_{a+}^alpha [c*(t-a)^e](x) for a term anchored at a.
+
+        = c * Gamma(e+1)/Gamma(e+alpha+1) * (x-a)^(e+alpha)
+
+    The Gamma ratio is formed in log space. Requires term.shift == a exactly
+    and term.exponent >= 0.
+    """
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise DomainError(f"fractional order must satisfy alpha > 0, got {alpha!r}")
+    if term.shift != a:
+        raise DomainError(
+            f"power rule oracle requires shift == a, got shift={term.shift!r}, a={a!r}"
+        )
+    if term.exponent < 0.0:
+        raise DomainError("power rule oracle requires exponent >= 0")
+    if x < a:
+        raise DomainError(f"power rule oracle requires x >= a, got x={x!r}, a={a!r}")
+    if x == a:
+        return 0.0
+    e = term.exponent
+    ratio = math.exp(log_gamma(e + 1.0) - log_gamma(e + alpha + 1.0))
+    return term.coeff * ratio * (x - a) ** (e + alpha)
 
 
 class TestIntegrateAdaptive:
@@ -353,3 +386,150 @@ class TestNonFiniteIntegrand:
         with pytest.raises(QuadratureToleranceError, match="non-finite value"):
             integrate_adaptive(counted, 0.0, 1.0)
         assert counted.calls == 1
+
+
+# -- batches: every row equals the reference integrator run on it alone -------
+
+
+def _ref_rl(f, alpha, origin, x, cfg):
+    """J^alpha f with origin ``origin`` at x, one integral at a time, with the
+    left and right operators as two mirror-image formulas, not one signed span."""
+    if origin == x:
+        return 0.0, 0.0
+    span = abs(x - origin)
+    scale = math.exp(alpha * math.log(span) - log_gamma(alpha + 1.0))
+    inv_alpha = 1.0 / alpha
+    if origin < x:
+        def integrand(v):
+            return f.evaluate(np.clip(x - span * np.power(v, inv_alpha), origin, x))
+    else:
+        def integrand(v):
+            return f.evaluate(np.clip(x + span * np.power(v, inv_alpha), x, origin))
+    if scale > 1.0:
+        cfg = replace(cfg, abs_tol=cfg.abs_tol / scale)
+    try:
+        value, err = _ref_integrate(integrand, 0.0, 1.0, cfg)
+    except QuadratureToleranceError as exc:
+        return exc
+    return scale * value, scale * err
+
+
+def _assert_same(got, expect):
+    if isinstance(expect, tuple):
+        assert got == expect
+    else:
+        assert isinstance(got, QuadratureToleranceError)
+        assert (got.value, got.error_estimate, got.tolerance, str(got)) == (
+            expect.value, expect.error_estimate, expect.tolerance, str(expect),
+        )
+
+
+@st.composite
+def _identity_batches(draw):
+    """A sign-definite power sum, an order, and points x with both endpoints."""
+    lo = draw(st.floats(min_value=-2.0, max_value=2.0))
+    hi = lo + draw(st.floats(min_value=0.1, max_value=3.0))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    terms = tuple(
+        PowerTerm(
+            sign * draw(st.floats(min_value=0.01, max_value=5.0)),
+            lo - draw(st.floats(min_value=0.0, max_value=1.0)),
+            draw(st.floats(min_value=0.0, max_value=4.0)),
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    )
+    alpha = draw(st.floats(min_value=0.1, max_value=5.0))
+    xs = [lo, hi] + draw(st.lists(st.floats(min_value=lo, max_value=hi), max_size=3))
+    return FunctionModel(terms, lo, hi), alpha, xs
+
+
+BATCH_CONFIGS = [
+    DEFAULT_CONFIG,
+    QuadratureConfig(max_subdivisions=1),
+    QuadratureConfig(max_subdivisions=3),
+]
+
+
+class TestBatch:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_identity_batches(), st.sampled_from(BATCH_CONFIGS))
+    def test_each_row_equals_the_reference_alone(self, batch, cfg):
+        # both sides of the identity at every x: right integrals toward lo,
+        # left integrals toward hi, and zero-span rows at the endpoints
+        f, alpha, xs = batch
+        pairs = [p for x in xs for p in ((x, f.lo), (x, f.hi))]
+        for (origin, x), got in zip(pairs, rl_batch_with_error(f, alpha, pairs, cfg)):
+            _assert_same(got, _ref_rl(f, alpha, origin, x, cfg))
+
+    def test_a_row_turning_nan_fails_alone(self):
+        rows = [_kinked(0.7), _kinked(0.3), EXACT_CASES["oscillatory"][0]]
+        cfgs = [DEFAULT_CONFIG, DEFAULT_CONFIG, QuadratureConfig(max_subdivisions=20000)]
+        calls = []
+
+        def fn(v):
+            calls.append(v.size)
+            out = np.stack([g(v) for g in rows])
+            if len(calls) >= 3:
+                out[1] = math.nan
+            return out
+
+        got = integrate_adaptive(fn, 0.0, 1.0, cfgs)
+        assert isinstance(got[1], QuadratureToleranceError)
+        assert "non-finite value" in str(got[1])
+        assert got[0] == _ref_integrate(rows[0], 0.0, 1.0)
+        assert got[2] == _ref_integrate(rows[2], 0.0, 1.0, cfgs[2])
+        assert len(calls) > 3  # the other rows went on refining
+
+    def test_rows_keep_their_own_tolerance(self):
+        rows = [_kinked(0.3), _kinked(2.5)]
+        cfgs = [DEFAULT_CONFIG, QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)]
+        sizes = []
+
+        def fn(v):
+            sizes.append(v.size)
+            return np.stack([g(v) for g in rows])
+
+        got = integrate_adaptive(fn, 0.0, 1.0, cfgs)
+        assert got == [_ref_integrate(g, 0.0, 1.0, c) for g, c in zip(rows, cfgs)]
+        assert got[1] != _ref_integrate(rows[1], 0.0, 1.0)
+        assert sizes[0] == 3 * 15 and all(n % (4 * 15) == 0 for n in sizes[1:])
+
+    def test_empty_interval_batch(self):
+        assert integrate_adaptive(np.sin, 2.0, 2.0, [DEFAULT_CONFIG] * 3) == [(0.0, 0.0)] * 3
+
+
+WORK_GRID = """\
+alphas = 0.5, 1, 2.5
+svals = 0.5, 1
+xfracs = 0, 0.3, 0.8, 1
+qvals = 2
+theorems = t21, t22, hh
+family.u2 = 1*(u-0)^2 on [0,1]
+family.linear = 1*(u-0)^0 + 1*(u-0)^1 on [0,1]
+"""
+
+
+class TestBatchWork:
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """The row count of each integrate_adaptive call the operators make."""
+        rows = []
+        real = rlint.integrate_adaptive
+
+        def counted(fn, lo, hi, cfg=DEFAULT_CONFIG):
+            rows.append(len(cfg))
+            return real(fn, lo, hi, cfg)
+
+        monkeypatch.setattr(rlint, "integrate_adaptive", counted)
+        return rows
+
+    def test_sweep_makes_one_call_per_family_and_alpha(self, batches):
+        records = run_sweep(grid_from_config_text(WORK_GRID))
+        assert len(records) == 2 * 2 * (1 + 3 * 4 * 2)
+        # four x per batch, two sides each, less the zero spans at both ends
+        assert batches == [2 * 4 - 2] * (2 * 3)
+
+    @pytest.mark.parametrize("x,rows", [(0.4, 2), (0.0, 1), (1.0, 1)])
+    def test_identity_makes_one_call_per_instance(self, batches, u2, x, rows):
+        identity_lhs_with_error(ProblemInstance(u2, 0.0, 1.0, x, 0.75, 1.0))
+        assert batches == [rows]
