@@ -43,6 +43,7 @@ from .hh_core import (
     ProblemInstance,
     ProofConstants,
     TheoremId,
+    bound,
     bound_classical,
     bound_t21,
     bound_t22,
@@ -113,6 +114,7 @@ __all__ = [
     "identity_rhs",
     "identity_lhs_with_error",
     "identity_rhs_with_error",
+    "bound",
     "bound_t21",
     "bound_t22",
     "bound_t23",

@@ -19,6 +19,8 @@ import math
 import sys
 from enum import IntEnum
 
+import numpy as np
+
 from .errors import (
     CsvSchemaError,
     DerivativeSingularityError,
@@ -34,13 +36,11 @@ from .funcmodel import (
     parse_function,
 )
 from .hh_core import (
+    BOUNDS,
+    FRACTIONAL_BOUNDS,
     ProblemInstance,
     TheoremId,
-    bound_classical,
-    bound_t21,
-    bound_t22,
-    bound_t23,
-    bound_t24,
+    bound,
     hh_sandwich_with_error,
     identity_lhs_with_error,
     identity_rhs_with_error,
@@ -71,20 +71,6 @@ class ExitCode(IntEnum):
 
 # slack granted when comparing lhs <= rhs, relative to the bound's size
 BOUND_SLACK = 1e-9
-
-_FRACTIONAL = {
-    "t21": bound_t21,
-    "t22": bound_t22,
-    "t23": bound_t23,
-    "t24": bound_t24,
-}
-_NEEDS_Q = {"t22", "t23", "t24", "c14", "c15", "c16"}
-
-_CONVENTION_NOTES = {
-    "t22": "note: each endpoint bracket averages |f'(x)|^q with that endpoint's |f'|^q",
-    "c14": "note: each endpoint bracket averages |f'(x)|^q with that endpoint's |f'|^q",
-    "c16": "note: endpoint derivative weights are (x-a)^2 and (b-x)^2 over (b-a)",
-}
 
 
 def _shrink_for_derivative(f: FunctionModel, a: float) -> tuple[FunctionModel, float, str | None]:
@@ -150,31 +136,25 @@ def _cmd_bound(args: argparse.Namespace) -> ExitCode:
     thm = args.thm
     if thm == "hh":
         return _cmd_bound_hh(args)
-    if thm in _NEEDS_Q and args.q is None:
+    tid = TheoremId(thm.upper())
+    spec = BOUNDS[tid]
+    if spec.q_name is not None and args.q is None:
         raise DomainError(f"--q is required for {thm}")
     if args.x is None:
         raise DomainError(f"--x is required for {thm}")
-    if thm in _FRACTIONAL:
-        if args.alpha is None:
-            raise DomainError(f"--alpha is required for {thm}")
-        alpha = args.alpha
-    else:
-        if args.alpha is not None and args.alpha != 1.0:
-            raise DomainError(f"{thm} is the alpha = 1 case; omit --alpha or pass 1")
-        alpha = 1.0
+    if tid in FRACTIONAL_BOUNDS and args.alpha is None:
+        raise DomainError(f"--alpha is required for {thm}")
+    if tid not in FRACTIONAL_BOUNDS and args.alpha not in (None, 1.0):
+        raise DomainError(f"{thm} is the alpha = 1 case; omit --alpha or pass 1")
+    alpha = 1.0 if args.alpha is None else args.alpha
     f = parse_function(args.f)
     f, a, note = _shrink_for_derivative(f, args.a)
     if note:
         print(note)
     inst = ProblemInstance(f, a, args.b, args.x, alpha, args.s, p=args.p, q=args.q)
-    if thm in _FRACTIONAL:
-        report = _FRACTIONAL[thm](inst, DEFAULT_CONFIG, args.samples, args.seed)
-    else:
-        report = bound_classical(
-            TheoremId(thm.upper()), inst, DEFAULT_CONFIG, args.samples, args.seed
-        )
-    if thm in _CONVENTION_NOTES:
-        print(_CONVENTION_NOTES[thm])
+    report = bound(tid, inst, DEFAULT_CONFIG, args.samples, args.seed)
+    if spec.note is not None:
+        print(spec.note)
     print(f"lhs = {_g12(report.lhs)} (quadrature error est {_g12(report.quad_error_est)})")
     print(f"rhs = {_g12(report.rhs)}")
     print(f"margin = {_g12(report.margin)}")
@@ -309,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bound.add_argument(
         "--thm",
         required=True,
-        choices=["t21", "t22", "t23", "t24", "c13", "c14", "c15", "c16", "hh"],
+        choices=[t.value.lower() for t in BOUNDS] + ["hh"],
         help="bound id (t2x fractional, c1x their alpha = 1 forms, hh the sandwich)",
     )
     _add_model_args(bound)
@@ -368,11 +348,10 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return int(ExitCode.OK) if code in (0, None) else int(code)
     try:
-        return int(args.func(args))
-    except (ParseError, DomainError, DerivativeSingularityError, CsvSchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return int(ExitCode.USAGE)
-    except OSError as exc:
+        # a non-finite value fails with one error line, not numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return int(args.func(args))
+    except (ParseError, DomainError, DerivativeSingularityError, CsvSchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return int(ExitCode.USAGE)
     except OverflowError:

@@ -126,13 +126,17 @@ class FunctionModel:
     def domain(self) -> tuple[float, float]:
         return (self.lo, self.hi)
 
+    def _singular_term(self) -> PowerTerm | None:
+        """The first term whose derivative blows up at the left domain edge."""
+        for t in self.terms:
+            if 0.0 < t.exponent < 1.0 and t.shift >= self.lo and t.coeff != 0.0:
+                return t
+        return None
+
     @property
     def has_singular_derivative(self) -> bool:
         """True when differentiation would blow up at the left domain edge."""
-        return any(
-            0.0 < t.exponent < 1.0 and t.shift >= self.lo and t.coeff != 0.0
-            for t in self.terms
-        )
+        return self._singular_term() is not None
 
     def evaluate(self, u):
         """Evaluate at a scalar or ndarray of points inside [lo, hi]."""
@@ -157,13 +161,13 @@ class FunctionModel:
         anchored at (or above) the left edge: its derivative would be
         unbounded there, so the caller must shrink the domain first.
         """
-        for t in self.terms:
-            if 0.0 < t.exponent < 1.0 and t.shift >= self.lo and t.coeff != 0.0:
-                raise DerivativeSingularityError(
-                    f"derivative of (u-{t.shift!r})^{t.exponent!r} is unbounded "
-                    f"at the left edge of [{self.lo!r}, {self.hi!r}]; "
-                    "shrink the domain away from the singular point"
-                )
+        t = self._singular_term()
+        if t is not None:
+            raise DerivativeSingularityError(
+                f"derivative of (u-{t.shift!r})^{t.exponent!r} is unbounded "
+                f"at the left edge of [{self.lo!r}, {self.hi!r}]; "
+                "shrink the domain away from the singular point"
+            )
         terms = []
         for t in self.terms:
             c = t.coeff * t.exponent
@@ -317,7 +321,8 @@ def _worst_violation(fn, lo, hi, s, mode, lam, xs, ys) -> tuple[int, float, floa
     """Index of the worst triple, its signed violation and the tolerance.
 
     The weights lam^s use the continuous extension 0^s = 0 at lam in {0, 1};
-    the tolerance is CERT_TOL * (1 + max|g|) over the points evaluated.
+    the tolerance is CERT_TOL * (1 + max|g|) over the points evaluated. A g
+    value that is not finite raises OverflowError: no verdict rests on it.
     """
     mix = np.clip(lam * xs + (1.0 - lam) * ys, lo, hi)
 
@@ -326,6 +331,8 @@ def _worst_violation(fn, lo, hi, s, mode, lam, xs, ys) -> tuple[int, float, floa
         return np.broadcast_to(out, pts.shape)
 
     gx, gy, gm = _vals(xs), _vals(ys), _vals(mix)
+    if not all(np.isfinite(g).all() for g in (gx, gy, gm)):
+        raise OverflowError("the hypothesis function is not finite at a sampled point")
     combo = np.power(lam, s) * gx + np.power(1.0 - lam, s) * gy
     viol = gm - combo if mode == "convex" else combo - gm
 
@@ -349,7 +356,8 @@ def certify_pointwise(
     mode "concave" checks the reversed inequality. The weights lam^s use the
     continuous extension 0^s = 0 at lam in {0, 1}. Sampling is a seeded
     uniform draw over [lo, hi]^2 x [0, 1] plus a deterministic boundary set
-    (lam in {0, 1/2, 1} against all endpoint pairs).
+    (lam in {0, 1/2, 1} against all endpoint pairs). Raises OverflowError
+    when g is not finite at a sampled point.
     """
     _check_certify_args(lo, hi, s, mode, samples)
 
@@ -446,9 +454,9 @@ def certify_model(
     target "f" takes g = g_source; "abs_deriv" takes g = |g_source| and
     "abs_deriv_pow" g = |g_source|^q, where g_source is f' (q >= 1). A rule
     on the power-sum terms proves the hypothesis, or names a witness that
-    the sampler's violation formula and tolerance confirm. Otherwise, or
-    when g does not evaluate to finite values at a and b, certify_pointwise
-    samples it with the given count and seed.
+    the sampler's violation formula and tolerance confirm. Otherwise
+    certify_pointwise samples it with the given count and seed, and raises
+    OverflowError where g is not finite.
     """
     _check_certify_args(a, b, s, mode, samples)
     if a < g_source.lo or b > g_source.hi:
@@ -464,7 +472,7 @@ def certify_model(
         ends = np.array([a, b])
         g_ends = np.asarray(fn(ends), dtype=float)
         # a rule reasons about real numbers; where g overflows in floats (it
-        # is nondecreasing, so the endpoints show it) the sampler decides
+        # is nondecreasing, so the endpoints show it) the sampler raises
         if np.isfinite(g_ends).all():
             if kind == "proved":
                 return CertificationReport(

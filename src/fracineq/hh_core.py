@@ -22,15 +22,12 @@ each valid under a certified convexity hypothesis on |f'| or |f'|^q:
     t24: |f'|^q s-concave, reverse endpoint-average bound at midpoints.
 
 Their alpha = 1 specializations (ids c13..c16) are coded as an independent
-arithmetic path for reduction checks. Two conventions here are deliberate
-and surfaced in CLI output: the second bracket of t23 pairs with the right
-endpoint derivative |f'(b)|^q, and the weights of c16 carry exponent 2.
-
-Each t21..t24 right side is one formula on precomputed floats (rhs_from_values,
-dispatched by the FRACTIONAL_BOUNDS table, which also names each bound's
-hypothesis). rhs_t21..rhs_t24 evaluate |f'|, the weights and the constants
-for one instance and apply it; sweeps compute those inputs once and reuse
-them across records.
+arithmetic path for reduction checks. BOUNDS is the one table of all eight
+ids: hypothesis, q rule, where |f'| is read, formula, and the note the CLI
+prints (t22 and c14: each endpoint bracket averages |f'(x)|^q with that
+endpoint's |f'|^q; c16: its weights carry exponent 2). rhs and bound serve
+every id through one body. The t21..t24 rows (FRACTIONAL_BOUNDS) take
+precomputed floats, so sweeps compute |f'|, weights and constants once.
 
 hh_sandwich evaluates the two-sided endpoint-average inequality for s-convex
 f >= 0 itself:
@@ -69,6 +66,7 @@ __all__ = [
     "TheoremId",
     "BoundSpec",
     "FRACTIONAL_BOUNDS",
+    "BOUNDS",
     "ProblemInstance",
     "BoundReport",
     "ProofConstants",
@@ -78,6 +76,8 @@ __all__ = [
     "identity_lhs_with_error",
     "identity_lhs_batch",
     "identity_rhs_with_error",
+    "bound",
+    "rhs",
     "bound_t21",
     "bound_t22",
     "bound_t23",
@@ -92,7 +92,6 @@ __all__ = [
     "bound_weights",
     "c1_c2",
     "c3_root",
-    "rhs_from_values",
     "hh_sandwich",
     "hh_sandwich_with_error",
     "proof_constants",
@@ -292,29 +291,23 @@ def identity_rhs_with_error(
     """Signed right side of the identity (the two weighted f' integrals)."""
     f, a, b, x, alpha = inst.f, inst.a, inst.b, inst.x, inst.alpha
     fp = f.derivative()
-    w1 = (x - a) ** (alpha + 1.0) / (b - a)
-    w2 = (b - x) ** (alpha + 1.0) / (b - a)
     total, err = 0.0, 0.0
-    if w1 != 0.0:
-        i1, e1 = integrate_adaptive(
-            lambda t: (np.power(t, alpha) - 1.0)
-            * fp.evaluate(np.clip(t * x + (1.0 - t) * a, a, x)),
+    # the b side's kernel (1 - t^alpha) is -(t^alpha - 1), exactly in IEEE
+    for end, sign in ((a, 1.0), (b, -1.0)):
+        w = abs(x - end) ** (alpha + 1.0) / (b - a)
+        if w == 0.0:
+            continue
+        lo, hi = sorted((x, end))
+        val, e = integrate_adaptive(
+            lambda t: sign
+            * (np.power(t, alpha) - 1.0)
+            * fp.evaluate(np.clip(t * x + (1.0 - t) * end, lo, hi)),
             0.0,
             1.0,
             cfg,
         )
-        total += w1 * i1
-        err += w1 * e1
-    if w2 != 0.0:
-        i2, e2 = integrate_adaptive(
-            lambda t: (1.0 - np.power(t, alpha))
-            * fp.evaluate(np.clip(t * x + (1.0 - t) * b, x, b)),
-            0.0,
-            1.0,
-            cfg,
-        )
-        total += w2 * i2
-        err += w2 * e2
+        total += w * val
+        err += w * e
     return total, err
 
 
@@ -340,18 +333,6 @@ def c3_root(alpha: float, p: float) -> float:
     return _c3(alpha, p) ** (1.0 / p)
 
 
-def _abs_deriv_at(fp: FunctionModel, u: float) -> float:
-    return abs(fp.evaluate(u))
-
-
-def _require_q(inst: ProblemInstance, theorem: str, minimum: float) -> float:
-    if inst.q is None:
-        raise DomainError(f"{theorem} requires the exponent q")
-    if inst.q < minimum:
-        raise DomainError(f"{theorem} requires q >= {minimum}, got {inst.q!r}")
-    return inst.q
-
-
 class DerivValues(NamedTuple):
     """|f'| at the five points the bounds t21..t24 read; NaN where unread."""
 
@@ -362,8 +343,8 @@ class DerivValues(NamedTuple):
     mid_b: float  # at (x + b)/2
 
 
-# One right-side formula per bound, on precomputed floats. The public
-# rhs_t21..rhs_t24 and the sweep both reach them through rhs_from_values.
+# One right-side formula per fractional bound, on |f'| values, the weights,
+# and c1, c2 from c1_c2 or c3p from c3_root; rhs and the sweep both apply it.
 
 
 def _formula_t21(d, wa, wb, alpha, s, q, c1, c2, c3p):
@@ -389,21 +370,76 @@ def _formula_t24(d, wa, wb, alpha, s, q, c1, c2, c3p):
     return pref * (wa * d.mid_a + wb * d.mid_b)
 
 
+# The alpha = 1 forms c13..c16 read |f'| and their (x-a)^2/(b-a) weights
+# themselves and never call the Gamma machinery: they are the independent
+# arithmetic the alpha -> 1 reductions of t21..t24 are checked against.
+
+
+def _classical_reads(inst: ProblemInstance) -> tuple[float, ...]:
+    """|f'| at x, a and b, then the weights (x-a)^2/(b-a) and (b-x)^2/(b-a)."""
+    a, b, x = inst.a, inst.b, inst.x
+    fp = inst.f.derivative()
+    fx, fa, fb = (abs(fp.evaluate(u)) for u in (x, a, b))
+    return fx, fa, fb, (x - a) ** 2 / (b - a), (b - x) ** 2 / (b - a)
+
+
+def _formula_c13(inst, q):
+    fx, fa, fb, va, vb = _classical_reads(inst)
+    a, b, x, s = inst.a, inst.b, inst.x, inst.s
+    total = fx / ((s + 1.0) * (s + 2.0)) * (((x - a) ** 2 + (b - x) ** 2) / (b - a))
+    return total + (va * fa + vb * fb) / (s + 2.0)
+
+
+def _formula_c14(inst, q):
+    fx, fa, fb, va, vb = _classical_reads(inst)
+    s, p = inst.s, inst.p
+    pref = (1.0 / (p + 1.0)) ** (1.0 / p)
+    total = va * pref * ((fx**q + fa**q) / (s + 1.0)) ** (1.0 / q)
+    return total + vb * pref * ((fx**q + fb**q) / (s + 1.0)) ** (1.0 / q)
+
+
+def _formula_c15(inst, q):
+    fx, fa, fb, va, vb = _classical_reads(inst)
+    s = inst.s
+    pref = 0.5 ** (1.0 - 1.0 / q)
+    inner = fx**q / ((s + 1.0) * (s + 2.0))
+    total = va * pref * (inner + fa**q / (s + 2.0)) ** (1.0 / q)
+    return total + vb * pref * (inner + fb**q / (s + 2.0)) ** (1.0 / q)
+
+
+def _formula_c16(inst, q):
+    # weight exponent 2, the alpha = 1 reading of the bound
+    a, b, x, s, p = inst.a, inst.b, inst.x, inst.s, inst.p
+    fp = inst.f.derivative()
+    fma = abs(fp.evaluate(0.5 * (x + a)))
+    fmb = abs(fp.evaluate(0.5 * (x + b)))
+    return (
+        2.0 ** ((s - 1.0) / q)
+        / ((1.0 + p) ** (1.0 / p) * (b - a))
+        * ((x - a) ** 2 * fma + (b - x) ** 2 * fmb)
+    )
+
+
 class BoundSpec(NamedTuple):
-    """How one fractional bound is certified and evaluated."""
+    """How one bound is certified, evaluated and explained."""
 
     target: str  # hypothesis function: "abs_deriv" is |f'|, "abs_deriv_pow" |f'|^q
     mode: str  # "convex" or "concave"
     q_name: str | None  # the bound's name in q errors; None when q is unused
-    holder: bool  # uses c3^(1/p) instead of c1, c2, so needs q > 1
+    holder: bool  # needs q > 1; the fractional ones use c3^(1/p), not c1, c2
     midpoints: bool  # reads |f'| at the midpoints instead of at x, a, b
-    formula: Callable[..., float]  # see rhs_from_values for its arguments
+    # fractional: (d, wa, wb, alpha, s, q, c1, c2, c3p) as above; classical: (inst, q)
+    formula: Callable[..., float]
+    note: str | None = None  # the convention line the CLI prints with the bound
 
+
+_BRACKET_NOTE = "note: each endpoint bracket averages |f'(x)|^q with that endpoint's |f'|^q"
 
 FRACTIONAL_BOUNDS = {
     TheoremId.T21: BoundSpec("abs_deriv", "convex", None, False, False, _formula_t21),
     TheoremId.T22: BoundSpec(
-        "abs_deriv_pow", "convex", "the Holder-split bound", True, False, _formula_t22
+        "abs_deriv_pow", "convex", "the Holder-split bound", True, False, _formula_t22,
+        _BRACKET_NOTE,
     ),
     TheoremId.T23: BoundSpec(
         "abs_deriv_pow", "convex", "the power-mean bound", False, False, _formula_t23
@@ -413,67 +449,77 @@ FRACTIONAL_BOUNDS = {
     ),
 }
 
+# every bound id: the fractional ones, then their alpha = 1 forms
+BOUNDS = {
+    **FRACTIONAL_BOUNDS,
+    TheoremId.C13: BoundSpec("abs_deriv", "convex", None, False, False, _formula_c13),
+    TheoremId.C14: BoundSpec(
+        "abs_deriv_pow", "convex", "c14", True, False, _formula_c14, _BRACKET_NOTE
+    ),
+    TheoremId.C15: BoundSpec("abs_deriv_pow", "convex", "c15", False, False, _formula_c15),
+    TheoremId.C16: BoundSpec(
+        "abs_deriv_pow", "concave", "c16", True, True, _formula_c16,
+        "note: endpoint derivative weights are (x-a)^2 and (b-x)^2 over (b-a)",
+    ),
+}
+
 
 def abs_deriv_values(
     fp: FunctionModel, a: float, b: float, x: float, theorems: Iterable[TheoremId]
 ) -> DerivValues:
     """|f'| at the points any of the given bounds reads, NaN at the others."""
-    nan = math.nan
-    fx = fa = fb = fma = fmb = nan
+    fx = fa = fb = fma = fmb = math.nan
     midpoints = [FRACTIONAL_BOUNDS[t].midpoints for t in theorems]
     if not all(midpoints):
-        fx, fa, fb = _abs_deriv_at(fp, x), _abs_deriv_at(fp, a), _abs_deriv_at(fp, b)
+        fx, fa, fb = (abs(fp.evaluate(u)) for u in (x, a, b))
     if any(midpoints):
-        fma = _abs_deriv_at(fp, 0.5 * (x + a))
-        fmb = _abs_deriv_at(fp, 0.5 * (x + b))
+        fma = abs(fp.evaluate(0.5 * (x + a)))
+        fmb = abs(fp.evaluate(0.5 * (x + b)))
     return DerivValues(fx, fa, fb, fma, fmb)
 
 
-def rhs_from_values(
-    theorem_id: TheoremId,
-    d: DerivValues,
-    wa: float,
-    wb: float,
-    alpha: float,
-    s: float,
-    q: float | None,
-    c1: float,
-    c2: float,
-    c3p: float,
-) -> float:
-    """Right side of bound t21..t24 from |f'| values, weights and constants.
+def rhs(theorem_id: TheoremId | str, inst: ProblemInstance) -> float:
+    """Right side of any bound id in BOUNDS for one instance.
 
-    c1, c2 come from c1_c2(alpha, s), c3p from c3_root(alpha, p); a bound
-    reads only the ones it needs.
+    Checks what the id's row asks of the instance first: alpha = 1 exactly
+    for the classical ids, q for a bound with a q name, and q > 1 for a
+    Holder one.
     """
-    return FRACTIONAL_BOUNDS[theorem_id].formula(d, wa, wb, alpha, s, q, c1, c2, c3p)
-
-
-def _rhs(theorem_id: TheoremId, inst: ProblemInstance) -> float:
-    spec = FRACTIONAL_BOUNDS[theorem_id]
+    tid = TheoremId(theorem_id)
+    if tid not in BOUNDS:
+        raise DomainError(f"{tid.value} is not a bound id")
+    spec = BOUNDS[tid]
+    if tid not in FRACTIONAL_BOUNDS and inst.alpha != 1.0:
+        raise DomainError(
+            f"classical bounds require alpha = 1, got alpha={inst.alpha!r}"
+        )
     q = None
     if spec.q_name is not None:
-        q = _require_q(inst, spec.q_name, 1.0)
+        q = inst.q
+        if q is None:
+            raise DomainError(f"{spec.q_name} requires the exponent q")
         if spec.holder and not q > 1.0:
             raise DomainError(f"{spec.q_name} requires q > 1, got {q!r}")
-    d = abs_deriv_values(inst.f.derivative(), inst.a, inst.b, inst.x, (theorem_id,))
+    if tid not in FRACTIONAL_BOUNDS:
+        return spec.formula(inst, q)
+    d = abs_deriv_values(inst.f.derivative(), inst.a, inst.b, inst.x, (tid,))
     wa, wb = bound_weights(inst.a, inst.b, inst.x, inst.alpha)
     c1 = c2 = c3p = math.nan
     if spec.holder:
         c3p = c3_root(inst.alpha, inst.p)
     else:
         c1, c2 = c1_c2(inst.alpha, inst.s)
-    return rhs_from_values(theorem_id, d, wa, wb, inst.alpha, inst.s, q, c1, c2, c3p)
+    return spec.formula(d, wa, wb, inst.alpha, inst.s, q, c1, c2, c3p)
 
 
 def rhs_t21(inst: ProblemInstance) -> float:
     """First-power bound right side; no q involved."""
-    return _rhs(TheoremId.T21, inst)
+    return rhs(TheoremId.T21, inst)
 
 
 def rhs_t22(inst: ProblemInstance) -> float:
     """Holder-split bound right side; needs a conjugate pair with q > 1."""
-    return _rhs(TheoremId.T22, inst)
+    return rhs(TheoremId.T22, inst)
 
 
 def rhs_t23(inst: ProblemInstance) -> float:
@@ -482,58 +528,47 @@ def rhs_t23(inst: ProblemInstance) -> float:
     The second bracket pairs with |f'(b)|^q (right endpoint), matching the
     first bracket's pairing with |f'(a)|^q.
     """
-    return _rhs(TheoremId.T23, inst)
+    return rhs(TheoremId.T23, inst)
 
 
 def rhs_t24(inst: ProblemInstance) -> float:
     """Reverse endpoint-average bound right side (s-concave |f'|^q)."""
-    return _rhs(TheoremId.T24, inst)
+    return rhs(TheoremId.T24, inst)
 
 
-def _certify_hypothesis(
-    inst: ProblemInstance, target: str, mode: str, samples: int, seed: int
-) -> CertificationReport:
-    """Certify the convexity hypothesis a bound assumes, on [a, b]."""
-    return certify_model(
-        inst.f.derivative(), target, inst.q, inst.a, inst.b, inst.s, mode, samples, seed
-    )
-
-
-def _report(
-    theorem_id: TheoremId,
-    lhs: float,
-    rhs: float,
+def bound(
+    theorem_id: TheoremId | str,
     inst: ProblemInstance,
-    cert: CertificationReport,
-    quad_err: float,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    samples: int = CERT_SAMPLES,
+    seed: int = 0,
 ) -> BoundReport:
+    """Evaluate any bound id in BOUNDS: |identity| against its right side.
+
+    The right side runs the row's checks first; then the row's hypothesis is
+    certified on [a, b] and the identity's left side integrated. A failed
+    certificate never blocks the evaluation.
+    """
+    tid = TheoremId(theorem_id)
+    r = rhs(tid, inst)
+    spec = BOUNDS[tid]
+    cert = certify_model(
+        inst.f.derivative(), spec.target, inst.q, inst.a, inst.b, inst.s, spec.mode,
+        samples, seed,
+    )
+    lhs, qerr = identity_lhs_with_error(inst, cfg)
+    lhs = abs(lhs)
     return BoundReport(
-        theorem_id=theorem_id,
+        theorem_id=tid,
         lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        ratio=_ratio(lhs, rhs),
+        rhs=r,
+        margin=r - lhs,
+        ratio=_ratio(lhs, r),
         params=inst,
         hypothesis_certified=cert.verdict,
         certification=cert,
-        quad_error_est=quad_err,
+        quad_error_est=qerr,
     )
-
-
-def _bound(
-    theorem_id: TheoremId,
-    rhs: Callable[[ProblemInstance], float],
-    inst: ProblemInstance,
-    cfg: QuadratureConfig,
-    samples: int,
-    seed: int,
-) -> BoundReport:
-    spec = FRACTIONAL_BOUNDS[theorem_id]
-    if spec.q_name is not None:
-        _require_q(inst, spec.q_name, 1.0)
-    cert = _certify_hypothesis(inst, spec.target, spec.mode, samples, seed)
-    lhs, qerr = identity_lhs_with_error(inst, cfg)
-    return _report(theorem_id, abs(lhs), rhs(inst), inst, cert, qerr)
 
 
 def bound_t21(
@@ -543,7 +578,7 @@ def bound_t21(
     seed: int = 0,
 ) -> BoundReport:
     """First-power bound: |identity| vs c1/c2-weighted endpoint derivatives."""
-    return _bound(TheoremId.T21, rhs_t21, inst, cfg, samples, seed)
+    return bound(TheoremId.T21, inst, cfg, samples, seed)
 
 
 def bound_t22(
@@ -553,7 +588,7 @@ def bound_t22(
     seed: int = 0,
 ) -> BoundReport:
     """Holder-split bound under s-convex |f'|^q."""
-    return _bound(TheoremId.T22, rhs_t22, inst, cfg, samples, seed)
+    return bound(TheoremId.T22, inst, cfg, samples, seed)
 
 
 def bound_t23(
@@ -563,7 +598,7 @@ def bound_t23(
     seed: int = 0,
 ) -> BoundReport:
     """Power-mean bound under s-convex |f'|^q; q = 1 collapses to bound_t21."""
-    return _bound(TheoremId.T23, rhs_t23, inst, cfg, samples, seed)
+    return bound(TheoremId.T23, inst, cfg, samples, seed)
 
 
 def bound_t24(
@@ -573,15 +608,7 @@ def bound_t24(
     seed: int = 0,
 ) -> BoundReport:
     """Reverse endpoint-average bound under s-concave |f'|^q."""
-    return _bound(TheoremId.T24, rhs_t24, inst, cfg, samples, seed)
-
-
-_CLASSICAL = {
-    TheoremId.C13: (TheoremId.T21, "abs_deriv", "convex"),
-    TheoremId.C14: (TheoremId.T22, "abs_deriv_pow", "convex"),
-    TheoremId.C15: (TheoremId.T23, "abs_deriv_pow", "convex"),
-    TheoremId.C16: (TheoremId.T24, "abs_deriv_pow", "concave"),
-}
+    return bound(TheoremId.T24, inst, cfg, samples, seed)
 
 
 def bound_classical(
@@ -598,57 +625,9 @@ def bound_classical(
     coded formulas. Requires inst.alpha == 1 exactly.
     """
     tid = TheoremId(theorem_id)
-    if tid not in _CLASSICAL:
+    if tid not in BOUNDS or tid in FRACTIONAL_BOUNDS:
         raise DomainError(f"bound_classical expects one of C13..C16, got {tid.value}")
-    if inst.alpha != 1.0:
-        raise DomainError(
-            f"classical bounds require alpha = 1, got alpha={inst.alpha!r}"
-        )
-    _, target, mode = _CLASSICAL[tid]
-    a, b, x, s = inst.a, inst.b, inst.x, inst.s
-    fp = inst.f.derivative()
-    fx, fa, fb = (
-        _abs_deriv_at(fp, x),
-        _abs_deriv_at(fp, a),
-        _abs_deriv_at(fp, b),
-    )
-    va = (x - a) ** 2 / (b - a)
-    vb = (b - x) ** 2 / (b - a)
-
-    if tid is TheoremId.C13:
-        rhs = fx / ((s + 1.0) * (s + 2.0)) * (((x - a) ** 2 + (b - x) ** 2) / (b - a))
-        rhs += (va * fa + vb * fb) / (s + 2.0)
-    elif tid is TheoremId.C14:
-        q = _require_q(inst, "c14", 1.0)
-        if not q > 1.0:
-            raise DomainError(f"c14 requires q > 1, got {q!r}")
-        pref = (1.0 / (inst.p + 1.0)) ** (1.0 / inst.p)
-        rhs = va * pref * ((fx**q + fa**q) / (s + 1.0)) ** (1.0 / q)
-        rhs += vb * pref * ((fx**q + fb**q) / (s + 1.0)) ** (1.0 / q)
-    elif tid is TheoremId.C15:
-        q = _require_q(inst, "c15", 1.0)
-        pref = 0.5 ** (1.0 - 1.0 / q)
-        rhs = va * pref * (fx**q / ((s + 1.0) * (s + 2.0)) + fa**q / (s + 2.0)) ** (
-            1.0 / q
-        )
-        rhs += vb * pref * (fx**q / ((s + 1.0) * (s + 2.0)) + fb**q / (s + 2.0)) ** (
-            1.0 / q
-        )
-    else:  # C16; weight exponent 2, the alpha = 1 reading of the bound
-        q = _require_q(inst, "c16", 1.0)
-        if not q > 1.0:
-            raise DomainError(f"c16 requires q > 1, got {q!r}")
-        fma = _abs_deriv_at(fp, 0.5 * (x + a))
-        fmb = _abs_deriv_at(fp, 0.5 * (x + b))
-        rhs = (
-            2.0 ** ((s - 1.0) / q)
-            / ((1.0 + inst.p) ** (1.0 / inst.p) * (b - a))
-            * ((x - a) ** 2 * fma + (b - x) ** 2 * fmb)
-        )
-
-    cert = _certify_hypothesis(inst, target, mode, samples, seed)
-    lhs, qerr = identity_lhs_with_error(inst, cfg)
-    return _report(tid, abs(lhs), rhs, inst, cert, qerr)
+    return bound(tid, inst, cfg, samples, seed)
 
 
 def hh_sandwich_with_error(

@@ -23,8 +23,8 @@ Right sides read per-family |f'| values. The bounds t21..t24 read |f'| only
 at x, a, b and the midpoints (x+a)/2 and (x+b)/2, so each family evaluates
 them once per x; the weights are computed once per (alpha, x), c1 and c2
 once per (alpha, s) and c3^(1/p) once per (alpha, p). Each record then
-applies hh_core.rhs_from_values, the formula rhs_t21..rhs_t24 also use, so
-a record's rhs equals the public right side to the bit.
+applies its row's formula in hh_core.FRACTIONAL_BOUNDS, as rhs_t21..rhs_t24
+do, so a record's rhs equals the public right side to the bit.
 
 Quadrature failures at a single grid point produce error rows (NaN metrics,
 certified false) rather than aborting the sweep.
@@ -58,7 +58,6 @@ from .hh_core import (
     conjugate_exponent,
     hh_sandwich_with_error,
     identity_lhs_batch,
-    rhs_from_values,
 )
 from .rlint import DEFAULT_CONFIG, QuadratureConfig
 
@@ -101,8 +100,7 @@ CSV_COLUMNS = (
 # margin < -VIOLATION_TOL * (1 + rhs) flags a certified record as a violation
 VIOLATION_TOL = 1e-9
 
-_BOUND_ORDER = (TheoremId.T21, TheoremId.T22, TheoremId.T23, TheoremId.T24)
-_THEOREM_ORDER = _BOUND_ORDER + (TheoremId.HH11,)
+_THEOREM_ORDER = (*FRACTIONAL_BOUNDS, TheoremId.HH11)
 
 _SHRINK_FRACTION = 1e-9
 
@@ -316,9 +314,7 @@ def run_sweep(
                         for thm in bound_thms:
                             spec = FRACTIONAL_BOUNDS[thm]
                             c = cert(fid, f, fp, s, spec.target, spec.mode, q)
-                            rhs = rhs_from_values(
-                                thm, deriv[x], wa, wb, alpha, s, q, c1, c2, k3
-                            )
+                            rhs = spec.formula(deriv[x], wa, wb, alpha, s, q, c1, c2, k3)
                             records.append(
                                 SweepRecord(
                                     thm.value,
@@ -586,7 +582,7 @@ def render_svg(records: list[SweepRecord]) -> str:
             f'<text x="{ml - 9}" y="{py(yv) + 4:.1f}" text-anchor="end" '
             f'font-size="12">{yv:.2f}</text>'
         )
-    seen = [t.value for t in _BOUND_ORDER if any(r.theorem_id == t.value for r in pts)]
+    seen = [t.value for t in FRACTIONAL_BOUNDS if any(r.theorem_id == t.value for r in pts)]
     for r in pts:
         color = _SVG_COLORS.get(r.theorem_id, "#7f7f7f")
         out.append(
@@ -605,13 +601,7 @@ def render_svg(records: list[SweepRecord]) -> str:
     return "\n".join(out)
 
 
-_THEOREM_TOKENS = {
-    "t21": TheoremId.T21,
-    "t22": TheoremId.T22,
-    "t23": TheoremId.T23,
-    "t24": TheoremId.T24,
-    "hh": TheoremId.HH11,
-}
+_THEOREM_TOKENS = {t.value.lower(): t for t in FRACTIONAL_BOUNDS} | {"hh": TheoremId.HH11}
 
 _LIST_KEYS = ("alphas", "svals", "xfracs", "qvals")
 
@@ -654,7 +644,7 @@ def grid_from_config_text(text: str) -> SweepGrid:
             if unknown:
                 raise ParseError(
                     f"unknown theorem id(s) {', '.join(unknown)} "
-                    f"(expected t21, t22, t23, t24, hh)",
+                    f"(expected {', '.join(_THEOREM_TOKENS)})",
                     lineno,
                     unit="line",
                 )
@@ -705,7 +695,7 @@ def apply_derivative_shrink(grid: SweepGrid) -> tuple[SweepGrid, list[str]]:
     (the sandwich needs no derivative, and its sharpness witness u^s lives
     exactly at a = 0).
     """
-    if not any(t in grid.theorems for t in _BOUND_ORDER):
+    if not any(t in grid.theorems for t in FRACTIONAL_BOUNDS):
         return grid, []
     notes = []
     families = []

@@ -8,11 +8,12 @@ import pytest
 
 import fracineq.cli as cli
 from fracineq.errors import QuadratureToleranceError
-from fracineq.hh_core import BoundReport, TheoremId
+from fracineq.hh_core import BOUNDS, FRACTIONAL_BOUNDS, BoundReport, TheoremId
 from fracineq.sweep import read_csv
 
 U2 = "1*(u-0)^2 on [0,1]"
 SQRT = "1*(u-0)^0.5 on [0,1]"
+U400 = "1*(u-0)^400 on [0,10]"  # overflows floats beyond u = 5.9
 
 TINY_CONFIG = """\
 alphas = 0.5, 1
@@ -125,6 +126,29 @@ class TestBoundCommand:
         assert "note: endpoint derivative weights" in out
         assert "hypothesis certified: NO" in out
 
+    @pytest.mark.parametrize("tid", list(BOUNDS), ids=lambda t: t.value)
+    def test_table_drives_q_rule_and_note(self, tid, capsys):
+        spec, thm = BOUNDS[tid], tid.value.lower()
+        argv = ["bound", "--thm", thm, "--f", U2, "--a", "0", "--b", "1",
+                "--x", "0.5", "--s", "1", "--samples", "500"]
+        if tid in FRACTIONAL_BOUNDS:
+            argv += ["--alpha", "0.5"]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        if spec.q_name is None:
+            assert code == cli.ExitCode.OK and err == ""
+        else:
+            assert code == cli.ExitCode.USAGE
+            assert err == f"error: --q is required for {thm}\n"
+        cli.main(argv + ["--q", "2"])
+        notes = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("note:")]
+        assert notes == ([spec.note] if spec.note else [])
+
+    def test_notes_belong_to_t22_c14_and_c16(self):
+        noted = {t for t, spec in BOUNDS.items() if spec.note is not None}
+        assert noted == {TheoremId.T22, TheoremId.C14, TheoremId.C16}
+        assert BOUNDS[TheoremId.T22].note == BOUNDS[TheoremId.C14].note
+
     def test_uncertified_hypothesis_is_reported(self, capsys):
         # concave-side bound on a convex |f'|^q
         code = cli.main(
@@ -139,17 +163,17 @@ class TestBoundCommand:
         assert "not asserted" in out
 
     def test_violated_bound_maps_to_exit_1(self, capsys, monkeypatch):
-        def fake(inst, cfg, samples, seed):
+        def fake(theorem_id, inst, cfg, samples, seed):
             from fracineq.funcmodel import certify_pointwise
 
             cert = certify_pointwise(lambda u: 0.0 * u, 0.0, 1.0, 1.0, "convex", 16)
             return BoundReport(
-                TheoremId.T21, lhs=2.0, rhs=1.0, margin=-1.0, ratio=2.0,
+                theorem_id, lhs=2.0, rhs=1.0, margin=-1.0, ratio=2.0,
                 params=inst, hypothesis_certified=cert.verdict,
                 certification=cert, quad_error_est=0.0,
             )
 
-        monkeypatch.setitem(cli._FRACTIONAL, "t21", fake)
+        monkeypatch.setattr(cli, "bound", fake)
         code = cli.main(
             ["bound", "--thm", "t21", "--f", U2, "--a", "0", "--b", "1",
              "--x", "0.5", "--alpha", "1", "--s", "1"]
@@ -279,8 +303,13 @@ class TestUsage:
         assert code == cli.ExitCode.USAGE
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestHostileInputs:
-    """Malformed numbers end in exit 2 and one stderr line, never a traceback."""
+    """Malformed numbers end in exit 2 and one stderr line, never a traceback.
+
+    A numpy RuntimeWarning is an error here: from a shell it would print
+    lines of its own before the error line.
+    """
 
     @pytest.mark.parametrize(
         "argv,needle",
@@ -315,8 +344,26 @@ class TestHostileInputs:
                  "--alpha", "1e300"],
                 "overflow",
             ),
+            (
+                ["bound", "--thm", "t24", "--f", U2, "--a", "0", "--b", "1", "--x", "0.5",
+                 "--alpha", "0.5", "--s", "1", "--q", "1e308"],
+                "overflow",
+            ),
+            (
+                ["bound", "--thm", "c16", "--f", U2, "--a", "0", "--b", "1", "--x", "0.5",
+                 "--s", "1", "--q", "1e308"],
+                "overflow",
+            ),
+            (["certify", "--f", U400, "--s", "0.5", "--mode", "convex"], "overflow"),
+            (
+                ["bound", "--thm", "hh", "--f", U400, "--a", "0", "--b", "10", "--s", "0.5"],
+                "overflow",
+            ),
         ],
-        ids=["tol-nan", "q-inf", "q-nan", "p-inf", "bound-overflow", "alpha-overflow"],
+        ids=[
+            "tol-nan", "q-inf", "q-nan", "p-inf", "bound-overflow", "alpha-overflow",
+            "t24-q-overflow", "c16-q-overflow", "certify-overflow", "hh-overflow",
+        ],
     )
     def test_usage_exit_with_one_line(self, argv, needle, capsys):
         code = cli.main(argv)
@@ -371,6 +418,7 @@ def _hostile_argvs(seed, per_command):
     return argvs
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", _hostile_argvs(seed=2026, per_command=16), ids=repr)
 def test_hostile_argv_ends_in_exit_code_and_one_line(argv, capsys):
     code = cli.main(argv)

@@ -1,14 +1,17 @@
 """The endpoint identity, the four bounds, their classical forms, the sandwich."""
 
+import functools
 import math
 import re
 
 import numpy as np
 import pytest
 
+import fracineq.hh_core as hh_core
 from fracineq.errors import DomainError
 from fracineq.funcmodel import parse_function
 from fracineq.hh_core import (
+    BOUNDS,
     ProblemInstance,
     TheoremId,
     bound_classical,
@@ -24,6 +27,7 @@ from fracineq.hh_core import (
     identity_rhs,
     identity_rhs_with_error,
     proof_constants,
+    rhs,
     rhs_t21,
     rhs_t22,
     rhs_t23,
@@ -124,6 +128,14 @@ class TestIdentity:
         rhs, _ = identity_rhs_with_error(inst)
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 3.0])
+    def test_negated_kernel_is_exact(self, alpha):
+        # identity_rhs_with_error writes the b side's 1 - t^alpha as
+        # -(t^alpha - 1); IEEE rounding is symmetric under negation
+        t = np.random.default_rng(7).random(20_000)
+        pw = np.power(t, alpha)
+        assert np.array_equal(-1.0 * (pw - 1.0), 1.0 - pw)
+
     def test_shifted_interval(self):
         f = parse_function("1*(u--1)^2 + 2*(u-0)^1 on [1,3]")
         inst = ProblemInstance(f, 1.0, 3.0, 1.8, 0.75, 1.0)
@@ -180,6 +192,11 @@ class TestRightSideQRules:
             (rhs_t24, None, "the concave midpoint bound requires the exponent q"),
             (rhs_t22, 1.0, "the Holder-split bound requires q > 1, got 1.0"),
             (rhs_t24, 1.0, "the concave midpoint bound requires q > 1, got 1.0"),
+            (functools.partial(rhs, TheoremId.C14), None, "c14 requires the exponent q"),
+            (functools.partial(rhs, TheoremId.C15), None, "c15 requires the exponent q"),
+            (functools.partial(rhs, TheoremId.C16), None, "c16 requires the exponent q"),
+            (functools.partial(rhs, TheoremId.C14), 1.0, "c14 requires q > 1, got 1.0"),
+            (functools.partial(rhs, TheoremId.C16), 1.0, "c16 requires q > 1, got 1.0"),
         ],
     )
     def test_q_errors_name_the_bound(self, u2, rhs, q, message):
@@ -246,6 +263,41 @@ class TestClassicalReduction:
         inst = ProblemInstance(u2, 0.0, 1.0, 0.5, 1.0, 1.0)
         with pytest.raises(DomainError):
             bound_classical(TheoremId.T21, inst, samples=200)
+
+    def test_classical_path_calls_no_fractional_helper(self, u2, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a classical formula reached a fractional helper")
+
+        for name in (
+            "_c1", "_c2", "_c3", "log_gamma", "c1_c2", "c3_root",
+            "bound_weights", "abs_deriv_values",
+        ):
+            monkeypatch.setattr(hh_core, name, forbidden)
+        inst = ProblemInstance(u2, 0.0, 1.0, 0.3, 1.0, 0.5, q=2.0)
+        for tid in (TheoremId.C13, TheoremId.C14, TheoremId.C15, TheoremId.C16):
+            assert rhs(tid, inst) > 0.0
+
+
+class TestOneBoundBody:
+    @pytest.mark.parametrize("tid", list(BOUNDS), ids=lambda t: t.value)
+    def test_bound_equals_the_named_evaluator(self, u2, tid):
+        inst = ProblemInstance(u2, 0.0, 1.0, 0.3, 1.0, 0.5, q=2.0)
+        named = {
+            TheoremId.T21: bound_t21, TheoremId.T22: bound_t22,
+            TheoremId.T23: bound_t23, TheoremId.T24: bound_t24,
+        }.get(tid, functools.partial(bound_classical, tid))
+        got = hh_core.bound(tid.value, inst, samples=256)
+        want = named(inst, samples=256)
+        assert got.theorem_id is tid
+        assert (got.lhs, got.rhs, got.certification) == (want.lhs, want.rhs, want.certification)
+        assert got.rhs == rhs(tid, inst)
+
+    def test_sandwich_id_is_not_a_bound(self, u2):
+        inst = ProblemInstance(u2, 0.0, 1.0, 0.3, 1.0, 0.5)
+        with pytest.raises(DomainError, match="HH11 is not a bound id"):
+            hh_core.bound(TheoremId.HH11, inst)
+        with pytest.raises(DomainError, match="expects one of C13..C16"):
+            bound_classical(TheoremId.HH11, inst)
 
 
 class TestPowerMeanDegeneracy:
