@@ -455,8 +455,9 @@ def certify_model(
     "abs_deriv_pow" g = |g_source|^q, where g_source is f' (q >= 1). A rule
     on the power-sum terms proves the hypothesis, or names a witness that
     the sampler's violation formula and tolerance confirm. Otherwise
-    certify_pointwise samples it with the given count and seed, and raises
-    OverflowError where g is not finite.
+    certify_pointwise samples it with the given count and seed. Raises
+    OverflowError where g is not finite: at a or b when a rule decides, else
+    at a sampled point.
     """
     _check_certify_args(a, b, s, mode, samples)
     if a < g_source.lo or b > g_source.hi:
@@ -472,20 +473,23 @@ def certify_model(
         ends = np.array([a, b])
         g_ends = np.asarray(fn(ends), dtype=float)
         # a rule reasons about real numbers; where g overflows in floats (it
-        # is nondecreasing, so the endpoints show it) the sampler raises
-        if np.isfinite(g_ends).all():
-            if kind == "proved":
-                return CertificationReport(
-                    verdict=True, worst_violation=0.0, witness=None, samples=0,
-                    s=float(s), mode=mode, seed=int(seed), tol=0.0, kind=kind, rule=rule,
-                )
-            e = ends[int(np.argmax(g_ends))]  # the first maximum: a on a tie
-            lam, at = np.array([0.5]), np.array([e])
-            _, viol, tol = _worst_violation(fn, a, b, s, mode, lam, at, at)
-            if viol > tol:
-                e = float(e)
-                return CertificationReport(
-                    verdict=False, worst_violation=viol, witness=(e, e, 0.5), samples=1,
-                    s=float(s), mode=mode, seed=int(seed), tol=tol, kind=kind, rule=rule,
-                )
+        # is nondecreasing, so the endpoints show it) no verdict is given, and
+        # the sampler, whose points include both endpoints, would only say so
+        # after evaluating all of them
+        if not np.isfinite(g_ends).all():
+            raise OverflowError("the hypothesis function is not finite at an endpoint")
+        if kind == "proved":
+            return CertificationReport(
+                verdict=True, worst_violation=0.0, witness=None, samples=0,
+                s=float(s), mode=mode, seed=int(seed), tol=0.0, kind=kind, rule=rule,
+            )
+        e = ends[int(np.argmax(g_ends))]  # the first maximum: a on a tie
+        lam, at = np.array([0.5]), np.array([e])
+        _, viol, tol = _worst_violation(fn, a, b, s, mode, lam, at, at)
+        if viol > tol:
+            e = float(e)
+            return CertificationReport(
+                verdict=False, worst_violation=viol, witness=(e, e, 0.5), samples=1,
+                s=float(s), mode=mode, seed=int(seed), tol=tol, kind=kind, rule=rule,
+            )
     return certify_pointwise(fn, a, b, s, mode, samples, seed)

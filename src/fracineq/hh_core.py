@@ -375,31 +375,30 @@ def _formula_t24(d, wa, wb, alpha, s, q, c1, c2, c3p):
 # arithmetic the alpha -> 1 reductions of t21..t24 are checked against.
 
 
-def _classical_reads(inst: ProblemInstance) -> tuple[float, ...]:
+def _classical_reads(inst: ProblemInstance, fp: FunctionModel) -> tuple[float, ...]:
     """|f'| at x, a and b, then the weights (x-a)^2/(b-a) and (b-x)^2/(b-a)."""
     a, b, x = inst.a, inst.b, inst.x
-    fp = inst.f.derivative()
     fx, fa, fb = (abs(fp.evaluate(u)) for u in (x, a, b))
     return fx, fa, fb, (x - a) ** 2 / (b - a), (b - x) ** 2 / (b - a)
 
 
-def _formula_c13(inst, q):
-    fx, fa, fb, va, vb = _classical_reads(inst)
+def _formula_c13(inst, fp, q):
+    fx, fa, fb, va, vb = _classical_reads(inst, fp)
     a, b, x, s = inst.a, inst.b, inst.x, inst.s
     total = fx / ((s + 1.0) * (s + 2.0)) * (((x - a) ** 2 + (b - x) ** 2) / (b - a))
     return total + (va * fa + vb * fb) / (s + 2.0)
 
 
-def _formula_c14(inst, q):
-    fx, fa, fb, va, vb = _classical_reads(inst)
+def _formula_c14(inst, fp, q):
+    fx, fa, fb, va, vb = _classical_reads(inst, fp)
     s, p = inst.s, inst.p
     pref = (1.0 / (p + 1.0)) ** (1.0 / p)
     total = va * pref * ((fx**q + fa**q) / (s + 1.0)) ** (1.0 / q)
     return total + vb * pref * ((fx**q + fb**q) / (s + 1.0)) ** (1.0 / q)
 
 
-def _formula_c15(inst, q):
-    fx, fa, fb, va, vb = _classical_reads(inst)
+def _formula_c15(inst, fp, q):
+    fx, fa, fb, va, vb = _classical_reads(inst, fp)
     s = inst.s
     pref = 0.5 ** (1.0 - 1.0 / q)
     inner = fx**q / ((s + 1.0) * (s + 2.0))
@@ -407,10 +406,9 @@ def _formula_c15(inst, q):
     return total + vb * pref * (inner + fb**q / (s + 2.0)) ** (1.0 / q)
 
 
-def _formula_c16(inst, q):
+def _formula_c16(inst, fp, q):
     # weight exponent 2, the alpha = 1 reading of the bound
     a, b, x, s, p = inst.a, inst.b, inst.x, inst.s, inst.p
-    fp = inst.f.derivative()
     fma = abs(fp.evaluate(0.5 * (x + a)))
     fmb = abs(fp.evaluate(0.5 * (x + b)))
     return (
@@ -428,7 +426,7 @@ class BoundSpec(NamedTuple):
     q_name: str | None  # the bound's name in q errors; None when q is unused
     holder: bool  # needs q > 1; the fractional ones use c3^(1/p), not c1, c2
     midpoints: bool  # reads |f'| at the midpoints instead of at x, a, b
-    # fractional: (d, wa, wb, alpha, s, q, c1, c2, c3p) as above; classical: (inst, q)
+    # fractional: (d, wa, wb, alpha, s, q, c1, c2, c3p) as above; classical: (inst, f', q)
     formula: Callable[..., float]
     note: str | None = None  # the convention line the CLI prints with the bound
 
@@ -485,7 +483,11 @@ def rhs(theorem_id: TheoremId | str, inst: ProblemInstance) -> float:
     for the classical ids, q for a bound with a q name, and q > 1 for a
     Holder one.
     """
-    tid = TheoremId(theorem_id)
+    return _rhs_and_derivative(TheoremId(theorem_id), inst)[0]
+
+
+def _rhs_and_derivative(tid: TheoremId, inst: ProblemInstance) -> tuple[float, FunctionModel]:
+    """rhs(tid, inst) and the f' it read, which bound's certificate reuses."""
     if tid not in BOUNDS:
         raise DomainError(f"{tid.value} is not a bound id")
     spec = BOUNDS[tid]
@@ -500,16 +502,17 @@ def rhs(theorem_id: TheoremId | str, inst: ProblemInstance) -> float:
             raise DomainError(f"{spec.q_name} requires the exponent q")
         if spec.holder and not q > 1.0:
             raise DomainError(f"{spec.q_name} requires q > 1, got {q!r}")
+    fp = inst.f.derivative()
     if tid not in FRACTIONAL_BOUNDS:
-        return spec.formula(inst, q)
-    d = abs_deriv_values(inst.f.derivative(), inst.a, inst.b, inst.x, (tid,))
+        return spec.formula(inst, fp, q), fp
+    d = abs_deriv_values(fp, inst.a, inst.b, inst.x, (tid,))
     wa, wb = bound_weights(inst.a, inst.b, inst.x, inst.alpha)
     c1 = c2 = c3p = math.nan
     if spec.holder:
         c3p = c3_root(inst.alpha, inst.p)
     else:
         c1, c2 = c1_c2(inst.alpha, inst.s)
-    return spec.formula(d, wa, wb, inst.alpha, inst.s, q, c1, c2, c3p)
+    return spec.formula(d, wa, wb, inst.alpha, inst.s, q, c1, c2, c3p), fp
 
 
 def rhs_t21(inst: ProblemInstance) -> float:
@@ -550,11 +553,10 @@ def bound(
     certificate never blocks the evaluation.
     """
     tid = TheoremId(theorem_id)
-    r = rhs(tid, inst)
+    r, fp = _rhs_and_derivative(tid, inst)
     spec = BOUNDS[tid]
     cert = certify_model(
-        inst.f.derivative(), spec.target, inst.q, inst.a, inst.b, inst.s, spec.mode,
-        samples, seed,
+        fp, spec.target, inst.q, inst.a, inst.b, inst.s, spec.mode, samples, seed
     )
     lhs, qerr = identity_lhs_with_error(inst, cfg)
     lhs = abs(lhs)

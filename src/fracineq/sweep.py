@@ -28,11 +28,16 @@ do, so a record's rhs equals the public right side to the bit.
 
 Quadrature failures at a single grid point produce error rows (NaN metrics,
 certified false) rather than aborting the sweep.
+
+The output layers cost little beside the sweep: write_csv streams one
+formatted row per record, read_csv unpacks each row by position, and
+summarize groups the records by id in one pass.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import zlib
 from dataclasses import dataclass, field, replace
@@ -377,9 +382,14 @@ def summarize(records: list[SweepRecord]) -> SweepSummary:
     errors = sum(1 for r in records if not math.isfinite(r.lhs))
     certified = sum(1 for r in records if r.certified)
     violations = sum(1 for r in records if is_violation(r))
+    # one pass groups the records by id, each group in record order
+    groups: dict[str, list[SweepRecord]] = {tid.value: [] for tid in _THEOREM_ORDER}
+    for r in records:
+        rows = groups.get(r.theorem_id)
+        if rows is not None:
+            rows.append(r)
     by_theorem: dict[str, TheoremSummary] = {}
-    for tid in _THEOREM_ORDER:
-        rows = [r for r in records if r.theorem_id == tid.value]
+    for tid, rows in groups.items():
         if not rows:
             continue
         live = [
@@ -389,7 +399,7 @@ def summarize(records: list[SweepRecord]) -> SweepSummary:
         ]
         argmax = max(live, key=lambda r: r.ratio, default=None)
         known = [r.certificate for r in rows if r.certificate is not None]
-        by_theorem[tid.value] = TheoremSummary(
+        by_theorem[tid] = TheoremSummary(
             count=len(rows),
             certified=sum(1 for r in rows if r.certified),
             violations=sum(1 for r in rows if is_violation(r)),
@@ -442,23 +452,38 @@ def format_summary(summary: SweepSummary) -> str:
     return "\n".join(lines)
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+class _Quoted(dict):
+    """Each distinct string cell as csv quotes it in a row, computed once.
+
+    A carriage return counts as a line break, as it does for csv.reader.
+    """
+
+    def __missing__(self, text: str) -> str:
+        buf = io.StringIO()
+        # a row of one empty field is written '""': quote inside a longer row
+        csv.writer(buf, lineterminator="\r\n").writerow((text, ""))
+        self[text] = cell = buf.getvalue()[:-3]
+        return cell
 
 
 def write_csv(records: list[SweepRecord], path) -> None:
-    """Persist records; float cells use shortest round-trip literals."""
+    """Persist records, one row written at a time.
+
+    Float cells use shortest round-trip literals, the id cells csv quoting.
+    """
+    quoted = _Quoted()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        write = fh.write
+        write(",".join(CSV_COLUMNS) + "\n")
         for r in records:
-            writer.writerow([_cell(getattr(r, c)) for c in CSV_COLUMNS])
+            alpha, x, p, q = r.alpha, r.x, r.p, r.q
+            write(
+                f"{quoted[r.theorem_id]},{quoted[r.family_id]},"
+                f"{'' if alpha is None else repr(alpha)},{r.s!r},"
+                f"{'' if x is None else repr(x)},{'' if p is None else repr(p)},"
+                f"{'' if q is None else repr(q)},{r.lhs!r},{r.rhs!r},{r.margin!r},"
+                f"{r.ratio!r},{'true' if r.certified else 'false'},{r.quad_error_est!r}\n"
+            )
 
 
 _OPTIONAL = ("alpha", "x", "p", "q")
@@ -495,23 +520,36 @@ def read_csv(path) -> list[SweepRecord]:
                 raise CsvSchemaError(
                     f"row {i}: expected {len(CSV_COLUMNS)} cells, got {len(row)}"
                 )
-            vals = dict(zip(CSV_COLUMNS, row))
-            if vals["certified"] not in ("true", "false"):
+            tid, fid, alpha, s, x, p, q, lhs, rhs, margin, ratio, certified, qerr = row
+            if certified not in ("true", "false"):
                 raise CsvSchemaError(
-                    f"row {i}: column 'certified' must be true/false, "
-                    f"got {vals['certified']!r}"
+                    f"row {i}: column 'certified' must be true/false, got {certified!r}"
                 )
-            # the first bad cell in _NUMERIC order names the row's error
-            nums = {
-                c: None if c in _OPTIONAL and vals[c] == "" else _parse_float(vals[c], c, i)
-                for c in _NUMERIC
-            }
-            records.append(
-                SweepRecord(
-                    vals["theorem_id"], vals["family_id"],
-                    certified=vals["certified"] == "true", **nums,
+            try:
+                records.append(
+                    SweepRecord(
+                        tid,
+                        fid,
+                        None if alpha == "" else float(alpha),
+                        float(s),
+                        None if x == "" else float(x),
+                        None if p == "" else float(p),
+                        None if q == "" else float(q),
+                        float(lhs),
+                        float(rhs),
+                        float(margin),
+                        float(ratio),
+                        certified == "true",
+                        float(qerr),
+                    )
                 )
-            )
+            except ValueError:
+                # the first bad cell in _NUMERIC order names the row's error
+                cells = dict(zip(CSV_COLUMNS, row))
+                for c in _NUMERIC:
+                    if not (c in _OPTIONAL and cells[c] == ""):
+                        _parse_float(cells[c], c, i)
+                raise
     return records
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracineq import funcmodel
 from fracineq.errors import DerivativeSingularityError, DomainError, ParseError
 from fracineq.funcmodel import (
     CERT_SAMPLES,
@@ -386,13 +387,24 @@ class TestCertifyModel:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_values_go_to_the_sampler(self):
-        # the rule path hands an overflowing g to the sampler, which refuses
-        # to give a verdict on non-finite values
+        # neither the rule path nor the sampler gives a verdict on
+        # non-finite values
         big = parse_function("1e300*(u-0)^2 on [0,1e10]")
         with pytest.raises(OverflowError, match="not finite"):
             certify_model(big, "f", None, 0.0, 1e10, 1.0, "convex", samples=64)
         with pytest.raises(OverflowError, match="not finite"):
             certify_pointwise(big.evaluate, 0.0, 1e10, 1.0, "convex", 64)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_at_an_endpoint_fails_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("certify_pointwise was called")
+
+        monkeypatch.setattr(funcmodel, "certify_pointwise", no_sampling)
+        f = parse_function("1*(u-0)^400 on [0,10]")
+        for target, g in (("f", f), ("abs_deriv", f.derivative())):
+            with pytest.raises(OverflowError, match="not finite at an endpoint"):
+                certify_model(g, target, None, 0.0, 10.0, 0.5, "convex")
 
     def test_interval_outside_the_model_is_rejected(self, u2):
         with pytest.raises(DomainError, match="outside domain"):

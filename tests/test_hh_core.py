@@ -9,7 +9,7 @@ import pytest
 
 import fracineq.hh_core as hh_core
 from fracineq.errors import DomainError
-from fracineq.funcmodel import parse_function
+from fracineq.funcmodel import FunctionModel, parse_function
 from fracineq.hh_core import (
     BOUNDS,
     ProblemInstance,
@@ -291,6 +291,20 @@ class TestOneBoundBody:
         assert got.theorem_id is tid
         assert (got.lhs, got.rhs, got.certification) == (want.lhs, want.rhs, want.certification)
         assert got.rhs == rhs(tid, inst)
+
+    @pytest.mark.parametrize("tid", list(BOUNDS), ids=lambda t: t.value)
+    def test_f_is_differentiated_once(self, u2, monkeypatch, tid):
+        calls = []
+        derivative = FunctionModel.derivative
+
+        def counted(self):
+            calls.append(self)
+            return derivative(self)
+
+        monkeypatch.setattr(FunctionModel, "derivative", counted)
+        inst = ProblemInstance(u2, 0.0, 1.0, 0.3, 1.0, 0.5, q=2.0)
+        hh_core.bound(tid, inst, samples=256)
+        assert calls == [u2]
 
     def test_sandwich_id_is_not_a_bound(self, u2):
         inst = ProblemInstance(u2, 0.0, 1.0, 0.3, 1.0, 0.5)

@@ -1,10 +1,15 @@
 """Grid runner, CSV schema, summaries, config grammar, scatter rendering."""
 
+import csv
+import io
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracineq.errors import CsvSchemaError, DomainError, ParseError
 from fracineq.funcmodel import (
@@ -297,6 +302,24 @@ class TestSummary:
         assert t21.argmax.ratio == t21.max_ratio
         assert 0.0 < t21.max_ratio <= 1.0 + 1e-12
 
+    def test_groups_keep_record_order_and_unknown_ids_count_in_totals(self):
+        row = SweepRecord("T21", "f", 1.0, 1.0, 0.5, 2.0, 2.0, 0.5, 1.0, 0.0, 0.5, True, 0.0)
+        records = [
+            replace(row, family_id="first", margin=1e16),
+            replace(row, theorem_id="C13", margin=-1e16),
+            replace(row, family_id="second", margin=1.0),
+            replace(row, theorem_id="HH11", alpha=None, x=None, p=None, q=None),
+            replace(row, family_id="third", margin=-1e16),
+        ]
+        summary = summarize(records)
+        assert (summary.total, summary.certified) == (5, 5)
+        assert list(summary.by_theorem) == ["T21", "HH11"]
+        t21 = summary.by_theorem["T21"]
+        assert t21.count == 3
+        assert t21.argmax.family_id == "first"  # the first of equal ratios
+        # summed in record order: (1e16 + 1) - 1e16 is 0, not 1
+        assert t21.mean_margin == 0.0
+
     def test_format_lists_every_theorem(self):
         text = format_summary(summarize(run_sweep(_tiny_grid(), samples=512)))
         for tid in ("T21", "T22", "T23", "T24", "HH11"):
@@ -383,6 +406,168 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(CsvSchemaError, match="header"):
             read_csv(path)
+
+
+_HEADER = ",".join(CSV_COLUMNS)
+_HH_ROW = "HH11,u2,,0.5,,,,0.3,0.5,0.1,0.6,true,1e-12"
+
+
+def _schema_error(tmp_path, text: str) -> str:
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(CsvSchemaError) as info:
+        read_csv(path)
+    return str(info.value)
+
+
+class TestCsvSchemaMessages:
+    """Every schema error's full text, and which bad cell a row reports."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file: missing header row"),
+            (
+                "theorem_id,family_id,alpha\nT21,u2,1.0\n",
+                "missing column(s): s, x, p, q, lhs, rhs, margin, ratio, certified, "
+                "quad_error_est",
+            ),
+            (
+                _HEADER.replace("alpha,s", "s,alpha") + "\n",
+                "header mismatch: expected theorem_id,family_id,alpha,s,x,p,q,lhs,rhs,"
+                "margin,ratio,certified,quad_error_est, got theorem_id,family_id,s,alpha,"
+                "x,p,q,lhs,rhs,margin,ratio,certified,quad_error_est",
+            ),
+            (_HEADER + "\nT21,u2,1.0\n", "row 1: expected 13 cells, got 3"),
+            (
+                _HEADER + "\nT21,u2,1.0,1.0,0.5,2.0,2.0,0.1,1.0,0.9,0.1,maybe,0.0\n",
+                "row 1: column 'certified' must be true/false, got 'maybe'",
+            ),
+            (
+                _HEADER + "\nHH11,u2,,,,,,0.3,0.5,0.1,0.6,true,1e-12\n",
+                "row 1: column 's' is not a number: ''",
+            ),
+            (
+                _HEADER + "\nHH11,u2,,0.5,,,,0.3,0.5,0.1,0.6,true,\n",
+                "row 1: column 'quad_error_est' is not a number: ''",
+            ),
+        ],
+        ids=[
+            "empty-file", "missing-column", "header-mismatch", "short-row",
+            "bad-certified", "empty-s", "empty-quad-error",
+        ],
+    )
+    def test_full_message(self, tmp_path, text, message):
+        assert _schema_error(tmp_path, text) == message
+
+    def test_alpha_before_lhs(self, tmp_path):
+        row = "T21,u2,a,1.0,0.5,2.0,2.0,oops,1.0,0.9,0.1,true,0.0"
+        got = _schema_error(tmp_path, _HEADER + "\n" + row + "\n")
+        assert got == "row 1: column 'alpha' is not a number: 'a'"
+
+    def test_certified_before_lhs(self, tmp_path):
+        row = "T21,u2,1.0,1.0,0.5,2.0,2.0,oops,1.0,0.9,0.1,maybe,0.0"
+        got = _schema_error(tmp_path, _HEADER + "\n" + row + "\n")
+        assert got == "row 1: column 'certified' must be true/false, got 'maybe'"
+
+    def test_optional_columns_before_s(self, tmp_path):
+        # cells are checked in the order alpha, x, p, q, s, lhs, ..., not by position
+        row = "T21,u2,1.0,bad-s,bad-x,2.0,2.0,0.1,1.0,0.9,0.1,true,0.0"
+        got = _schema_error(tmp_path, _HEADER + "\n" + row + "\n")
+        assert got == "row 1: column 'x' is not a number: 'bad-x'"
+
+    def test_bad_cell_after_a_good_sandwich_row(self, tmp_path):
+        row = "T21,u2,1.0,1.0,0.5,2.0,2.0,0.1,x,0.9,0.1,true,0.0"
+        got = _schema_error(tmp_path, _HEADER + "\n" + _HH_ROW + "\n" + row + "\n")
+        assert got == "row 2: column 'rhs' is not a number: 'x'"
+
+
+def _oracle_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def _oracle_write(records, path) -> None:
+    """The csv.writer of cells formatted one by one: the writer's oracle.
+
+    Rows end in "\\n", and fields are quoted as for "\\r\\n" line ends, so
+    that a carriage return in an id is quoted as csv.reader needs it.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    rows = [CSV_COLUMNS] + [[_oracle_cell(getattr(r, c)) for c in CSV_COLUMNS] for r in records]
+    with open(path, "w", newline="") as fh:
+        for row in rows:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow(row)
+            fh.write(buf.getvalue()[:-2] + "\n")
+
+
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 0.1)
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+_optional = st.one_of(st.none(), _floats)
+# ids made of the characters csv quoting cares about, leading spaces included
+_ids = st.text(alphabet=st.sampled_from(list('ab1 ,"\n\r')), max_size=6)
+_records = st.builds(
+    SweepRecord,
+    theorem_id=st.one_of(st.just(""), st.sampled_from(["T21", "HH11"]), _ids),
+    family_id=_ids,
+    alpha=_optional,
+    s=_floats,
+    x=_optional,
+    p=_optional,
+    q=_optional,
+    lhs=_floats,
+    rhs=_floats,
+    margin=_floats,
+    ratio=_floats,
+    certified=st.booleans(),
+    quad_error_est=_floats,
+)
+
+
+class TestCsvAgainstOracle:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(_records, max_size=6))
+    def test_bytes_match_the_csv_writer_and_survive_a_round_trip(
+        self, tmp_path_factory, records
+    ):
+        d = tmp_path_factory.mktemp("oracle")
+        want, got, again = d / "want.csv", d / "got.csv", d / "again.csv"
+        _oracle_write(records, want)
+        write_csv(records, got)
+        assert got.read_bytes() == want.read_bytes()
+        # bytes, not records: NaN error rows never compare equal
+        write_csv(read_csv(got), again)
+        assert again.read_bytes() == want.read_bytes()
+
+    def test_carriage_return_in_an_id_is_quoted(self, tmp_path):
+        rec = SweepRecord("T21", "a\rb", 1.0, 1.0, 0.5, 2.0, 2.0, 0.1, 1.0, 0.9, 0.1, True, 0.0)
+        path = tmp_path / "out.csv"
+        write_csv([rec], path)
+        assert path.read_bytes().split(b"\n")[1].startswith(b'T21,"a\rb",')
+        assert read_csv(path) == [rec]
+
+    def test_config_family_id_with_comma_and_quotes(self, tmp_path):
+        grid = grid_from_config_text(
+            "alphas = 1\nsvals = 1\nxfracs = 0.5\nqvals = 2\ntheorems = t21, hh\n"
+            'family.a,"b" x = 1*(u-0)^2 on [0,1]\n'
+        )
+        assert [fid for fid, _ in grid.families] == ['a,"b" x']
+        records = run_sweep(grid, samples=64)
+        path = tmp_path / "out.csv"
+        write_csv(records, path)
+        lines = path.read_text().splitlines()
+        assert all(line.split(",", 1)[1].startswith('"a,""b"" x",') for line in lines[1:])
+        back = read_csv(path)
+        assert back == records
+        assert {r.family_id for r in back} == {'a,"b" x'}
 
 
 class TestConfigGrammar:
