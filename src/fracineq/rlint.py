@@ -19,6 +19,12 @@ the subdivision budget runs out or the integrand turns non-finite. Each
 panel keeps its two half values, which are its children's one-panel values,
 so a split evaluates only the four new quarter panels.
 
+A round's panel sums come from one np.dot of its rows x panels x nodes
+values with the weights, not one np.dot per panel. For a 3-D array and a
+1-D one numpy runs the same per-vector dot kernel as for two 1-D arrays, so
+every sum keeps its bits. ``@``, einsum or a 2-D reshape, which goes
+through gemv, add the products in another order and change the last bits.
+
 Integrals over the same [lo, hi] run as one batch: the integrand returns a
 row of values per integral, and each refinement round evaluates the quarter
 panels of every unfinished row in one call. Rows keep their own panels,
@@ -81,13 +87,16 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _evaluate(fn, panels, nodes, rows: int) -> tuple[list[float], np.ndarray]:
-    """Half-widths of ``panels`` and fn's values on their nodes from one call,
-    as rows x panels x nodes."""
+def _evaluate(fn, panels, nodes, weights, rows: int) -> tuple[list[float], list]:
+    """Half-widths of ``panels`` and the Gauss sums of fn's values on their
+    nodes from one call, as nested lists rows x panels."""
     half = np.array([0.5 * (hi - lo) for lo, hi in panels])
     mid = np.array([0.5 * (lo + hi) for lo, hi in panels])
     vals = fn((mid[:, None] + half[:, None] * nodes).ravel())
-    return half.tolist(), np.asarray(vals).reshape(rows, len(panels), len(nodes))
+    # 3-D, not reshaped to 2-D: only then does each sum equal the per-panel
+    # np.dot to the bit (see the module docstring)
+    sums = np.dot(np.asarray(vals).reshape(rows, len(panels), len(nodes)), weights)
+    return half.tolist(), sums.tolist()
 
 
 def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
@@ -119,13 +128,13 @@ def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
 
     nodes, weights = _leggauss(cfgs[0].nodes_per_panel)
     mid = 0.5 * (lo + hi)
-    half, vals = _evaluate(fn, ((lo, hi), (lo, mid), (mid, hi)), nodes, len(cfgs))
+    half, sums = _evaluate(fn, ((lo, hi), (lo, mid), (mid, hi)), nodes, weights, len(cfgs))
     # a panel's value is the sum of its halves, its error their gap to the
     # one-panel rule; per row a heap of (-error, tiebreak, lo, hi, value,
     # error, halves)
     heaps, totals, errs = [], [], []
-    for row in vals:
-        coarse, left, right = (h * float(np.dot(weights, v)) for h, v in zip(half, row))
+    for row in sums:
+        coarse, left, right = (h * v for h, v in zip(half, row))
         value = left + right
         err = abs(value - coarse)
         heaps.append([(-err, 0, lo, hi, value, err, left, right)])
@@ -162,10 +171,13 @@ def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
                 split.append((r, top, [panels.setdefault(q, len(panels)) for q in quarters]))
         if not split:
             break
-        half, vals = _evaluate(fn, panels, nodes, len(cfgs))
+        half, sums = _evaluate(fn, panels, nodes, weights, len(cfgs))
         seq = 2 * splits + 1
-        for r, (_, _, plo, phi, pval, perr, pleft, pright), quarters in split:
-            q1, q2, q3, q4 = (half[k] * float(np.dot(weights, vals[r, k])) for k in quarters)
+        for r, (_, _, plo, phi, pval, perr, pleft, pright), (k1, k2, k3, k4) in split:
+            row = sums[r]
+            q1, q2, q3, q4 = (
+                half[k1] * row[k1], half[k2] * row[k2], half[k3] * row[k3], half[k4] * row[k4]
+            )
             lval, rval = q1 + q2, q3 + q4
             lerr, rerr = abs(lval - pleft), abs(rval - pright)
             totals[r] += lval + rval - pval

@@ -295,6 +295,12 @@ def _singular(u):
         return np.abs(u - 1.0 / 3.0) ** -0.4
 
 
+# node counts besides the default 15: a round's panel sums are one np.dot over
+# rows x panels x nodes, which must equal the reference's per-panel np.dot at
+# every length, the short, odd and SIMD-width ones included
+OTHER_NODES = (2, 7, 16, 31)
+
+
 class TestExactAgainstReference:
     @pytest.mark.parametrize("name", sorted(EXACT_CASES))
     @pytest.mark.parametrize(
@@ -302,8 +308,9 @@ class TestExactAgainstReference:
         [
             DEFAULT_CONFIG,
             QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=20000),
+            *(QuadratureConfig(nodes_per_panel=n) for n in OTHER_NODES),
         ],
-        ids=["default", "tight"],
+        ids=["default", "tight", *(f"nodes-{n}" for n in OTHER_NODES)],
     )
     def test_value_error_and_calls(self, name, cfg):
         fn, lo, hi = EXACT_CASES[name]
@@ -327,6 +334,24 @@ class TestExactAgainstReference:
         splits = (ref.calls - 3) // 6
         assert ref.calls == 3 + 6 * splits
         assert new.calls == 1 + splits
+
+    @pytest.mark.parametrize("nodes", (15, *OTHER_NODES))
+    def test_batch_rows_and_calls(self, nodes):
+        names = ["kinked-0.3", "kinked-0.7", "kinked-2.5"]
+        rows = [EXACT_CASES[n][0] for n in names] + [lambda u: np.exp(-u) * np.cos(3.0 * u)]
+        cfgs = [QuadratureConfig(nodes_per_panel=nodes)] * len(rows)
+        counted = Counted(lambda v: np.stack([g(v) for g in rows]))
+        got = integrate_adaptive(counted, 0.0, 1.0, cfgs)
+        splits = 0
+        for g, c, row in zip(rows, cfgs, got):
+            ref = Counted(g)
+            try:
+                expect = _ref_integrate(ref, 0.0, 1.0, c)
+            except QuadratureToleranceError as exc:
+                expect = exc
+            _assert_same(row, expect)
+            splits = max(splits, (ref.calls - 3) // 6)
+        assert counted.calls == 1 + splits
 
     @pytest.mark.parametrize("name", ["kinked-0.3", "kinked-0.7", "oscillatory", "singular"])
     def test_budget_exhaustion_payload(self, name):
@@ -450,16 +475,26 @@ BATCH_CONFIGS = [
 ]
 
 
+def _check_identity_batch(batch, cfg):
+    # both sides of the identity at every x: right integrals toward lo,
+    # left integrals toward hi, and zero-span rows at the endpoints
+    f, alpha, xs = batch
+    pairs = [p for x in xs for p in ((x, f.lo), (x, f.hi))]
+    for (origin, x), got in zip(pairs, rl_batch_with_error(f, alpha, pairs, cfg)):
+        _assert_same(got, _ref_rl(f, alpha, origin, x, cfg))
+
+
 class TestBatch:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(_identity_batches(), st.sampled_from(BATCH_CONFIGS))
     def test_each_row_equals_the_reference_alone(self, batch, cfg):
-        # both sides of the identity at every x: right integrals toward lo,
-        # left integrals toward hi, and zero-span rows at the endpoints
-        f, alpha, xs = batch
-        pairs = [p for x in xs for p in ((x, f.lo), (x, f.hi))]
-        for (origin, x), got in zip(pairs, rl_batch_with_error(f, alpha, pairs, cfg)):
-            _assert_same(got, _ref_rl(f, alpha, origin, x, cfg))
+        _check_identity_batch(batch, cfg)
+
+    @pytest.mark.parametrize("nodes", OTHER_NODES)
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(batch=_identity_batches())
+    def test_each_row_equals_the_reference_at_other_node_counts(self, nodes, batch):
+        _check_identity_batch(batch, QuadratureConfig(nodes_per_panel=nodes))
 
     def test_a_row_turning_nan_fails_alone(self):
         rows = [_kinked(0.7), _kinked(0.3), EXACT_CASES["oscillatory"][0]]

@@ -4,7 +4,7 @@ import csv
 import io
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -287,6 +287,38 @@ class TestViolationRule:
         assert not is_violation(self._rec(margin=-1.0, certified=False))
 
 
+class TestRecord:
+    ARGS = ("T21", "f", 1.0, 1.0, 0.5, 2.0, 2.0, 0.5, 1.0, 0.5, 0.5, True, 1e-12)
+
+    def test_every_field_is_set_in_order(self):
+        rec = SweepRecord(*self.ARGS, certificate="proved")
+        assert list(vars(rec)) == [f.name for f in fields(SweepRecord)]
+        assert astuple(rec) == (*self.ARGS, "proved")
+        assert SweepRecord(*self.ARGS).certificate is None
+
+    def test_frozen(self):
+        rec = SweepRecord(*self.ARGS)
+        with pytest.raises(FrozenInstanceError):
+            rec.lhs = 0.0
+        with pytest.raises(FrozenInstanceError):
+            rec.certificate = "proved"
+        assert rec.lhs == 0.5
+
+    def test_equality_and_hash_ignore_the_certificate(self):
+        proved = SweepRecord(*self.ARGS, certificate="proved")
+        unknown = SweepRecord(*self.ARGS)
+        assert proved == unknown and hash(proved) == hash(unknown)
+        assert proved != SweepRecord(*self.ARGS[:-1], 2e-12, certificate="proved")
+        assert len({proved, unknown}) == 1
+
+    def test_replace_keeps_the_other_fields(self):
+        rec = SweepRecord(*self.ARGS, certificate="sampled")
+        moved = replace(rec, lhs=0.25, margin=0.75)
+        assert (moved.lhs, moved.margin, moved.certificate) == (0.25, 0.75, "sampled")
+        assert replace(moved, lhs=0.5, margin=0.5) == rec
+        assert repr(replace(rec)) == repr(rec)
+
+
 class TestSummary:
     def test_empty_input_rejected(self):
         with pytest.raises(DomainError):
@@ -314,6 +346,9 @@ class TestSummary:
         summary = summarize(records)
         assert (summary.total, summary.certified) == (5, 5)
         assert list(summary.by_theorem) == ["T21", "HH11"]
+        # the C13 violation counts in the total only
+        assert summary.violations == 2
+        assert [ts.violations for ts in summary.by_theorem.values()] == [1, 0]
         t21 = summary.by_theorem["T21"]
         assert t21.count == 3
         assert t21.argmax.family_id == "first"  # the first of equal ratios
