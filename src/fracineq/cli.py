@@ -15,6 +15,7 @@ output is printed to 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from enum import IntEnum
@@ -264,7 +265,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(int(ExitCode.USAGE), f"error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main call and kept for the process.
+
+    Building it costs more than parsing one short argv, so a process that
+    calls main many times pays for it once; a fresh process pays as before.
+    Each subcommand's set_defaults(func=...) binds its _cmd_* function at
+    that first build, so tests replace what the commands call, not the
+    commands themselves.
+    """
     parser = _Parser(
         prog="fracineq",
         description="verify endpoint-average inequalities for fractional integrals",

@@ -19,18 +19,27 @@ reproducible record-for-record and its CSV byte-for-byte. Each record keeps
 its certificate's kind, and the summary counts records per kind and bound;
 the kind is not yet a CSV column.
 
-Right sides read per-family |f'| values. The bounds t21..t24 read |f'| only
-at x, a, b and the midpoints (x+a)/2 and (x+b)/2, so each family evaluates
-them once per x; the weights are computed once per (alpha, x), c1 and c2
-once per (alpha, s) and c3^(1/p) once per (alpha, p). Each record then
-applies its row's formula in hh_core.FRACTIONAL_BOUNDS, as rhs_t21..rhs_t24
-do, so a record's rhs equals the public right side to the bit.
+Each piece of a sweep's work runs at the loop level where its inputs change:
+
+- per family: f', and |f'| at the points t21..t24 read (x, a, b and the
+  midpoints (x+a)/2 and (x+b)/2) for each x; the weights for each (alpha, x);
+- per (family, alpha): the lhs of every x, in one quadrature batch;
+- per (family, s, q): one domain check and each bound's certificate, both at
+  the first point whose lhs succeeded and in record order there, so a bad
+  grid raises the same first error as a check per record would, and a
+  (family, s, q) whose points all fail quadrature certifies nothing;
+- per (alpha, s) c1 and c2, per q its conjugate p, per (alpha, p) c3^(1/p);
+- per record: only its bound's formula in hh_core.FRACTIONAL_BOUNDS, applied
+  as rhs_t21..rhs_t24 apply it, so a record's rhs equals the public right
+  side to the bit.
 
 Quadrature failures at a single grid point produce error rows (NaN metrics,
 certified false) rather than aborting the sweep.
 
 The output layers cost little beside the sweep: write_csv streams one
-formatted row per record, read_csv unpacks each row by position, and
+formatted row per record, and formats again only the cells whose object
+differs from the previous row's (by identity, never by value: 0.0 and -0.0
+are equal but print differently); read_csv unpacks each row by position; and
 summarize groups the records by id in one pass.
 """
 
@@ -250,10 +259,10 @@ def run_sweep(
     c12: dict = {}
     if not all(holder):
         c12 = {(alpha, s): c1_c2(alpha, s) for alpha in grid.alphas for s in grid.svals}
+    qps = [(q, conjugate_exponent(q)) for q in grid.qvals]
     c3p: dict = {}
     if any(holder):
-        pvals = [conjugate_exponent(q) for q in grid.qvals]
-        c3p = {(alpha, p): c3_root(alpha, p) for alpha in grid.alphas for p in pvals}
+        c3p = {(alpha, p): c3_root(alpha, p) for alpha in grid.alphas for _, p in qps}
 
     def cert(fid, f, fp, s, target, mode, q):
         if target != "abs_deriv_pow":
@@ -299,20 +308,9 @@ def run_sweep(
                     (left, mid, right), err = hh_sandwich_with_error(f, a, b, s, cfg)
                     records.append(
                         SweepRecord(
-                            TheoremId.HH11.value,
-                            fid,
-                            None,
-                            s,
-                            None,
-                            None,
-                            None,
-                            lhs=mid,
-                            rhs=right,
-                            margin=min(right - mid, mid - left),
-                            ratio=_ratio(mid, right),
-                            certified=c.verdict,
-                            quad_error_est=err,
-                            certificate=c.kind,
+                            TheoremId.HH11.value, fid, None, s, None, None, None,
+                            mid, right, min(right - mid, mid - left), _ratio(mid, right),
+                            c.verdict, err, c.kind,
                         )
                     )
                 except QuadratureToleranceError as exc:
@@ -324,45 +322,51 @@ def run_sweep(
                     )
             if not bound_thms:
                 continue
+            # per q of this (family, s): each bound's (id, formula, verdict,
+            # kind), filled at the first point whose lhs succeeded
+            by_q: list = [None] * len(grid.qvals)
+
+            def bounds_at_first_point(j, q, x, alpha):
+                # in record order: the domain check, then each bound's
+                # certificate before the caller applies that bound's formula,
+                # so a bad grid raises the same first error as a check per
+                # record would. The lhs batch already checked x, alpha, a and
+                # b on this f, so s, q and p are all this check adds.
+                ProblemInstance(f, a, b, x, alpha, s, q=q)
+                rows = []
+                for tid, spec in bound_specs:
+                    c = cert(fid, f, fp, s, spec.target, spec.mode, q)
+                    rows.append((tid, spec.formula, c.verdict, c.kind))
+                    yield rows[-1]
+                by_q[j] = rows
+
             for alpha in grid.alphas:
                 c1, c2 = c12.get((alpha, s), (math.nan, math.nan))
+                qpk = [(q, p, c3p.get((alpha, p), math.nan)) for q, p in qps]
+                row = lhs(fid, f, alpha, xs)
                 for k, x in enumerate(xs):
-                    wa, wb = weights[alpha, x]
-                    for q in grid.qvals:
-                        p = conjugate_exponent(q)
-                        k3 = c3p.get((alpha, p), math.nan)
-                        got = lhs(fid, f, alpha, xs)[k]
-                        if isinstance(got, QuadratureToleranceError):
+                    got = row[k]
+                    if isinstance(got, QuadratureToleranceError):
+                        for q, p, _ in qpk:
                             for thm in bound_thms:
                                 records.append(
                                     _error_record(
                                         thm, fid, alpha, s, x, p, q, got.error_estimate
                                     )
                                 )
-                            continue
-                        lhs_val, qerr = got
-                        # one instance per grid point runs every domain check
-                        # the public right sides would run
-                        ProblemInstance(f, a, b, x, alpha, s, q=q)
-                        for tid, spec in bound_specs:
-                            c = cert(fid, f, fp, s, spec.target, spec.mode, q)
-                            rhs = spec.formula(deriv[x], wa, wb, alpha, s, q, c1, c2, k3)
+                        continue
+                    lhs_val, qerr = got
+                    dv = deriv[x]
+                    wa, wb = weights[alpha, x]
+                    for j, (q, p, k3) in enumerate(qpk):
+                        bounds = by_q[j] or bounds_at_first_point(j, q, x, alpha)
+                        for tid, formula, verdict, kind in bounds:
+                            rhs = formula(dv, wa, wb, alpha, s, q, c1, c2, k3)
                             records.append(
                                 SweepRecord(
-                                    tid,
-                                    fid,
-                                    alpha,
-                                    s,
-                                    x,
-                                    p,
-                                    q,
-                                    lhs=lhs_val,
-                                    rhs=rhs,
-                                    margin=rhs - lhs_val,
-                                    ratio=_ratio(lhs_val, rhs),
-                                    certified=c.verdict,
-                                    quad_error_est=qerr,
-                                    certificate=c.kind,
+                                    tid, fid, alpha, s, x, p, q, lhs_val, rhs,
+                                    rhs - lhs_val, _ratio(lhs_val, rhs), verdict, qerr,
+                                    kind,
                                 )
                             )
     return records
@@ -413,11 +417,14 @@ def summarize(records: list[SweepRecord]) -> SweepSummary:
     groups: dict[str, list[SweepRecord]] = {tid.value: [] for tid in _THEOREM_ORDER}
     violated = dict.fromkeys(groups, 0)
     violations = 0
+    tol = VIOLATION_TOL
+    isfinite = math.isfinite
     for r in records:
         rows = groups.get(r.theorem_id)
         if rows is not None:
             rows.append(r)
-        if is_violation(r):
+        # is_violation's rule inline: a call per record costs more than the test
+        if r.certified and isfinite(r.margin) and r.margin < -tol * (1.0 + r.rhs):
             violations += 1
             if rows is not None:
                 violated[r.theorem_id] += 1
@@ -485,6 +492,9 @@ def format_summary(summary: SweepSummary) -> str:
     return "\n".join(lines)
 
 
+_UNSET = object()  # matches no cell object
+
+
 class _Quoted(dict):
     """Each distinct string cell as csv quotes it in a row, computed once.
 
@@ -503,19 +513,36 @@ def write_csv(records: list[SweepRecord], path) -> None:
     """Persist records, one row written at a time.
 
     Float cells use shortest round-trip literals, the id cells csv quoting.
+    A cell that holds the same object as the previous row's is not formatted
+    again: the family..q block that a grid point's bound rows share, and the
+    lhs and quad_error_est cells that all its rows share. The test is
+    identity, never equality, so -0.0 after 0.0, and NaN, are written exactly.
     """
     quoted = _Quoted()
+    fid = alpha = s = x = p = q = lhs = qerr = _UNSET
     with open(path, "w", newline="") as fh:
         write = fh.write
         write(",".join(CSV_COLUMNS) + "\n")
         for r in records:
-            alpha, x, p, q = r.alpha, r.x, r.p, r.q
+            if not (
+                r.family_id is fid and r.alpha is alpha and r.s is s
+                and r.x is x and r.p is p and r.q is q
+            ):
+                fid, alpha, s, x, p, q = r.family_id, r.alpha, r.s, r.x, r.p, r.q
+                block = (
+                    f"{quoted[fid]},{'' if alpha is None else repr(alpha)},{s!r},"
+                    f"{'' if x is None else repr(x)},{'' if p is None else repr(p)},"
+                    f"{'' if q is None else repr(q)}"
+                )
+            if r.lhs is not lhs:
+                lhs = r.lhs
+                lhs_cell = repr(lhs)
+            if r.quad_error_est is not qerr:
+                qerr = r.quad_error_est
+                qerr_cell = repr(qerr)
             write(
-                f"{quoted[r.theorem_id]},{quoted[r.family_id]},"
-                f"{'' if alpha is None else repr(alpha)},{r.s!r},"
-                f"{'' if x is None else repr(x)},{'' if p is None else repr(p)},"
-                f"{'' if q is None else repr(q)},{r.lhs!r},{r.rhs!r},{r.margin!r},"
-                f"{r.ratio!r},{'true' if r.certified else 'false'},{r.quad_error_est!r}\n"
+                f"{quoted[r.theorem_id]},{block},{lhs_cell},{r.rhs!r},{r.margin!r},"
+                f"{r.ratio!r},{'true' if r.certified else 'false'},{qerr_cell}\n"
             )
 
 

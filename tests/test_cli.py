@@ -282,6 +282,37 @@ class TestSweepCommand:
         assert code == cli.ExitCode.USAGE
 
 
+_HOSTILE_Q_CONFIG = """\
+alphas = 0.5, 1
+svals = 0.5, 1
+xfracs = 0.25, 0.5
+qvals = 2, {q}
+theorems = {theorems}
+family.u2 = 1*(u-0)^2 on [0,1]
+family.u15 = 0.6666666666666666*(u-0)^1.5 on [0.01,1]
+"""
+
+
+@pytest.mark.parametrize(
+    "q, theorems, err",
+    [
+        ("1e17", "t21, t22, t23, t24, hh", "inputs overflow floating point"),
+        ("1e17", "t23", "inputs overflow floating point"),
+        ("inf", "t21, t22, t23, t24, hh", "log_gamma requires x > 0, got nan"),
+        # no bound reads c3, so the sweep's one domain check of (s, q) is first
+        ("inf", "t21, hh", "q must be finite"),
+    ],
+)
+def test_hostile_q_grid_ends_in_its_first_error(q, theorems, err, capsys, tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(_HOSTILE_Q_CONFIG.format(q=q, theorems=theorems))
+    code = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+    out, stderr = capsys.readouterr()
+    assert code == cli.ExitCode.USAGE
+    assert out == ""
+    assert stderr.startswith(f"error: {err}") and stderr.count("\n") == 1
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert cli.main([]) == cli.ExitCode.USAGE
@@ -425,6 +456,52 @@ def test_hostile_argv_ends_in_exit_code_and_one_line(argv, capsys):
     err = capsys.readouterr().err
     assert code in set(cli.ExitCode)
     assert err == "" or (err.count("\n") == 1 and err.endswith("\n")), err
+
+
+class TestParserCache:
+    """One parser serves every main call of a process, built at the first."""
+
+    ARGVS = (
+        ["bound", "--thm", "t99", "--f", U2, "--a", "0", "--b", "1", "--s", "1"],
+        [
+            "bound", "--thm", "t21", "--f", U2, "--a", "0", "--b", "1",
+            "--x", "0.5", "--alpha", "1", "--s", "1",
+        ],
+        ["--help"],
+    )
+
+    def _run_all(self, capsys, fresh: bool) -> list:
+        got = []
+        for argv in self.ARGVS:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = cli.main(argv)
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    def test_one_build_gives_a_fresh_parsers_outputs(self, capsys):
+        fresh = self._run_all(capsys, fresh=True)
+        cli._build_parser.cache_clear()
+        cached = self._run_all(capsys, fresh=False)
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(self.ARGVS) - 1)
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [
+            cli.ExitCode.USAGE, cli.ExitCode.OK, cli.ExitCode.OK
+        ]
+
+    def test_importing_builds_no_parser(self):
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import fracineq.cli as c; print(c._build_parser.cache_info().misses)",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
 
 class TestModuleEntryPoint:

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import struct
 from collections import Counter
 from dataclasses import FrozenInstanceError, astuple, fields, replace
 
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracineq.errors import CsvSchemaError, DomainError, ParseError
+from fracineq import sweep as sweep_module
+from fracineq.errors import CsvSchemaError, DomainError, ParseError, QuadratureToleranceError
 from fracineq.funcmodel import (
+    CERT_SAMPLES,
     FunctionModel,
     certify_model,
     certify_pointwise,
@@ -22,17 +25,25 @@ from fracineq.hh_core import (
     FRACTIONAL_BOUNDS,
     ProblemInstance,
     TheoremId,
+    _ratio,
+    abs_deriv_values,
+    bound_weights,
+    c1_c2,
+    c3_root,
     conjugate_exponent,
+    hh_sandwich_with_error,
+    identity_lhs_batch,
     rhs_t21,
     rhs_t22,
     rhs_t23,
     rhs_t24,
 )
-from fracineq.rlint import QuadratureConfig
+from fracineq.rlint import DEFAULT_CONFIG, QuadratureConfig
 from fracineq.sweep import (
     CSV_COLUMNS,
     SweepGrid,
     SweepRecord,
+    _derive_seed,
     apply_derivative_shrink,
     format_summary,
     grid_from_config_text,
@@ -259,17 +270,223 @@ class TestRightSidesFromValues:
             instances.append(self)
             post_init(self)
 
+        certify_keys = []
+
+        def counting_certify(g, target, q, a, b, s, mode, samples, seed):
+            certify_keys.append((g, target, q, s, mode))
+            return certify_model(g, target, q, a, b, s, mode, samples, seed)
+
         monkeypatch.setattr(FunctionModel, "derivative", counting_derivative)
         monkeypatch.setattr(FunctionModel, "evaluate", counting_evaluate)
         monkeypatch.setattr(ProblemInstance, "__post_init__", counting_post_init)
+        monkeypatch.setattr(sweep_module, "certify_model", counting_certify)
         grid = _rhs_grid()
         run_sweep(grid, samples=256)
         families, svals, alphas, xs, qs = 2, 2, 2, 3, 2
         assert len(derivatives) == families
         # |f'| at x, a, b, (x+a)/2 and (x+b)/2
         assert len(deriv_points) == 5 * families * xs
-        # one per grid point for the right sides plus one per lhs integral
-        assert len(instances) == families * svals * alphas * xs * qs + families * alphas * xs
+        # one domain check per (family, s, q) for the right sides plus one
+        # instance per lhs integral
+        assert len(instances) == families * svals * qs + families * alphas * xs == 20
+        # one certify_model call per distinct certificate key: per (family,
+        # s), the sandwich's and each (target, mode), with q where it is read
+        pairs = {(spec.target, spec.mode) for spec in FRACTIONAL_BOUNDS.values()}
+        per_s = 1 + sum(qs if target == "abs_deriv_pow" else 1 for target, _ in pairs)
+        assert len(set(certify_keys)) == len(certify_keys) == families * svals * per_s
+
+
+_FAILING_CFG = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
+
+
+def _reference_sweep(grid, cfg=DEFAULT_CONFIG, seed=0, samples=CERT_SAMPLES):
+    """run_sweep as one loop body per record: the oracle of the hoisted loop.
+
+    Every bound record fetches its lhs, runs its own domain check, looks up
+    each certificate and computes its right side's inputs afresh, in
+    family -> s -> alpha -> x -> q -> theorem order.
+    """
+    nan = math.nan
+    records, lhs_cache, cert_cache = [], {}, {}
+    bound_thms = [t for t in grid.theorems if t is not TheoremId.HH11]
+    holder = [FRACTIONAL_BOUNDS[t].holder for t in bound_thms]
+
+    def cert(fid, f, fp, s, target, mode, q):
+        if target != "abs_deriv_pow":
+            q = None
+        key = (fid, s, target, mode, q)
+        if key not in cert_cache:
+            cert_cache[key] = certify_model(
+                f if target == "f" else fp, target, q, f.lo, f.hi, s, mode, samples,
+                _derive_seed(seed, *key),
+            )
+        return cert_cache[key]
+
+    def lhs(fid, f, alpha, xs):
+        if (fid, alpha) not in lhs_cache:
+            insts = [ProblemInstance(f, f.lo, f.hi, x, alpha, 1.0) for x in xs]
+            lhs_cache[fid, alpha] = [
+                got if isinstance(got, QuadratureToleranceError) else (abs(got[0]), got[1])
+                for got in identity_lhs_batch(insts, cfg)
+            ]
+        return lhs_cache[fid, alpha]
+
+    for fid, f in grid.families:
+        a, b = f.lo, f.hi
+        xs = [a + frac * (b - a) for frac in grid.xfracs]
+        fp = f.derivative() if bound_thms else None
+        for s in grid.svals:
+            if TheoremId.HH11 in grid.theorems:
+                c = cert(fid, f, fp, s, "f", "convex", None)
+                try:
+                    (left, mid, right), err = hh_sandwich_with_error(f, a, b, s, cfg)
+                    records.append(SweepRecord(
+                        "HH11", fid, None, s, None, None, None, lhs=mid, rhs=right,
+                        margin=min(right - mid, mid - left), ratio=_ratio(mid, right),
+                        certified=c.verdict, quad_error_est=err, certificate=c.kind,
+                    ))
+                except QuadratureToleranceError as exc:
+                    records.append(SweepRecord(
+                        "HH11", fid, None, s, None, None, None, nan, nan, nan, nan, False,
+                        exc.error_estimate,
+                    ))
+            for alpha in grid.alphas if bound_thms else ():
+                for k, x in enumerate(xs):
+                    for q in grid.qvals:
+                        p = conjugate_exponent(q)
+                        got = lhs(fid, f, alpha, xs)[k]
+                        if isinstance(got, QuadratureToleranceError):
+                            records.extend(
+                                SweepRecord(
+                                    t.value, fid, alpha, s, x, p, q, nan, nan, nan, nan,
+                                    False, got.error_estimate,
+                                )
+                                for t in bound_thms
+                            )
+                            continue
+                        lhs_val, qerr = got
+                        ProblemInstance(f, a, b, x, alpha, s, q=q)
+                        c1, c2 = c1_c2(alpha, s) if not all(holder) else (nan, nan)
+                        k3 = c3_root(alpha, p) if any(holder) else nan
+                        for t in bound_thms:
+                            spec = FRACTIONAL_BOUNDS[t]
+                            c = cert(fid, f, fp, s, spec.target, spec.mode, q)
+                            rhs = spec.formula(
+                                abs_deriv_values(fp, a, b, x, bound_thms),
+                                *bound_weights(a, b, x, alpha), alpha, s, q, c1, c2, k3,
+                            )
+                            records.append(SweepRecord(
+                                t.value, fid, alpha, s, x, p, q, lhs=lhs_val, rhs=rhs,
+                                margin=rhs - lhs_val, ratio=_ratio(lhs_val, rhs),
+                                certified=c.verdict, quad_error_est=qerr,
+                                certificate=c.kind,
+                            ))
+    return records
+
+
+def _bits(v):
+    return struct.pack("<d", v) if isinstance(v, float) else v
+
+
+def _assert_same_records(got, want):
+    """Field by field, certificate included, floats to the bit."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for fld in fields(SweepRecord):
+            a, b = getattr(g, fld.name), getattr(w, fld.name)
+            assert type(a) is type(b) and _bits(a) == _bits(b), (fld.name, g, w)
+
+
+_ORACLE_GRIDS = {
+    "every-id": (_rhs_grid(), DEFAULT_CONFIG),
+    "failing-lhs": (_rhs_grid(), _FAILING_CFG),
+    "t21-only": (replace(_rhs_grid(), theorems=(TheoremId.T21,)), DEFAULT_CONFIG),
+    "holder-only": (replace(_rhs_grid(), theorems=(TheoremId.T22, TheoremId.T24)), DEFAULT_CONFIG),
+    "sandwich-only": (replace(_rhs_grid(), theorems=(TheoremId.HH11,)), DEFAULT_CONFIG),
+    "tiny": (_tiny_grid(), DEFAULT_CONFIG),
+}
+
+
+class TestRecordLoopAgainstOracle:
+    """run_sweep's hoisted loop against the per-record loop it replaced."""
+
+    @pytest.mark.parametrize("name", list(_ORACLE_GRIDS))
+    def test_records_equal_the_oracle_to_the_bit(self, name):
+        grid, cfg = _ORACLE_GRIDS[name]
+        got = run_sweep(grid, cfg, seed=5, samples=256)
+        _assert_same_records(got, _reference_sweep(grid, cfg, seed=5, samples=256))
+        if name == "failing-lhs":
+            failed = sum(math.isnan(r.lhs) for r in got)
+            assert 0 < failed < len(got)
+
+    def test_every_id_grid_has_certificates_that_differ_by_q(self):
+        # |f'|^q of u15 is u^(q/2): a rule proves it convex at q = 3, and
+        # at q = 1.5, where it is concave, the sampler refutes it
+        grid, _ = _ORACLE_GRIDS["every-id"]
+        got = {
+            r.q: (r.certificate, r.certified)
+            for r in run_sweep(grid, samples=256)
+            if (r.family_id, r.s, r.theorem_id) == ("u15", 1.0, "T22")
+        }
+        assert got == {1.5: ("sampled", False), 3.0: ("proved", True)}
+
+    def test_points_whose_lhs_failed_certify_no_bound(self, monkeypatch):
+        def refuse(g, target, *args):
+            raise AssertionError(f"certify_model called for {target}")
+
+        monkeypatch.setattr(sweep_module, "certify_model", refuse)
+        grid = replace(
+            _rhs_grid(), alphas=(2.0,), xfracs=(0.25, 0.5, 0.75),
+            families=_rhs_grid().families[:1], theorems=tuple(FRACTIONAL_BOUNDS),
+        )
+        records = run_sweep(grid, _FAILING_CFG, samples=64)
+        assert len(records) == 2 * 3 * 2 * 4
+        assert all(math.isnan(r.lhs) and not r.certified for r in records)
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, _FAILING_CFG], ids=["ok", "failing-lhs"])
+    def test_checks_certificates_and_formulas_keep_the_oracle_order(self, cfg, monkeypatch):
+        # the oracle checks every point; run_sweep checks only the first
+        # point of each (family, s, q) whose lhs succeeded
+        log = []
+        post_init = ProblemInstance.__post_init__
+
+        def logged_post_init(inst):
+            if inst.q is not None:  # a right side's check, not an lhs integral's
+                log.append(("check", inst.f, inst.s, inst.q))
+            post_init(inst)
+
+        certify = certify_model
+
+        def logged_certify(g, target, q, a, b, s, mode, samples, seed):
+            log.append(("certify", g, target, q, s, mode))
+            return certify(g, target, q, a, b, s, mode, samples, seed)
+
+        def logged_formula(thm, formula):
+            def run(*args):
+                log.append(("formula", thm, args[5], args[6]))
+                return formula(*args)
+            return run
+
+        for thm, spec in FRACTIONAL_BOUNDS.items():
+            monkeypatch.setitem(
+                FRACTIONAL_BOUNDS, thm, spec._replace(formula=logged_formula(thm, spec.formula))
+            )
+        monkeypatch.setattr(ProblemInstance, "__post_init__", logged_post_init)
+        monkeypatch.setattr(sweep_module, "certify_model", logged_certify)
+        monkeypatch.setitem(globals(), "certify_model", logged_certify)
+        grid = _rhs_grid()
+        run_sweep(grid, cfg, samples=64)
+        got = log[:]
+        del log[:]
+        _reference_sweep(grid, cfg, samples=64)
+        seen, want = set(), []
+        for event in log:
+            if event[0] == "check" and event in seen:
+                continue
+            seen.add(event)
+            want.append(event)
+        assert got == want
+        assert sum(e[0] == "check" for e in got) == 2 * 2 * 2
 
 
 class TestViolationRule:
@@ -567,9 +784,30 @@ _records = st.builds(
 )
 
 
+
+
+@st.composite
+def _record_lists(draw):
+    """Records of which consecutive ones sometimes hold the very same objects.
+
+    A sweep's rows share them: the family..q cells of a grid point's bound
+    rows, and the lhs and quad_error_est of all its rows.
+    """
+    records = draw(st.lists(_records, max_size=6))
+    for i in range(1, len(records)):
+        shared = draw(st.sets(st.sampled_from(CSV_COLUMNS)))
+        if shared:
+            records[i] = replace(records[i], **{c: getattr(records[i - 1], c) for c in shared})
+    return records
+
+
+def _distinct(text: str) -> float:
+    return float(text)  # a new float object on every call
+
+
 class TestCsvAgainstOracle:
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(st.lists(_records, max_size=6))
+    @given(_record_lists())
     def test_bytes_match_the_csv_writer_and_survive_a_round_trip(
         self, tmp_path_factory, records
     ):
@@ -581,6 +819,25 @@ class TestCsvAgainstOracle:
         # bytes, not records: NaN error rows never compare equal
         write_csv(read_csv(got), again)
         assert again.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("column", ["alpha", "s", "x", "p", "q", "lhs", "quad_error_est"])
+    @pytest.mark.parametrize(
+        "first, then",
+        [("0.0", "-0.0"), ("-0.0", "0.0"), ("nan", "nan"), ("0.1", "0.1")],
+        ids=["zero-then-minus-zero", "minus-zero-then-zero", "two-nans", "equal-floats"],
+    )
+    def test_cells_are_reused_by_identity_not_value(self, tmp_path, column, first, then):
+        # every other cell is the previous row's own object, as in a sweep
+        a, b = _distinct(first), _distinct(then)
+        assert a is not b
+        row = SweepRecord(*(_distinct(v) if isinstance(v, float) else v for v in TestRecord.ARGS))
+        records = [replace(row, **{column: a}), replace(row, **{column: b})]
+        records.append(records[-1])
+        records.append(replace(records[-1], family_id="other"))
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        _oracle_write(records, want)
+        write_csv(records, got)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_carriage_return_in_an_id_is_quoted(self, tmp_path):
         rec = SweepRecord("T21", "a\rb", 1.0, 1.0, 0.5, 2.0, 2.0, 0.1, 1.0, 0.9, 0.1, True, 0.0)
@@ -603,6 +860,47 @@ class TestCsvAgainstOracle:
         back = read_csv(path)
         assert back == records
         assert {r.family_id for r in back} == {'a,"b" x'}
+
+
+# the violation rule's edges: non-finite values and margins either side of -2e-9
+_rule_floats = st.one_of(
+    st.sampled_from((math.nan, math.inf, -math.inf, 1.0, -1.5e-9, -3e-9)), _floats
+)
+
+
+class TestSummaryViolations:
+    """summarize applies is_violation's rule inline; drawn records hold it to it."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                SweepRecord,
+                theorem_id=st.sampled_from(["T21", "T24", "HH11", "C13"]),
+                family_id=st.just("f"),
+                alpha=st.none(),
+                s=st.just(1.0),
+                x=st.none(),
+                p=st.none(),
+                q=st.none(),
+                lhs=_floats,
+                rhs=_rule_floats,
+                margin=_rule_floats,
+                ratio=_floats,
+                certified=st.booleans(),
+                quad_error_est=st.just(0.0),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_violation_counts_follow_is_violation(self, records):
+        summary = summarize(records)
+        assert summary.violations == sum(bool(is_violation(r)) for r in records)
+        for tid, ts in summary.by_theorem.items():
+            assert ts.violations == sum(
+                bool(is_violation(r)) for r in records if r.theorem_id == tid
+            )
 
 
 class TestConfigGrammar:
