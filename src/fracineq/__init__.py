@@ -5,8 +5,9 @@ certified adaptive quadrature, checks a weighted endpoint identity for
 differentiable functions, and verifies a family of Hermite-Hadamard type
 bounds that hold when |f'| or |f'|^q is s-convex (or s-concave) in the
 second sense. A certifier decides the hypothesis: it proves or refutes it
-from the power-sum terms where a rule applies and samples it otherwise;
-bounds are only asserted on certified instances. Batch sweeps over
+from the power-sum terms where a rule applies, refutes it at a boundary
+triple where one fails, and samples it otherwise; bounds are only asserted
+on certified instances. Batch sweeps over
 parameter grids produce CSV records and tightness summaries, also
 available from the ``fracineq`` command line tool.
 """

@@ -88,8 +88,8 @@ def _shrink_for_derivative(f: FunctionModel, a: float) -> tuple[FunctionModel, f
 
 def _kind_text(cert: CertificationReport) -> str:
     """How the certificate was decided: its rule, or its sample count and seed."""
-    if cert.kind == "sampled":
-        return f"sampled: {cert.samples} triples, seed {cert.seed}"
+    if cert.rule is None:
+        return f"{cert.kind}: {cert.samples} triples, seed {cert.seed}"
     return f"{cert.kind}: {cert.rule}"
 
 
@@ -329,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=CERT_SAMPLES,
-        help=f"sample count when no rule decides (default {CERT_SAMPLES})",
+        help=f"sample count when no rule or boundary triple decides (default {CERT_SAMPLES})",
     )
     certify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     certify.set_defaults(func=_cmd_certify)

@@ -22,22 +22,30 @@ second sense,
 
     g(lam*x + (1-lam)*y) <= lam^s g(x) + (1-lam)^s g(y),
 
-(or its reverse for s-concavity) in one of three ways, recorded as the
-report's ``kind``:
+(or its reverse for s-concavity). The evidence is tried in a fixed order,
+and the first step that decides gives the report's ``kind``:
 
-- ``proved``: a sound rule applies to the power-sum terms of g. Nonnegative
-  s-convex functions form a convex cone, and c*(u-c0)^r with c >= 0 and c0
-  at or below the interval's left end is s-convex for every s <= r when
-  0 < r <= 1, and for every s when r = 0 or r >= 1 (Hudzik & Maligranda
-  1994, Aequationes Math. 48:100-111). Exponents are compared exactly, as
-  fractions of the floats.
-- ``refuted``: a rule names a witness triple, and the sampler's own violation
-  formula and tolerance confirm it. A nonnegative s-concave g with s < 1 is
-  identically 0 (take x = y), so the witness is (e, e, 1/2) at an endpoint e.
-- ``sampled``: no rule applies, so the inequality is checked on seeded random
-  triples plus a deterministic boundary set, and the signed worst violation
-  is compared against a scale-aware tolerance. Only a failure found this way
-  is certain; a pass is probable, not proved.
+1. a rule on the power-sum terms of g. Nonnegative s-convex functions form a
+   convex cone, and c*(u-c0)^r with c >= 0 and c0 at or below the
+   interval's left end is s-convex for every s <= r when 0 < r <= 1, and for
+   every s when r = 0 or r >= 1 (Hudzik & Maligranda 1994, Aequationes Math.
+   48:100-111). Exponents are compared exactly, as fractions of the floats.
+   Such a report is ``proved``. A rule may also name a witness: a
+   nonnegative s-concave g with s < 1 is identically 0 (take x = y), so
+   (e, e, 1/2) at an endpoint e refutes it, and the report is ``refuted``
+   once the violation formula below confirms it;
+2. the boundary triples, lam in {0, 1/2, 1} against every endpoint pair. A
+   violation above its tolerance there makes the report ``refuted``;
+3. seeded random triples, drawn after those same boundary triples. A
+   violation above tolerance is ``refuted``; otherwise the report is
+   ``sampled``, a pass that is probable, not proved.
+
+A witness's violation is compared against CERT_TOL * (1 + max|g|), with
+max|g| taken over the points the deciding step evaluated: one triple for a
+rule's witness, 12 for the boundary triples, all of them for the sampler.
+The boundary triples are the sampler's first 12, so the sampler sees every
+violation they show; a boundary refutation can differ from the sampler's
+verdict only when that violation lies between the two tolerances.
 
 A failed certificate is a result, not an error.
 """
@@ -284,14 +292,17 @@ class CertificationReport:
     """Outcome of an s-convexity or s-concavity check.
 
     ``kind`` is "proved", "refuted" or "sampled" (see the module docstring);
-    ``rule`` names the rule behind a proved or refuted report and is None for
-    a sampled one. ``worst_violation`` is the signed maximum of (violated side
-    minus satisfied side) over the checked triples; positive means the
-    defining inequality failed by that amount. ``witness`` is the (x, y,
-    lambda) triple attaining it. ``verdict`` is True iff worst_violation <=
-    tol. A proved report checked no triple: it carries samples = 0,
-    worst_violation = tol = 0 (the exact supremum, reached at lambda = 0) and
-    no witness. A refuted report checked one triple, its witness.
+    ``rule`` names the rule, or "boundary triple", behind a proved or refuted
+    report and is None when the sampler decided. ``worst_violation`` is the
+    signed maximum of (violated side minus satisfied side) over the checked
+    triples; positive means the defining inequality failed by that amount.
+    ``witness`` is the (x, y, lambda) triple attaining it. ``verdict`` is
+    True iff worst_violation <= tol. A proved report checked no triple: it
+    carries samples = 0, worst_violation = tol = 0 (the exact supremum,
+    reached at lambda = 0) and no witness. A refuted report carries the
+    number of triples it checked: 1 for a rule's witness, 12 for a boundary
+    triple, and the sampler's count (with its seed) otherwise. A sampled
+    report always has verdict True.
     """
 
     verdict: bool
@@ -341,6 +352,13 @@ def _worst_violation(fn, lo, hi, s, mode, lam, xs, ys) -> tuple[int, float, floa
     return worst, float(viol[worst]), CERT_TOL * (1.0 + float(scale))
 
 
+def _boundary_triples(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, x, y) for lam in {0, 1/2, 1} against every endpoint pair: 12 triples."""
+    ends = np.array([lo, hi])
+    xb, yb = np.repeat(ends, 2), np.tile(ends, 2)
+    return np.repeat([0.0, 0.5, 1.0], 4), np.tile(xb, 3), np.tile(yb, 3)
+
+
 def certify_pointwise(
     fn,
     lo: float,
@@ -355,17 +373,14 @@ def certify_pointwise(
     mode "convex" checks g(lam x + (1-lam) y) <= lam^s g(x) + (1-lam)^s g(y);
     mode "concave" checks the reversed inequality. The weights lam^s use the
     continuous extension 0^s = 0 at lam in {0, 1}. Sampling is a seeded
-    uniform draw over [lo, hi]^2 x [0, 1] plus a deterministic boundary set
-    (lam in {0, 1/2, 1} against all endpoint pairs). Raises OverflowError
-    when g is not finite at a sampled point.
+    uniform draw over [lo, hi]^2 x [0, 1] after the 12 boundary triples
+    (lam in {0, 1/2, 1} against all endpoint pairs). The report is "sampled"
+    when it passes and "refuted" when its worst triple fails. Raises
+    OverflowError when g is not finite at a sampled point.
     """
     _check_certify_args(lo, hi, s, mode, samples)
 
-    ends = np.array([lo, hi])
-    xb, yb = np.repeat(ends, 2), np.tile(ends, 2)
-    lam_b = np.repeat([0.0, 0.5, 1.0], 4)
-    xs_b, ys_b = np.tile(xb, 3), np.tile(yb, 3)
-
+    lam_b, xs_b, ys_b = _boundary_triples(lo, hi)
     rng = np.random.default_rng(seed)
     lam_r = rng.uniform(0.0, 1.0, samples)
     xs_r = rng.uniform(lo, hi, samples)
@@ -375,8 +390,9 @@ def certify_pointwise(
     xs = np.concatenate([xs_b, xs_r])
     ys = np.concatenate([ys_b, ys_r])
     worst, worst_violation, tol = _worst_violation(fn, lo, hi, s, mode, lam, xs, ys)
+    verdict = worst_violation <= tol
     return CertificationReport(
-        verdict=worst_violation <= tol,
+        verdict=verdict,
         worst_violation=worst_violation,
         witness=(float(xs[worst]), float(ys[worst]), float(lam[worst])),
         samples=int(lam.size),
@@ -384,7 +400,20 @@ def certify_pointwise(
         mode=mode,
         seed=int(seed),
         tol=tol,
-        kind="sampled",
+        kind="sampled" if verdict else "refuted",
+    )
+
+
+def _refutation(fn, a, b, s, mode, seed, rule, lam, xs, ys) -> CertificationReport | None:
+    """The refuted report of the worst of these fixed triples, or None if none fails."""
+    worst, viol, tol = _worst_violation(fn, a, b, s, mode, lam, xs, ys)
+    if viol <= tol:
+        return None
+    return CertificationReport(
+        verdict=False, worst_violation=viol,
+        witness=(float(xs[worst]), float(ys[worst]), float(lam[worst])),
+        samples=int(lam.size), s=float(s), mode=mode, seed=int(seed), tol=tol,
+        kind="refuted", rule=rule,
     )
 
 
@@ -454,10 +483,10 @@ def certify_model(
     target "f" takes g = g_source; "abs_deriv" takes g = |g_source| and
     "abs_deriv_pow" g = |g_source|^q, where g_source is f' (q >= 1). A rule
     on the power-sum terms proves the hypothesis, or names a witness that
-    the sampler's violation formula and tolerance confirm. Otherwise
-    certify_pointwise samples it with the given count and seed. Raises
-    OverflowError where g is not finite: at a or b when a rule decides, else
-    at a sampled point.
+    the sampler's violation formula and tolerance confirm. Otherwise the 12
+    boundary triples may refute it, and if they do not, certify_pointwise
+    samples it with the given count and seed. Raises OverflowError where g
+    is not finite: at a or b when a rule decides, else at a checked point.
     """
     _check_certify_args(a, b, s, mode, samples)
     if a < g_source.lo or b > g_source.hi:
@@ -483,13 +512,11 @@ def certify_model(
                 verdict=True, worst_violation=0.0, witness=None, samples=0,
                 s=float(s), mode=mode, seed=int(seed), tol=0.0, kind=kind, rule=rule,
             )
-        e = ends[int(np.argmax(g_ends))]  # the first maximum: a on a tie
-        lam, at = np.array([0.5]), np.array([e])
-        _, viol, tol = _worst_violation(fn, a, b, s, mode, lam, at, at)
-        if viol > tol:
-            e = float(e)
-            return CertificationReport(
-                verdict=False, worst_violation=viol, witness=(e, e, 0.5), samples=1,
-                s=float(s), mode=mode, seed=int(seed), tol=tol, kind=kind, rule=rule,
-            )
+        at = ends[[int(np.argmax(g_ends))]]  # the first maximum: a on a tie
+        if (refuted := _refutation(fn, a, b, s, mode, seed, rule, np.array([0.5]), at, at)):
+            return refuted
+    # the sampler's first 12 triples: most failures show here, before any draw
+    lam, xs, ys = _boundary_triples(a, b)
+    if (refuted := _refutation(fn, a, b, s, mode, seed, "boundary triple", lam, xs, ys)):
+        return refuted
     return certify_pointwise(fn, a, b, s, mode, samples, seed)

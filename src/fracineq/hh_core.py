@@ -127,8 +127,9 @@ def conjugate_exponent(q: float) -> float:
 class ProblemInstance:
     """One bound evaluation: a model, an interval, the split point and orders.
 
-    p is derived from q when only q is supplied; when both are given they
-    must be conjugate to within CONJUGACY_TOL. q = 1 leaves p unset (only the
+    p is derived from q when only q is supplied, and checked like a given p
+    (p > 1) after it is derived; when both are given they must be conjugate
+    to within CONJUGACY_TOL. q = 1 leaves p unset (only the
     power-mean bound accepts it, and the formula needs no p there).
     """
 
@@ -161,10 +162,11 @@ class ProblemInstance:
             raise DomainError(f"s must lie in (0, 1], got {self.s!r}")
         if self.q is not None and not self.q >= 1.0:
             raise DomainError(f"q must satisfy q >= 1, got {self.q!r}")
-        if self.p is not None and not self.p > 1.0:
-            raise DomainError(f"p must satisfy p > 1, got {self.p!r}")
         if self.p is None and self.q is not None and self.q > 1.0:
             object.__setattr__(self, "p", conjugate_exponent(self.q))
+        # after the derivation: a huge q rounds its conjugate down to 1
+        if self.p is not None and not self.p > 1.0:
+            raise DomainError(f"p must satisfy p > 1, got {self.p!r}")
         if self.p is not None and self.q is not None:
             defect = abs(1.0 / self.p + 1.0 / self.q - 1.0)
             if defect > CONJUGACY_TOL:

@@ -13,9 +13,10 @@ A record is a violation when it is certified and margin < -1e-9 * (1 + rhs),
 one order looser than the quadrature tolerance driving lhs. Certifications
 are cached per (family, s, target, mode, q) and decided by
 funcmodel.certify_model: proved or refuted by a rule on the power-sum terms
-where one applies, sampled otherwise. Certificate sampling seeds are derived
-deterministically from the run seed and the cache key, so a sweep is
-reproducible record-for-record and its CSV byte-for-byte. Each record keeps
+where one applies, else refuted at a boundary triple where one fails, else
+sampled (refuted if a drawn triple fails). Certificate sampling seeds are
+derived deterministically from the run seed and the cache key, so a sweep
+is reproducible record-for-record and its CSV byte-for-byte. Each record keeps
 its certificate's kind, and the summary counts records per kind and bound;
 the kind is not yet a CSV column.
 

@@ -226,13 +226,35 @@ class TestCertifyCommand:
 
     def test_sampled_certificate_names_samples_and_seed(self, capsys):
         code = cli.main(
+            ["certify", "--f", "1*(u-0)^0.25 on [0.01,1]", "--s", "0.5", "--mode", "convex",
+             "--samples", "500", "--seed", "3"]
+        )
+        out = capsys.readouterr().out
+        assert code == cli.ExitCode.OK
+        assert "(sampled: 512 triples, seed 3)" in out
+        assert "worst triple" in out
+        assert out.rstrip().endswith("certified")
+
+    def test_boundary_refutation_names_its_triple(self, capsys):
+        code = cli.main(
             ["certify", "--f", SQRT, "--s", "0.75", "--mode", "convex",
              "--samples", "500", "--seed", "3"]
         )
         out = capsys.readouterr().out
         assert code == cli.ExitCode.FAILURE
-        assert "(sampled: 512 triples, seed 3)" in out
-        assert "worst triple" in out
+        assert "(refuted: boundary triple)" in out
+        assert "worst triple: x=0, y=1, lam=0.5" in out
+        assert out.rstrip().endswith("NOT certified")
+
+    def test_sampled_refutation_names_samples_and_seed(self, capsys):
+        # every boundary triple passes; only a drawn triple fails
+        code = cli.main(
+            ["certify", "--f", "1*(u-0)^3 + -1.5*(u-0)^2 on [0,1]", "--s", "1",
+             "--mode", "convex", "--samples", "500", "--seed", "3"]
+        )
+        out = capsys.readouterr().out
+        assert code == cli.ExitCode.FAILURE
+        assert "(refuted: 512 triples, seed 3)" in out
         assert out.rstrip().endswith("NOT certified")
 
     def test_parse_error_is_usage(self, capsys):
@@ -296,8 +318,10 @@ family.u15 = 0.6666666666666666*(u-0)^1.5 on [0.01,1]
 @pytest.mark.parametrize(
     "q, theorems, err",
     [
-        ("1e17", "t21, t22, t23, t24, hh", "inputs overflow floating point"),
-        ("1e17", "t23", "inputs overflow floating point"),
+        # q = 1e17's conjugate rounds to p = 1, which the domain check refuses
+        ("1e17", "t21, t22, t23, t24, hh", "p must satisfy p > 1, got 1.0"),
+        ("1e17", "t23", "p must satisfy p > 1, got 1.0"),
+        ("1e17", "t21", "p must satisfy p > 1, got 1.0"),
         ("inf", "t21, t22, t23, t24, hh", "log_gamma requires x > 0, got nan"),
         # no bound reads c3, so the sweep's one domain check of (s, q) is first
         ("inf", "t21, hh", "q must be finite"),
@@ -378,11 +402,21 @@ class TestHostileInputs:
             (
                 ["bound", "--thm", "t24", "--f", U2, "--a", "0", "--b", "1", "--x", "0.5",
                  "--alpha", "0.5", "--s", "1", "--q", "1e308"],
-                "overflow",
+                "p must satisfy p > 1, got 1.0",
             ),
             (
                 ["bound", "--thm", "c16", "--f", U2, "--a", "0", "--b", "1", "--x", "0.5",
                  "--s", "1", "--q", "1e308"],
+                "p must satisfy p > 1, got 1.0",
+            ),
+            (
+                ["bound", "--thm", "t24", "--f", U2, "--a", "0", "--b", "1", "--x", "0.5",
+                 "--alpha", "0.5", "--s", "1", "--q", "1e15"],
+                "overflow",
+            ),
+            (
+                ["bound", "--thm", "c16", "--f", U2, "--a", "0", "--b", "1", "--x", "0.5",
+                 "--s", "1", "--q", "1e15"],
                 "overflow",
             ),
             (["certify", "--f", U400, "--s", "0.5", "--mode", "convex"], "overflow"),
@@ -393,7 +427,8 @@ class TestHostileInputs:
         ],
         ids=[
             "tol-nan", "q-inf", "q-nan", "p-inf", "bound-overflow", "alpha-overflow",
-            "t24-q-overflow", "c16-q-overflow", "certify-overflow", "hh-overflow",
+            "t24-q-overflow", "c16-q-overflow", "t24-q-1e15-overflow", "c16-q-1e15-overflow",
+            "certify-overflow", "hh-overflow",
         ],
     )
     def test_usage_exit_with_one_line(self, argv, needle, capsys):

@@ -205,7 +205,7 @@ class TestCertify:
     def test_sqrt_fails_above_its_order(self, sqrtu):
         report = _certify_f(sqrtu, 0.75, "convex")
         assert not report.verdict
-        assert report.kind == "sampled"
+        assert report.kind == "refuted"
         assert report.worst_violation > 1e-3
 
     def test_constant_is_never_s_concave_below_one(self, const1):
@@ -300,7 +300,7 @@ def mp_violation(report, g_source, target, q):
 
 
 class TestCertifyModel:
-    """Rules decide what they can; the sampler decides the rest."""
+    """Rules decide what they can, then the boundary triples, then the sampler."""
 
     def test_false_pass_shape_is_sampled_never_proved(self):
         # |f'| = 0.8*1.243 u^0.243 + 1.8 u^0.8 at s = 0.433, the shape of a
@@ -352,18 +352,18 @@ class TestCertifyModel:
         fp = parse_function("-2*(u-0)^1 on [0,1]")
         assert certify_model(fp, "abs_deriv", None, 0.0, 1.0, 0.5, "convex").kind == "proved"
         # f itself is then concave, so no rule proves it convex
-        assert certify_model(fp, "f", None, 0.0, 1.0, 0.5, "convex").kind == "sampled"
+        assert certify_model(fp, "f", None, 0.0, 1.0, 0.5, "convex").kind == "refuted"
 
     def test_mixed_signs_and_high_shifts_are_sampled(self):
         mixed = parse_function("1*(u-0)^2 + -1*(u-0)^1 on [0,1]")
-        assert certify_model(mixed, "abs_deriv", None, 0.0, 1.0, 1.0, "convex").kind == "sampled"
+        assert certify_model(mixed, "abs_deriv", None, 0.0, 1.0, 1.0, "convex").kind == "refuted"
         shifted = parse_function("1*(u-0.5)^2 on [0,1]")
         assert certify_model(shifted, "f", None, 0.0, 1.0, 1.0, "convex").kind == "sampled"
         # a decreasing term: the largest endpoint value need not bound g, so
-        # the concave refutation is left to the sampler
+        # no rule refutes it concave; the boundary triples do
         falling = FunctionModel((PowerTerm(1.0, -1.0, -1.0),), 0.0, 1.0)
         report = certify_model(falling, "abs_deriv", None, 0.0, 1.0, 0.5, "concave")
-        assert report.kind == "sampled" and not report.verdict
+        assert report.kind == "refuted" and not report.verdict
 
     def test_concave_below_one_refutes_at_the_largest_endpoint(self, u2):
         report = certify_model(u2, "f", None, 0.0, 1.0, 0.5, "concave")
@@ -415,6 +415,40 @@ class TestCertifyModel:
             certify_model(u2, "abs_deriv_pow", 0.5, 0.0, 1.0, 0.5, "convex")
         with pytest.raises(DomainError, match="q >= 1"):
             certify_model(u2, "abs_deriv_pow", None, 0.0, 1.0, 0.5, "convex")
+
+    def test_boundary_triple_refutes_before_sampling(self, sqrtu, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("certify_pointwise was called")
+
+        monkeypatch.setattr(funcmodel, "certify_pointwise", no_sampling)
+        report = _certify_f(sqrtu, 0.75, "convex", seed=7)
+        assert report.kind == "refuted" and report.rule == "boundary triple"
+        assert not report.verdict
+        assert report.witness == (0.0, 1.0, 0.5)
+        assert (report.samples, report.seed) == (12, 7)
+        # max|g| over the 12 triples' points is sqrt(1) = 1
+        assert report.tol == CERT_TOL * 2.0
+        assert report.worst_violation == pytest.approx(0.5**0.5 - 0.5**0.75, rel=1e-15)
+        assert mp_violation(report, sqrtu, "f", None) > report.tol
+
+    def test_boundary_pass_is_the_sampler_report(self):
+        # |f'| = u^0.25 passes the boundary triples at s = 1/2 and no rule
+        # decides it, so certify_model returns certify_pointwise's report
+        fp = parse_function("1*(u-0)^0.25 on [0.01,1]")
+        report = certify_model(fp, "abs_deriv", None, 0.01, 1.0, 0.5, "convex", 500, seed=3)
+        alone = certify_pointwise(g_fn(fp, "abs_deriv", None), 0.01, 1.0, 0.5, "convex", 500, 3)
+        assert report == alone
+        assert report.kind == "sampled" and report.verdict and report.samples == 512
+
+    def test_sampled_failure_is_refuted_with_its_count_and_seed(self):
+        # concave on [0, 1/2] and symmetric about its inflection at 1/2: every
+        # boundary triple passes, and only a drawn triple fails
+        g = parse_function("1*(u-0)^3 + -1.5*(u-0)^2 on [0,1]")
+        report = certify_model(g, "f", None, 0.0, 1.0, 1.0, "convex", 500, seed=3)
+        assert report.kind == "refuted" and report.rule is None
+        assert not report.verdict
+        assert (report.samples, report.seed) == (512, 3)
+        assert mp_violation(report, g, "f", None) > report.tol
 
 
 @st.composite
@@ -476,3 +510,49 @@ def test_proved_implies_the_sampler_passes(case):
         assert sampled.verdict
     elif report.kind == "refuted":
         assert not sampled.verdict
+
+
+@st.composite
+def _power_sums(draw):
+    """A power sum of either sign anchored at or below lo, and what to certify."""
+    lo = draw(st.sampled_from([0.0, 0.01, 0.5]))
+    hi = lo + draw(st.sampled_from([0.5, 1.0, 3.0]))
+    terms = tuple(
+        PowerTerm(
+            draw(st.floats(-3.0, 3.0)),
+            lo - draw(st.sampled_from([0.0, 0.25])),
+            draw(st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(0.05, 3.0))),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    target = draw(st.sampled_from(["f", "abs_deriv", "abs_deriv_pow"]))
+    q = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    s = draw(st.one_of(st.floats(0.05, 1.0), st.just(1.0)))
+    mode = draw(st.sampled_from(["convex", "concave"]))
+    return FunctionModel(terms, lo, hi), target, q, s, mode
+
+
+_any_case = st.one_of(_power_sums(), _sign_definite())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_any_case)
+def test_only_a_refuted_report_fails(case):
+    # so a sampled report is always a pass
+    g, target, q, s, mode = case
+    report = certify_model(g, target, q, g.lo, g.hi, s, mode, samples=500, seed=2)
+    assert report.kind in ("proved", "refuted", "sampled")
+    assert report.verdict == (report.kind != "refuted")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_any_case, st.integers(0, 2**32 - 1))
+def test_a_boundary_refutation_is_also_a_sampler_refutation(case, seed):
+    g, target, q, s, mode = case
+    report = certify_model(g, target, q, g.lo, g.hi, s, mode, seed=seed)
+    if report.rule == "boundary triple":
+        full = certify_pointwise(g_fn(g, target, q), g.lo, g.hi, s, mode, CERT_SAMPLES, seed)
+        assert not full.verdict
+        # the boundary triples are the sampler's first 12
+        assert full.worst_violation >= report.worst_violation
+        assert full.tol >= report.tol

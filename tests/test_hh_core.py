@@ -51,6 +51,13 @@ class TestProblemInstance:
         with pytest.raises(DomainError):
             ProblemInstance(u2, 0.0, 1.0, 0.5, 1.0, 1.0, p=2.5, q=2.0)
 
+    def test_derived_conjugate_is_checked(self, u2):
+        # 1e17 - 1 rounds to 1e17, so the derived p is exactly 1
+        with pytest.raises(DomainError, match=r"p must satisfy p > 1, got 1\.0"):
+            ProblemInstance(u2, 0, 1, 0.5, 1, 1, q=1e17)
+        inst = ProblemInstance(u2, 0, 1, 0.5, 1, 1, q=1e15)
+        assert inst.p > 1.0
+
     def test_q_one_has_no_conjugate(self, u2):
         inst = ProblemInstance(u2, 0.0, 1.0, 0.5, 1.0, 1.0, q=1.0)
         assert inst.p is None

@@ -421,14 +421,14 @@ class TestRecordLoopAgainstOracle:
 
     def test_every_id_grid_has_certificates_that_differ_by_q(self):
         # |f'|^q of u15 is u^(q/2): a rule proves it convex at q = 3, and
-        # at q = 1.5, where it is concave, the sampler refutes it
+        # at q = 1.5, where it is concave, the boundary triples refute it
         grid, _ = _ORACLE_GRIDS["every-id"]
         got = {
             r.q: (r.certificate, r.certified)
             for r in run_sweep(grid, samples=256)
             if (r.family_id, r.s, r.theorem_id) == ("u15", 1.0, "T22")
         }
-        assert got == {1.5: ("sampled", False), 3.0: ("proved", True)}
+        assert got == {1.5: ("refuted", False), 3.0: ("proved", True)}
 
     def test_points_whose_lhs_failed_certify_no_bound(self, monkeypatch):
         def refuse(g, target, *args):
@@ -583,11 +583,12 @@ class TestSummary:
         for tid, ts in summary.by_theorem.items():
             assert sum(ts.kinds.values()) == ts.count
         # T24 at s = 1/2 is refuted on both families; at s = 1 the constant
-        # |f'|^2 of linear is proved and the (2u)^2 of u2 is sampled
-        assert summary.by_theorem["T24"].kinds == {"proved": 4, "refuted": 8, "sampled": 4}
+        # |f'|^2 of linear is proved and the (2u)^2 of u2 is refuted at a
+        # boundary triple
+        assert summary.by_theorem["T24"].kinds == {"proved": 4, "refuted": 12, "sampled": 0}
         lines = format_summary(summary).splitlines()
         assert lines[0].startswith("records = ")
-        assert "violations=0 proved=4 refuted=8 sampled=4 " in lines[4]
+        assert "violations=0 proved=4 refuted=12 sampled=0 " in lines[4]
         # the kind is not a CSV column yet: records read back carry none
         path = tmp_path / "out.csv"
         write_csv(records, path)
@@ -1071,7 +1072,21 @@ class TestShippedCertificates:
                 assert sampled.verdict, (fid, target, q, s, mode)
             elif report.kind == "refuted":
                 assert mp_violation(report, g, target, q) > 0, (fid, target, q, s, mode)
-        assert kinds == {"proved": 186, "refuted": 72, "sampled": 30}
+        assert kinds == {"proved": 186, "refuted": 100, "sampled": 2}
+
+    def test_boundary_refutations_fail_the_sampler_at_their_sweep_seed(self):
+        # the keys a boundary triple refutes, run through the sampler at the
+        # seed the shipped sweep (run seed 0) derives for each: it fails too
+        moved = []
+        for fid, g, target, q, a, b, s, mode in _shipped_certificates():
+            report = certify_model(g, target, q, a, b, s, mode)
+            if report.rule == "boundary triple":
+                seed = _derive_seed(0, fid, s, target, mode, q)
+                full = certify_pointwise(g_fn(g, target, q), a, b, s, mode, 20_000, seed)
+                assert not full.verdict, (fid, target, q, s, mode)
+                assert full.worst_violation >= report.worst_violation
+                moved.append((fid, target, q, s, mode))
+        assert len(moved) == 28
 
     def test_sweep_records_carry_the_certificate_kind(self):
         g = SweepGrid(
@@ -1087,7 +1102,7 @@ class TestShippedCertificates:
             ("HH11", 0.5): ("proved", True),
             ("HH11", 1.0): ("proved", True),
             ("T21", 0.5): ("proved", True),
-            ("T21", 1.0): ("sampled", False),
+            ("T21", 1.0): ("refuted", False),
             ("T22", 0.5): ("proved", True),
             ("T22", 1.0): ("proved", True),
             ("T23", 0.5): ("proved", True),
