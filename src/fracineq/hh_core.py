@@ -250,7 +250,7 @@ def identity_lhs_with_error(
 ) -> tuple[float, float]:
     """Signed left side of the identity and its quadrature error estimate."""
     got = identity_lhs_batch([inst], cfg)[0]
-    if isinstance(got, QuadratureToleranceError):
+    if isinstance(got, Exception):
         raise got
     return got
 
@@ -258,28 +258,55 @@ def identity_lhs_with_error(
 def identity_lhs_batch(
     insts: list[ProblemInstance], cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> list:
-    """identity_lhs_with_error for instances that share f, a, b and alpha.
+    """identity_lhs_with_error for instances that share f, a and b.
 
-    J1 and J2 of every instance are rows of one quadrature batch. Each entry
-    is (lhs, error_estimate), or the QuadratureToleranceError that
-    identity_lhs_with_error raises: J1's if J1 fails, else J2's.
+    J1 and J2 of every instance are rows of one quadrature batch, whatever
+    their alpha. Each entry is (lhs, error_estimate), or the error that
+    identity_lhs_with_error raises: J1's QuadratureToleranceError if J1
+    fails, else J2's. An alpha whose boundary terms, scales or Gamma factor
+    overflow fails as a whole: each of its instances carries the
+    OverflowError a batch of that alpha alone raises first.
     """
-    f, a, b, alpha = insts[0].f, insts[0].a, insts[0].b, insts[0].alpha
-    if any((i.f, i.a, i.b, i.alpha) != (f, a, b, alpha) for i in insts):
-        raise DomainError("a batch of identity instances shares f, a, b and alpha")
+    f, a, b = insts[0].f, insts[0].a, insts[0].b
+    if any((i.f, i.a, i.b) != (f, a, b) for i in insts):
+        raise DomainError("a batch of identity instances shares f, a and b")
     fa, fb = f.evaluate(a), f.evaluate(b)
-    boundary = [
-        ((i.x - a) ** alpha * fa + (b - i.x) ** alpha * fb) / (b - a) for i in insts
-    ]
-    js = rl_batch_with_error(f, alpha, [p for i in insts for p in ((i.x, a), (i.x, b))], cfg)
-    gfac = math.exp(log_gamma(alpha + 1.0)) / (b - a)
+    failed: dict = {}  # alpha -> the first error of its instances
+    boundary = []
+    for i in insts:
+        try:
+            boundary.append(((i.x - a) ** i.alpha * fa + (b - i.x) ** i.alpha * fb) / (b - a))
+        except OverflowError as exc:
+            failed.setdefault(i.alpha, exc)
+            boundary.append(None)
+    live = [k for k, i in enumerate(insts) if i.alpha not in failed]
+    js = rl_batch_with_error(
+        f, [(insts[k].alpha, insts[k].x, end) for k in live for end in (a, b)], cfg
+    )
+    pairs = dict(zip(live, zip(js[::2], js[1::2])))
+    for k in live:
+        for j in pairs[k]:
+            if isinstance(j, OverflowError):
+                failed.setdefault(insts[k].alpha, j)
+    gfac = {}
+    for alpha in dict.fromkeys(insts[k].alpha for k in live):
+        if alpha not in failed:
+            try:
+                gfac[alpha] = math.exp(log_gamma(alpha + 1.0)) / (b - a)
+            except OverflowError as exc:
+                failed[alpha] = exc
     out: list = []
-    for bd, j1, j2 in zip(boundary, js[::2], js[1::2]):
-        failed = [j for j in (j1, j2) if isinstance(j, QuadratureToleranceError)]
-        if failed:
-            out.append(failed[0])
+    for k, i in enumerate(insts):
+        if i.alpha in failed:
+            out.append(failed[i.alpha])
+            continue
+        j1, j2 = pairs[k]
+        failures = [j for j in (j1, j2) if isinstance(j, QuadratureToleranceError)]
+        if failures:
+            out.append(failures[0])
         else:
-            out.append((bd - gfac * (j1[0] + j2[0]), gfac * (j1[1] + j2[1])))
+            g = gfac[i.alpha]
+            out.append((boundary[k] - g * (j1[0] + j2[0]), g * (j1[1] + j2[1])))
     return out
 
 
@@ -290,26 +317,41 @@ def identity_lhs(inst: ProblemInstance, cfg: QuadratureConfig = DEFAULT_CONFIG) 
 def identity_rhs_with_error(
     inst: ProblemInstance, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> tuple[float, float]:
-    """Signed right side of the identity (the two weighted f' integrals)."""
+    """Signed right side of the identity (the two weighted f' integrals).
+
+    Both integrals, each of which has a nonzero weight, are rows of one
+    quadrature batch; a failure raises the a side's error first.
+    """
     f, a, b, x, alpha = inst.f, inst.a, inst.b, inst.x, inst.alpha
     fp = f.derivative()
-    total, err = 0.0, 0.0
-    # the b side's kernel (1 - t^alpha) is -(t^alpha - 1), exactly in IEEE
+    # per side with a nonzero weight: the weight, and the integrand's end,
+    # sign and clip bounds; the b side's kernel (1 - t^alpha) is
+    # -(t^alpha - 1), exactly in IEEE
+    weights, table = [], []
     for end, sign in ((a, 1.0), (b, -1.0)):
         w = abs(x - end) ** (alpha + 1.0) / (b - a)
-        if w == 0.0:
-            continue
-        lo, hi = sorted((x, end))
-        val, e = integrate_adaptive(
-            lambda t: sign
-            * (np.power(t, alpha) - 1.0)
-            * fp.evaluate(np.clip(t * x + (1.0 - t) * end, lo, hi)),
-            0.0,
-            1.0,
-            cfg,
-        )
-        total += w * val
-        err += w * e
+        if w != 0.0:
+            weights.append(w)
+            table.append((end, sign, min(x, end), max(x, end)))
+    if not weights:
+        return 0.0, 0.0
+    table = np.array(table)
+    columns = table.T[:, :, None]
+
+    def integrand(v):
+        every = len(v.rows) == len(weights)
+        e, sg, lo, hi = columns if every else table[v.rows].T[:, :, None]
+        # C order, as in rlint's integrands
+        t = np.ascontiguousarray(v)
+        u = np.clip(t * x + (1.0 - t) * e, lo, hi)
+        return sg * (np.power(t, alpha) - 1.0) * fp.evaluate(u)
+
+    total, err = 0.0, 0.0
+    for w, got in zip(weights, integrate_adaptive(integrand, 0.0, 1.0, [cfg] * len(weights))):
+        if isinstance(got, QuadratureToleranceError):
+            raise got
+        total += w * got[0]
+        err += w * got[1]
     return total, err
 
 
@@ -648,11 +690,18 @@ def hh_sandwich_with_error(
         raise DomainError(
             f"requires lo <= a < b <= hi, got [{a!r}, {b!r}] on [{f.lo!r}, {f.hi!r}]"
         )
+    return _sandwich(f, a, b, s, integrate_adaptive(f.evaluate, a, b, cfg))
+
+
+def _sandwich(
+    f: FunctionModel, a: float, b: float, s: float, integral: tuple[float, float]
+) -> tuple[HHSandwich, float]:
+    """The sandwich at s from the (value, error_estimate) of int_a^b f, which
+    does not depend on s; a sweep integrates once per family."""
+    value, err = integral
     left = 2.0 ** (s - 1.0) * f.evaluate(0.5 * (a + b))
-    integral, err = integrate_adaptive(f.evaluate, a, b, cfg)
-    mid = integral / (b - a)
     right = (f.evaluate(a) + f.evaluate(b)) / (s + 1.0)
-    return HHSandwich(left, mid, right), err / (b - a)
+    return HHSandwich(left, value / (b - a), right), err / (b - a)
 
 
 def hh_sandwich(

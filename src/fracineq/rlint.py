@@ -25,13 +25,23 @@ values with the weights, not one np.dot per panel. For a 3-D array and a
 every sum keeps its bits. ``@``, einsum or a 2-D reshape, which goes
 through gemv, add the products in another order and change the last bits.
 
-Integrals over the same [lo, hi] run as one batch: the integrand returns a
-row of values per integral, and each refinement round evaluates the quarter
-panels of every unfinished row in one call. Rows keep their own panels,
+Integrals over the same [lo, hi] run as one batch, as in scipy's quad_vec.
+Each refinement round calls the integrand once, with a RowNodes array that
+holds, for each row that splits, that row's own four quarter panels; it
+returns a row of values per row. Rows keep their own panels, heap,
 tolerance and budget, so each result equals the one-integral result bit for
-bit. A sweep integrates both sides of the identity at every x of one
-(family, alpha) as one batch. alpha = 1 reduces to the classical integral;
-alpha = 0 is rejected.
+bit, and a batch takes as many rounds as its slowest row. A sweep
+integrates both sides of the identity at every (alpha, x) of a family as
+one batch.
+
+Two rules keep a batch integrand's bits those of the one-integral one.
+np.power gets each alpha's exponent 1/alpha as a Python float, once per
+block of rows with that alpha: numpy computes a scalar 2.0 or 0.5 as a
+square or a square root, but an array of exponents with pow, and the last
+bits differ. And every array is C-ordered (np.ascontiguousarray, np.empty
+of a shape): np.empty_like or np.array of a broadcast view give F order,
+which changes the loops numpy runs and the last bits of np.power after
+them. alpha = 1 reduces to the classical integral; alpha = 0 is rejected.
 """
 
 from __future__ import annotations
@@ -55,6 +65,7 @@ __all__ = [
     "rl_left_with_error",
     "rl_right_with_error",
     "rl_batch_with_error",
+    "RowNodes",
 ]
 
 
@@ -87,16 +98,34 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _evaluate(fn, panels, nodes, weights, rows: int) -> tuple[list[float], list]:
-    """Half-widths of ``panels`` and the Gauss sums of fn's values on their
-    nodes from one call, as nested lists rows x panels."""
-    half = np.array([0.5 * (hi - lo) for lo, hi in panels])
-    mid = np.array([0.5 * (lo + hi) for lo, hi in panels])
-    vals = fn((mid[:, None] + half[:, None] * nodes).ravel())
+class RowNodes(np.ndarray):
+    """The nodes of one batch round: row i holds integral ``rows[i]``'s panels.
+
+    A batch integrand receives one, C-contiguous and of shape (len(rows),
+    panels x nodes), as its only argument, so a wrapper that passes one
+    array through still works; it returns values of that shape.
+    """
+
+    __slots__ = ("rows",)
+
+
+def _panel_values(fn, rows, width, half, mid, nodes, weights) -> list:
+    """Each row's one-panel Gauss values on its ``width`` panels, as nested
+    lists, from one call of fn. half and mid list the panels' half-widths
+    and midpoints row after row; rows is None for a single integral."""
+    half, mid = np.array(half), np.array(mid)
+    x = (mid[:, None] + half[:, None] * nodes).reshape(-1, width * len(nodes))
+    if rows is None:
+        vals = fn(x[0])
+        rows = (0,)
+    else:
+        v = x.view(RowNodes)
+        v.rows = rows
+        vals = fn(v)
     # 3-D, not reshaped to 2-D: only then does each sum equal the per-panel
     # np.dot to the bit (see the module docstring)
-    sums = np.dot(np.asarray(vals).reshape(rows, len(panels), len(nodes)), weights)
-    return half.tolist(), sums.tolist()
+    sums = np.dot(np.asarray(vals).reshape(len(rows), width, len(nodes)), weights)
+    return (half.reshape(-1, width) * sums).tolist()
 
 
 def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
@@ -110,10 +139,11 @@ def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
     non-finite; the exception carries the best value and its achieved
     estimate.
 
-    With a sequence of configs, which share nodes_per_panel, fn returns one
-    row of values per config, as scipy's quad_vec does, and the call returns
-    a list with each row's (value, error_estimate), or the exception that
-    row would raise alone.
+    With a sequence of configs, which share nodes_per_panel, fn receives a
+    RowNodes v with a row of nodes for each integral in v.rows and returns a
+    row of values for each, as scipy's quad_vec does; each round passes only
+    the rows that split. The call returns a list with each row's (value,
+    error_estimate), or the exception that row would raise alone.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("integration limits must be finite")
@@ -128,24 +158,29 @@ def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
 
     nodes, weights = _leggauss(cfgs[0].nodes_per_panel)
     mid = 0.5 * (lo + hi)
-    half, sums = _evaluate(fn, ((lo, hi), (lo, mid), (mid, hi)), nodes, weights, len(cfgs))
+    active = list(range(len(cfgs)))
+    # every row's first three panels: [lo, hi] and its halves
+    first = _panel_values(
+        fn, None if single else active, 3,
+        (0.5 * (hi - lo), 0.5 * (mid - lo), 0.5 * (hi - mid)) * len(cfgs),
+        (0.5 * (lo + hi), 0.5 * (lo + mid), 0.5 * (mid + hi)) * len(cfgs),
+        nodes, weights,
+    )
     # a panel's value is the sum of its halves, its error their gap to the
     # one-panel rule; per row a heap of (-error, tiebreak, lo, hi, value,
     # error, halves)
     heaps, totals, errs = [], [], []
-    for row in sums:
-        coarse, left, right = (h * v for h, v in zip(half, row))
+    for coarse, left, right in first:
         value = left + right
         err = abs(value - coarse)
         heaps.append([(-err, 0, lo, hi, value, err, left, right)])
         totals.append(value)
         errs.append(err)
     results: list = [None] * len(cfgs)
-    active = range(len(cfgs))
     splits = 0
     while active:
-        panels: dict = {}  # quarter panel -> its index in this round's call
-        split = []  # (row, popped heap entry, indices of its four quarters)
+        split = []  # (row, popped heap entry)
+        halves, mids = [], []  # of each split panel's four quarters
         for r in active:
             c, total, total_err = cfgs[r], totals[r], errs[r]
             tol = max(c.abs_tol, c.rel_tol * abs(total))
@@ -166,18 +201,24 @@ def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
                     # panel at floating-point resolution; nothing left to refine
                     results[r] = QuadratureToleranceError(total, total_err, tol)
                     continue
+                split.append((r, top))
                 lmid, rmid = 0.5 * (plo + pmid), 0.5 * (pmid + phi)
-                quarters = ((plo, lmid), (lmid, pmid), (pmid, rmid), (rmid, phi))
-                split.append((r, top, [panels.setdefault(q, len(panels)) for q in quarters]))
+                halves += (
+                    0.5 * (lmid - plo), 0.5 * (pmid - lmid),
+                    0.5 * (rmid - pmid), 0.5 * (phi - rmid),
+                )
+                mids += (
+                    0.5 * (plo + lmid), 0.5 * (lmid + pmid),
+                    0.5 * (pmid + rmid), 0.5 * (rmid + phi),
+                )
         if not split:
             break
-        half, sums = _evaluate(fn, panels, nodes, weights, len(cfgs))
+        active = [r for r, _ in split]
+        quarters = _panel_values(fn, None if single else active, 4, halves, mids, nodes, weights)
         seq = 2 * splits + 1
-        for r, (_, _, plo, phi, pval, perr, pleft, pright), (k1, k2, k3, k4) in split:
-            row = sums[r]
-            q1, q2, q3, q4 = (
-                half[k1] * row[k1], half[k2] * row[k2], half[k3] * row[k3], half[k4] * row[k4]
-            )
+        for (r, (_, _, plo, phi, pval, perr, pleft, pright)), (q1, q2, q3, q4) in zip(
+            split, quarters
+        ):
             lval, rval = q1 + q2, q3 + q4
             lerr, rerr = abs(lval - pleft), abs(rval - pright)
             totals[r] += lval + rval - pval
@@ -185,7 +226,6 @@ def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
             pmid = 0.5 * (plo + phi)
             heapq.heappush(heaps[r], (-lerr, seq, plo, pmid, lval, lerr, q1, q2))
             heapq.heappush(heaps[r], (-rerr, seq + 1, pmid, phi, rval, rerr, q3, q4))
-        active = [r for r, _, _ in split]
         splits += 1
     if not single:
         return results
@@ -208,42 +248,81 @@ def _scaled_config(cfg: QuadratureConfig, scale: float) -> QuadratureConfig:
 
 def rl_batch_with_error(
     f: FunctionModel,
-    alpha: float,
-    pairs: list[tuple[float, float]],
+    rows: list[tuple[float, float, float]],
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> list:
-    """J^alpha f with origin o, evaluated at x, for each (o, x) of ``pairs``.
+    """J^alpha f with origin o, evaluated at x, for each (alpha, o, x) of ``rows``.
 
     o < x is the left integral J_{o+}^alpha f(x), o > x the right one
-    J_{o-}^alpha f(x); all are rows of one batch. Each entry is (value,
-    error_estimate), or the QuadratureToleranceError that integral raises
-    alone (its value and estimate unscaled); o == x gives (0.0, 0.0). The
-    caller checks that alpha > 0 and that every o and x lie in f's domain.
+    J_{o-}^alpha f(x); all are rows of one batch, whatever their alpha. Each
+    entry is (value, error_estimate), or the error that integral raises
+    alone: the QuadratureToleranceError of its quadrature (value and
+    estimate unscaled), or the OverflowError of a scale |x - o|^alpha /
+    Gamma(alpha + 1) past the float range. o == x gives (0.0, 0.0). The
+    caller checks that every alpha > 0 and that every o and x lie in f's
+    domain.
     """
-    out: list = [(0.0, 0.0)] * len(pairs)
-    rows = [i for i, (o, x) in enumerate(pairs) if o != x]
-    if not rows:
+    out: list = [(0.0, 0.0)] * len(rows)
+    groups: dict = {}  # alpha -> its rows, in order of first appearance
+    for i, (alpha, o, x) in enumerate(rows):
+        if o != x:
+            groups.setdefault(alpha, []).append(i)
+    # the batch holds each alpha's rows together: per row its index, scale
+    # and (x, the signed span x - o, min(o, x), max(o, x))
+    live, scales, params = [], [], []
+    starts, exponents = [], []  # where each alpha's rows start, and 1/alpha
+    for alpha, group in groups.items():
+        lg = log_gamma(alpha + 1.0)
+        starts.append(len(live))
+        exponents.append(1.0 / alpha)
+        for i in group:
+            _, o, x = rows[i]
+            try:
+                scales.append(math.exp(alpha * math.log(abs(x - o)) - lg))
+            except OverflowError as exc:
+                out[i] = exc
+                continue
+            live.append(i)
+            params.append((x, x - o, min(o, x), max(o, x)))
+    if not live:
         return out
-    origin = np.array([pairs[i][0] for i in rows])[:, None]
-    at = np.array([pairs[i][1] for i in rows])[:, None]
-    span = at - origin
-    lo, hi = np.minimum(origin, at), np.maximum(origin, at)
-    inv_alpha = 1.0 / alpha
-    lg = log_gamma(alpha + 1.0)
-    scales = [math.exp(alpha * math.log(abs(d)) - lg) for d in span[:, 0].tolist()]
+    table = np.array(params)
+    columns = table.T[:, :, None]
 
-    def integrand(v: np.ndarray) -> np.ndarray:
-        return f.evaluate(np.clip(at - span * np.power(v, inv_alpha), lo, hi))
+    def integrand(v: RowNodes) -> np.ndarray:
+        sel = v.rows
+        # C order, whatever view it is given: another layout would change
+        # the loops numpy runs, and with them the last bits of np.power
+        v = np.ascontiguousarray(v)
+        every = len(sel) == len(live)
+        if every:
+            x, d, l, h = columns
+        elif len(sel) == 1:
+            x, d, l, h = params[sel[0]]
+        else:
+            x, d, l, h = table[sel].T[:, :, None]
+        # one np.power call per alpha with a Python float exponent: numpy
+        # takes a scalar 2.0 or 0.5 as a square or a square root, an array of
+        # exponents otherwise, and the last bits differ
+        if len(starts) == 1:
+            pw = np.power(v, exponents[0])
+        else:
+            cuts = starts if every else np.searchsorted(sel, starts).tolist()
+            pw = np.empty(v.shape)
+            for i, j, e in zip(cuts, [*cuts[1:], len(sel)], exponents):
+                if i < j:
+                    np.power(v[i:j], e, out=pw[i:j])
+        return f.evaluate((x - d * pw).clip(l, h))
 
     cfgs = [_scaled_config(cfg, k) for k in scales]
-    for i, k, got in zip(rows, scales, integrate_adaptive(integrand, 0.0, 1.0, cfgs)):
+    for i, k, got in zip(live, scales, integrate_adaptive(integrand, 0.0, 1.0, cfgs)):
         out[i] = got if isinstance(got, QuadratureToleranceError) else (k * got[0], k * got[1])
     return out
 
 
 def _one(f: FunctionModel, alpha: float, origin: float, x: float, cfg) -> tuple[float, float]:
-    got = rl_batch_with_error(f, alpha, [(origin, x)], cfg)[0]
-    if isinstance(got, QuadratureToleranceError):
+    got = rl_batch_with_error(f, [(alpha, origin, x)], cfg)[0]
+    if isinstance(got, Exception):
         raise got
     return got
 

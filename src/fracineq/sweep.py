@@ -24,7 +24,9 @@ Each piece of a sweep's work runs at the loop level where its inputs change:
 
 - per family: f', and |f'| at the points t21..t24 read (x, a, b and the
   midpoints (x+a)/2 and (x+b)/2) for each x; the weights for each (alpha, x);
-- per (family, alpha): the lhs of every x, in one quadrature batch;
+- per family: the lhs of every (alpha, x), in one quadrature batch at the
+  first alpha; an alpha that fails raises only where the loop reaches it;
+  and the sandwich's mean integral, which does not depend on s;
 - per (family, s, q): one domain check and each bound's certificate, both at
   the first point whose lhs succeeded and in record order there, so a bad
   grid raises the same first error as a check per record would, and a
@@ -66,15 +68,15 @@ from .hh_core import (
     ProblemInstance,
     TheoremId,
     _ratio,
+    _sandwich,
     abs_deriv_values,
     bound_weights,
     c1_c2,
     c3_root,
     conjugate_exponent,
-    hh_sandwich_with_error,
     identity_lhs_batch,
 )
-from .rlint import DEFAULT_CONFIG, QuadratureConfig
+from .rlint import DEFAULT_CONFIG, QuadratureConfig, integrate_adaptive
 
 __all__ = [
     "CSV_COLUMNS",
@@ -238,6 +240,33 @@ def _error_record(
     )
 
 
+def _lhs_by_alpha(f: FunctionModel, alphas, xs: list[float], cfg: QuadratureConfig) -> dict:
+    """alpha -> the (|lhs|, error_estimate) or QuadratureToleranceError of
+    each x, from one quadrature batch for every alpha, or the error that
+    alpha alone raises (its domain check, or an overflow)."""
+    by_alpha: dict = {}
+    insts: list = []
+    for alpha in dict.fromkeys(alphas):
+        try:
+            insts += [ProblemInstance(f, f.lo, f.hi, x, alpha, 1.0) for x in xs]
+        except DomainError as exc:
+            by_alpha[alpha] = exc
+    entries = iter(identity_lhs_batch(insts, cfg) if insts else ())
+    for alpha in dict.fromkeys(alphas):
+        if alpha in by_alpha:
+            continue
+        row = [next(entries) for _ in xs]
+        # an alpha that fails as a whole gives each of its x the same error
+        if isinstance(row[0], Exception) and not isinstance(row[0], QuadratureToleranceError):
+            by_alpha[alpha] = row[0]
+        else:
+            by_alpha[alpha] = [
+                got if isinstance(got, QuadratureToleranceError) else (abs(got[0]), got[1])
+                for got in row
+            ]
+    return by_alpha
+
+
 def run_sweep(
     grid: SweepGrid,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -278,15 +307,15 @@ def run_sweep(
         return cert_cache[key]
 
     def lhs(fid, f, alpha, xs):
-        # every x of a (family, alpha) in one quadrature batch
-        key = (fid, alpha)
-        if key not in lhs_cache:
-            insts = [ProblemInstance(f, f.lo, f.hi, x, alpha, 1.0) for x in xs]
-            lhs_cache[key] = [
-                got if isinstance(got, QuadratureToleranceError) else (abs(got[0]), got[1])
-                for got in identity_lhs_batch(insts, cfg)
-            ]
-        return lhs_cache[key]
+        # the family's first call integrates every (alpha, x) in one batch;
+        # an alpha that failed raises here, where the loop first reaches it,
+        # so a bad grid still ends in its first error
+        if fid not in lhs_cache:
+            lhs_cache[fid] = _lhs_by_alpha(f, grid.alphas, xs, cfg)
+        got = lhs_cache[fid][alpha]
+        if isinstance(got, Exception):
+            raise got
+        return got
 
     for fid, f in grid.families:
         a, b = f.lo, f.hi
@@ -302,23 +331,29 @@ def run_sweep(
                 for alpha in grid.alphas
                 for x in xs
             }
+        integral = None  # int_a^b f for the sandwich, or its error
         for s in grid.svals:
             if TheoremId.HH11 in grid.theorems:
                 c = cert(fid, f, fp, s, "f", "convex", None)
-                try:
-                    (left, mid, right), err = hh_sandwich_with_error(f, a, b, s, cfg)
+                if integral is None:
+                    try:
+                        integral = integrate_adaptive(f.evaluate, a, b, cfg)
+                    except QuadratureToleranceError as exc:
+                        integral = exc
+                if isinstance(integral, QuadratureToleranceError):
+                    records.append(
+                        _error_record(
+                            TheoremId.HH11, fid, None, s, None, None, None,
+                            integral.error_estimate,
+                        )
+                    )
+                else:
+                    (left, mid, right), err = _sandwich(f, a, b, s, integral)
                     records.append(
                         SweepRecord(
                             TheoremId.HH11.value, fid, None, s, None, None, None,
                             mid, right, min(right - mid, mid - left), _ratio(mid, right),
                             c.verdict, err, c.kind,
-                        )
-                    )
-                except QuadratureToleranceError as exc:
-                    records.append(
-                        _error_record(
-                            TheoremId.HH11, fid, None, s, None, None, None,
-                            exc.error_estimate,
                         )
                     )
             if not bound_thms:

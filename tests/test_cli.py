@@ -337,6 +337,47 @@ def test_hostile_q_grid_ends_in_its_first_error(q, theorems, err, capsys, tmp_pa
     assert stderr.startswith(f"error: {err}") and stderr.count("\n") == 1
 
 
+_HOSTILE_ALPHA_CONFIG = """\
+alphas = {alphas}
+svals = 0.5, 1
+xfracs = 0, 0.25, 1
+qvals = 2, {q}
+theorems = t21, t22, t23, t24, hh
+family.u2 = 1*(u-0)^2 on [0,1]
+family.wide = 1*(u-0)^2 on [0,1000]
+"""
+
+_OVERFLOW = "inputs overflow floating point"
+
+
+@pytest.mark.parametrize(
+    "alphas, q, err",
+    [
+        # a sweep integrates every alpha of a family in one batch, yet an
+        # alpha that fails raises only where the loop reaches it: after the
+        # (s, q) checks of the alphas before it
+        ("0.5, 200", "1e17", "p must satisfy p > 1, got 1.0"),
+        ("200, 0.5", "1e17", _OVERFLOW),
+        ("0.5, 200", "3", _OVERFLOW),
+        ("0.5, inf", "1e17", "p must satisfy p > 1, got 1.0"),
+        ("inf, 0.5", "1e17", "alpha must be finite"),
+        ("0.5, inf", "3", "alpha must be finite"),
+        # alpha = 200 overflows Gamma(alpha + 1) on every family; 120 only
+        # the boundary terms (b - x)^alpha of the wide one, which comes second
+        ("120, 0.5", "1e17", "p must satisfy p > 1, got 1.0"),
+        ("0.5, 120", "3", _OVERFLOW),
+    ],
+)
+def test_hostile_alpha_grid_ends_in_its_first_error(alphas, q, err, capsys, tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(_HOSTILE_ALPHA_CONFIG.format(alphas=alphas, q=q))
+    code = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+    out, stderr = capsys.readouterr()
+    assert code == cli.ExitCode.USAGE
+    assert out == ""
+    assert stderr.startswith(f"error: {err}") and stderr.count("\n") == 1
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert cli.main([]) == cli.ExitCode.USAGE

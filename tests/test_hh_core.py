@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fracineq.hh_core as hh_core
-from fracineq.errors import DomainError
+from fracineq.errors import DomainError, QuadratureToleranceError
 from fracineq.funcmodel import FunctionModel, parse_function
 from fracineq.hh_core import (
     BOUNDS,
@@ -142,6 +142,51 @@ class TestIdentity:
         t = np.random.default_rng(7).random(20_000)
         pw = np.power(t, alpha)
         assert np.array_equal(-1.0 * (pw - 1.0), 1.0 - pw)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("x", [0.0, 0.01, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            QuadratureConfig(),
+            QuadratureConfig(max_subdivisions=1),
+            QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15),
+        ],
+        ids=["default", "one-split", "tight"],
+    )
+    def test_rhs_batch_equals_each_side_alone(self, u15, alpha, x, cfg):
+        # the two weighted f' integrals are one batch; each side must equal
+        # its own single integral, and a failure raise the a side's first
+        a, b = u15.lo, u15.hi
+        x = a + x * (b - a)
+        fp = u15.derivative()
+        total, err, expect = 0.0, 0.0, None
+        for end, sign in ((a, 1.0), (b, -1.0)):
+            w = abs(x - end) ** (alpha + 1.0) / (b - a)
+            if w == 0.0:
+                continue
+            lo, hi = sorted((x, end))
+            try:
+                val, e = integrate_adaptive(
+                    lambda t: sign
+                    * (np.power(t, alpha) - 1.0)
+                    * fp.evaluate(np.clip(t * x + (1.0 - t) * end, lo, hi)),
+                    0.0, 1.0, cfg,
+                )
+            except QuadratureToleranceError as exc:
+                expect = exc
+                break
+            total += w * val
+            err += w * e
+        inst = ProblemInstance(u15, a, b, x, alpha, 1.0)
+        if expect is None:
+            assert identity_rhs_with_error(inst, cfg) == (total, err)
+        else:
+            with pytest.raises(QuadratureToleranceError) as got:
+                identity_rhs_with_error(inst, cfg)
+            assert (got.value.value, got.value.error_estimate, str(got.value)) == (
+                expect.value, expect.error_estimate, str(expect),
+            )
 
     def test_shifted_interval(self):
         f = parse_function("1*(u--1)^2 + 2*(u-0)^1 on [1,3]")

@@ -275,6 +275,16 @@ class Counted:
         return self.fn(v)
 
 
+def _by_row(fns):
+    """A batch integrand whose row r is the single integrand fns[r]: each
+    call receives a RowNodes v and evaluates only the rows in v.rows."""
+    def fn(v):
+        assert isinstance(v, rlint.RowNodes) and v.shape[0] == len(v.rows)
+        return np.stack([fns[r](np.asarray(row)) for r, row in zip(v.rows, v)])
+
+    return fn
+
+
 def _kinked(alpha, x=0.8):
     # u^1.3 under the left operator's substitution at order alpha
     f = parse_function("1*(u-0)^1.3 on [0,1]")
@@ -340,7 +350,7 @@ class TestExactAgainstReference:
         names = ["kinked-0.3", "kinked-0.7", "kinked-2.5"]
         rows = [EXACT_CASES[n][0] for n in names] + [lambda u: np.exp(-u) * np.cos(3.0 * u)]
         cfgs = [QuadratureConfig(nodes_per_panel=nodes)] * len(rows)
-        counted = Counted(lambda v: np.stack([g(v) for g in rows]))
+        counted = Counted(_by_row(rows))
         got = integrate_adaptive(counted, 0.0, 1.0, cfgs)
         splits = 0
         for g, c, row in zip(rows, cfgs, got):
@@ -378,6 +388,28 @@ class TestExactAgainstReference:
         integrate_adaptive(fn, 0.0, 1.0)
         assert sizes[0] == 3 * 15
         assert len(sizes) > 1 and set(sizes[1:]) == {4 * 15}
+
+    def test_each_batch_call_is_each_split_rows_own_quarter_panels(self):
+        # the first call gives every row the same three panels; each later
+        # one gives each row that splits its own four quarters, in C order
+        rows = [_kinked(0.3), _kinked(2.5), EXACT_CASES["smooth"][0]]
+        calls = []
+
+        def fn(v):
+            assert v.flags.c_contiguous
+            calls.append((list(v.rows), v.shape, np.array(v)))
+            return _by_row(rows)(v)
+
+        got = integrate_adaptive(fn, 0.0, 1.0, [DEFAULT_CONFIG] * 3)
+        assert got == [_ref_integrate(g, 0.0, 1.0) for g in rows]
+        (sel, shape, v), *later = calls
+        assert (sel, shape) == ([0, 1, 2], (3, 3 * 15)) and (v == v[0]).all()
+        assert later and all(shape == (len(sel), 4 * 15) for sel, shape, _ in later)
+        # a row leaves the batch when it converges and never comes back
+        for (sel, *_), (after, *_) in zip(later, later[1:]):
+            assert set(after) <= set(sel) and after == sorted(after)
+        # the rows of one call split different panels: the nodes differ
+        assert any(len(sel) > 1 and not (v == v[0]).all() for sel, _, v in later)
 
 
 class TestNonFiniteIntegrand:
@@ -475,13 +507,21 @@ BATCH_CONFIGS = [
 ]
 
 
-def _check_identity_batch(batch, cfg):
+def _check_identity_batch(batch, cfg, alphas=None):
     # both sides of the identity at every x: right integrals toward lo,
-    # left integrals toward hi, and zero-span rows at the endpoints
+    # left integrals toward hi, and zero-span rows at the endpoints; with
+    # several alphas, every (alpha, x) of a family in one batch
     f, alpha, xs = batch
-    pairs = [p for x in xs for p in ((x, f.lo), (x, f.hi))]
-    for (origin, x), got in zip(pairs, rl_batch_with_error(f, alpha, pairs, cfg)):
-        _assert_same(got, _ref_rl(f, alpha, origin, x, cfg))
+    rows = [
+        (a, origin, at)
+        for a in alphas or [alpha]
+        for origin in xs
+        for at in (f.lo, f.hi)
+    ]
+    got = rl_batch_with_error(f, rows, cfg)
+    assert len(got) == len(rows)
+    for (a, origin, x), row in zip(rows, got):
+        _assert_same(row, _ref_rl(f, a, origin, x, cfg))
 
 
 class TestBatch:
@@ -496,6 +536,72 @@ class TestBatch:
     def test_each_row_equals_the_reference_at_other_node_counts(self, nodes, batch):
         _check_identity_batch(batch, QuadratureConfig(nodes_per_panel=nodes))
 
+    # numpy computes x^2.0 and x^0.5 as a square and a square root, so these
+    # orders (exponents 1/alpha of 4, 2, 1, 0.5 and 0.25) pin that each
+    # alpha's exponent reaches np.power as a Python float
+    SPECIAL_ALPHAS = [0.25, 0.5, 1.0, 2.0, 4.0]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        _identity_batches(),
+        st.lists(st.floats(min_value=0.1, max_value=5.0), max_size=3),
+        st.randoms(use_true_random=False),
+        st.sampled_from(BATCH_CONFIGS),
+    )
+    def test_a_family_batch_of_several_alphas_equals_each_row_alone(
+        self, batch, drawn, rnd, cfg
+    ):
+        # one batch for every (alpha, x) of a family, alphas in drawn order
+        alphas = [batch[1], *self.SPECIAL_ALPHAS, *drawn]
+        rnd.shuffle(alphas)
+        _check_identity_batch(batch, cfg, alphas)
+
+    @pytest.mark.parametrize("alpha", SPECIAL_ALPHAS)
+    def test_a_batch_of_one_special_alpha_equals_each_row_alone(self, alpha):
+        # one alpha takes the integrand's one-np.power path
+        f = parse_function("0.6666666666666666*(u-0)^1.5 + 2*(u--0.5)^0.7 on [0,1]")
+        _check_identity_batch((f, alpha, [0.0, 0.01, 0.3, 0.77, 1.0]), DEFAULT_CONFIG)
+
+    def test_an_integrand_given_a_broadcast_view_keeps_its_bits(self, u15):
+        # every row's first three panels are the same nodes; given them as a
+        # broadcast view (stride 0 across rows) rather than laid out in C
+        # order, the integrand must return the same bits
+        rows = [(a, o, x) for a in self.SPECIAL_ALPHAS for o, x in ((0.4, 0.01), (0.4, 1.0))]
+        integrands = []
+        real = rlint.integrate_adaptive
+
+        def spy(fn, lo, hi, cfgs):
+            integrands.append(fn)
+            return real(fn, lo, hi, cfgs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rlint, "integrate_adaptive", spy)
+            got = rl_batch_with_error(u15, rows, DEFAULT_CONFIG)
+        for (a, o, x), row in zip(rows, got):
+            _assert_same(row, _ref_rl(u15, a, o, x, DEFAULT_CONFIG))
+        nodes, _ = rlint._leggauss(15)
+        panel = np.concatenate([0.5 + 0.5 * nodes, 0.25 + 0.25 * nodes, 0.75 + 0.25 * nodes])
+        shared = np.broadcast_to(panel, (len(rows), panel.size)).view(rlint.RowNodes)
+        # C order by request: np.array of a broadcast view lays it out in F order
+        dense = np.array(shared, order="C").view(rlint.RowNodes)
+        for v in (shared, dense):
+            v.rows = list(range(len(rows)))
+        assert shared.strides[0] == 0 and dense.flags.c_contiguous
+        out = integrands[0](shared)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == integrands[0](dense).tobytes()
+
+    def test_an_overflowing_scale_fails_its_row_alone(self):
+        # |x - o|^alpha / Gamma(alpha + 1) past the float range
+        f = parse_function("1*(u-0)^0 on [0,1e300]")
+        rows = [(2.0, 0.0, 1e300), (2.0, 0.0, 1.0), (0.5, 1e300, 0.0)]
+        got = rl_batch_with_error(f, rows, DEFAULT_CONFIG)
+        assert isinstance(got[0], OverflowError)
+        for (a, o, x), row in zip(rows[1:], got[1:]):
+            _assert_same(row, _ref_rl(f, a, o, x, DEFAULT_CONFIG))
+        with pytest.raises(OverflowError):
+            rl_left_with_error(f, 0.0, 2.0, 1e300)
+
     def test_a_row_turning_nan_fails_alone(self):
         rows = [_kinked(0.7), _kinked(0.3), EXACT_CASES["oscillatory"][0]]
         cfgs = [DEFAULT_CONFIG, DEFAULT_CONFIG, QuadratureConfig(max_subdivisions=20000)]
@@ -503,9 +609,9 @@ class TestBatch:
 
         def fn(v):
             calls.append(v.size)
-            out = np.stack([g(v) for g in rows])
-            if len(calls) >= 3:
-                out[1] = math.nan
+            out = _by_row(rows)(v)
+            if len(calls) >= 3 and 1 in v.rows:
+                out[v.rows.index(1)] = math.nan
             return out
 
         got = integrate_adaptive(fn, 0.0, 1.0, cfgs)
@@ -518,16 +624,19 @@ class TestBatch:
     def test_rows_keep_their_own_tolerance(self):
         rows = [_kinked(0.3), _kinked(2.5)]
         cfgs = [DEFAULT_CONFIG, QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)]
-        sizes = []
+        shapes = []
 
         def fn(v):
-            sizes.append(v.size)
-            return np.stack([g(v) for g in rows])
+            shapes.append((list(v.rows), v.shape))
+            return _by_row(rows)(v)
 
         got = integrate_adaptive(fn, 0.0, 1.0, cfgs)
         assert got == [_ref_integrate(g, 0.0, 1.0, c) for g, c in zip(rows, cfgs)]
         assert got[1] != _ref_integrate(rows[1], 0.0, 1.0)
-        assert sizes[0] == 3 * 15 and all(n % (4 * 15) == 0 for n in sizes[1:])
+        assert shapes[0] == ([0, 1], (2, 3 * 15))
+        assert all(shape == (len(sel), 4 * 15) for sel, shape in shapes[1:])
+        # the tighter row refines on alone once the other has converged
+        assert shapes[-1][0] == [1]
 
     def test_empty_interval_batch(self):
         assert integrate_adaptive(np.sin, 2.0, 2.0, [DEFAULT_CONFIG] * 3) == [(0.0, 0.0)] * 3
@@ -558,11 +667,37 @@ class TestBatchWork:
         monkeypatch.setattr(rlint, "integrate_adaptive", counted)
         return rows
 
-    def test_sweep_makes_one_call_per_family_and_alpha(self, batches):
+    def test_sweep_makes_one_call_per_family(self, batches):
         records = run_sweep(grid_from_config_text(WORK_GRID))
         assert len(records) == 2 * 2 * (1 + 3 * 4 * 2)
-        # four x per batch, two sides each, less the zero spans at both ends
-        assert batches == [2 * 4 - 2] * (2 * 3)
+        # three alphas, four x each, two sides each, less the zero spans at
+        # both ends
+        assert batches == [3 * (2 * 4 - 2)] * 2
+
+    def test_a_family_batch_refines_its_rows_together(self, u2, monkeypatch):
+        # the rounds of one batch are its slowest row's, not the sum over alphas
+        calls = []
+        real = rlint.integrate_adaptive
+
+        def counted(fn, lo, hi, cfg):
+            def count(v):
+                calls.append(len(v.rows))
+                return fn(v)
+
+            return real(count, lo, hi, cfg)
+
+        monkeypatch.setattr(rlint, "integrate_adaptive", counted)
+        rows = [(a, x, end) for a in (0.5, 1.0, 2.5) for x in (0.3, 0.8) for end in (0.0, 1.0)]
+        rl_batch_with_error(u2, rows)
+        alone = []
+        for row in rows:
+            del calls[:]
+            rl_batch_with_error(u2, [row])
+            alone.append(len(calls))
+        del calls[:]
+        rl_batch_with_error(u2, rows)
+        assert len(calls) == max(alone) < sum(alone)
+        assert sum(calls) == sum(alone)
 
     @pytest.mark.parametrize("x,rows", [(0.4, 2), (0.0, 1), (1.0, 1)])
     def test_identity_makes_one_call_per_instance(self, batches, u2, x, rows):

@@ -178,6 +178,20 @@ class TestRunSweep:
         assert summary.errors == 4
         assert summary.violations == 0
 
+    def test_sandwich_integrates_once_per_family(self, monkeypatch):
+        # int_a^b f does not depend on s: one integral per family, not per s
+        calls = []
+        real = sweep_module.integrate_adaptive
+
+        def counted(fn, lo, hi, cfg):
+            calls.append((lo, hi))
+            return real(fn, lo, hi, cfg)
+
+        monkeypatch.setattr(sweep_module, "integrate_adaptive", counted)
+        records = run_sweep(_tiny_grid(), samples=256)
+        assert calls == [(0.0, 1.0)] * 2
+        assert sum(r.theorem_id == "HH11" for r in records) == 2 * 2
+
     def test_sandwich_only_grid_needs_no_derivative(self):
         # f' = u^(-1/2)/2 is unbounded at 0, but the sandwich never reads f'
         g = SweepGrid(
@@ -325,9 +339,13 @@ def _reference_sweep(grid, cfg=DEFAULT_CONFIG, seed=0, samples=CERT_SAMPLES):
     def lhs(fid, f, alpha, xs):
         if (fid, alpha) not in lhs_cache:
             insts = [ProblemInstance(f, f.lo, f.hi, x, alpha, 1.0) for x in xs]
+            row = identity_lhs_batch(insts, cfg)
+            # an overflow fails the whole alpha, as identity_lhs_with_error raises it
+            if isinstance(row[0], Exception) and not isinstance(row[0], QuadratureToleranceError):
+                raise row[0]
             lhs_cache[fid, alpha] = [
                 got if isinstance(got, QuadratureToleranceError) else (abs(got[0]), got[1])
-                for got in identity_lhs_batch(insts, cfg)
+                for got in row
             ]
         return lhs_cache[fid, alpha]
 
@@ -403,6 +421,15 @@ _ORACLE_GRIDS = {
     "t21-only": (replace(_rhs_grid(), theorems=(TheoremId.T21,)), DEFAULT_CONFIG),
     "holder-only": (replace(_rhs_grid(), theorems=(TheoremId.T22, TheoremId.T24)), DEFAULT_CONFIG),
     "sandwich-only": (replace(_rhs_grid(), theorems=(TheoremId.HH11,)), DEFAULT_CONFIG),
+    # the kink of u^0.5 at 0 fails the one-split sandwich integral at every s
+    "failing-sandwich": (
+        replace(
+            _rhs_grid(),
+            families=(("root", parse_function("1*(u-0)^0.5 on [0,1]")), *_rhs_grid().families),
+            theorems=(TheoremId.HH11,),
+        ),
+        _FAILING_CFG,
+    ),
     "tiny": (_tiny_grid(), DEFAULT_CONFIG),
 }
 
@@ -418,6 +445,40 @@ class TestRecordLoopAgainstOracle:
         if name == "failing-lhs":
             failed = sum(math.isnan(r.lhs) for r in got)
             assert 0 < failed < len(got)
+        if name == "failing-sandwich":
+            # one error row per s, each with the failed integral's estimate
+            failed = [r for r in got if math.isnan(r.lhs)]
+            assert 0 < len(failed) < len(got)
+            for fid in {r.family_id for r in failed} | {"root"}:
+                rows = [r for r in failed if r.family_id == fid]
+                assert [r.s for r in rows] == list(grid.svals)
+                assert rows[0].quad_error_est == rows[1].quad_error_est > 0.0
+
+    @pytest.mark.parametrize(
+        "alphas, qvals",
+        [
+            ((0.5, 200.0), (2.0, 1e17)),
+            ((200.0, 0.5), (2.0, 1e17)),
+            ((0.5, 200.0), (2.0,)),
+            ((0.5, math.inf), (1e17,)),
+            ((math.inf, 0.5), (1e17,)),
+            ((0.5, 120.0, 2.0), (2.0,)),
+        ],
+    )
+    def test_a_failing_alpha_raises_the_oracles_first_error(self, alphas, qvals):
+        # one lhs batch per family, yet each alpha's error is raised where
+        # the per-record loop raises it
+        grid = replace(
+            _rhs_grid(),
+            alphas=alphas,
+            qvals=qvals,
+            families=(*_rhs_grid().families, ("wide", parse_function("1*(u-0)^2 on [0,1000]"))),
+        )
+        with pytest.raises(Exception) as want:
+            _reference_sweep(grid, samples=64)
+        with pytest.raises(type(want.value)) as got:
+            run_sweep(grid, samples=64)
+        assert str(got.value) == str(want.value)
 
     def test_every_id_grid_has_certificates_that_differ_by_q(self):
         # |f'|^q of u15 is u^(q/2): a rule proves it convex at q = 3, and
