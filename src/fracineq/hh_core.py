@@ -267,6 +267,8 @@ def identity_lhs_batch(
     overflow fails as a whole: each of its instances carries the
     OverflowError a batch of that alpha alone raises first.
     """
+    if not insts:
+        return []
     f, a, b = insts[0].f, insts[0].a, insts[0].b
     if any((i.f, i.a, i.b) != (f, a, b) for i in insts):
         raise DomainError("a batch of identity instances shares f, a and b")

@@ -251,7 +251,7 @@ def _lhs_by_alpha(f: FunctionModel, alphas, xs: list[float], cfg: QuadratureConf
             insts += [ProblemInstance(f, f.lo, f.hi, x, alpha, 1.0) for x in xs]
         except DomainError as exc:
             by_alpha[alpha] = exc
-    entries = iter(identity_lhs_batch(insts, cfg) if insts else ())
+    entries = iter(identity_lhs_batch(insts, cfg))
     for alpha in dict.fromkeys(alphas):
         if alpha in by_alpha:
             continue

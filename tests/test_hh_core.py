@@ -23,6 +23,7 @@ from fracineq.hh_core import (
     hh_sandwich,
     hh_sandwich_with_error,
     identity_lhs,
+    identity_lhs_batch,
     identity_lhs_with_error,
     identity_rhs,
     identity_rhs_with_error,
@@ -187,6 +188,9 @@ class TestIdentity:
             assert (got.value.value, got.value.error_estimate, str(got.value)) == (
                 expect.value, expect.error_estimate, str(expect),
             )
+
+    def test_an_empty_batch_is_an_empty_list(self):
+        assert identity_lhs_batch([]) == []
 
     def test_shifted_interval(self):
         f = parse_function("1*(u--1)^2 + 2*(u-0)^1 on [1,3]")

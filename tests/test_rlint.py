@@ -5,15 +5,18 @@ rule for monomials, and direct high-precision evaluation of the singular
 kernel integral with mpmath.
 """
 
+import functools
 import heapq
 import math
+import random
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracineq.rlint as rlint
@@ -285,6 +288,23 @@ def _by_row(fns):
     return fn
 
 
+def _square(u):
+    return u * u
+
+
+# the two refinement loops: a batch of rlint.TABLE_ROWS rows or more refines
+# as one table, a narrower one with a heap per row; a test run at the table's
+# width adds u^2 rows, which converge on their first panels and leave
+LOOPS = pytest.mark.parametrize("width", [0, rlint.TABLE_ROWS], ids=["heaps", "table"])
+
+
+def _pad(rows, cfgs, width):
+    """rows and their configs, widened to ``width`` rows with u^2 rows."""
+    more = max(width - len(rows), 0)
+    pad = QuadratureConfig(nodes_per_panel=cfgs[0].nodes_per_panel)
+    return rows + [_square] * more, cfgs + [pad] * more
+
+
 def _kinked(alpha, x=0.8):
     # u^1.3 under the left operator's substitution at order alpha
     f = parse_function("1*(u-0)^1.3 on [0,1]")
@@ -345,11 +365,12 @@ class TestExactAgainstReference:
         assert ref.calls == 3 + 6 * splits
         assert new.calls == 1 + splits
 
+    @LOOPS
     @pytest.mark.parametrize("nodes", (15, *OTHER_NODES))
-    def test_batch_rows_and_calls(self, nodes):
+    def test_batch_rows_and_calls(self, nodes, width):
         names = ["kinked-0.3", "kinked-0.7", "kinked-2.5"]
         rows = [EXACT_CASES[n][0] for n in names] + [lambda u: np.exp(-u) * np.cos(3.0 * u)]
-        cfgs = [QuadratureConfig(nodes_per_panel=nodes)] * len(rows)
+        rows, cfgs = _pad(rows, [QuadratureConfig(nodes_per_panel=nodes)] * len(rows), width)
         counted = Counted(_by_row(rows))
         got = integrate_adaptive(counted, 0.0, 1.0, cfgs)
         splits = 0
@@ -378,6 +399,43 @@ class TestExactAgainstReference:
         assert str(got.value) == str(expect.value)
         assert counted.calls == 1 + 3
 
+    @LOOPS
+    @pytest.mark.parametrize("name", ["kinked-0.3", "kinked-0.7", "oscillatory", "singular"])
+    def test_budget_exhaustion_payload_in_a_batch(self, name, width):
+        fn, lo, hi = EXACT_CASES.get(name, (_singular, 0.0, 1.0))
+        cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=3)
+        with pytest.raises(QuadratureToleranceError) as expect:
+            _ref_integrate(fn, lo, hi, cfg)
+        rows, cfgs = _pad([fn], [cfg], width)
+        counted = Counted(_by_row(rows))
+        got = integrate_adaptive(counted, lo, hi, cfgs)
+        _assert_same(got[0], expect.value)
+        assert got[1:] == [_ref_integrate(_square, lo, hi)] * (len(rows) - 1)
+        assert counted.calls == 1 + 3
+
+    @LOOPS
+    def test_a_panel_at_floating_point_resolution_fails_its_row(self, width):
+        # on [1, 1 + 4 ulp] the noise leaves an error sum over tolerance
+        # once every panel is one ulp wide, so the next split finds no
+        # midpoint strictly inside its panel, long before the budget
+        lo, hi = 1.0, 1.0 + 4 * math.ulp(1.0)
+
+        def noise(u):
+            return 3.7 * np.sin(1e20 * u) + math.pi
+
+        cfg = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300, max_subdivisions=1000)
+        ref = Counted(noise)
+        with pytest.raises(QuadratureToleranceError) as expect:
+            _ref_integrate(ref, lo, hi, cfg)
+        splits = (ref.calls - 3) // 6
+        assert splits < cfg.max_subdivisions
+        rows, cfgs = _pad([noise], [cfg], width)
+        counted = Counted(_by_row(rows))
+        got = integrate_adaptive(counted, lo, hi, cfgs)
+        _assert_same(got[0], expect.value)
+        assert got[1:] == [_ref_integrate(_square, lo, hi)] * (len(rows) - 1)
+        assert counted.calls == 1 + splits
+
     def test_each_call_is_whole_panels(self):
         sizes = []
 
@@ -389,10 +447,13 @@ class TestExactAgainstReference:
         assert sizes[0] == 3 * 15
         assert len(sizes) > 1 and set(sizes[1:]) == {4 * 15}
 
-    def test_each_batch_call_is_each_split_rows_own_quarter_panels(self):
+    @LOOPS
+    def test_each_batch_call_is_each_split_rows_own_quarter_panels(self, width):
         # the first call gives every row the same three panels; each later
         # one gives each row that splits its own four quarters, in C order
-        rows = [_kinked(0.3), _kinked(2.5), EXACT_CASES["smooth"][0]]
+        rows, cfgs = _pad(
+            [_kinked(0.3), _kinked(2.5), EXACT_CASES["smooth"][0]], [DEFAULT_CONFIG] * 3, width
+        )
         calls = []
 
         def fn(v):
@@ -400,10 +461,11 @@ class TestExactAgainstReference:
             calls.append((list(v.rows), v.shape, np.array(v)))
             return _by_row(rows)(v)
 
-        got = integrate_adaptive(fn, 0.0, 1.0, [DEFAULT_CONFIG] * 3)
+        got = integrate_adaptive(fn, 0.0, 1.0, cfgs)
         assert got == [_ref_integrate(g, 0.0, 1.0) for g in rows]
         (sel, shape, v), *later = calls
-        assert (sel, shape) == ([0, 1, 2], (3, 3 * 15)) and (v == v[0]).all()
+        n = len(rows)
+        assert (sel, shape) == (list(range(n)), (n, 3 * 15)) and (v == v[0]).all()
         assert later and all(shape == (len(sel), 4 * 15) for sel, shape, _ in later)
         # a row leaves the batch when it converges and never comes back
         for (sel, *_), (after, *_) in zip(later, later[1:]):
@@ -469,6 +531,41 @@ def _ref_rl(f, alpha, origin, x, cfg):
     except QuadratureToleranceError as exc:
         return exc
     return scale * value, scale * err
+
+
+# the rows and configs of the mixed-width batches
+MIXED_ROWS = [
+    _square,
+    _kinked(0.3),
+    _kinked(2.5),
+    EXACT_CASES["smooth"][0],
+    EXACT_CASES["oscillatory"][0],
+    lambda u: u**-0.4,
+    lambda u: np.sign(u - 1.0 / 3.0),
+]
+MIXED_CONFIGS = [
+    DEFAULT_CONFIG,
+    QuadratureConfig(max_subdivisions=1),
+    QuadratureConfig(max_subdivisions=3),
+    QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=200),
+    QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300, max_subdivisions=80),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _mixed_reference(row, cfg):
+    try:
+        return _ref_integrate(MIXED_ROWS[row], 0.0, 1.0, MIXED_CONFIGS[cfg])
+    except QuadratureToleranceError as exc:
+        return exc
+
+
+def _bits(got):
+    """A result as text, each float by its repr: NaN matches NaN, and -0.0
+    does not match 0.0."""
+    if isinstance(got, tuple):
+        return repr(got)
+    return repr((type(got), got.value, got.error_estimate, got.tolerance, str(got)))
 
 
 def _assert_same(got, expect):
@@ -602,9 +699,13 @@ class TestBatch:
         with pytest.raises(OverflowError):
             rl_left_with_error(f, 0.0, 2.0, 1e300)
 
-    def test_a_row_turning_nan_fails_alone(self):
-        rows = [_kinked(0.7), _kinked(0.3), EXACT_CASES["oscillatory"][0]]
-        cfgs = [DEFAULT_CONFIG, DEFAULT_CONFIG, QuadratureConfig(max_subdivisions=20000)]
+    @LOOPS
+    def test_a_row_turning_nan_fails_alone(self, width):
+        rows, cfgs = _pad(
+            [_kinked(0.7), _kinked(0.3), EXACT_CASES["oscillatory"][0]],
+            [DEFAULT_CONFIG, DEFAULT_CONFIG, QuadratureConfig(max_subdivisions=20000)],
+            width,
+        )
         calls = []
 
         def fn(v):
@@ -619,11 +720,44 @@ class TestBatch:
         assert "non-finite value" in str(got[1])
         assert got[0] == _ref_integrate(rows[0], 0.0, 1.0)
         assert got[2] == _ref_integrate(rows[2], 0.0, 1.0, cfgs[2])
+        assert got[3:] == [_ref_integrate(_square, 0.0, 1.0)] * (len(rows) - 3)
         assert len(calls) > 3  # the other rows went on refining
 
-    def test_rows_keep_their_own_tolerance(self):
-        rows = [_kinked(0.3), _kinked(2.5)]
-        cfgs = [DEFAULT_CONFIG, QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)]
+    @LOOPS
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_opposite_infinities_fail_their_row_without_a_warning(self, width):
+        # the second call returns +inf on the left half of row 0's split
+        # panel and -inf on the right, so the row's new total is inf - inf:
+        # the heap loop's Python floats give NaN without a warning, and the
+        # table's arrays must do the same
+        def batch(width):
+            rows, cfgs = _pad([_kinked(0.3)], [DEFAULT_CONFIG], width)
+            calls = []
+
+            def fn(v):
+                calls.append(v.rows)
+                out = _by_row(rows)(v)
+                if len(calls) == 2:
+                    u = np.asarray(v[0])
+                    out[0] = np.where(u < 0.5 * (u.min() + u.max()), math.inf, -math.inf)
+                return out
+
+            return integrate_adaptive(fn, 0.0, 1.0, cfgs), calls
+
+        (bad, *rest), calls = batch(width)
+        assert isinstance(bad, QuadratureToleranceError) and math.isnan(bad.value)
+        assert "non-finite value" in str(bad)
+        assert len(calls) == 2
+        assert _bits(bad) == _bits(batch(0)[0][0])
+        assert rest == [_ref_integrate(_square, 0.0, 1.0)] * max(width - 1, 0)
+
+    @LOOPS
+    def test_rows_keep_their_own_tolerance(self, width):
+        rows, cfgs = _pad(
+            [_kinked(0.3), _kinked(2.5)],
+            [DEFAULT_CONFIG, QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)],
+            width,
+        )
         shapes = []
 
         def fn(v):
@@ -633,13 +767,92 @@ class TestBatch:
         got = integrate_adaptive(fn, 0.0, 1.0, cfgs)
         assert got == [_ref_integrate(g, 0.0, 1.0, c) for g, c in zip(rows, cfgs)]
         assert got[1] != _ref_integrate(rows[1], 0.0, 1.0)
-        assert shapes[0] == ([0, 1], (2, 3 * 15))
+        assert shapes[0] == (list(range(len(rows))), (len(rows), 3 * 15))
         assert all(shape == (len(sel), 4 * 15) for sel, shape in shapes[1:])
         # the tighter row refines on alone once the other has converged
         assert shapes[-1][0] == [1]
 
     def test_empty_interval_batch(self):
         assert integrate_adaptive(np.sin, 2.0, 2.0, [DEFAULT_CONFIG] * 3) == [(0.0, 0.0)] * 3
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (2.0, 2.0)])
+    def test_an_empty_batch_is_an_empty_list(self, lo, hi):
+        assert integrate_adaptive(np.sin, lo, hi, []) == []
+        assert rl_batch_with_error(parse_function("1*(u-0)^2 on [0,1]"), []) == []
+
+    def test_the_row_count_picks_the_loop(self, monkeypatch):
+        tables = []
+        real = rlint._refine_table
+
+        def spy(fn, lo, hi, cfgs, *rest):
+            tables.append(len(cfgs))
+            return real(fn, lo, hi, cfgs, *rest)
+
+        monkeypatch.setattr(rlint, "_refine_table", spy)
+        for n in (1, 2, rlint.TABLE_ROWS - 1, rlint.TABLE_ROWS, rlint.TABLE_ROWS + 1):
+            got = integrate_adaptive(_by_row([_square] * n), 0.0, 1.0, [DEFAULT_CONFIG] * n)
+            assert got == [_ref_integrate(_square, 0.0, 1.0)] * n
+        assert integrate_adaptive(_square, 0.0, 1.0) == _ref_integrate(_square, 0.0, 1.0)
+        assert tables == [rlint.TABLE_ROWS, rlint.TABLE_ROWS + 1]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.integers(min_value=1, max_value=12),
+            st.integers(min_value=rlint.TABLE_ROWS - 4, max_value=rlint.TABLE_ROWS + 40),
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @example(1, random.Random(0))
+    @example(rlint.TABLE_ROWS, random.Random(0))
+    def test_a_batch_of_any_width_equals_each_row_alone(self, width, rnd):
+        # rows that converge at once, refine or spend their budget, each
+        # under its own tolerances and budget, on both sides of the width
+        # that picks the loop; the reference has no non-finite test, so
+        # test_a_row_turning_nan_fails_alone covers non-finite rows
+        picks = [
+            (rnd.randrange(len(MIXED_ROWS)), rnd.randrange(len(MIXED_CONFIGS)))
+            for _ in range(width)
+        ]
+        got = integrate_adaptive(
+            _by_row([MIXED_ROWS[i] for i, _ in picks]), 0.0, 1.0,
+            [MIXED_CONFIGS[j] for _, j in picks],
+        )
+        assert len(got) == width
+        for (i, j), row in zip(picks, got):
+            assert _bits(row) == _bits(_mixed_reference(i, j))
+
+    def test_a_wide_batch_drops_its_finished_rows(self):
+        # 199 rows converge on their first panels and one spends 2000
+        # splits; a table that kept every row's slots would hold 200 rows x
+        # 4096 slots x 48 bytes, 39 MB
+        n = 200
+        tight = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300, max_subdivisions=2000)
+
+        def last(u):
+            return np.sin(1e3 * u)
+
+        def fn(v):
+            u = np.asarray(v)
+            out = u * u
+            if v.rows[-1] == n - 1:
+                out[-1] = last(u[-1])
+            return out
+
+        expect = _ref_integrate(_square, 0.0, 1.0)
+        ref = Counted(last)
+        with pytest.raises(QuadratureToleranceError) as spent:
+            _ref_integrate(ref, 0.0, 1.0, tight)
+        assert ref.calls == 3 + 6 * 2000
+        tracemalloc.start()
+        try:
+            got = integrate_adaptive(fn, 0.0, 1.0, [DEFAULT_CONFIG] * (n - 1) + [tight])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[:-1] == [expect] * (n - 1)
+        _assert_same(got[-1], spent.value)
+        assert peak < 4 * 2**20
 
 
 WORK_GRID = """\
