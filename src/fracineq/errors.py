@@ -46,7 +46,8 @@ class QuadratureToleranceError(FracineqError, ArithmeticError):
 
     Carries the best available ``value`` and its ``error_estimate`` so callers
     can report how close the integrator got to the requested tolerance.
-    ``reason`` replaces the default "estimated error > tolerance" wording.
+    ``reason`` replaces the default "estimated error > tolerance" wording;
+    it is kept, None for the default.
     """
 
     def __init__(
@@ -56,14 +57,16 @@ class QuadratureToleranceError(FracineqError, ArithmeticError):
         tolerance: float,
         reason: str | None = None,
     ) -> None:
-        if reason is None:
-            reason = f"estimated error {error_estimate:.3e} > tolerance {tolerance:.3e}"
+        wording = reason
+        if wording is None:
+            wording = f"estimated error {error_estimate:.3e} > tolerance {tolerance:.3e}"
         super().__init__(
-            f"quadrature tolerance not met: {reason} (value so far {value!r})"
+            f"quadrature tolerance not met: {wording} (value so far {value!r})"
         )
         self.value = value
         self.error_estimate = error_estimate
         self.tolerance = tolerance
+        self.reason = reason
 
 
 class CsvSchemaError(FracineqError, ValueError):

@@ -15,9 +15,12 @@ covers alpha < 1, = 1 and > 1 uniformly. Panels are refined by halving, with
 the panel error estimated as the difference between the one-panel rule and
 the sum of its two halves; refinement stops when the summed estimate meets
 max(abs_tol, rel_tol*|I|) and fails loudly (QuadratureToleranceError) when
-the subdivision budget runs out or the integrand turns non-finite. Each
-panel keeps its two half values, which are its children's one-panel values,
-so a split evaluates only the four new quarter panels.
+the subdivision budget runs out, the integrand turns non-finite or a panel
+is too narrow to halve, each with its own message. Each panel keeps its two
+half values, which are its children's one-panel values, so a split
+evaluates only the four new quarter panels. Limits so large that a panel's
+lo + hi would overflow are halved once, for fn(2u), and the result doubled:
+both steps are exact there, and no split pays for the test.
 
 A round's panel sums come from one np.dot of its rows x panels x nodes
 values with the weights, not one np.dot per panel. For a 3-D array and a
@@ -120,6 +123,7 @@ DEFAULT_CONFIG = QuadratureConfig()
 TABLE_ROWS = 128
 
 _NON_FINITE = "the integrand returned a non-finite value, or its panel sums overflowed"
+_AT_RESOLUTION = "a panel reached floating-point resolution before the error met the tolerance"
 
 
 @lru_cache(maxsize=16)
@@ -168,9 +172,9 @@ def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
     length and the call returns (value, error_estimate) with the estimate
     driven below max(abs_tol, rel_tol * |value|). It raises
     QuadratureToleranceError when max_subdivisions panel splits cannot reach
-    the tolerance, or at once when the running value or estimate turns
-    non-finite; the exception carries the best value and its achieved
-    estimate.
+    the tolerance, when the panel to split is too narrow to halve, or at
+    once when the running value or estimate turns non-finite; the exception
+    carries the best value and its achieved estimate.
 
     With a sequence of configs, which share nodes_per_panel, fn receives a
     RowNodes v with a row of nodes for each integral in v.rows and returns a
@@ -190,7 +194,32 @@ def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
         raise DomainError("a batch shares one nodes_per_panel")
     if lo == hi:
         return (0.0, 0.0) if single else [(0.0, 0.0)] * len(cfgs)
+    if math.isinf(2.0 * max(-lo, hi)):
+        # a panel's lo + hi, or hi - lo, can overflow: integrate fn(2u) over
+        # [lo/2, hi/2] and double. Halving and doubling are exact at this
+        # size, so fn sees the very nodes of [lo, hi]'s panels. abs_tol
+        # halves with the value, unless that would round it to zero.
+        def at_double(u):
+            v = 2.0 * u
+            if isinstance(u, RowNodes):
+                v.rows = u.rows
+            return fn(v)
 
+        halved = [replace(c, abs_tol=0.5 * c.abs_tol or c.abs_tol) for c in cfgs]
+        halves = _refine(at_double, 0.5 * lo, 0.5 * hi, halved, single)
+        results = [_doubled(got, c) for got, c in zip(halves, cfgs)]
+    else:
+        results = _refine(fn, lo, hi, cfgs, single)
+    if not single:
+        return results
+    if isinstance(results[0], QuadratureToleranceError):
+        raise results[0]
+    return results[0]
+
+
+def _refine(fn, lo, hi, cfgs, single) -> list:
+    """integrate_adaptive's refinement over [lo, hi]: each row's (value,
+    error_estimate) or QuadratureToleranceError."""
     nodes, weights = _leggauss(cfgs[0].nodes_per_panel)
     mid = 0.5 * (lo + hi)
     active = list(range(len(cfgs)))
@@ -232,8 +261,8 @@ def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
                 plo, phi = top[2], top[3]
                 pmid = 0.5 * (plo + phi)
                 if not plo < pmid < phi:
-                    # panel at floating-point resolution; nothing left to refine
-                    results[r] = QuadratureToleranceError(total, total_err, tol)
+                    # nothing left to refine
+                    results[r] = QuadratureToleranceError(total, total_err, tol, _AT_RESOLUTION)
                     continue
                 split.append((r, top))
                 lmid, rmid = 0.5 * (plo + pmid), 0.5 * (pmid + phi)
@@ -263,11 +292,21 @@ def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
             heapq.heappush(heaps[r], (-lerr, seq, plo, pmid, lval, lerr, q1, q2))
             heapq.heappush(heaps[r], (-rerr, seq + 1, pmid, phi, rval, rerr, q3, q4))
         splits += 1
-    if not single:
-        return results
-    if isinstance(results[0], QuadratureToleranceError):
-        raise results[0]
-    return results[0]
+    return results
+
+
+def _doubled(got, cfg: QuadratureConfig):
+    """A row's result on [lo/2, hi/2] as its result on [lo, hi]."""
+    if isinstance(got, QuadratureToleranceError):
+        return QuadratureToleranceError(
+            2.0 * got.value, 2.0 * got.error_estimate, 2.0 * got.tolerance, got.reason
+        )
+    value, err = 2.0 * got[0], 2.0 * got[1]
+    if math.isfinite(value) and math.isfinite(err):
+        return value, err
+    # an integral past the float range fails as a non-finite sum does
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    return QuadratureToleranceError(value, err, tol, _NON_FINITE)
 
 
 def _refine_table(fn, lo, hi, cfgs, first, nodes, weights) -> list:
@@ -318,8 +357,10 @@ def _refine_table(fn, lo, hi, cfgs, first, nodes, weights) -> list:
                         got = QuadratureToleranceError(total, total_err, tol, _NON_FINITE)
                     elif total_err <= tol:
                         got = (total, total_err)
-                    else:  # out of budget, or the panel is at floating-point resolution
+                    elif splits == c.max_subdivisions:
                         got = QuadratureToleranceError(total, total_err, tol)
+                    else:
+                        got = QuadratureToleranceError(total, total_err, tol, _AT_RESOLUTION)
                     results[ids[k]] = got
                 keep = np.flatnonzero(go)
                 if not len(keep):

@@ -39,11 +39,19 @@ Each piece of a sweep's work runs at the loop level where its inputs change:
 Quadrature failures at a single grid point produce error rows (NaN metrics,
 certified false) rather than aborting the sweep.
 
-The output layers cost little beside the sweep: write_csv streams one
-formatted row per record, and formats again only the cells whose object
-differs from the previous row's (by identity, never by value: 0.0 and -0.0
-are equal but print differently); read_csv unpacks each row by position; and
-summarize groups the records by id in one pass.
+A record costs one construction and one read per layer. SweepRecord's
+__init__ stores its fields as items of the instance dict, 3-4x faster than
+the frozen dataclass's object.__setattr__ calls, for 64 more bytes a record;
+run_sweep and read_csv both build records that way. A record with a dict of
+its own loses CPython 3.11's inline-values fast path, which makes each
+attribute read several times slower, so each output layer reads a record's
+fields once: write_csv streams one formatted row per record, and formats
+again only the cells whose object differs from the previous row's (by
+identity, never by value: 0.0 and -0.0 are equal but print differently);
+read_csv unpacks each row by position; summarize counts, tests for a
+violation and groups the records by id in one pass; and render_svg reads
+each drawn point's id, alpha and ratio once, takes its legend from the set
+of drawn ids and formats each alpha's x coordinate once.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ import math
 import zlib
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from operator import attrgetter
 
 from .errors import CsvSchemaError, DomainError, ParseError, QuadratureToleranceError
 from .funcmodel import (
@@ -121,6 +130,8 @@ _THEOREM_ORDER = (*FRACTIONAL_BOUNDS, TheoremId.HH11)
 
 _SHRINK_FRACTION = 1e-9
 
+_RATIO = attrgetter("ratio")
+
 
 @dataclass(frozen=True, init=False)
 class SweepRecord:
@@ -150,27 +161,26 @@ class SweepRecord:
         self, theorem_id, family_id, alpha, s, x, p, q, lhs, rhs, margin, ratio,
         certified, quad_error_est, certificate=None,
     ):
-        # the generated frozen __init__ looks up object.__setattr__ afresh for
-        # each of the fourteen fields; this looks it up once. Storing into
-        # self.__dict__ instead is faster still, but gives every record a dict
-        # object of its own: 272 bytes a record with item stores, 528 with
-        # dict.update, against 208, and a higher peak RSS on the shipped grid.
-        # The dataclass still makes eq, hash, repr and the frozen __setattr__.
-        set_ = object.__setattr__
-        set_(self, "theorem_id", theorem_id)
-        set_(self, "family_id", family_id)
-        set_(self, "alpha", alpha)
-        set_(self, "s", s)
-        set_(self, "x", x)
-        set_(self, "p", p)
-        set_(self, "q", q)
-        set_(self, "lhs", lhs)
-        set_(self, "rhs", rhs)
-        set_(self, "margin", margin)
-        set_(self, "ratio", ratio)
-        set_(self, "certified", certified)
-        set_(self, "quad_error_est", quad_error_est)
-        set_(self, "certificate", certificate)
+        # item stores into the instance dict, in field order, build a record
+        # 3-4x faster than fourteen object.__setattr__ calls (the frozen
+        # __init__'s way); they cost 64 bytes a record, 272 against 208, as
+        # each record gets a dict object of its own. The dataclass still
+        # makes eq, hash, repr, replace and the frozen __setattr__.
+        d = self.__dict__
+        d["theorem_id"] = theorem_id
+        d["family_id"] = family_id
+        d["alpha"] = alpha
+        d["s"] = s
+        d["x"] = x
+        d["p"] = p
+        d["q"] = q
+        d["lhs"] = lhs
+        d["rhs"] = rhs
+        d["margin"] = margin
+        d["ratio"] = ratio
+        d["certified"] = certified
+        d["quad_error_est"] = quad_error_est
+        d["certificate"] = certificate
 
 
 @dataclass(frozen=True)
@@ -437,6 +447,18 @@ class SweepSummary:
     by_theorem: dict
 
 
+class _Group:
+    """One id's records in record order, its certified and violation counts,
+    and its live records (certified, finite margin and ratio) with their
+    margins."""
+
+    __slots__ = ("rows", "certified", "violations", "live", "margins")
+
+    def __init__(self) -> None:
+        self.rows, self.live, self.margins = [], [], []
+        self.certified = self.violations = 0
+
+
 def summarize(records: list[SweepRecord]) -> SweepSummary:
     """Violation count, per-theorem max ratio with its parameters, mean margin.
 
@@ -446,44 +468,48 @@ def summarize(records: list[SweepRecord]) -> SweepSummary:
     """
     if not records:
         raise DomainError("summarize requires at least one record")
-    errors = sum(1 for r in records if not math.isfinite(r.lhs))
-    certified = sum(1 for r in records if r.certified)
-    # one pass groups the records by id, each group in record order, and
-    # tests each record for a violation once
-    groups: dict[str, list[SweepRecord]] = {tid.value: [] for tid in _THEOREM_ORDER}
-    violated = dict.fromkeys(groups, 0)
-    violations = 0
+    # one pass reads each record's certified and margin once: it counts
+    # errors and certified records, tests for a violation, and groups the
+    # records by id. A field read costs more than the test on it.
+    groups = {tid.value: _Group() for tid in _THEOREM_ORDER}
+    errors = certified = violations = 0
     tol = VIOLATION_TOL
     isfinite = math.isfinite
     for r in records:
-        rows = groups.get(r.theorem_id)
-        if rows is not None:
-            rows.append(r)
-        # is_violation's rule inline: a call per record costs more than the test
-        if r.certified and isfinite(r.margin) and r.margin < -tol * (1.0 + r.rhs):
-            violations += 1
-            if rows is not None:
-                violated[r.theorem_id] += 1
-    by_theorem: dict[str, TheoremSummary] = {}
-    for tid, rows in groups.items():
-        if not rows:
+        group = groups.get(r.theorem_id)
+        if group is not None:
+            group.rows.append(r)
+        if not isfinite(r.lhs):
+            errors += 1
+        if not r.certified:
             continue
-        live = [
-            r
-            for r in rows
-            if r.certified and math.isfinite(r.margin) and math.isfinite(r.ratio)
-        ]
-        argmax = max(live, key=lambda r: r.ratio, default=None)
-        known = [r.certificate for r in rows if r.certificate is not None]
+        certified += 1
+        margin = r.margin
+        if group is not None:
+            group.certified += 1
+        if not isfinite(margin):
+            continue
+        # is_violation's rule inline: a call per record costs more than the test
+        if margin < -tol * (1.0 + r.rhs):
+            violations += 1
+            if group is not None:
+                group.violations += 1
+        if group is not None and isfinite(r.ratio):
+            group.live.append(r)
+            group.margins.append(margin)
+    by_theorem: dict[str, TheoremSummary] = {}
+    for tid, g in groups.items():
+        if not g.rows:
+            continue
+        argmax = max(g.live, key=_RATIO, default=None)
+        known = [r.certificate for r in g.rows if r.certificate is not None]
         by_theorem[tid] = TheoremSummary(
-            count=len(rows),
-            certified=sum(1 for r in rows if r.certified),
-            violations=violated[tid],
+            count=len(g.rows),
+            certified=g.certified,
+            violations=g.violations,
             max_ratio=argmax.ratio if argmax is not None else None,
             argmax=argmax,
-            mean_margin=(
-                sum(r.margin for r in live) / len(live) if live else None
-            ),
+            mean_margin=sum(g.margins) / len(g.margins) if g.margins else None,
             kinds={k: known.count(k) for k in CERT_KINDS} if known else {},
         )
     return SweepSummary(
@@ -663,18 +689,23 @@ def render_svg(records: list[SweepRecord]) -> str:
 
     Sandwich rows carry no alpha and are omitted.
     """
-    pts = [
-        r
-        for r in records
-        if r.certified and r.alpha is not None and math.isfinite(r.ratio)
-    ]
+    # each drawn point's (id, alpha, ratio), read from its record once
+    pts = []
+    isfinite = math.isfinite
+    for r in records:
+        if r.certified:
+            alpha = r.alpha
+            if alpha is not None:
+                ratio = r.ratio
+                if isfinite(ratio):
+                    pts.append((r.theorem_id, alpha, ratio))
     width, height = 800, 600
     ml, mr, mt, mb = 70, 150, 30, 50
-    alphas = sorted({r.alpha for r in pts})
+    alphas = sorted({alpha for _, alpha, _ in pts})
     amin, amax = (alphas[0], alphas[-1]) if alphas else (0.0, 1.0)
     if amin == amax:
         amin, amax = amin - 0.5, amax + 0.5
-    rmax = max((r.ratio for r in pts), default=1.0)
+    rmax = max((ratio for _, _, ratio in pts), default=1.0)
     ymax = max(1.0, rmax) * 1.05
 
     def px(alpha: float) -> float:
@@ -716,13 +747,17 @@ def render_svg(records: list[SweepRecord]) -> str:
             f'<text x="{ml - 9}" y="{py(yv) + 4:.1f}" text-anchor="end" '
             f'font-size="12">{yv:.2f}</text>'
         )
-    seen = [t.value for t in FRACTIONAL_BOUNDS if any(r.theorem_id == t.value for r in pts)]
-    for r in pts:
-        color = _SVG_COLORS.get(r.theorem_id, "#7f7f7f")
-        out.append(
-            f'<circle cx="{px(r.alpha):.2f}" cy="{py(r.ratio):.2f}" r="3" '
-            f'fill="{color}" fill-opacity="0.55"/>'
-        )
+    drawn = {tid for tid, _, _ in pts}
+    seen = [t.value for t in FRACTIONAL_BOUNDS if t.value in drawn]
+    # px once per alpha; py inline, in its own order of operations
+    cx = {a: f"{px(a):.2f}" for a in alphas}
+    base, span = height - mb, height - mt - mb
+    colors = {tid: _SVG_COLORS.get(tid, "#7f7f7f") for tid in drawn}
+    out += [
+        f'<circle cx="{cx[alpha]}" cy="{base - ratio / ymax * span:.2f}" r="3" '
+        f'fill="{colors[tid]}" fill-opacity="0.55"/>'
+        for tid, alpha, ratio in pts
+    ]
     for i, tid in enumerate(seen):
         yy = mt + 16 + 20 * i
         out.append(

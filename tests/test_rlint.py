@@ -10,6 +10,7 @@ import heapq
 import math
 import random
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -238,6 +239,9 @@ def _ref_panel_with_estimate(fn, lo, hi, nodes, weights):
     return fine, abs(fine - coarse)
 
 
+AT_RESOLUTION = "a panel reached floating-point resolution before the error met the tolerance"
+
+
 def _ref_integrate(fn, lo, hi, cfg=DEFAULT_CONFIG):
     """Each panel and each of its halves evaluated afresh: six calls per split."""
     nodes, weights = np.polynomial.legendre.leggauss(cfg.nodes_per_panel)
@@ -252,7 +256,7 @@ def _ref_integrate(fn, lo, hi, cfg=DEFAULT_CONFIG):
         _, _, plo, phi, pval, perr = heapq.heappop(heap)
         mid = 0.5 * (plo + phi)
         if not plo < mid < phi:
-            raise QuadratureToleranceError(total, total_err, tol)
+            raise QuadratureToleranceError(total, total_err, tol, AT_RESOLUTION)
         lval, lerr = _ref_panel_with_estimate(fn, plo, mid, nodes, weights)
         rval, rerr = _ref_panel_with_estimate(fn, mid, phi, nodes, weights)
         total += lval + rval - pval
@@ -433,6 +437,7 @@ class TestExactAgainstReference:
         counted = Counted(_by_row(rows))
         got = integrate_adaptive(counted, lo, hi, cfgs)
         _assert_same(got[0], expect.value)
+        assert str(got[0]).startswith(f"quadrature tolerance not met: {AT_RESOLUTION} (")
         assert got[1:] == [_ref_integrate(_square, lo, hi)] * (len(rows) - 1)
         assert counted.calls == 1 + splits
 
@@ -505,6 +510,64 @@ class TestNonFiniteIntegrand:
         with pytest.raises(QuadratureToleranceError, match="non-finite value"):
             integrate_adaptive(counted, 0.0, 1.0)
         assert counted.calls == 1
+
+
+# a batch of one row refines with heaps, one of TABLE_ROWS rows as a table
+HUGE_WIDTHS = pytest.mark.parametrize("width", [1, rlint.TABLE_ROWS], ids=["heaps", "table"])
+
+
+class TestLimitsWhoseSumOverflows:
+    """Limits so large that lo + hi overflows still integrate, with no warning."""
+
+    @HUGE_WIDTHS
+    def test_a_constant_integrates_exactly(self, width):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = integrate_adaptive(
+                _by_row([np.ones_like] * width), 1e308, 1.5e308, [DEFAULT_CONFIG] * width
+            )
+            assert got == [(5e307, 0.0)] * width
+            assert integrate_adaptive(np.ones_like, 1e308, 1.5e308) == (5e307, 0.0)
+            assert integrate_adaptive(np.ones_like, -1e308, 0.5e308) == (1.5e308, 0.0)
+
+    @HUGE_WIDTHS
+    @pytest.mark.parametrize("name", ["smooth", "kinked-0.3", "kinked-0.7", "kinked-2.5"])
+    @pytest.mark.parametrize(
+        "cfg",
+        [DEFAULT_CONFIG, QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=3)],
+        ids=["default", "out-of-budget"],
+    )
+    def test_a_power_of_two_stretch_scales_the_result_exactly(self, name, cfg, width):
+        # g(u / S) on [S lo, S hi] is S times g on [lo, hi], bit for bit: a
+        # power of two S scales every node, panel sum and tolerance exactly
+        fn, lo, hi = EXACT_CASES[name]
+        scale = 2.0 ** (1024 - math.frexp(hi)[1])
+        assert math.isinf(2.0 * scale * hi) and math.isfinite(scale * hi)
+        try:
+            small = integrate_adaptive(fn, lo, hi, cfg)
+        except QuadratureToleranceError as exc:
+            small = exc
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = integrate_adaptive(
+                _by_row([lambda u: fn(u / scale)] * width), scale * lo, scale * hi, [cfg] * width
+            )
+        for row in got:
+            assert type(row) is type(small)
+            if isinstance(small, tuple):
+                assert row == (scale * small[0], scale * small[1])
+            else:
+                assert (row.value, row.error_estimate, row.tolerance) == (
+                    scale * small.value, scale * small.error_estimate, scale * small.tolerance,
+                )
+                assert str(row).startswith("quadrature tolerance not met: estimated error ")
+
+    def test_an_integral_past_the_float_range_fails_as_non_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(QuadratureToleranceError, match="non-finite value") as exc:
+                integrate_adaptive(np.ones_like, -1.7e308, 1.7e308)
+        assert exc.value.value == math.inf
 
 
 # -- batches: every row equals the reference integrator run on it alone -------

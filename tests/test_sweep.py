@@ -1,6 +1,7 @@
 """Grid runner, CSV schema, summaries, config grammar, scatter rendering."""
 
 import csv
+import functools
 import io
 import math
 import struct
@@ -963,6 +964,234 @@ class TestSummaryViolations:
             assert ts.violations == sum(
                 bool(is_violation(r)) for r in records if r.theorem_id == tid
             )
+
+
+# -- summarize and render_svg as passes over every record per quantity, kept
+# as oracles for the versions that read each record once -------------------
+
+_REF_ORDER = ("T21", "T22", "T23", "T24", "HH11")
+
+
+def _reference_summarize(records):
+    """A pass per count, a group per id, and passes per group."""
+    if not records:
+        raise DomainError("summarize requires at least one record")
+    errors = sum(1 for r in records if not math.isfinite(r.lhs))
+    certified = sum(1 for r in records if r.certified)
+    groups = {tid: [r for r in records if r.theorem_id == tid] for tid in _REF_ORDER}
+    by_theorem = {}
+    for tid, rows in groups.items():
+        if not rows:
+            continue
+        live = [
+            r
+            for r in rows
+            if r.certified and math.isfinite(r.margin) and math.isfinite(r.ratio)
+        ]
+        argmax = max(live, key=lambda r: r.ratio, default=None)
+        known = [r.certificate for r in rows if r.certificate is not None]
+        by_theorem[tid] = sweep_module.TheoremSummary(
+            count=len(rows),
+            certified=sum(1 for r in rows if r.certified),
+            violations=sum(1 for r in rows if is_violation(r)),
+            max_ratio=argmax.ratio if argmax is not None else None,
+            argmax=argmax,
+            mean_margin=sum(r.margin for r in live) / len(live) if live else None,
+            kinds={k: known.count(k) for k in ("proved", "refuted", "sampled")} if known else {},
+        )
+    return sweep_module.SweepSummary(
+        total=len(records),
+        certified=certified,
+        errors=errors,
+        violations=sum(1 for r in records if is_violation(r)),
+        by_theorem=by_theorem,
+    )
+
+
+def _assert_same_summary(got, want):
+    assert (got.total, got.certified, got.errors, got.violations) == (
+        want.total, want.certified, want.errors, want.violations,
+    )
+    assert list(got.by_theorem) == list(want.by_theorem)
+    for tid, w in want.by_theorem.items():
+        g = got.by_theorem[tid]
+        assert (g.count, g.certified, g.violations) == (w.count, w.certified, w.violations)
+        assert g.argmax is w.argmax
+        # repr tells -0.0 from 0.0, and shows NaN and None
+        assert repr(g.max_ratio) == repr(w.max_ratio)
+        assert repr(g.mean_margin) == repr(w.mean_margin)
+        assert list(g.kinds.items()) == list(w.kinds.items())
+
+
+_SVG_REF_COLORS = {
+    "T21": "#1f77b4",
+    "T22": "#ff7f0e",
+    "T23": "#2ca02c",
+    "T24": "#d62728",
+    "HH11": "#9467bd",
+}
+
+
+def _reference_render_svg(records):
+    """A px and py call per drawn point, a pass over the points per legend id."""
+    pts = [
+        r
+        for r in records
+        if r.certified and r.alpha is not None and math.isfinite(r.ratio)
+    ]
+    width, height = 800, 600
+    ml, mr, mt, mb = 70, 150, 30, 50
+    alphas = sorted({r.alpha for r in pts})
+    amin, amax = (alphas[0], alphas[-1]) if alphas else (0.0, 1.0)
+    if amin == amax:
+        amin, amax = amin - 0.5, amax + 0.5
+    rmax = max((r.ratio for r in pts), default=1.0)
+    ymax = max(1.0, rmax) * 1.05
+
+    def px(alpha):
+        return ml + (alpha - amin) / (amax - amin) * (width - ml - mr)
+
+    def py(ratio):
+        return height - mb - ratio / ymax * (height - mt - mb)
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<line x1="{ml}" y1="{height - mb}" x2="{width - mr}" y2="{height - mb}" '
+        'stroke="black"/>',
+        f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{height - mb}" stroke="black"/>',
+        f'<text x="{(ml + width - mr) / 2:.1f}" y="{height - 12}" '
+        'text-anchor="middle" font-size="14">alpha</text>',
+        f'<text x="18" y="{(mt + height - mb) / 2:.1f}" text-anchor="middle" '
+        f'font-size="14" transform="rotate(-90 18 {(mt + height - mb) / 2:.1f})">'
+        "lhs / rhs</text>",
+    ]
+    for a in alphas[:12]:
+        out.append(
+            f'<line x1="{px(a):.1f}" y1="{height - mb}" x2="{px(a):.1f}" '
+            f'y2="{height - mb + 5}" stroke="black"/>'
+        )
+        out.append(
+            f'<text x="{px(a):.1f}" y="{height - mb + 20}" text-anchor="middle" '
+            f'font-size="12">{a:g}</text>'
+        )
+    ticks = 5
+    for i in range(ticks + 1):
+        yv = ymax * i / ticks
+        out.append(
+            f'<line x1="{ml - 5}" y1="{py(yv):.1f}" x2="{ml}" y2="{py(yv):.1f}" '
+            'stroke="black"/>'
+        )
+        out.append(
+            f'<text x="{ml - 9}" y="{py(yv) + 4:.1f}" text-anchor="end" '
+            f'font-size="12">{yv:.2f}</text>'
+        )
+    seen = [tid for tid in _REF_ORDER[:4] if any(r.theorem_id == tid for r in pts)]
+    for r in pts:
+        color = _SVG_REF_COLORS.get(r.theorem_id, "#7f7f7f")
+        out.append(
+            f'<circle cx="{px(r.alpha):.2f}" cy="{py(r.ratio):.2f}" r="3" '
+            f'fill="{color}" fill-opacity="0.55"/>'
+        )
+    for i, tid in enumerate(seen):
+        yy = mt + 16 + 20 * i
+        out.append(
+            f'<circle cx="{width - mr + 18}" cy="{yy}" r="4" fill="{_SVG_REF_COLORS[tid]}"/>'
+        )
+        out.append(
+            f'<text x="{width - mr + 30}" y="{yy + 4}" font-size="13">{tid}</text>'
+        )
+    out.append("</svg>")
+    return "\n".join(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped_records():
+    grid, _ = apply_derivative_shrink(standard_grid())
+    return tuple(run_sweep(grid))
+
+
+# margins and ratios at the edges summarize and render_svg test, ties included
+_summary_floats = st.one_of(
+    st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0, 0.5, 1.0, -3e-9)), _floats
+)
+_summary_records = st.builds(
+    SweepRecord,
+    theorem_id=st.sampled_from(["T21", "T22", "T24", "HH11", "C13"]),
+    family_id=st.sampled_from(["f", "g"]),
+    alpha=st.one_of(st.none(), st.sampled_from((0.5, 1.0, 2.0, -0.0, 0.0)), _floats),
+    s=st.just(1.0),
+    x=st.none(),
+    p=st.none(),
+    q=st.none(),
+    lhs=_summary_floats,
+    rhs=st.one_of(st.just(0.0), _summary_floats),
+    margin=_summary_floats,
+    ratio=_summary_floats,
+    certified=st.booleans(),
+    quad_error_est=st.just(0.0),
+    certificate=st.sampled_from((None, "proved", "refuted", "sampled")),
+)
+
+
+def _outcome(render, records):
+    """The text, or the type and message of the error it raises: one alpha
+    at 1e16 or more leaves no room to widen the axis in either version."""
+    try:
+        return render(records)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+_ROW = SweepRecord("T21", "f", 1.0, 1.0, 0.5, 2.0, 2.0, 0.5, 1.0, 0.5, 0.5, True, 0.0)
+
+
+class TestOutputsAgainstOracle:
+    def test_shipped_summary_and_svg(self):
+        records = list(_shipped_records())
+        _assert_same_summary(summarize(records), _reference_summarize(records))
+        assert render_svg(records) == _reference_render_svg(records)
+
+    def test_shipped_summary_of_the_records_read_back(self, tmp_path):
+        path = tmp_path / "shipped.csv"
+        write_csv(list(_shipped_records()), path)
+        records = read_csv(path)
+        _assert_same_summary(summarize(records), _reference_summarize(records))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(_summary_records, min_size=1, max_size=10))
+    def test_drawn_records(self, records):
+        _assert_same_summary(summarize(records), _reference_summarize(records))
+        assert _outcome(render_svg, records) == _outcome(_reference_render_svg, records)
+
+    def test_empty_input_is_rejected_alike(self):
+        with pytest.raises(DomainError):
+            _reference_summarize([])
+        with pytest.raises(DomainError):
+            summarize([])
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            [],
+            [replace(_ROW, certified=False)],
+            [replace(_ROW, theorem_id="HH11", alpha=None)],
+            [replace(_ROW, ratio=r) for r in (0.25, 0.5, 0.75)],
+            [replace(_ROW, theorem_id=t, ratio=0.3) for t in ("T24", "T22", "C13", "T22")],
+            [replace(_ROW, theorem_id="T23", certified=False, ratio=0.9), replace(_ROW, ratio=0.2)],
+            [replace(_ROW, ratio=r) for r in (math.nan, math.inf, -math.inf, 0.5)],
+            [replace(_ROW, ratio=r) for r in (math.nan, math.inf)],
+            [replace(_ROW, alpha=a, ratio=r) for a, r in ((0.0, 1.2), (-0.0, -0.0), (3.0, 0.0))],
+        ],
+        ids=[
+            "no-records", "none-certified", "sandwich-only", "single-alpha",
+            "ids-out-of-order", "a-bound-all-uncertified", "non-finite-ratios",
+            "only-non-finite-ratios", "signed-zeros",
+        ],
+    )
+    def test_svg_edge_cases(self, case):
+        assert render_svg(case) == _reference_render_svg(case)
 
 
 class TestConfigGrammar:
