@@ -149,7 +149,8 @@ class FunctionModel:
     def evaluate(self, u):
         """Evaluate at a scalar or ndarray of points inside [lo, hi]."""
         arr = np.asarray(u, dtype=float)
-        if arr.size and (arr.min() < self.lo or arr.max() > self.hi):
+        # written so that a NaN point fails too: it compares false both ways
+        if arr.size and not (arr.min() >= self.lo and arr.max() <= self.hi):
             raise DomainError(
                 f"evaluation point outside domain [{self.lo!r}, {self.hi!r}]"
             )

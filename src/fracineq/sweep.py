@@ -39,19 +39,23 @@ Each piece of a sweep's work runs at the loop level where its inputs change:
 Quadrature failures at a single grid point produce error rows (NaN metrics,
 certified false) rather than aborting the sweep.
 
-A record costs one construction and one read per layer. SweepRecord's
-__init__ stores its fields as items of the instance dict, 3-4x faster than
-the frozen dataclass's object.__setattr__ calls, for 64 more bytes a record;
-run_sweep and read_csv both build records that way. A record with a dict of
-its own loses CPython 3.11's inline-values fast path, which makes each
-attribute read several times slower, so each output layer reads a record's
-fields once: write_csv streams one formatted row per record, and formats
-again only the cells whose object differs from the previous row's (by
-identity, never by value: 0.0 and -0.0 are equal but print differently);
-read_csv unpacks each row by position; summarize counts, tests for a
-violation and groups the records by id in one pass; and render_svg reads
-each drawn point's id, alpha and ratio once, takes its legend from the set
-of drawn ids and formats each alpha's x coordinate once.
+Between the sweep and its outputs a record is a row: a tuple in
+SweepRecord's field order, the CSV columns and then the certificate kind.
+_sweep_rows yields the grid's rows one at a time: run_sweep builds a record
+of each as it comes, and the sweep command keeps the rows. write_csv,
+summarize and render_svg each have one implementation over rows, which
+unpacks each row once in its for target; the public functions pass each
+record's instance-dict values, which SweepRecord.__init__ stores in field
+order. The sweep command hands its rows straight to those implementations,
+so it builds no record but each summary argmax, and reads no field as an
+attribute: a record with a dict of its own loses CPython 3.11's
+inline-values fast path, so each attribute read costs several times a tuple
+unpack. write_csv formats again only the cells whose object differs from the
+previous row's (by identity, never by value: 0.0 and -0.0 are equal but
+print differently); read_csv unpacks each row by position; summarize counts,
+tests for a violation and groups the rows by id in one pass; and render_svg
+takes its legend from the set of drawn ids and formats each alpha's x
+coordinate once.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ import csv
 import io
 import math
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from operator import attrgetter
@@ -130,7 +135,7 @@ _THEOREM_ORDER = (*FRACTIONAL_BOUNDS, TheoremId.HH11)
 
 _SHRINK_FRACTION = 1e-9
 
-_RATIO = attrgetter("ratio")
+_DICT = attrgetter("__dict__")
 
 
 @dataclass(frozen=True, init=False)
@@ -234,7 +239,7 @@ def _derive_seed(seed: int, *parts) -> int:
     return ((seed & 0xFFFFFFFF) * 0x9E3779B1 + zlib.crc32(key)) % 2**32
 
 
-def _error_record(
+def _error_row(
     theorem_id: TheoremId,
     family_id: str,
     alpha: float | None,
@@ -243,10 +248,10 @@ def _error_record(
     p: float | None,
     q: float | None,
     err: float,
-) -> SweepRecord:
+) -> tuple:
     nan = math.nan
-    return SweepRecord(
-        theorem_id.value, family_id, alpha, s, x, p, q, nan, nan, nan, nan, False, err
+    return (
+        theorem_id.value, family_id, alpha, s, x, p, q, nan, nan, nan, nan, False, err, None
     )
 
 
@@ -288,7 +293,18 @@ def run_sweep(
     Deterministic given (grid, cfg, seed, samples). Per-point quadrature
     failures become error rows; everything else fails loudly.
     """
-    records: list[SweepRecord] = []
+    return [SweepRecord(*row) for row in _sweep_rows(grid, cfg, seed, samples)]
+
+
+def _sweep_rows(
+    grid: SweepGrid,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    seed: int = 0,
+    samples: int = CERT_SAMPLES,
+) -> Iterator[tuple]:
+    """run_sweep's records as rows, tuples in SweepRecord's field order, one
+    at a time: run_sweep keeps only the records, and the sweep command a
+    list of the rows."""
     lhs_cache: dict = {}
     cert_cache: dict = {}
     bound_thms = [t for t in grid.theorems if t is not TheoremId.HH11]
@@ -351,20 +367,16 @@ def run_sweep(
                     except QuadratureToleranceError as exc:
                         integral = exc
                 if isinstance(integral, QuadratureToleranceError):
-                    records.append(
-                        _error_record(
-                            TheoremId.HH11, fid, None, s, None, None, None,
-                            integral.error_estimate,
-                        )
+                    yield _error_row(
+                        TheoremId.HH11, fid, None, s, None, None, None,
+                        integral.error_estimate,
                     )
                 else:
                     (left, mid, right), err = _sandwich(f, a, b, s, integral)
-                    records.append(
-                        SweepRecord(
-                            TheoremId.HH11.value, fid, None, s, None, None, None,
-                            mid, right, min(right - mid, mid - left), _ratio(mid, right),
-                            c.verdict, err, c.kind,
-                        )
+                    yield (
+                        TheoremId.HH11.value, fid, None, s, None, None, None,
+                        mid, right, min(right - mid, mid - left), _ratio(mid, right),
+                        c.verdict, err, c.kind,
                     )
             if not bound_thms:
                 continue
@@ -395,10 +407,8 @@ def run_sweep(
                     if isinstance(got, QuadratureToleranceError):
                         for q, p, _ in qpk:
                             for thm in bound_thms:
-                                records.append(
-                                    _error_record(
-                                        thm, fid, alpha, s, x, p, q, got.error_estimate
-                                    )
+                                yield _error_row(
+                                    thm, fid, alpha, s, x, p, q, got.error_estimate
                                 )
                         continue
                     lhs_val, qerr = got
@@ -408,14 +418,10 @@ def run_sweep(
                         bounds = by_q[j] or bounds_at_first_point(j, q, x, alpha)
                         for tid, formula, verdict, kind in bounds:
                             rhs = formula(dv, wa, wb, alpha, s, q, c1, c2, k3)
-                            records.append(
-                                SweepRecord(
-                                    tid, fid, alpha, s, x, p, q, lhs_val, rhs,
-                                    rhs - lhs_val, _ratio(lhs_val, rhs), verdict, qerr,
-                                    kind,
-                                )
+                            yield (
+                                tid, fid, alpha, s, x, p, q, lhs_val, rhs,
+                                rhs - lhs_val, _ratio(lhs_val, rhs), verdict, qerr, kind,
                             )
-    return records
 
 
 def is_violation(rec: SweepRecord) -> bool:
@@ -448,15 +454,20 @@ class SweepSummary:
 
 
 class _Group:
-    """One id's records in record order, its certified and violation counts,
-    and its live records (certified, finite margin and ratio) with their
-    margins."""
+    """One id's certificate kinds in record order, its certified and
+    violation counts, and the index, ratio and margin of each live row
+    (certified, finite margin and ratio)."""
 
-    __slots__ = ("rows", "certified", "violations", "live", "margins")
+    __slots__ = ("kinds", "certified", "violations", "live", "ratios", "margins")
 
     def __init__(self) -> None:
-        self.rows, self.live, self.margins = [], [], []
+        self.kinds, self.live, self.ratios, self.margins = [], [], [], []
         self.certified = self.violations = 0
+
+
+def _record_rows(records):
+    """Each record's fields as a row, in field order (item stores keep it)."""
+    return map(dict.values, map(_DICT, records))
 
 
 def summarize(records: list[SweepRecord]) -> SweepSummary:
@@ -466,54 +477,64 @@ def summarize(records: list[SweepRecord]) -> SweepSummary:
     ratio only arises from rhs = 0 rows, whose tightness margin already says
     everything.
     """
-    if not records:
-        raise DomainError("summarize requires at least one record")
-    # one pass reads each record's certified and margin once: it counts
-    # errors and certified records, tests for a violation, and groups the
-    # records by id. A field read costs more than the test on it.
+    return _summarize_rows(_record_rows(records), records)
+
+
+def _summarize_rows(rows, records=None) -> SweepSummary:
+    """summarize over rows; each argmax is records[i], or the record of rows[i]."""
+    # one pass reads each row once: it counts errors and certified rows,
+    # tests for a violation, and groups the rows by id
     groups = {tid.value: _Group() for tid in _THEOREM_ORDER}
     errors = certified = violations = 0
     tol = VIOLATION_TOL
     isfinite = math.isfinite
-    for r in records:
-        group = groups.get(r.theorem_id)
+    i = -1
+    for i, (tid, _, _, _, _, _, _, lhs, rhs, margin, ratio, cert, _, kind) in enumerate(rows):
+        group = groups.get(tid)
         if group is not None:
-            group.rows.append(r)
-        if not isfinite(r.lhs):
+            group.kinds.append(kind)
+        if not isfinite(lhs):
             errors += 1
-        if not r.certified:
+        if not cert:
             continue
         certified += 1
-        margin = r.margin
         if group is not None:
             group.certified += 1
         if not isfinite(margin):
             continue
-        # is_violation's rule inline: a call per record costs more than the test
-        if margin < -tol * (1.0 + r.rhs):
+        # is_violation's rule inline: a call per row costs more than the test
+        if margin < -tol * (1.0 + rhs):
             violations += 1
             if group is not None:
                 group.violations += 1
-        if group is not None and isfinite(r.ratio):
-            group.live.append(r)
+        if group is not None and isfinite(ratio):
+            group.live.append(i)
+            group.ratios.append(ratio)
             group.margins.append(margin)
+    if i < 0:
+        raise DomainError("summarize requires at least one record")
     by_theorem: dict[str, TheoremSummary] = {}
     for tid, g in groups.items():
-        if not g.rows:
+        if not g.kinds:
             continue
-        argmax = max(g.live, key=_RATIO, default=None)
-        known = [r.certificate for r in g.rows if r.certificate is not None]
+        argmax = max_ratio = None
+        if g.ratios:
+            # max and index both pick the first live row of the largest ratio
+            max_ratio = max(g.ratios)
+            at = g.live[g.ratios.index(max_ratio)]
+            argmax = records[at] if records is not None else SweepRecord(*rows[at])
+        known = [kind for kind in g.kinds if kind is not None]
         by_theorem[tid] = TheoremSummary(
-            count=len(g.rows),
+            count=len(g.kinds),
             certified=g.certified,
             violations=g.violations,
-            max_ratio=argmax.ratio if argmax is not None else None,
+            max_ratio=max_ratio,
             argmax=argmax,
             mean_margin=sum(g.margins) / len(g.margins) if g.margins else None,
             kinds={k: known.count(k) for k in CERT_KINDS} if known else {},
         )
     return SweepSummary(
-        total=len(records),
+        total=i + 1,
         certified=certified,
         errors=errors,
         violations=violations,
@@ -580,31 +601,37 @@ def write_csv(records: list[SweepRecord], path) -> None:
     lhs and quad_error_est cells that all its rows share. The test is
     identity, never equality, so -0.0 after 0.0, and NaN, are written exactly.
     """
+    _write_csv_rows(_record_rows(records), path)
+
+
+def _write_csv_rows(rows, path) -> None:
+    """write_csv over rows."""
     quoted = _Quoted()
-    fid = alpha = s = x = p = q = lhs = qerr = _UNSET
+    # the previous row's cell objects
+    fid0 = alpha0 = s0 = x0 = p0 = q0 = lhs0 = qerr0 = _UNSET
     with open(path, "w", newline="") as fh:
         write = fh.write
         write(",".join(CSV_COLUMNS) + "\n")
-        for r in records:
+        for tid, fid, alpha, s, x, p, q, lhs, rhs, margin, ratio, cert, qerr, _ in rows:
             if not (
-                r.family_id is fid and r.alpha is alpha and r.s is s
-                and r.x is x and r.p is p and r.q is q
+                fid is fid0 and alpha is alpha0 and s is s0
+                and x is x0 and p is p0 and q is q0
             ):
-                fid, alpha, s, x, p, q = r.family_id, r.alpha, r.s, r.x, r.p, r.q
+                fid0, alpha0, s0, x0, p0, q0 = fid, alpha, s, x, p, q
                 block = (
                     f"{quoted[fid]},{'' if alpha is None else repr(alpha)},{s!r},"
                     f"{'' if x is None else repr(x)},{'' if p is None else repr(p)},"
                     f"{'' if q is None else repr(q)}"
                 )
-            if r.lhs is not lhs:
-                lhs = r.lhs
+            if lhs is not lhs0:
+                lhs0 = lhs
                 lhs_cell = repr(lhs)
-            if r.quad_error_est is not qerr:
-                qerr = r.quad_error_est
+            if qerr is not qerr0:
+                qerr0 = qerr
                 qerr_cell = repr(qerr)
             write(
-                f"{quoted[r.theorem_id]},{block},{lhs_cell},{r.rhs!r},{r.margin!r},"
-                f"{r.ratio!r},{'true' if r.certified else 'false'},{qerr_cell}\n"
+                f"{quoted[tid]},{block},{lhs_cell},{rhs!r},{margin!r},"
+                f"{ratio!r},{'true' if cert else 'false'},{qerr_cell}\n"
             )
 
 
@@ -689,22 +716,28 @@ def render_svg(records: list[SweepRecord]) -> str:
 
     Sandwich rows carry no alpha and are omitted.
     """
-    # each drawn point's (id, alpha, ratio), read from its record once
-    pts = []
+    return _render_svg_rows(_record_rows(records))
+
+
+def _render_svg_rows(rows) -> str:
+    """render_svg over rows."""
+    # each drawn point's (id, alpha, ratio)
     isfinite = math.isfinite
-    for r in records:
-        if r.certified:
-            alpha = r.alpha
-            if alpha is not None:
-                ratio = r.ratio
-                if isfinite(ratio):
-                    pts.append((r.theorem_id, alpha, ratio))
+    pts = [
+        (tid, alpha, ratio)
+        for tid, _, alpha, _, _, _, _, _, _, _, ratio, cert, _, _ in rows
+        if cert and alpha is not None and isfinite(ratio)
+    ]
     width, height = 800, 600
     ml, mr, mt, mb = 70, 150, 30, 50
     alphas = sorted({alpha for _, alpha, _ in pts})
     amin, amax = (alphas[0], alphas[-1]) if alphas else (0.0, 1.0)
     if amin == amax:
-        amin, amax = amin - 0.5, amax + 0.5
+        lo, hi = amin - 0.5, amax + 0.5
+        # from 2^52 on, +-0.5 can round back to the alpha itself
+        if lo == hi:
+            lo, hi = math.nextafter(amin, -math.inf), math.nextafter(amax, math.inf)
+        amin, amax = lo, hi
     rmax = max((ratio for _, _, ratio in pts), default=1.0)
     ymax = max(1.0, rmax) * 1.05
 

@@ -115,6 +115,16 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             u2.evaluate(np.array([0.25, -0.1]))
 
+    def test_nan_points_raise(self, u2):
+        with pytest.raises(DomainError):
+            u2.evaluate(math.nan)
+        with pytest.raises(DomainError):
+            u2.evaluate(np.array([0.25, math.nan, 0.75]))
+
+    def test_empty_array_evaluates(self, u2):
+        out = u2.evaluate(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
     def test_negative_exponent_terms_evaluate(self):
         # allowed when the pole sits strictly left of the domain
         f = FunctionModel((PowerTerm(1.0, -1.0, -0.5),), 0.0, 1.0)

@@ -4,6 +4,7 @@ import csv
 import functools
 import io
 import math
+import re
 import struct
 from collections import Counter
 from dataclasses import FrozenInstanceError, astuple, fields, replace
@@ -549,6 +550,58 @@ class TestRecordLoopAgainstOracle:
             want.append(event)
         assert got == want
         assert sum(e[0] == "check" for e in got) == 2 * 2 * 2
+
+
+class TestRowPathAgainstRecordPath:
+    """The CLI's sweep keeps records as rows from the sweep to each output;
+    every output must be the one the public record functions give."""
+
+    @pytest.mark.parametrize("name", list(_ORACLE_GRIDS))
+    def test_rows_rebuild_run_sweeps_records(self, name):
+        grid, cfg = _ORACLE_GRIDS[name]
+        rows = list(sweep_module._sweep_rows(grid, cfg, seed=5, samples=256))
+        records = run_sweep(grid, cfg, seed=5, samples=256)
+        _assert_same_records([SweepRecord(*row) for row in rows], records)
+
+        summary = summarize(records)
+        from_rows = sweep_module._summarize_rows(rows)
+        _assert_same_summary(summary, _reference_summarize(records))
+        assert list(from_rows.by_theorem) == list(summary.by_theorem)
+        for tid, ts in summary.by_theorem.items():
+            got = from_rows.by_theorem[tid]
+            if ts.argmax is None:
+                assert got.argmax is None
+                continue
+            # the caller's own record, and a record equal to it from the rows
+            assert any(ts.argmax is r for r in records)
+            _assert_same_records([got.argmax], [ts.argmax])
+            assert repr(got.max_ratio) == repr(ts.max_ratio)
+
+    @pytest.mark.parametrize("name", list(_ORACLE_GRIDS))
+    def test_cli_outputs_equal_the_record_functions(self, name, tmp_path, monkeypatch, capsys):
+        from fracineq import cli
+
+        grid, cfg = _ORACLE_GRIDS[name]
+        monkeypatch.setattr(cli, "grid_from_config_text", lambda text: grid)
+        monkeypatch.setattr(cli, "DEFAULT_CONFIG", cfg)
+        out, svg = tmp_path / "cli.csv", tmp_path / "cli.svg"
+        built = []
+        init = SweepRecord.__init__
+        with monkeypatch.context() as m:
+            m.setattr(SweepRecord, "__init__", lambda *a, **kw: built.append(init(*a, **kw)))
+            code = cli.main(["sweep", "--out", str(out), "--summary", "--svg", str(svg)])
+        printed = capsys.readouterr().out.splitlines()
+
+        records = run_sweep(apply_derivative_shrink(grid)[0], cfg, seed=0)
+        summary = summarize(records)
+        write_csv(records, tmp_path / "lib.csv")
+        assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+        assert svg.read_text() == render_svg(records)
+        summary_lines = [ln for ln in printed if not ln.startswith(("wrote ", "note: "))]
+        assert summary_lines == format_summary(summary).splitlines()
+        assert code == (1 if summary.violations else 0)
+        # the only records the CLI builds are the summary's argmax records
+        assert len(built) == sum(ts.argmax is not None for ts in summary.by_theorem.values())
 
 
 class TestViolationRule:
@@ -1137,11 +1190,19 @@ _summary_records = st.builds(
 
 def _outcome(render, records):
     """The text, or the type and message of the error it raises: one alpha
-    at 1e16 or more leaves no room to widen the axis in either version."""
+    from about 2^52 on leaves the reference no room to widen the axis."""
     try:
         return render(records)
     except ArithmeticError as exc:
         return type(exc), str(exc)
+
+
+_COLLAPSED_AXIS = (ZeroDivisionError, "float division by zero")
+
+
+def _point_cx(svg):
+    """The x coordinate of each drawn point (legend markers have r="4")."""
+    return [float(m) for m in re.findall(r'<circle cx="([^"]*)" cy="[^"]*" r="3"', svg)]
 
 
 _ROW = SweepRecord("T21", "f", 1.0, 1.0, 0.5, 2.0, 2.0, 0.5, 1.0, 0.5, 0.5, True, 0.0)
@@ -1163,7 +1224,12 @@ class TestOutputsAgainstOracle:
     @given(st.lists(_summary_records, min_size=1, max_size=10))
     def test_drawn_records(self, records):
         _assert_same_summary(summarize(records), _reference_summarize(records))
-        assert _outcome(render_svg, records) == _outcome(_reference_render_svg, records)
+        want = _outcome(_reference_render_svg, records)
+        if want == _COLLAPSED_AXIS:
+            # render_svg widens the axis where the reference divides by zero
+            assert all(map(math.isfinite, _point_cx(render_svg(records))))
+        else:
+            assert _outcome(render_svg, records) == want
 
     def test_empty_input_is_rejected_alike(self):
         with pytest.raises(DomainError):
@@ -1192,6 +1258,14 @@ class TestOutputsAgainstOracle:
     )
     def test_svg_edge_cases(self, case):
         assert render_svg(case) == _reference_render_svg(case)
+
+    @pytest.mark.parametrize("alpha", [1e16, 2.0**52 + 2, 2.0**53, -1e16, 1.7e308])
+    def test_svg_single_huge_alpha(self, alpha):
+        # +-0.5 rounds back to alpha, where the reference divides by zero
+        case = [replace(_ROW, alpha=alpha), replace(_ROW, alpha=alpha, ratio=0.25)]
+        assert _outcome(_reference_render_svg, case) == _COLLAPSED_AXIS
+        cx = _point_cx(render_svg(case))
+        assert len(cx) == 2 and all(map(math.isfinite, cx))
 
 
 class TestConfigGrammar:
