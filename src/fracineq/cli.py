@@ -50,14 +50,14 @@ from .rlint import DEFAULT_CONFIG
 from .sweep import (
     _derivative_domain,
     _g12,
-    _render_svg_rows,
-    _summarize_rows,
     _sweep_rows,
-    _write_csv_rows,
     apply_derivative_shrink,
     format_summary,
     grid_from_config_text,
+    render_svg,
     standard_config_text,
+    summarize,
+    write_csv,
 )
 
 __all__ = ["ExitCode", "main"]
@@ -228,12 +228,11 @@ def _cmd_sweep(args: argparse.Namespace) -> ExitCode:
     grid, notes = apply_derivative_shrink(grid_from_config_text(text))
     for note in notes:
         print(note)
-    # records stay rows from the sweep to each output; the summary builds
-    # a SweepRecord only for each theorem's argmax
+    # plain rows, not records: the outputs unpack an exact tuple fastest
     rows = list(_sweep_rows(grid, DEFAULT_CONFIG, seed=0))
-    _write_csv_rows(rows, args.out)
+    write_csv(rows, args.out)
     print(f"wrote {len(rows)} records to {args.out}")
-    summary = _summarize_rows(rows)
+    summary = summarize(rows)
     if args.summary:
         print(format_summary(summary))
     else:
@@ -243,7 +242,7 @@ def _cmd_sweep(args: argparse.Namespace) -> ExitCode:
         )
     if args.svg is not None:
         with open(args.svg, "w") as fh:
-            fh.write(_render_svg_rows(rows))
+            fh.write(render_svg(rows))
         print(f"wrote scatter to {args.svg}")
     return ExitCode.FAILURE if summary.violations else ExitCode.OK
 

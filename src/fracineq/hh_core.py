@@ -101,6 +101,12 @@ __all__ = [
 # |1/p + 1/q - 1| must stay below this for a conjugate pair.
 CONJUGACY_TOL = 1e-12
 
+# The smallest order the closed forms of c2 and c3 hold to. Below it c2's
+# 1/(s+1) - B(alpha+1, s+1) and c3's log-Gamma difference at 1/alpha cancel:
+# against mpmath they lose about 1e-11 relative at 1e-4, 1e-3 at 1e-12, and
+# by 1e-17 c2 can come out <= 0.
+ALPHA_MIN = 1e-4
+
 
 class TheoremId(str, Enum):
     """Identifiers for the bound evaluators and the endpoint sandwich."""
@@ -114,6 +120,12 @@ class TheoremId(str, Enum):
     C15 = "C15"
     C16 = "C16"
     HH11 = "HH11"
+
+
+def _check_alpha(alpha: float, name: str = "alpha") -> None:
+    """Refuse an order below ALPHA_MIN, or NaN: the one rule for every alpha."""
+    if not alpha >= ALPHA_MIN:
+        raise DomainError(f"{name} must be at least {ALPHA_MIN:g}, got {alpha!r}")
 
 
 def conjugate_exponent(q: float) -> float:
@@ -130,7 +142,8 @@ class ProblemInstance:
     p is derived from q when only q is supplied, and checked like a given p
     (p > 1) after it is derived; when both are given they must be conjugate
     to within CONJUGACY_TOL. q = 1 leaves p unset (only the
-    power-mean bound accepts it, and the formula needs no p there).
+    power-mean bound accepts it, and the formula needs no p there). alpha
+    must be at least ALPHA_MIN.
     """
 
     f: FunctionModel
@@ -156,8 +169,7 @@ class ProblemInstance:
             )
         if not self.a <= self.x <= self.b:
             raise DomainError(f"x must lie in [a, b], got x={self.x!r}")
-        if not self.alpha > 0.0:
-            raise DomainError(f"alpha must be positive, got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if not 0.0 < self.s <= 1.0:
             raise DomainError(f"s must lie in (0, 1], got {self.s!r}")
         if self.q is not None and not self.q >= 1.0:
@@ -235,9 +247,9 @@ def _c3(alpha: float, p: float) -> float:
 
 
 def proof_constants(alpha: float, s: float, p: float) -> ProofConstants:
-    """Closed forms of the three unit integrals for alpha > 0, s in (0,1], p > 1."""
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    """Closed forms of the three unit integrals for alpha >= ALPHA_MIN, s in
+    (0, 1], p > 1."""
+    _check_alpha(alpha)
     if not 0.0 < s <= 1.0:
         raise DomainError(f"s must lie in (0, 1], got {s!r}")
     if not p > 1.0:

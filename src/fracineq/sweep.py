@@ -39,23 +39,18 @@ Each piece of a sweep's work runs at the loop level where its inputs change:
 Quadrature failures at a single grid point produce error rows (NaN metrics,
 certified false) rather than aborting the sweep.
 
-Between the sweep and its outputs a record is a row: a tuple in
-SweepRecord's field order, the CSV columns and then the certificate kind.
-_sweep_rows yields the grid's rows one at a time: run_sweep builds a record
-of each as it comes, and the sweep command keeps the rows. write_csv,
-summarize and render_svg each have one implementation over rows, which
-unpacks each row once in its for target; the public functions pass each
-record's instance-dict values, which SweepRecord.__init__ stores in field
-order. The sweep command hands its rows straight to those implementations,
-so it builds no record but each summary argmax, and reads no field as an
-attribute: a record with a dict of its own loses CPython 3.11's
-inline-values fast path, so each attribute read costs several times a tuple
-unpack. write_csv formats again only the cells whose object differs from the
-previous row's (by identity, never by value: 0.0 and -0.0 are equal but
-print differently); read_csv unpacks each row by position; summarize counts,
-tests for a violation and groups the rows by id in one pass; and render_svg
-takes its legend from the set of drawn ids and formats each alpha's x
-coordinate once.
+A record is a SweepRecord, a named tuple of the CSV columns and then the
+certificate kind; a row is a plain tuple of the same fields in the same
+order. write_csv, summarize and render_svg take records and rows alike, and
+unpack each once in their for target. run_sweep makes a record of each row
+_sweep_rows yields; the sweep command passes the rows on as they are, since
+CPython unpacks an exact tuple faster than a subclass of it, and gets a
+record only for each summary argmax. write_csv formats again only the cells
+whose object differs from the previous row's (by identity, never by value:
+0.0 and -0.0 are equal but print differently); read_csv unpacks each row by
+position; summarize counts, tests for a violation and groups the rows by id
+in one pass; and render_svg takes its legend from the set of drawn ids and
+formats each alpha's x coordinate once.
 """
 
 from __future__ import annotations
@@ -65,9 +60,9 @@ import io
 import math
 import zlib
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
-from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import CsvSchemaError, DomainError, ParseError, QuadratureToleranceError
 from .funcmodel import (
@@ -81,6 +76,7 @@ from .hh_core import (
     FRACTIONAL_BOUNDS,
     ProblemInstance,
     TheoremId,
+    _check_alpha,
     _ratio,
     _sandwich,
     abs_deriv_values,
@@ -131,20 +127,20 @@ CSV_COLUMNS = (
 # margin < -VIOLATION_TOL * (1 + rhs) flags a certified record as a violation
 VIOLATION_TOL = 1e-9
 
+_WIDTH = len(CSV_COLUMNS)
+
 _THEOREM_ORDER = (*FRACTIONAL_BOUNDS, TheoremId.HH11)
 
 _SHRINK_FRACTION = 1e-9
 
-_DICT = attrgetter("__dict__")
 
-
-@dataclass(frozen=True, init=False)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One evaluated grid point; empty columns are None.
 
     ``certificate`` is the kind of the hypothesis certificate ("proved",
     "refuted" or "sampled"). It is not a CSV column, so records read back
-    from a CSV and error rows carry None, and record equality ignores it.
+    from a CSV and error rows carry None, and record equality and hash
+    ignore it. A record is never equal to a plain tuple.
     """
 
     theorem_id: str
@@ -160,32 +156,17 @@ class SweepRecord:
     ratio: float
     certified: bool
     quad_error_est: float
-    certificate: str | None = field(default=None, compare=False)
+    certificate: str | None = None
 
-    def __init__(
-        self, theorem_id, family_id, alpha, s, x, p, q, lhs, rhs, margin, ratio,
-        certified, quad_error_est, certificate=None,
-    ):
-        # item stores into the instance dict, in field order, build a record
-        # 3-4x faster than fourteen object.__setattr__ calls (the frozen
-        # __init__'s way); they cost 64 bytes a record, 272 against 208, as
-        # each record gets a dict object of its own. The dataclass still
-        # makes eq, hash, repr, replace and the frozen __setattr__.
-        d = self.__dict__
-        d["theorem_id"] = theorem_id
-        d["family_id"] = family_id
-        d["alpha"] = alpha
-        d["s"] = s
-        d["x"] = x
-        d["p"] = p
-        d["q"] = q
-        d["lhs"] = lhs
-        d["rhs"] = rhs
-        d["margin"] = margin
-        d["ratio"] = ratio
-        d["certified"] = certified
-        d["quad_error_est"] = quad_error_est
-        d["certificate"] = certificate
+    # over the CSV columns only; tuple's own __ne__ would see the certificate
+    def __eq__(self, other):
+        return isinstance(other, SweepRecord) and self[:_WIDTH] == other[:_WIDTH]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:_WIDTH])
 
 
 @dataclass(frozen=True)
@@ -219,8 +200,8 @@ class SweepGrid:
         for name in ("alphas", "svals", "xfracs", "qvals", "families", "theorems"):
             if not getattr(self, name):
                 raise DomainError(f"grid field {name} must be non-empty")
-        if any(not a > 0.0 for a in self.alphas):
-            raise DomainError("alphas must be positive")
+        for alpha in self.alphas:
+            _check_alpha(alpha, "alphas")
         if any(not 0.0 < s <= 1.0 for s in self.svals):
             raise DomainError("svals must lie in (0, 1]")
         if any(not 0.0 <= fr <= 1.0 for fr in self.xfracs):
@@ -293,7 +274,7 @@ def run_sweep(
     Deterministic given (grid, cfg, seed, samples). Per-point quadrature
     failures become error rows; everything else fails loudly.
     """
-    return [SweepRecord(*row) for row in _sweep_rows(grid, cfg, seed, samples)]
+    return list(map(SweepRecord._make, _sweep_rows(grid, cfg, seed, samples)))
 
 
 def _sweep_rows(
@@ -302,9 +283,8 @@ def _sweep_rows(
     seed: int = 0,
     samples: int = CERT_SAMPLES,
 ) -> Iterator[tuple]:
-    """run_sweep's records as rows, tuples in SweepRecord's field order, one
-    at a time: run_sweep keeps only the records, and the sweep command a
-    list of the rows."""
+    """run_sweep's records as rows, plain tuples in SweepRecord's field
+    order, one at a time."""
     lhs_cache: dict = {}
     cert_cache: dict = {}
     bound_thms = [t for t in grid.theorems if t is not TheoremId.HH11]
@@ -465,23 +445,14 @@ class _Group:
         self.certified = self.violations = 0
 
 
-def _record_rows(records):
-    """Each record's fields as a row, in field order (item stores keep it)."""
-    return map(dict.values, map(_DICT, records))
-
-
 def summarize(records: list[SweepRecord]) -> SweepSummary:
     """Violation count, per-theorem max ratio with its parameters, mean margin.
 
     max_ratio is taken over certified records with finite ratio; an infinite
     ratio only arises from rhs = 0 rows, whose tightness margin already says
-    everything.
+    everything. Each argmax is the caller's own record, or the record of a
+    plain row.
     """
-    return _summarize_rows(_record_rows(records), records)
-
-
-def _summarize_rows(rows, records=None) -> SweepSummary:
-    """summarize over rows; each argmax is records[i], or the record of rows[i]."""
     # one pass reads each row once: it counts errors and certified rows,
     # tests for a violation, and groups the rows by id
     groups = {tid.value: _Group() for tid in _THEOREM_ORDER}
@@ -489,7 +460,7 @@ def _summarize_rows(rows, records=None) -> SweepSummary:
     tol = VIOLATION_TOL
     isfinite = math.isfinite
     i = -1
-    for i, (tid, _, _, _, _, _, _, lhs, rhs, margin, ratio, cert, _, kind) in enumerate(rows):
+    for i, (tid, _, _, _, _, _, _, lhs, rhs, margin, ratio, cert, _, kind) in enumerate(records):
         group = groups.get(tid)
         if group is not None:
             group.kinds.append(kind)
@@ -521,8 +492,9 @@ def _summarize_rows(rows, records=None) -> SweepSummary:
         if g.ratios:
             # max and index both pick the first live row of the largest ratio
             max_ratio = max(g.ratios)
-            at = g.live[g.ratios.index(max_ratio)]
-            argmax = records[at] if records is not None else SweepRecord(*rows[at])
+            argmax = records[g.live[g.ratios.index(max_ratio)]]
+            if not isinstance(argmax, SweepRecord):
+                argmax = SweepRecord._make(argmax)
         known = [kind for kind in g.kinds if kind is not None]
         by_theorem[tid] = TheoremSummary(
             count=len(g.kinds),
@@ -593,7 +565,7 @@ class _Quoted(dict):
 
 
 def write_csv(records: list[SweepRecord], path) -> None:
-    """Persist records, one row written at a time.
+    """Persist records (or rows), one row written at a time.
 
     Float cells use shortest round-trip literals, the id cells csv quoting.
     A cell that holds the same object as the previous row's is not formatted
@@ -601,18 +573,13 @@ def write_csv(records: list[SweepRecord], path) -> None:
     lhs and quad_error_est cells that all its rows share. The test is
     identity, never equality, so -0.0 after 0.0, and NaN, are written exactly.
     """
-    _write_csv_rows(_record_rows(records), path)
-
-
-def _write_csv_rows(rows, path) -> None:
-    """write_csv over rows."""
     quoted = _Quoted()
     # the previous row's cell objects
     fid0 = alpha0 = s0 = x0 = p0 = q0 = lhs0 = qerr0 = _UNSET
     with open(path, "w", newline="") as fh:
         write = fh.write
         write(",".join(CSV_COLUMNS) + "\n")
-        for tid, fid, alpha, s, x, p, q, lhs, rhs, margin, ratio, cert, qerr, _ in rows:
+        for tid, fid, alpha, s, x, p, q, lhs, rhs, margin, ratio, cert, qerr, _ in records:
             if not (
                 fid is fid0 and alpha is alpha0 and s is s0
                 and x is x0 and p is p0 and q is q0
@@ -664,34 +631,32 @@ def read_csv(path) -> list[SweepRecord]:
                 f"header mismatch: expected {','.join(CSV_COLUMNS)}, got {','.join(header)}"
             )
         records = []
+        make = SweepRecord._make
         for i, row in enumerate(reader, start=1):
-            if len(row) != len(CSV_COLUMNS):
-                raise CsvSchemaError(
-                    f"row {i}: expected {len(CSV_COLUMNS)} cells, got {len(row)}"
-                )
+            if len(row) != _WIDTH:
+                raise CsvSchemaError(f"row {i}: expected {_WIDTH} cells, got {len(row)}")
             tid, fid, alpha, s, x, p, q, lhs, rhs, margin, ratio, certified, qerr = row
             if certified not in ("true", "false"):
                 raise CsvSchemaError(
                     f"row {i}: column 'certified' must be true/false, got {certified!r}"
                 )
             try:
-                records.append(
-                    SweepRecord(
-                        tid,
-                        fid,
-                        None if alpha == "" else float(alpha),
-                        float(s),
-                        None if x == "" else float(x),
-                        None if p == "" else float(p),
-                        None if q == "" else float(q),
-                        float(lhs),
-                        float(rhs),
-                        float(margin),
-                        float(ratio),
-                        certified == "true",
-                        float(qerr),
-                    )
-                )
+                records.append(make((
+                    tid,
+                    fid,
+                    None if alpha == "" else float(alpha),
+                    float(s),
+                    None if x == "" else float(x),
+                    None if p == "" else float(p),
+                    None if q == "" else float(q),
+                    float(lhs),
+                    float(rhs),
+                    float(margin),
+                    float(ratio),
+                    certified == "true",
+                    float(qerr),
+                    None,
+                )))
             except ValueError:
                 # the first bad cell in _NUMERIC order names the row's error
                 cells = dict(zip(CSV_COLUMNS, row))
@@ -712,20 +677,16 @@ _SVG_COLORS = {
 
 
 def render_svg(records: list[SweepRecord]) -> str:
-    """Scatter of ratio against alpha per bound id, 800x600 viewBox.
+    """Scatter of ratio against alpha per bound id, 800x600 viewBox, from
+    records or rows.
 
     Sandwich rows carry no alpha and are omitted.
     """
-    return _render_svg_rows(_record_rows(records))
-
-
-def _render_svg_rows(rows) -> str:
-    """render_svg over rows."""
     # each drawn point's (id, alpha, ratio)
     isfinite = math.isfinite
     pts = [
         (tid, alpha, ratio)
-        for tid, _, alpha, _, _, _, _, _, _, _, ratio, cert, _, _ in rows
+        for tid, _, alpha, _, _, _, _, _, _, _, ratio, cert, _, _ in records
         if cert and alpha is not None and isfinite(ratio)
     ]
     width, height = 800, 600

@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -366,6 +367,9 @@ _OVERFLOW = "inputs overflow floating point"
         # the boundary terms (b - x)^alpha of the wide one, which comes second
         ("120, 0.5", "1e17", "p must satisfy p > 1, got 1.0"),
         ("0.5, 120", "3", _OVERFLOW),
+        # below hh_core.ALPHA_MIN c2 and c3 lose their digits: the grid refuses it
+        ("0.5, 1e-300", "3", "alphas must be at least 0.0001, got 1e-300"),
+        ("9.99e-05, 0.5", "3", "alphas must be at least 0.0001, got 9.99e-05"),
     ],
 )
 def test_hostile_alpha_grid_ends_in_its_first_error(alphas, q, err, capsys, tmp_path):
@@ -480,6 +484,19 @@ class TestHostileInputs:
         assert needle in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("thm", ["t21", "t22", "t23", "t24"])
+    @pytest.mark.parametrize("alpha", ["1e-300", "9.99e-05"])
+    def test_alpha_below_the_floor_is_usage(self, thm, alpha, capsys):
+        # below it t21 printed a negative rhs, t22 and t24 used c3 = 1 and
+        # t23 a complex rhs, then a traceback
+        argv = ["bound", "--thm", thm, "--f", U2, "--a", "0", "--b", "1", "--x", "0.5",
+                "--alpha", alpha, "--s", "1"]
+        argv += [] if thm == "t21" else ["--q", "1.5"]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == cli.ExitCode.USAGE
+        assert err == f"error: alpha must be at least 0.0001, got {alpha}\n"
+
     def test_repeated_config_key_is_usage(self, capsys, tmp_path):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(TINY_CONFIG + "alphas = 2\n")
@@ -532,6 +549,43 @@ def test_hostile_argv_ends_in_exit_code_and_one_line(argv, capsys):
     err = capsys.readouterr().err
     assert code in set(cli.ExitCode)
     assert err == "" or (err.count("\n") == 1 and err.endswith("\n")), err
+
+
+class TestBoundSlack:
+    """lhs may pass rhs by the documented 1e-9 * (1 + |rhs|): over by half of
+    that the check holds, over by twice that it fails."""
+
+    SLACK = 1e-9  # written out: a test that reads cli.BOUND_SLACK moves with it
+    POINT = ["--f", U2, "--a", "0", "--b", "1", "--s", "1"]
+
+    @pytest.mark.parametrize("factor, code", [(0.5, 0), (2.0, 1)])
+    def test_bound(self, factor, code, monkeypatch, capsys):
+        real = cli.bound
+
+        def over(tid, inst, *args):
+            report = real(tid, inst, *args)
+            band = self.SLACK * (1.0 + abs(report.rhs))
+            return replace(report, lhs=report.rhs + factor * band)
+
+        monkeypatch.setattr(cli, "bound", over)
+        argv = ["bound", "--thm", "t21", *self.POINT, "--x", "0.5", "--alpha", "0.5"]
+        assert cli.main(argv) == code
+        assert capsys.readouterr().out.endswith("bound holds\n" if code == 0 else "bound VIOLATED\n")
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("factor, code", [(0.5, 0), (2.0, 1)])
+    def test_sandwich(self, side, factor, code, monkeypatch, capsys):
+        real = cli.hh_sandwich_with_error
+
+        def outside(*args):
+            (left, _, right), err = real(*args)
+            band = self.SLACK * (1.0 + abs(right))
+            mid = left - factor * band if side == "left" else right + factor * band
+            return (left, mid, right), err
+
+        monkeypatch.setattr(cli, "hh_sandwich_with_error", outside)
+        assert cli.main(["bound", "--thm", "hh", *self.POINT]) == code
+        capsys.readouterr()
 
 
 class TestParserCache:

@@ -4,6 +4,7 @@ import functools
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ import fracineq.hh_core as hh_core
 from fracineq.errors import DomainError, QuadratureToleranceError
 from fracineq.funcmodel import FunctionModel, parse_function
 from fracineq.hh_core import (
+    ALPHA_MIN,
     BOUNDS,
     ProblemInstance,
     TheoremId,
@@ -19,6 +21,8 @@ from fracineq.hh_core import (
     bound_t22,
     bound_t23,
     bound_t24,
+    c1_c2,
+    c3_root,
     conjugate_exponent,
     hh_sandwich,
     hh_sandwich_with_error,
@@ -58,6 +62,19 @@ class TestProblemInstance:
             ProblemInstance(u2, 0, 1, 0.5, 1, 1, q=1e17)
         inst = ProblemInstance(u2, 0, 1, 0.5, 1, 1, q=1e15)
         assert inst.p > 1.0
+
+    @pytest.mark.parametrize("factor, holds", [(0.5, True), (2.0, False)])
+    def test_conjugacy_defect_against_the_tolerance(self, u2, factor, holds):
+        # 1/p = 1/2 + d with q = 2: the defect |1/p + 1/q - 1| is d; the
+        # documented 1e-12 is written out, since CONJUGACY_TOL would move with it
+        tol = 1e-12
+        p = 1.0 / (0.5 + factor * tol)
+        assert abs(1.0 / p + 0.5 - 1.0) == pytest.approx(factor * tol, rel=1e-3)
+        if holds:
+            assert ProblemInstance(u2, 0.0, 1.0, 0.5, 1.0, 1.0, p=p, q=2.0).p == p
+        else:
+            with pytest.raises(DomainError, match="are not conjugate"):
+                ProblemInstance(u2, 0.0, 1.0, 0.5, 1.0, 1.0, p=p, q=2.0)
 
     def test_q_one_has_no_conjugate(self, u2):
         inst = ProblemInstance(u2, 0.0, 1.0, 0.5, 1.0, 1.0, q=1.0)
@@ -119,6 +136,45 @@ class TestProofConstants:
     def test_validation(self, args):
         with pytest.raises(DomainError):
             proof_constants(*args)
+
+
+class TestAlphaFloor:
+    """Below ALPHA_MIN the closed forms of c2 and c3 cancel to noise, so every
+    alpha is refused there by one rule; at and above it they hold to 1e-10."""
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-17, 1e-6, 9.99e-5])
+    def test_one_rule_refuses_below_the_floor(self, u2, alpha):
+        message = f"alpha must be at least 0.0001, got {alpha!r}"
+        with pytest.raises(DomainError) as inst:
+            ProblemInstance(u2, 0.0, 1.0, 0.5, alpha, 1.0)
+        with pytest.raises(DomainError) as consts:
+            proof_constants(alpha, 1.0, 2.0)
+        assert str(inst.value) == str(consts.value) == message
+
+    def test_nan_is_refused_by_the_floor(self):
+        with pytest.raises(DomainError, match="alpha must be at least 0.0001, got nan"):
+            proof_constants(math.nan, 1.0, 2.0)
+
+    def test_the_floor_itself_is_accepted(self, u2):
+        assert ALPHA_MIN == 1e-4
+        ProblemInstance(u2, 0.0, 1.0, 0.5, ALPHA_MIN, 1.0)
+        assert proof_constants(ALPHA_MIN, 1.0, 2.0).c2 > 0.0
+
+    @pytest.mark.parametrize("alpha", [ALPHA_MIN, 1.5e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0, 50.0])
+    def test_c2_and_c3_root_against_mpmath(self, alpha):
+        # B(alpha+1, s+1) and B(1/alpha, p+1)/alpha at 50 digits, not log-Gamma differences
+        worst = 0.0
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            for s in (1e-6, 1e-3, 0.1, 0.25, 0.5, 0.75, 1.0):
+                want = 1 / (mpmath.mpf(s) + 1) - mpmath.beta(a + 1, mpmath.mpf(s) + 1)
+                for got in (proof_constants(alpha, s, 2.0).c2, c1_c2(alpha, s)[1]):
+                    worst = max(worst, float(abs(got - want) / want))
+            for p in (1.2, 1.5, 2.0, 3.0, 4.5, 6.0):
+                pp = mpmath.mpf(p)
+                want = (mpmath.beta(1 / a, pp + 1) / a) ** (1 / pp)
+                worst = max(worst, float(abs(c3_root(alpha, p) - want) / want))
+        assert worst <= 1e-10
 
 
 class TestIdentity:

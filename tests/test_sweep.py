@@ -7,7 +7,7 @@ import math
 import re
 import struct
 from collections import Counter
-from dataclasses import FrozenInstanceError, astuple, fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +93,9 @@ class TestGrid:
         [
             ("alphas", ()),
             ("alphas", (0.0,)),
+            ("alphas", (0.5, 9.99e-5)),
+            ("alphas", (1e-300,)),
+            ("alphas", (math.nan,)),
             ("svals", (1.5,)),
             ("xfracs", (-0.1,)),
             ("qvals", (1.0,)),
@@ -111,6 +114,10 @@ class TestGrid:
         kwargs[field] = value
         with pytest.raises(DomainError):
             SweepGrid(**kwargs)
+
+    def test_alphas_share_the_instances_floor(self):
+        with pytest.raises(DomainError, match=r"^alphas must be at least 0\.0001, got 1e-300$"):
+            replace(_tiny_grid(), alphas=(0.5, 1e-300))
 
     def test_duplicate_family_ids_rejected(self):
         f = parse_function("1*(u-0)^2 on [0,1]")
@@ -412,9 +419,9 @@ def _assert_same_records(got, want):
     """Field by field, certificate included, floats to the bit."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        for fld in fields(SweepRecord):
-            a, b = getattr(g, fld.name), getattr(w, fld.name)
-            assert type(a) is type(b) and _bits(a) == _bits(b), (fld.name, g, w)
+        for name in SweepRecord._fields:
+            a, b = getattr(g, name), getattr(w, name)
+            assert type(a) is type(b) and _bits(a) == _bits(b), (name, g, w)
 
 
 _ORACLE_GRIDS = {
@@ -553,18 +560,19 @@ class TestRecordLoopAgainstOracle:
 
 
 class TestRowPathAgainstRecordPath:
-    """The CLI's sweep keeps records as rows from the sweep to each output;
-    every output must be the one the public record functions give."""
+    """The CLI's sweep keeps records as plain rows from the sweep to each
+    output; every output must be the one run_sweep's records give."""
 
     @pytest.mark.parametrize("name", list(_ORACLE_GRIDS))
     def test_rows_rebuild_run_sweeps_records(self, name):
         grid, cfg = _ORACLE_GRIDS[name]
         rows = list(sweep_module._sweep_rows(grid, cfg, seed=5, samples=256))
+        assert {type(row) for row in rows} == {tuple}
         records = run_sweep(grid, cfg, seed=5, samples=256)
-        _assert_same_records([SweepRecord(*row) for row in rows], records)
+        _assert_same_records(list(map(SweepRecord._make, rows)), records)
 
         summary = summarize(records)
-        from_rows = sweep_module._summarize_rows(rows)
+        from_rows = summarize(rows)
         _assert_same_summary(summary, _reference_summarize(records))
         assert list(from_rows.by_theorem) == list(summary.by_theorem)
         for tid, ts in summary.by_theorem.items():
@@ -574,6 +582,7 @@ class TestRowPathAgainstRecordPath:
                 continue
             # the caller's own record, and a record equal to it from the rows
             assert any(ts.argmax is r for r in records)
+            assert type(got.argmax) is SweepRecord
             _assert_same_records([got.argmax], [ts.argmax])
             assert repr(got.max_ratio) == repr(ts.max_ratio)
 
@@ -584,12 +593,19 @@ class TestRowPathAgainstRecordPath:
         grid, cfg = _ORACLE_GRIDS[name]
         monkeypatch.setattr(cli, "grid_from_config_text", lambda text: grid)
         monkeypatch.setattr(cli, "DEFAULT_CONFIG", cfg)
+        # the types of the items each output function is handed
+        handed = {}
+
+        def spy(fn):
+            def run(rows, *args):
+                handed[fn.__name__] = {type(row) for row in rows}
+                return fn(rows, *args)
+            return run
+
+        for fn in (write_csv, summarize, render_svg):
+            monkeypatch.setattr(cli, fn.__name__, spy(fn))
         out, svg = tmp_path / "cli.csv", tmp_path / "cli.svg"
-        built = []
-        init = SweepRecord.__init__
-        with monkeypatch.context() as m:
-            m.setattr(SweepRecord, "__init__", lambda *a, **kw: built.append(init(*a, **kw)))
-            code = cli.main(["sweep", "--out", str(out), "--summary", "--svg", str(svg)])
+        code = cli.main(["sweep", "--out", str(out), "--summary", "--svg", str(svg)])
         printed = capsys.readouterr().out.splitlines()
 
         records = run_sweep(apply_derivative_shrink(grid)[0], cfg, seed=0)
@@ -600,8 +616,8 @@ class TestRowPathAgainstRecordPath:
         summary_lines = [ln for ln in printed if not ln.startswith(("wrote ", "note: "))]
         assert summary_lines == format_summary(summary).splitlines()
         assert code == (1 if summary.violations else 0)
-        # the only records the CLI builds are the summary's argmax records
-        assert len(built) == sum(ts.argmax is not None for ts in summary.by_theorem.values())
+        # the CLI builds no record on the way to its outputs
+        assert handed == dict.fromkeys(("write_csv", "summarize", "render_svg"), {tuple})
 
 
 class TestViolationRule:
@@ -624,31 +640,41 @@ class TestRecord:
 
     def test_every_field_is_set_in_order(self):
         rec = SweepRecord(*self.ARGS, certificate="proved")
-        assert list(vars(rec)) == [f.name for f in fields(SweepRecord)]
-        assert astuple(rec) == (*self.ARGS, "proved")
+        assert SweepRecord._fields == (*CSV_COLUMNS, "certificate")
+        assert tuple(rec) == (*self.ARGS, "proved")
+        assert list(rec._asdict().values()) == [*self.ARGS, "proved"]
         assert SweepRecord(*self.ARGS).certificate is None
 
     def test_frozen(self):
         rec = SweepRecord(*self.ARGS)
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             rec.lhs = 0.0
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             rec.certificate = "proved"
+        with pytest.raises(AttributeError):
+            rec.note = "no instance dict"
         assert rec.lhs == 0.5
 
     def test_equality_and_hash_ignore_the_certificate(self):
         proved = SweepRecord(*self.ARGS, certificate="proved")
         unknown = SweepRecord(*self.ARGS)
         assert proved == unknown and hash(proved) == hash(unknown)
+        assert not proved != unknown
         assert proved != SweepRecord(*self.ARGS[:-1], 2e-12, certificate="proved")
         assert len({proved, unknown}) == 1
 
+    def test_a_record_never_equals_a_plain_tuple(self):
+        rec = SweepRecord(*self.ARGS)
+        for row in (tuple(rec), self.ARGS):
+            assert rec != row and row != rec
+            assert not (rec == row or row == rec)
+
     def test_replace_keeps_the_other_fields(self):
         rec = SweepRecord(*self.ARGS, certificate="sampled")
-        moved = replace(rec, lhs=0.25, margin=0.75)
+        moved = rec._replace(lhs=0.25, margin=0.75)
         assert (moved.lhs, moved.margin, moved.certificate) == (0.25, 0.75, "sampled")
-        assert replace(moved, lhs=0.5, margin=0.5) == rec
-        assert repr(replace(rec)) == repr(rec)
+        assert moved._replace(lhs=0.5, margin=0.5) == rec
+        assert repr(rec._replace()) == repr(rec)
 
 
 class TestSummary:
@@ -669,11 +695,11 @@ class TestSummary:
     def test_groups_keep_record_order_and_unknown_ids_count_in_totals(self):
         row = SweepRecord("T21", "f", 1.0, 1.0, 0.5, 2.0, 2.0, 0.5, 1.0, 0.0, 0.5, True, 0.0)
         records = [
-            replace(row, family_id="first", margin=1e16),
-            replace(row, theorem_id="C13", margin=-1e16),
-            replace(row, family_id="second", margin=1.0),
-            replace(row, theorem_id="HH11", alpha=None, x=None, p=None, q=None),
-            replace(row, family_id="third", margin=-1e16),
+            row._replace(family_id="first", margin=1e16),
+            row._replace(theorem_id="C13", margin=-1e16),
+            row._replace(family_id="second", margin=1.0),
+            row._replace(theorem_id="HH11", alpha=None, x=None, p=None, q=None),
+            row._replace(family_id="third", margin=-1e16),
         ]
         summary = summarize(records)
         assert (summary.total, summary.certified) == (5, 5)
@@ -913,7 +939,7 @@ def _record_lists(draw):
     for i in range(1, len(records)):
         shared = draw(st.sets(st.sampled_from(CSV_COLUMNS)))
         if shared:
-            records[i] = replace(records[i], **{c: getattr(records[i - 1], c) for c in shared})
+            records[i] = records[i]._replace(**{c: getattr(records[i - 1], c) for c in shared})
     return records
 
 
@@ -947,9 +973,9 @@ class TestCsvAgainstOracle:
         a, b = _distinct(first), _distinct(then)
         assert a is not b
         row = SweepRecord(*(_distinct(v) if isinstance(v, float) else v for v in TestRecord.ARGS))
-        records = [replace(row, **{column: a}), replace(row, **{column: b})]
+        records = [row._replace(**{column: a}), row._replace(**{column: b})]
         records.append(records[-1])
-        records.append(replace(records[-1], family_id="other"))
+        records.append(records[-1]._replace(family_id="other"))
         want, got = tmp_path / "want.csv", tmp_path / "got.csv"
         _oracle_write(records, want)
         write_csv(records, got)
@@ -1241,14 +1267,14 @@ class TestOutputsAgainstOracle:
         "case",
         [
             [],
-            [replace(_ROW, certified=False)],
-            [replace(_ROW, theorem_id="HH11", alpha=None)],
-            [replace(_ROW, ratio=r) for r in (0.25, 0.5, 0.75)],
-            [replace(_ROW, theorem_id=t, ratio=0.3) for t in ("T24", "T22", "C13", "T22")],
-            [replace(_ROW, theorem_id="T23", certified=False, ratio=0.9), replace(_ROW, ratio=0.2)],
-            [replace(_ROW, ratio=r) for r in (math.nan, math.inf, -math.inf, 0.5)],
-            [replace(_ROW, ratio=r) for r in (math.nan, math.inf)],
-            [replace(_ROW, alpha=a, ratio=r) for a, r in ((0.0, 1.2), (-0.0, -0.0), (3.0, 0.0))],
+            [_ROW._replace(certified=False)],
+            [_ROW._replace(theorem_id="HH11", alpha=None)],
+            [_ROW._replace(ratio=r) for r in (0.25, 0.5, 0.75)],
+            [_ROW._replace(theorem_id=t, ratio=0.3) for t in ("T24", "T22", "C13", "T22")],
+            [_ROW._replace(theorem_id="T23", certified=False, ratio=0.9), _ROW._replace(ratio=0.2)],
+            [_ROW._replace(ratio=r) for r in (math.nan, math.inf, -math.inf, 0.5)],
+            [_ROW._replace(ratio=r) for r in (math.nan, math.inf)],
+            [_ROW._replace(alpha=a, ratio=r) for a, r in ((0.0, 1.2), (-0.0, -0.0), (3.0, 0.0))],
         ],
         ids=[
             "no-records", "none-certified", "sandwich-only", "single-alpha",
@@ -1262,7 +1288,7 @@ class TestOutputsAgainstOracle:
     @pytest.mark.parametrize("alpha", [1e16, 2.0**52 + 2, 2.0**53, -1e16, 1.7e308])
     def test_svg_single_huge_alpha(self, alpha):
         # +-0.5 rounds back to alpha, where the reference divides by zero
-        case = [replace(_ROW, alpha=alpha), replace(_ROW, alpha=alpha, ratio=0.25)]
+        case = [_ROW._replace(alpha=alpha), _ROW._replace(alpha=alpha, ratio=0.25)]
         assert _outcome(_reference_render_svg, case) == _COLLAPSED_AXIS
         cx = _point_cx(render_svg(case))
         assert len(cx) == 2 and all(map(math.isfinite, cx))
