@@ -41,11 +41,22 @@ and the first step that decides gives the report's ``kind``:
    ``sampled``, a pass that is probable, not proved.
 
 A witness's violation is compared against CERT_TOL * (1 + max|g|), with
-max|g| taken over the points the deciding step evaluated: one triple for a
+max|g| taken over the points the deciding step read: one triple for a
 rule's witness, 12 for the boundary triples, all of them for the sampler.
 The boundary triples are the sampler's first 12, so the sampler sees every
 violation they show; a boundary refutation can differ from the sampler's
-verdict only when that violation lies between the two tolerances.
+verdict only when that violation lies between the two tolerances. All
+three steps apply one violation rule to g values they are handed.
+
+g is evaluated once per table, not once per certificate. A table holds a
+model's values at a, b and the boundary triples' mix points, from one
+evaluation; each (target, q)'s g is derived from them once, and serves
+every s and mode. certify_model builds a table for its one query; a sweep
+builds one per family and model, and the bounds read |f'| at their own
+points from the same evaluation. Only the sampler evaluates g afresh, at its
+drawn points. Every power stays in numpy on float64 arrays, where a value's
+bits do not depend on the array it sits in, so a shared table reproduces a
+per-query evaluation to the bit.
 
 A failed certificate is a result, not an error.
 """
@@ -329,35 +340,105 @@ def _check_certify_args(lo: float, hi: float, s: float, mode: str, samples: int)
         raise DomainError("samples must be >= 0")
 
 
-def _worst_violation(fn, lo, hi, s, mode, lam, xs, ys) -> tuple[int, float, float]:
+# The 12 boundary triples: lam in {0, 1/2, 1} against every endpoint pair
+# (x, y), with x and y as indices 0 (a) and 1 (b) into a table's points, and
+# their mix points as indices 2..13. _WITNESS[i] selects the triple (e, e,
+# 1/2) at endpoint i, and _ALL every triple.
+_LAM = np.repeat([0.0, 0.5, 1.0], 4)
+_X_AT = np.tile([0, 0, 1, 1], 3)
+_Y_AT = np.tile([0, 1, 0, 1], 3)
+_MIX_AT = np.arange(2, 14)
+_WITNESS = (np.array([4]), np.array([7]))
+_ALL = np.arange(12)
+_CERT_POINTS = 14
+
+
+def _violation(wx, wy, gx, gy, gm, scale: float, mode: str) -> tuple[int, float, float]:
     """Index of the worst triple, its signed violation and the tolerance.
 
-    The weights lam^s use the continuous extension 0^s = 0 at lam in {0, 1};
-    the tolerance is CERT_TOL * (1 + max|g|) over the points evaluated. A g
-    value that is not finite raises OverflowError: no verdict rests on it.
+    The one violation rule of every deciding step. It reads each triple's
+    weights lam^s and (1-lam)^s, with 0^s = 0, g at its x, its y and its mix
+    point clip(lam*x + (1-lam)*y), and scale = max|g| over those values; the
+    tolerance is CERT_TOL * (1 + scale). A scale that is not finite (so some
+    g value is not) raises OverflowError: no verdict rests on it.
     """
-    mix = np.clip(lam * xs + (1.0 - lam) * ys, lo, hi)
-
-    def _vals(pts: np.ndarray) -> np.ndarray:
-        out = np.asarray(fn(pts), dtype=float)
-        return np.broadcast_to(out, pts.shape)
-
-    gx, gy, gm = _vals(xs), _vals(ys), _vals(mix)
-    if not all(np.isfinite(g).all() for g in (gx, gy, gm)):
+    if not math.isfinite(scale):
         raise OverflowError("the hypothesis function is not finite at a sampled point")
-    combo = np.power(lam, s) * gx + np.power(1.0 - lam, s) * gy
+    combo = wx * gx + wy * gy
     viol = gm - combo if mode == "convex" else combo - gm
-
     worst = int(np.argmax(viol))
-    scale = max(np.abs(gx).max(), np.abs(gy).max(), np.abs(gm).max())
-    return worst, float(viol[worst]), CERT_TOL * (1.0 + float(scale))
+    return worst, float(viol[worst]), CERT_TOL * (1.0 + scale)
+
+
+def _max_abs(*values: np.ndarray) -> float:
+    """max|g| over arrays of g values; inf if any value is not finite."""
+    # one array at a time: a joined copy of the sampler's arrays costs 10x more
+    maxes = [float(np.abs(v).max()) for v in values]
+    return max(maxes) if all(map(math.isfinite, maxes)) else math.inf
+
+
+def _lam_weights(s: float) -> tuple[np.ndarray, np.ndarray]:
+    """lam^s and (1-lam)^s of the 12 boundary triples."""
+    return np.power(_LAM, s), np.power(1.0 - _LAM, s)
 
 
 def _boundary_triples(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lam, x, y) for lam in {0, 1/2, 1} against every endpoint pair: 12 triples."""
-    ends = np.array([lo, hi])
-    xb, yb = np.repeat(ends, 2), np.tile(ends, 2)
-    return np.repeat([0.0, 0.5, 1.0], 4), np.tile(xb, 3), np.tile(yb, 3)
+    ends = np.array([lo, hi], dtype=float)
+    return _LAM, ends[_X_AT], ends[_Y_AT]
+
+
+def _mix_points(lam, xs, ys, lo: float, hi: float) -> np.ndarray:
+    """clip(lam*x + (1-lam)*y, lo, hi) of each triple, where g is compared."""
+    return np.clip(lam * xs + (1.0 - lam) * ys, lo, hi)
+
+
+def _target_values(values, target: str, q: float | None):
+    """The hypothesis function g (f, |f'| or |f'|^q) from its source's values."""
+    if target == "f":
+        return values
+    if target == "abs_deriv":
+        return np.abs(values)
+    if target == "abs_deriv_pow":
+        return np.abs(values) ** q
+    raise DomainError(f"unknown certification target {target!r}")
+
+
+class _PointTable:
+    """One model evaluated once at every fixed point its certificates read.
+
+    The points are a, b, then the mix points of the 12 boundary triples (a,
+    b and clip(0.5*a + 0.5*b) in all but edge cases), then any extra points
+    the caller reads itself, in ``values[14:]``. Each (target, q)'s g is
+    derived from the first 14 values on its first use. A table lives for one
+    sweep of a family, or one certify or bound call.
+    """
+
+    __slots__ = ("model", "a", "b", "xs", "ys", "values", "_hypotheses")
+
+    def __init__(self, model: FunctionModel, a: float, b: float, extra=()) -> None:
+        lam, xs, ys = _boundary_triples(a, b)
+        self.model, self.a, self.b, self.xs, self.ys = model, a, b, xs, ys
+        points = [(a, b), _mix_points(lam, xs, ys, a, b), extra]
+        self.values = model.evaluate(np.concatenate(points))
+        self._hypotheses: dict = {}
+
+    def hypothesis(self, target: str, q: float | None) -> tuple[np.ndarray, tuple | None]:
+        """g at the certificate points, and _rule_terms of g: computed on the
+        first call per (target, q)."""
+        got = self._hypotheses.get((target, q))
+        if got is None:
+            got = self._hypotheses[target, q] = (
+                _target_values(self.values[:_CERT_POINTS], target, q),
+                _rule_terms(self.model, target, q, self.a),
+            )
+        return got
+
+    def ends_and_mid(self) -> tuple[float, float, float]:
+        """The model at a, at b and at the mix point clip(0.5*a + 0.5*b)."""
+        # point 7 is the mix point of the triple (a, b, 1/2)
+        fa, fb, fm = self.values[[0, 1, 7]].tolist()
+        return fa, fb, fm
 
 
 def certify_pointwise(
@@ -390,7 +471,13 @@ def certify_pointwise(
     lam = np.concatenate([lam_b, lam_r])
     xs = np.concatenate([xs_b, xs_r])
     ys = np.concatenate([ys_b, ys_r])
-    worst, worst_violation, tol = _worst_violation(fn, lo, hi, s, mode, lam, xs, ys)
+    gx, gy, gm = (
+        np.broadcast_to(np.asarray(fn(pts), dtype=float), pts.shape)
+        for pts in (xs, ys, _mix_points(lam, xs, ys, lo, hi))
+    )
+    worst, worst_violation, tol = _violation(
+        np.power(lam, s), np.power(1.0 - lam, s), gx, gy, gm, _max_abs(gx, gy, gm), mode
+    )
     verdict = worst_violation <= tol
     return CertificationReport(
         verdict=verdict,
@@ -405,41 +492,32 @@ def certify_pointwise(
     )
 
 
-def _refutation(fn, a, b, s, mode, seed, rule, lam, xs, ys) -> CertificationReport | None:
-    """The refuted report of the worst of these fixed triples, or None if none fails."""
-    worst, viol, tol = _worst_violation(fn, a, b, s, mode, lam, xs, ys)
+def _refutation(table, g, weights, at, s, mode, seed, rule) -> CertificationReport | None:
+    """The refuted report of the worst of the boundary triples ``at`` (_ALL
+    or a _WITNESS), from g at the table's points, or None if none fails."""
+    wx, wy = weights
+    lam, xi, yi = _LAM[at], _X_AT[at], _Y_AT[at]
+    gx, gy, gm = g[xi], g[yi], g[_MIX_AT[at]]
+    worst, viol, tol = _violation(wx[at], wy[at], gx, gy, gm, _max_abs(gx, gy, gm), mode)
     if viol <= tol:
         return None
     return CertificationReport(
         verdict=False, worst_violation=viol,
-        witness=(float(xs[worst]), float(ys[worst]), float(lam[worst])),
+        witness=(float(table.xs[at][worst]), float(table.ys[at][worst]), float(lam[worst])),
         samples=int(lam.size), s=float(s), mode=mode, seed=int(seed), tol=tol,
         kind="refuted", rule=rule,
     )
 
 
-def _target_fn(g_source: FunctionModel, target: str, q: float | None):
-    """The vectorized hypothesis function g: f, |f'| or |f'|^q."""
-    if target == "f":
-        return g_source.evaluate
-    if target == "abs_deriv":
-        return lambda u: np.abs(g_source.evaluate(u))
-    if target == "abs_deriv_pow":
-        return lambda u: np.abs(g_source.evaluate(u)) ** q
-    raise DomainError(f"unknown certification target {target!r}")
-
-
-def _rule(
-    g_source: FunctionModel, target: str, q: float | None, a: float, s: float, mode: str
-) -> tuple[str, str] | None:
-    """("proved", rule) or ("refuted", rule) from the terms of g, else None.
-
-    A "refuted" answer is only a candidate: certify_model still has to
-    confirm its witness numerically.
-    """
+def _rule_terms(
+    g_source: FunctionModel, target: str, q: float | None, a: float
+) -> tuple[list[Fraction], bool] | None:
+    """What the rules read of g's terms on [a, b]: the exact exponents of a
+    nonnegative power sum (none when g = 0), and whether g is a power q of
+    one; None when no rule applies."""
     terms = [t for t in g_source.terms if t.coeff != 0.0]
     if not terms:
-        return "proved", "g = 0"
+        return [], False
     positive = {t.coeff > 0.0 for t in terms}
     if len(positive) > 1 or any(t.shift > a for t in terms):
         return None
@@ -451,6 +529,22 @@ def _rule(
     powered = target == "abs_deriv_pow" and len(exps) > 1  # g = (sum)^q
     if target == "abs_deriv_pow" and not powered:
         exps = [exps[0] * Fraction(q)]  # (c*(u-c0)^r)^q = c^q*(u-c0)^(r*q)
+    return exps, powered
+
+
+def _rule(
+    terms: tuple[list[Fraction], bool] | None, s: float, mode: str
+) -> tuple[str, str] | None:
+    """("proved", rule) or ("refuted", rule) from _rule_terms of g, else None.
+
+    A "refuted" answer is only a candidate: certify_model still has to
+    confirm its witness numerically.
+    """
+    if terms is None:
+        return None
+    exps, powered = terms
+    if not exps:
+        return "proved", "g = 0"
     s_exact = Fraction(s)
     if mode == "convex":
         if powered:
@@ -494,30 +588,53 @@ def certify_model(
         raise DomainError(
             f"evaluation point outside domain [{g_source.lo!r}, {g_source.hi!r}]"
         )
+    return _certify(_PointTable(g_source, a, b), target, q, s, mode, samples, seed)
+
+
+def _certify(
+    table: _PointTable,
+    target: str,
+    q: float | None,
+    s: float,
+    mode: str,
+    samples: int = CERT_SAMPLES,
+    seed: int = 0,
+    weights: tuple[np.ndarray, np.ndarray] | None = None,
+) -> CertificationReport:
+    """certify_model on the table of g_source over [a, b].
+
+    ``weights`` are _lam_weights(s), computed here when not given; a sweep
+    passes the same pair to every certificate at s.
+    """
+    a, b = table.a, table.b
+    _check_certify_args(a, b, s, mode, samples)
     if target == "abs_deriv_pow" and not (q is not None and q >= 1.0):
         raise DomainError(f"|f'|^q needs q >= 1, got {q!r}")
-    fn = _target_fn(g_source, target, q)
-    decided = _rule(g_source, target, q, a, s, mode)
+    g, terms = table.hypothesis(target, q)
+    if weights is None:
+        weights = _lam_weights(s)
+    decided = _rule(terms, s, mode)
     if decided is not None:
         kind, rule = decided
-        ends = np.array([a, b])
-        g_ends = np.asarray(fn(ends), dtype=float)
         # a rule reasons about real numbers; where g overflows in floats (it
         # is nondecreasing, so the endpoints show it) no verdict is given, and
         # the sampler, whose points include both endpoints, would only say so
         # after evaluating all of them
-        if not np.isfinite(g_ends).all():
+        if not np.isfinite(g[:2]).all():
             raise OverflowError("the hypothesis function is not finite at an endpoint")
         if kind == "proved":
             return CertificationReport(
                 verdict=True, worst_violation=0.0, witness=None, samples=0,
                 s=float(s), mode=mode, seed=int(seed), tol=0.0, kind=kind, rule=rule,
             )
-        at = ends[[int(np.argmax(g_ends))]]  # the first maximum: a on a tie
-        if (refuted := _refutation(fn, a, b, s, mode, seed, rule, np.array([0.5]), at, at)):
+        # the triple (e, e, 1/2) at the first endpoint of largest g: a on a tie
+        at = _WITNESS[int(np.argmax(g[:2]))]
+        if (refuted := _refutation(table, g, weights, at, s, mode, seed, rule)):
             return refuted
     # the sampler's first 12 triples: most failures show here, before any draw
-    lam, xs, ys = _boundary_triples(a, b)
-    if (refuted := _refutation(fn, a, b, s, mode, seed, "boundary triple", lam, xs, ys)):
+    if (refuted := _refutation(table, g, weights, _ALL, s, mode, seed, "boundary triple")):
         return refuted
-    return certify_pointwise(fn, a, b, s, mode, samples, seed)
+    model = table.model
+    return certify_pointwise(
+        lambda u: _target_values(model.evaluate(u), target, q), a, b, s, mode, samples, seed
+    )

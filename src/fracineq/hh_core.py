@@ -52,7 +52,8 @@ from .funcmodel import (
     CERT_SAMPLES,
     CertificationReport,
     FunctionModel,
-    certify_model,
+    _certify,
+    _PointTable,
 )
 from .rlint import (
     DEFAULT_CONFIG,
@@ -88,7 +89,6 @@ __all__ = [
     "rhs_t23",
     "rhs_t24",
     "DerivValues",
-    "abs_deriv_values",
     "bound_weights",
     "c1_c2",
     "c3_root",
@@ -520,18 +520,34 @@ BOUNDS = {
 }
 
 
-def abs_deriv_values(
-    fp: FunctionModel, a: float, b: float, x: float, theorems: Iterable[TheoremId]
-) -> DerivValues:
-    """|f'| at the points any of the given bounds reads, NaN at the others."""
-    fx = fa = fb = fma = fmb = math.nan
+def _deriv_table(
+    fp: FunctionModel, a: float, b: float, xs, theorems: Iterable[TheoremId]
+) -> tuple[_PointTable, list[DerivValues]]:
+    """f' on [a, b] in one evaluation, and |f'| at each x's points.
+
+    The table holds f' at the points the certificates read, then at each x
+    and at the midpoints (x+a)/2 and (x+b)/2, where any of the given bounds
+    reads them; |f'(a)| and |f'(b)| are the certificates' own a and b. A
+    point no bound reads is not evaluated and reads NaN.
+    """
+    xs = list(xs)
+    n = len(xs)
     midpoints = [FRACTIONAL_BOUNDS[t].midpoints for t in theorems]
-    if not all(midpoints):
-        fx, fa, fb = (abs(fp.evaluate(u)) for u in (x, a, b))
-    if any(midpoints):
-        fma = abs(fp.evaluate(0.5 * (x + a)))
-        fmb = abs(fp.evaluate(0.5 * (x + b)))
-    return DerivValues(fx, fa, fb, fma, fmb)
+    at_x, at_mid = not all(midpoints), any(midpoints)
+    extra = []
+    if at_x:
+        extra += xs
+    if at_mid:
+        extra += [0.5 * (x + a) for x in xs] + [0.5 * (x + b) for x in xs]
+    table = _PointTable(fp, a, b, extra)
+    # Python floats, so each formula's arithmetic stays its own
+    absvals = np.abs(table.values).tolist()
+    rest = absvals[len(absvals) - len(extra):]
+    nans = [math.nan] * n
+    fa, fb = absvals[:2] if at_x else (math.nan, math.nan)
+    fx = rest[:n] if at_x else nans
+    fma, fmb = (rest[-2 * n:-n], rest[-n:]) if at_mid else (nans, nans)
+    return table, [DerivValues(*v) for v in zip(fx, [fa] * n, [fb] * n, fma, fmb)]
 
 
 def rhs(theorem_id: TheoremId | str, inst: ProblemInstance) -> float:
@@ -541,11 +557,12 @@ def rhs(theorem_id: TheoremId | str, inst: ProblemInstance) -> float:
     for the classical ids, q for a bound with a q name, and q > 1 for a
     Holder one.
     """
-    return _rhs_and_derivative(TheoremId(theorem_id), inst)[0]
+    return _rhs_and_table(TheoremId(theorem_id), inst)[0]
 
 
-def _rhs_and_derivative(tid: TheoremId, inst: ProblemInstance) -> tuple[float, FunctionModel]:
-    """rhs(tid, inst) and the f' it read, which bound's certificate reuses."""
+def _rhs_and_table(tid: TheoremId, inst: ProblemInstance) -> tuple[float, _PointTable]:
+    """rhs(tid, inst) and the table of f' it read, which bound's certificate
+    reads too."""
     if tid not in BOUNDS:
         raise DomainError(f"{tid.value} is not a bound id")
     spec = BOUNDS[tid]
@@ -562,15 +579,15 @@ def _rhs_and_derivative(tid: TheoremId, inst: ProblemInstance) -> tuple[float, F
             raise DomainError(f"{spec.q_name} requires q > 1, got {q!r}")
     fp = inst.f.derivative()
     if tid not in FRACTIONAL_BOUNDS:
-        return spec.formula(inst, fp, q), fp
-    d = abs_deriv_values(fp, inst.a, inst.b, inst.x, (tid,))
+        return spec.formula(inst, fp, q), _PointTable(fp, inst.a, inst.b)
+    table, (d,) = _deriv_table(fp, inst.a, inst.b, [inst.x], (tid,))
     wa, wb = bound_weights(inst.a, inst.b, inst.x, inst.alpha)
     c1 = c2 = c3p = math.nan
     if spec.holder:
         c3p = c3_root(inst.alpha, inst.p)
     else:
         c1, c2 = c1_c2(inst.alpha, inst.s)
-    return spec.formula(d, wa, wb, inst.alpha, inst.s, q, c1, c2, c3p), fp
+    return spec.formula(d, wa, wb, inst.alpha, inst.s, q, c1, c2, c3p), table
 
 
 def rhs_t21(inst: ProblemInstance) -> float:
@@ -611,11 +628,9 @@ def bound(
     certificate never blocks the evaluation.
     """
     tid = TheoremId(theorem_id)
-    r, fp = _rhs_and_derivative(tid, inst)
+    r, table = _rhs_and_table(tid, inst)
     spec = BOUNDS[tid]
-    cert = certify_model(
-        fp, spec.target, inst.q, inst.a, inst.b, inst.s, spec.mode, samples, seed
-    )
+    cert = _certify(table, spec.target, inst.q, inst.s, spec.mode, samples, seed)
     lhs, qerr = identity_lhs_with_error(inst, cfg)
     lhs = abs(lhs)
     return BoundReport(
@@ -704,17 +719,24 @@ def hh_sandwich_with_error(
         raise DomainError(
             f"requires lo <= a < b <= hi, got [{a!r}, {b!r}] on [{f.lo!r}, {f.hi!r}]"
         )
-    return _sandwich(f, a, b, s, integrate_adaptive(f.evaluate, a, b, cfg))
+    integral = integrate_adaptive(f.evaluate, a, b, cfg)
+    return _sandwich(_PointTable(f, a, b).ends_and_mid(), a, b, s, integral)
 
 
 def _sandwich(
-    f: FunctionModel, a: float, b: float, s: float, integral: tuple[float, float]
+    ends_and_mid: tuple[float, float, float],
+    a: float,
+    b: float,
+    s: float,
+    integral: tuple[float, float],
 ) -> tuple[HHSandwich, float]:
-    """The sandwich at s from the (value, error_estimate) of int_a^b f, which
-    does not depend on s; a sweep integrates once per family."""
+    """The sandwich at s from f at a, b and clip(0.5*a + 0.5*b) and the
+    (value, error_estimate) of int_a^b f; none of them depends on s, so a
+    sweep reads them once per family."""
+    fa, fb, fm = ends_and_mid
     value, err = integral
-    left = 2.0 ** (s - 1.0) * f.evaluate(0.5 * (a + b))
-    right = (f.evaluate(a) + f.evaluate(b)) / (s + 1.0)
+    left = 2.0 ** (s - 1.0) * fm
+    right = (fa + fb) / (s + 1.0)
     return HHSandwich(left, value / (b - a), right), err / (b - a)
 
 

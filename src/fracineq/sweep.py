@@ -11,10 +11,11 @@ inequalities.
 
 A record is a violation when it is certified and margin < -1e-9 * (1 + rhs),
 one order looser than the quadrature tolerance driving lhs. Certifications
-are cached per (family, s, target, mode, q) and decided by
-funcmodel.certify_model: proved or refuted by a rule on the power-sum terms
-where one applies, else refuted at a boundary triple where one fails, else
-sampled (refuted if a drawn triple fails). Certificate sampling seeds are
+are cached per (family, s, target, mode, q) and decided as
+funcmodel.certify_model decides them, on the family's point table: proved
+or refuted by a rule on the power-sum terms where one applies, else refuted
+at a boundary triple where one fails, else sampled (refuted if a drawn
+triple fails). Certificate sampling seeds are
 derived deterministically from the run seed and the cache key, so a sweep
 is reproducible record-for-record and its CSV byte-for-byte. Each record keeps
 its certificate's kind, and the summary counts records per kind and bound;
@@ -22,8 +23,12 @@ the kind is not yet a CSV column.
 
 Each piece of a sweep's work runs at the loop level where its inputs change:
 
-- per family: f', and |f'| at the points t21..t24 read (x, a, b and the
-  midpoints (x+a)/2 and (x+b)/2) for each x; the weights for each (alpha, x);
+- per family: f', and one point table each of f (for the sandwich) and of
+  f': each model evaluated once, at a, b and the boundary triples' mix
+  points, which every certificate reads, and for f' also at the points
+  t21..t24 read (x and the midpoints (x+a)/2 and (x+b)/2) for each x; each
+  hypothesis g (f, |f'| or |f'|^q) derived from its table once per q; the
+  weights for each (alpha, x);
 - per family: the lhs of every (alpha, x), in one quadrature batch at the
   first alpha; an alpha that fails raises only where the loop reaches it;
   and the sandwich's mean integral, which does not depend on s;
@@ -31,7 +36,8 @@ Each piece of a sweep's work runs at the loop level where its inputs change:
   the first point whose lhs succeeded and in record order there, so a bad
   grid raises the same first error as a check per record would, and a
   (family, s, q) whose points all fail quadrature certifies nothing;
-- per (alpha, s) c1 and c2, per q its conjugate p, per (alpha, p) c3^(1/p);
+- per s the boundary triples' lam^s and (1-lam)^s; per (alpha, s) c1 and c2,
+  per q its conjugate p, per (alpha, p) c3^(1/p);
 - per record: only its bound's formula in hh_core.FRACTIONAL_BOUNDS, applied
   as rhs_t21..rhs_t24 apply it, so a record's rhs equals the public right
   side to the bit.
@@ -48,9 +54,10 @@ CPython unpacks an exact tuple faster than a subclass of it, and gets a
 record only for each summary argmax. write_csv formats again only the cells
 whose object differs from the previous row's (by identity, never by value:
 0.0 and -0.0 are equal but print differently); read_csv unpacks each row by
-position; summarize counts, tests for a violation and groups the rows by id
-in one pass; and render_svg takes its legend from the set of drawn ids and
-formats each alpha's x coordinate once.
+position and parses again only the numeric cells whose text differs from
+the previous row's; summarize counts, tests for a violation and groups the
+rows by id in one pass; and render_svg takes its legend from the set of
+drawn ids and formats each alpha's x coordinate once.
 """
 
 from __future__ import annotations
@@ -69,7 +76,9 @@ from .funcmodel import (
     CERT_KINDS,
     CERT_SAMPLES,
     FunctionModel,
-    certify_model,
+    _certify,
+    _lam_weights,
+    _PointTable,
     parse_function,
 )
 from .hh_core import (
@@ -77,9 +86,9 @@ from .hh_core import (
     ProblemInstance,
     TheoremId,
     _check_alpha,
+    _deriv_table,
     _ratio,
     _sandwich,
-    abs_deriv_values,
     bound_weights,
     c1_c2,
     c3_root,
@@ -300,15 +309,17 @@ def _sweep_rows(
     if any(holder):
         c3p = {(alpha, p): c3_root(alpha, p) for alpha in grid.alphas for _, p in qps}
 
-    def cert(fid, f, fp, s, target, mode, q):
+    # lam^s and (1-lam)^s of the boundary triples, once per s
+    lam_weights = {s: _lam_weights(s) for s in grid.svals}
+
+    def cert(fid, table, s, target, mode, q):
         if target != "abs_deriv_pow":
             q = None
         key = (fid, s, target, mode, q)
         if key not in cert_cache:
-            g_source = f if target == "f" else fp
-            cert_cache[key] = certify_model(
-                g_source, target, q, f.lo, f.hi, s, mode, samples,
-                _derive_seed(seed, *key),
+            cert_cache[key] = _certify(
+                table, target, q, s, mode, samples, _derive_seed(seed, *key),
+                lam_weights[s],
             )
         return cert_cache[key]
 
@@ -326,12 +337,12 @@ def _sweep_rows(
     for fid, f in grid.families:
         a, b = f.lo, f.hi
         xs = [a + frac * (b - a) for frac in grid.xfracs]
-        fp = deriv = weights = None
+        # f and f' each evaluated once, at every point the family's
+        # certificates, sandwich and right sides read
+        f_table = _PointTable(f, a, b) if TheoremId.HH11 in grid.theorems else None
+        fp_table = deriv = weights = None
         if bound_thms:  # the sandwich needs no f', which may be singular at lo
-            fp = f.derivative()
-            # the bounds read |f'| only at x, a, b and the midpoints: once per
-            # family and x, not once per record
-            deriv = {x: abs_deriv_values(fp, a, b, x, bound_thms) for x in xs}
+            fp_table, deriv = _deriv_table(f.derivative(), a, b, xs, bound_thms)
             weights = {
                 (alpha, x): bound_weights(a, b, x, alpha)
                 for alpha in grid.alphas
@@ -340,7 +351,7 @@ def _sweep_rows(
         integral = None  # int_a^b f for the sandwich, or its error
         for s in grid.svals:
             if TheoremId.HH11 in grid.theorems:
-                c = cert(fid, f, fp, s, "f", "convex", None)
+                c = cert(fid, f_table, s, "f", "convex", None)
                 if integral is None:
                     try:
                         integral = integrate_adaptive(f.evaluate, a, b, cfg)
@@ -352,7 +363,9 @@ def _sweep_rows(
                         integral.error_estimate,
                     )
                 else:
-                    (left, mid, right), err = _sandwich(f, a, b, s, integral)
+                    (left, mid, right), err = _sandwich(
+                        f_table.ends_and_mid(), a, b, s, integral
+                    )
                     yield (
                         TheoremId.HH11.value, fid, None, s, None, None, None,
                         mid, right, min(right - mid, mid - left), _ratio(mid, right),
@@ -373,7 +386,7 @@ def _sweep_rows(
                 ProblemInstance(f, a, b, x, alpha, s, q=q)
                 rows = []
                 for tid, spec in bound_specs:
-                    c = cert(fid, f, fp, s, spec.target, spec.mode, q)
+                    c = cert(fid, fp_table, s, spec.target, spec.mode, q)
                     rows.append((tid, spec.formula, c.verdict, c.kind))
                     yield rows[-1]
                 by_q[j] = rows
@@ -392,7 +405,7 @@ def _sweep_rows(
                                 )
                         continue
                     lhs_val, qerr = got
-                    dv = deriv[x]
+                    dv = deriv[k]
                     wa, wb = weights[alpha, x]
                     for j, (q, p, k3) in enumerate(qpk):
                         bounds = by_q[j] or bounds_at_first_point(j, q, x, alpha)
@@ -616,7 +629,12 @@ def _parse_float(cell: str, column: str, row: int) -> float:
 
 
 def read_csv(path) -> list[SweepRecord]:
-    """Read records back; schema violations name the offending column."""
+    """Read records back; schema violations name the offending column.
+
+    A numeric cell whose text repeats the previous row's (the alpha..q
+    block a grid point's rows share, and their lhs and quad_error_est) is
+    not parsed again: the row takes the previous row's float.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -632,6 +650,8 @@ def read_csv(path) -> list[SweepRecord]:
             )
         records = []
         make = SweepRecord._make
+        # the previous row's cell texts (None matches no cell) and their values
+        alpha0 = s0 = x0 = p0 = q0 = lhs0 = qerr0 = None
         for i, row in enumerate(reader, start=1):
             if len(row) != _WIDTH:
                 raise CsvSchemaError(f"row {i}: expected {_WIDTH} cells, got {len(row)}")
@@ -641,21 +661,23 @@ def read_csv(path) -> list[SweepRecord]:
                     f"row {i}: column 'certified' must be true/false, got {certified!r}"
                 )
             try:
+                if alpha != alpha0:
+                    alpha_v, alpha0 = None if alpha == "" else float(alpha), alpha
+                if s != s0:
+                    s_v, s0 = float(s), s
+                if x != x0:
+                    x_v, x0 = None if x == "" else float(x), x
+                if p != p0:
+                    p_v, p0 = None if p == "" else float(p), p
+                if q != q0:
+                    q_v, q0 = None if q == "" else float(q), q
+                if lhs != lhs0:
+                    lhs_v, lhs0 = float(lhs), lhs
+                if qerr != qerr0:
+                    qerr_v, qerr0 = float(qerr), qerr
                 records.append(make((
-                    tid,
-                    fid,
-                    None if alpha == "" else float(alpha),
-                    float(s),
-                    None if x == "" else float(x),
-                    None if p == "" else float(p),
-                    None if q == "" else float(q),
-                    float(lhs),
-                    float(rhs),
-                    float(margin),
-                    float(ratio),
-                    certified == "true",
-                    float(qerr),
-                    None,
+                    tid, fid, alpha_v, s_v, x_v, p_v, q_v, lhs_v,
+                    float(rhs), float(margin), float(ratio), certified == "true", qerr_v, None,
                 )))
             except ValueError:
                 # the first bad cell in _NUMERIC order names the row's error

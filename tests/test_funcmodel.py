@@ -1,11 +1,13 @@
 """Function specs: grammar, evaluation, differentiation, convexity certifier."""
 
 import math
+from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracineq import funcmodel
@@ -461,6 +463,43 @@ class TestCertifyModel:
         assert mp_violation(report, g, "f", None) > report.tol
 
 
+class TestCertTolerance:
+    """A witness fails when its violation exceeds 1e-10 * (1 + max|g|), the
+    documented CERT_TOL scale, with max|g| over the points it read."""
+
+    TOL_SCALE = 1e-10  # written out: a test that read CERT_TOL would follow a change
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_rule_witness(self, const1, factor):
+        # g = 1 is s-concave only at s = 1: its witness (0, 0, 1/2) violates
+        # by 2^(1-s) - 1, here factor times the tolerance 1e-10 * (1 + 1)
+        tol = self.TOL_SCALE * 2.0
+        s = 1.0 - math.log2(1.0 + factor * tol)
+        assert 2.0 * 0.5**s - 1.0 == pytest.approx(factor * tol, rel=1e-5)
+        report = certify_model(const1, "f", None, 0.0, 1.0, s, "concave", samples=0)
+        if factor > 1.0:
+            assert report.kind == "refuted"
+            assert report.rule == "a nonnegative s-concave g with s < 1 is 0"
+            assert report.witness == (0.0, 0.0, 0.5) and report.tol == tol
+        else:
+            # neither the witness nor any boundary triple fails
+            assert (report.kind, report.verdict, report.samples) == ("sampled", True, 12)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_boundary_triple(self, sqrtu, factor):
+        # sqrt is s-convex only for s <= 1/2; just above, its worst boundary
+        # triple (0, 1, 1/2) violates by sqrt(1/2) - 2^-s, and max|g| = 1
+        tol = self.TOL_SCALE * 2.0
+        s = -math.log2(math.sqrt(0.5) - factor * tol)
+        assert math.sqrt(0.5) - 0.5**s == pytest.approx(factor * tol, rel=1e-5)
+        report = certify_model(sqrtu, "f", None, 0.0, 1.0, s, "convex", samples=0)
+        if factor > 1.0:
+            assert (report.kind, report.rule) == ("refuted", "boundary triple")
+            assert report.witness == (0.0, 1.0, 0.5) and report.tol == tol
+        else:
+            assert (report.kind, report.verdict, report.samples) == ("sampled", True, 12)
+
+
 @st.composite
 def _sign_definite(draw):
     """A nonnegative (or, for |g|, nonpositive) power sum anchored at or below lo."""
@@ -566,3 +605,215 @@ def test_a_boundary_refutation_is_also_a_sampler_refutation(case, seed):
         # the boundary triples are the sampler's first 12
         assert full.worst_violation >= report.worst_violation
         assert full.tol >= report.tol
+
+
+# -- the per-key path, kept as the oracle of the shared tables ---------------
+
+
+def _ref_worst_violation(fn, lo, hi, s, mode, lam, xs, ys):
+    mix = np.clip(lam * xs + (1.0 - lam) * ys, lo, hi)
+
+    def _vals(pts):
+        return np.broadcast_to(np.asarray(fn(pts), dtype=float), pts.shape)
+
+    gx, gy, gm = _vals(xs), _vals(ys), _vals(mix)
+    if not all(np.isfinite(g).all() for g in (gx, gy, gm)):
+        raise OverflowError("the hypothesis function is not finite at a sampled point")
+    combo = np.power(lam, s) * gx + np.power(1.0 - lam, s) * gy
+    viol = gm - combo if mode == "convex" else combo - gm
+    worst = int(np.argmax(viol))
+    scale = max(np.abs(gx).max(), np.abs(gy).max(), np.abs(gm).max())
+    return worst, float(viol[worst]), CERT_TOL * (1.0 + float(scale))
+
+
+def _ref_boundary_triples(lo, hi):
+    ends = np.array([lo, hi])
+    xb, yb = np.repeat(ends, 2), np.tile(ends, 2)
+    return np.repeat([0.0, 0.5, 1.0], 4), np.tile(xb, 3), np.tile(yb, 3)
+
+
+def _ref_report(fn, lo, hi, s, mode, seed, lam, xs, ys, kind, rule):
+    worst, viol, tol = _ref_worst_violation(fn, lo, hi, s, mode, lam, xs, ys)
+    verdict = viol <= tol
+    return CertificationReport(
+        verdict=verdict, worst_violation=viol,
+        witness=(float(xs[worst]), float(ys[worst]), float(lam[worst])),
+        samples=int(lam.size), s=float(s), mode=mode, seed=int(seed), tol=tol,
+        kind=kind if kind != "sampled" or verdict else "refuted", rule=rule,
+    )
+
+
+def _ref_rule(g_source, target, q, a, s, mode):
+    terms = [t for t in g_source.terms if t.coeff != 0.0]
+    if not terms:
+        return "proved", "g = 0"
+    positive = {t.coeff > 0.0 for t in terms}
+    if len(positive) > 1 or any(t.shift > a for t in terms):
+        return None
+    if target == "f" and positive == {False}:
+        return None
+    exps = [Fraction(t.exponent) for t in terms]
+    powered = target == "abs_deriv_pow" and len(exps) > 1
+    if target == "abs_deriv_pow" and not powered:
+        exps = [exps[0] * Fraction(q)]
+    s_exact = Fraction(s)
+    if mode == "convex":
+        if powered:
+            if all(r == 0 or r >= 1 for r in exps):
+                return "proved", "|f'| is a nonnegative convex power sum and q >= 1"
+            return None
+        if all(r == 0 or r >= 1 or (0 < r and s_exact <= r) for r in exps):
+            return "proved", "nonnegative power sum, each exponent 0, >= 1 or in [s, 1]"
+        return None
+    if s_exact == 1 and not powered and len(exps) == 1 and 0 <= exps[0] <= 1:
+        return "proved", "one nonnegative power term with exponent in [0, 1]"
+    if s_exact < 1 and all(r >= 0 for r in exps):
+        return "refuted", "a nonnegative s-concave g with s < 1 is 0"
+    return None
+
+
+def _reference_certify(g_source, target, q, a, b, s, mode, samples=CERT_SAMPLES, seed=0):
+    """certify_model as one key's numpy path: g evaluated afresh at each
+    step's own points, each step with its own violation formula call."""
+    funcmodel._check_certify_args(a, b, s, mode, samples)
+    if a < g_source.lo or b > g_source.hi:
+        raise DomainError(
+            f"evaluation point outside domain [{g_source.lo!r}, {g_source.hi!r}]"
+        )
+    if target == "abs_deriv_pow" and not (q is not None and q >= 1.0):
+        raise DomainError(f"|f'|^q needs q >= 1, got {q!r}")
+    if target == "f":
+        fn = g_source.evaluate
+    elif target == "abs_deriv":
+        def fn(u):
+            return np.abs(g_source.evaluate(u))
+    elif target == "abs_deriv_pow":
+        def fn(u):
+            return np.abs(g_source.evaluate(u)) ** q
+    else:
+        raise DomainError(f"unknown certification target {target!r}")
+    decided = _ref_rule(g_source, target, q, a, s, mode)
+    if decided is not None:
+        kind, rule = decided
+        ends = np.array([a, b])
+        g_ends = np.asarray(fn(ends), dtype=float)
+        if not np.isfinite(g_ends).all():
+            raise OverflowError("the hypothesis function is not finite at an endpoint")
+        if kind == "proved":
+            return CertificationReport(
+                verdict=True, worst_violation=0.0, witness=None, samples=0,
+                s=float(s), mode=mode, seed=int(seed), tol=0.0, kind=kind, rule=rule,
+            )
+        at = ends[[int(np.argmax(g_ends))]]
+        report = _ref_report(fn, a, b, s, mode, seed, np.array([0.5]), at, at, kind, rule)
+        if not report.verdict:
+            return report
+    lam, xs, ys = _ref_boundary_triples(a, b)
+    report = _ref_report(fn, a, b, s, mode, seed, lam, xs, ys, "refuted", "boundary triple")
+    if not report.verdict:
+        return report
+    rng = np.random.default_rng(seed)
+    lam_r = rng.uniform(0.0, 1.0, samples)
+    xs_r = rng.uniform(a, b, samples)
+    ys_r = rng.uniform(a, b, samples)
+    lam, xs, ys = (np.concatenate(p) for p in ((lam, lam_r), (xs, xs_r), (ys, ys_r)))
+    return _ref_report(fn, a, b, s, mode, seed, lam, xs, ys, "sampled", None)
+
+
+def _bits(report):
+    """Every field of a report, with each float as its hex string."""
+    def hexed(v):
+        return v.hex() if isinstance(v, float) else v
+
+    out = []
+    for name in CertificationReport.__dataclass_fields__:
+        v = getattr(report, name)
+        out.append(tuple(map(hexed, v)) if isinstance(v, tuple) else hexed(v))
+    return tuple(out)
+
+
+def _outcome(certify, *args):
+    try:
+        return _bits(certify(*args))
+    except (OverflowError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def _shipped_keys():
+    """(g_source, target, q, a, b, s, mode, seed) of each shipped certificate key."""
+    from fracineq.hh_core import FRACTIONAL_BOUNDS
+    from fracineq.sweep import _derive_seed, apply_derivative_shrink, standard_grid
+
+    grid, _ = apply_derivative_shrink(standard_grid())
+    pairs = {(spec.target, spec.mode) for spec in FRACTIONAL_BOUNDS.values()}
+    keys = []
+    for fid, f in grid.families:
+        fp = f.derivative()
+        for s in grid.svals:
+            todo = [("f", "convex", None)] + [
+                (target, mode, q)
+                for target, mode in sorted(pairs)
+                for q in (grid.qvals if target == "abs_deriv_pow" else (None,))
+            ]
+            for target, mode, q in todo:
+                seed = _derive_seed(0, fid, s, target, mode, q)
+                g = f if target == "f" else fp
+                keys.append((g, target, q, f.lo, f.hi, s, mode, seed))
+    return keys
+
+
+class TestTablesAgainstThePerKeyPath:
+    """A table evaluates g once for every certificate that reads it; each
+    report must be the per-key path's, every float to the bit."""
+
+    def test_every_shipped_key(self):
+        keys = _shipped_keys()
+        assert len(keys) == 288
+        kinds = Counter()
+        for g, target, q, a, b, s, mode, seed in keys:
+            want = _bits(_reference_certify(g, target, q, a, b, s, mode, CERT_SAMPLES, seed))
+            got = certify_model(g, target, q, a, b, s, mode, CERT_SAMPLES, seed)
+            assert _bits(got) == want
+            kinds[got.kind, got.rule == "boundary triple"] += 1
+        assert kinds == {
+            ("proved", False): 186, ("refuted", False): 72,
+            ("refuted", True): 28, ("sampled", False): 2,
+        }
+
+    def test_the_sweeps_shared_tables(self, monkeypatch):
+        # each family's one table per model serves all of its keys
+        from fracineq import sweep as sweep_module
+
+        seen = []
+        certify = sweep_module._certify
+
+        def spy(table, target, q, s, mode, samples, seed, weights):
+            report = certify(table, target, q, s, mode, samples, seed, weights)
+            args = (table.model, target, q, table.a, table.b, s, mode, samples, seed)
+            seen.append((args, report))
+            return report
+
+        monkeypatch.setattr(sweep_module, "_certify", spy)
+        grid, _ = sweep_module.apply_derivative_shrink(sweep_module.standard_grid())
+        for _ in sweep_module._sweep_rows(grid):
+            pass
+        assert len(seen) == 288
+        for args, report in seen:
+            assert _bits(report) == _bits(_reference_certify(*args))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_any_case, st.integers(0, 2**32 - 1))
+    @example((FunctionModel((PowerTerm(0.0, 0.0, 0.0),), 0.0, 1.0), "f", 1.0, 0.5, "concave"), 0)
+    @example(
+        (parse_function("1*(u-0)^2 + -1*(u-0)^1 on [0,1]"), "abs_deriv", 2.0, 1.0, "convex"), 1
+    )
+    @example((parse_function("1*(u-0)^400 on [0,10]"), "abs_deriv_pow", 2.0, 0.5, "convex"), 2)
+    @example((parse_function("1e200*(u-0)^2 on [0,1]"), "abs_deriv_pow", 3.0, 1.0, "convex"), 3)
+    @example(
+        (parse_function("1e300*(u-0)^2 + -1*(u-0)^1 on [0,1e10]"), "f", 1.0, 1.0, "convex"), 4
+    )
+    def test_drawn_power_sums(self, case, seed):
+        g, target, q, s, mode = case
+        args = (g, target, q, g.lo, g.hi, s, mode, 200, seed)
+        assert _outcome(certify_model, *args) == _outcome(_reference_certify, *args)

@@ -1,4 +1,5 @@
-"""Golden digests: the shipped sweep's outputs and a seeded deep grid's CSV.
+"""Golden digests: the shipped sweep's outputs, a seeded deep grid's CSV and
+the printed certificates of single queries.
 
 A change that moves a byte of these outputs updates its digest here and
 says why in CHANGES.md. The deep grid is perfbench's `deep_quadrature`
@@ -21,6 +22,40 @@ SHIPPED_SVG = "d274c08d1061541a5a9343d8eb902000d17e3bd1676e3874a19f76d6aab2e87e"
 # --summary stdout, less the "wrote ... to PATH" lines that name the run's files
 SHIPPED_SUMMARY = "ebfada425534f5afcd6415e2ddf947ed99da700e531f5afd0e7b7d0c2989ccb5"
 DEEP_101_CSV = "53d0ee51b3421c5f122c244b092982cf72b9674c2b67bdd4132eeccefcfb13fd"
+# exit code and stdout of each of CERTIFICATE_QUERIES, in order
+CERTIFICATES = "e22b66f9d58c1b841ddd3f9b08437f25ebf4c11fa2a2e797d059a5f868b13c65"
+
+_U15 = "0.6666666666666666*(u-0)^1.5 on [0.01,1]"  # |f'| = u^0.5
+_S025 = "0.8*(u-0)^1.25 on [0.01,1]"  # |f'| = u^0.25
+_AB = ["--a", "0.01", "--b", "1"]
+_INFLECTED = "1*(u-0)^3 + -1.5*(u-0)^2 on [0,1]"  # only a drawn triple refutes it
+
+# every deciding step of a certificate: proved, refuted by a rule's witness,
+# refuted at a boundary triple, sampled, and refuted by a drawn triple
+CERTIFICATE_QUERIES = [
+    ["certify", "--f", "1*(u-0)^0.5 on [0,1]", "--s", "0.5", "--mode", "convex"],
+    ["certify", "--f", "1*(u-0)^2 on [0,1]", "--s", "0.5", "--mode", "concave"],
+    ["certify", "--f", "1*(u-0)^0.25 on [0,1]", "--s", "1", "--mode", "convex"],
+    ["certify", "--f", "1*(u-0)^0.25 on [0.01,1]", "--s", "0.5", "--mode", "convex"],
+    ["certify", "--f", _INFLECTED, "--s", "1", "--mode", "convex",
+     "--samples", "500", "--seed", "3"],
+    ["bound", "--thm", "t21", "--f", _U15, *_AB, "--x", "0.4", "--alpha", "0.7", "--s", "0.5"],
+    ["bound", "--thm", "t21", "--f", _S025, *_AB, "--x", "0.4", "--alpha", "0.7", "--s", "0.5"],
+    ["bound", "--thm", "t22", "--f", _U15, *_AB, "--x", "0.4", "--alpha", "1.5", "--s", "1",
+     "--q", "1.5"],
+    ["bound", "--thm", "t22", "--f", _U15, *_AB, "--x", "0.4", "--alpha", "1.5", "--s", "1",
+     "--q", "3"],
+    ["bound", "--thm", "t23", "--f", _S025, *_AB, "--x", "0.6", "--alpha", "2", "--s", "0.5",
+     "--q", "1.5"],
+    ["bound", "--thm", "t24", "--f", _U15, *_AB, "--x", "0.6", "--alpha", "0.5", "--s", "0.5",
+     "--q", "2"],
+    ["bound", "--thm", "t24", "--f", _U15, *_AB, "--x", "0.6", "--alpha", "0.5", "--s", "1",
+     "--q", "2"],
+    ["bound", "--thm", "hh", "--f", "1*(u-0)^2 on [0,1]", "--a", "0", "--b", "1", "--s", "1"],
+    ["bound", "--thm", "hh", "--f", "1*(u-0)^0.5 on [0,1]", "--a", "0", "--b", "1", "--s", "0.75"],
+    ["bound", "--thm", "hh", "--f", _INFLECTED, "--a", "0", "--b", "1", "--s", "1",
+     "--samples", "500", "--seed", "3"],
+]
 
 
 def _sha256(data: bytes) -> str:
@@ -43,3 +78,15 @@ def test_deep_quadrature_seed_101_csv(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
     assert _sha256(out.read_bytes()) == DEEP_101_CSV
+
+
+def test_printed_certificates(capsys):
+    parts = []
+    for argv in CERTIFICATE_QUERIES:
+        code = cli.main(argv)
+        parts.append(f"{code}\n{capsys.readouterr().out}")
+    printed = "".join(parts)
+    for step in ("proved: ", "refuted: a nonnegative", "refuted: boundary triple",
+                 "sampled: 20012 triples", "refuted: 512 triples"):
+        assert step in printed
+    assert _sha256(printed.encode()) == CERTIFICATES

@@ -382,7 +382,7 @@ class TestClassicalReduction:
 
         for name in (
             "_c1", "_c2", "_c3", "log_gamma", "c1_c2", "c3_root",
-            "bound_weights", "abs_deriv_values",
+            "bound_weights", "_deriv_table",
         ):
             monkeypatch.setattr(hh_core, name, forbidden)
         inst = ProblemInstance(u2, 0.0, 1.0, 0.3, 1.0, 0.5, q=2.0)
@@ -480,3 +480,12 @@ class TestSandwich:
 
     def test_with_error_agrees(self, u2):
         assert hh_sandwich(u2, 0.0, 1.0, 0.5) == hh_sandwich_with_error(u2, 0.0, 1.0, 0.5)[0]
+
+    def test_limits_whose_sum_overflows(self):
+        # the midpoint is 0.5*a + 0.5*b: 0.5*(a + b) would be inf, outside [a, b]
+        f = parse_function("1*(u-0)^0 + 1e-308*(u-0)^1 on [1e308,1.7e308]")
+        left, mid, right = hh_sandwich(f, 1e308, 1.7e308, 1.0)
+        # f is affine, so all three are f at the midpoint 1.35e308: 2.35
+        assert left == pytest.approx(2.35, rel=1e-15)
+        assert mid == pytest.approx(2.35, rel=1e-12)
+        assert right == pytest.approx(2.35, rel=1e-15)

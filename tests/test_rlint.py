@@ -109,6 +109,36 @@ class TestIntegrateAdaptive:
             QuadratureConfig(**kwargs)
 
 
+class TestSubdivisionBudget:
+    """max_subdivisions counts panel splits; its documented default is 2000.
+
+    sin(k*u) on [0, 1] needs more panels as k grows: k = 1000 converges in
+    63 splits under the default tolerances, k = 24775.390625 in exactly
+    2000 and k = 24785.15625 only in 2001.
+    """
+
+    @staticmethod
+    def _splits(k, cfg):
+        counted = Counted(lambda u: np.sin(k * u))
+        got = integrate_adaptive(counted, 0.0, 1.0, cfg)
+        return got, counted.calls - 1  # one call for the first three panels
+
+    def test_an_integral_that_converges_in_exactly_n_splits(self):
+        n = 63
+        (value, err), splits = self._splits(1000.0, QuadratureConfig(max_subdivisions=n))
+        assert splits == n
+        assert value == pytest.approx((1.0 - math.cos(1000.0)) / 1000.0, rel=1e-9)
+        with pytest.raises(QuadratureToleranceError, match="estimated error"):
+            self._splits(1000.0, QuadratureConfig(max_subdivisions=n - 1))
+
+    def test_the_default_budget_is_2000_splits(self):
+        (value, _), splits = self._splits(24775.390625, DEFAULT_CONFIG)
+        assert splits == 2000
+        assert value == pytest.approx((1.0 - math.cos(24775.390625)) / 24775.390625, rel=1e-9)
+        with pytest.raises(QuadratureToleranceError, match="estimated error"):
+            self._splits(24785.15625, DEFAULT_CONFIG)
+
+
 class TestFrozenValues:
     def test_constant_order_half(self, const1):
         assert rl_left(const1, 0.0, 0.5, 1.0) == pytest.approx(INV_GAMMA_15, rel=1e-12)

@@ -25,10 +25,10 @@ from fracineq.funcmodel import (
 )
 from fracineq.hh_core import (
     FRACTIONAL_BOUNDS,
+    DerivValues,
     ProblemInstance,
     TheoremId,
     _ratio,
-    abs_deriv_values,
     bound_weights,
     c1_c2,
     c3_root,
@@ -276,7 +276,7 @@ class TestRightSidesFromValues:
 
     def test_work_is_per_family_and_point_not_per_record(self, monkeypatch):
         # pinned counts: a change that brings per-record work back must say so
-        derivatives, deriv_points, instances = [], [], []
+        derivatives, deriv_sizes, instances = [], [], []
         derivative, evaluate = FunctionModel.derivative, FunctionModel.evaluate
         post_init = ProblemInstance.__post_init__
 
@@ -285,30 +285,37 @@ class TestRightSidesFromValues:
             return derivatives[-1]
 
         def counting_evaluate(self, u):
-            if np.ndim(u) == 0 and any(self is fp for fp in derivatives):
-                deriv_points.append(u)
+            if any(self is fp for fp in derivatives):
+                deriv_sizes.append(np.size(u))
             return evaluate(self, u)
 
         def counting_post_init(self):
             instances.append(self)
             post_init(self)
 
-        certify_keys = []
+        certify_keys, tables = [], []
+        certify = sweep_module._certify
 
-        def counting_certify(g, target, q, a, b, s, mode, samples, seed):
-            certify_keys.append((g, target, q, s, mode))
-            return certify_model(g, target, q, a, b, s, mode, samples, seed)
+        def counting_certify(table, target, q, s, mode, samples, seed, weights):
+            certify_keys.append((table.model, target, q, s, mode))
+            tables.append(table)  # kept alive, so each id stays its own
+            return certify(table, target, q, s, mode, samples, seed, weights)
 
         monkeypatch.setattr(FunctionModel, "derivative", counting_derivative)
         monkeypatch.setattr(FunctionModel, "evaluate", counting_evaluate)
         monkeypatch.setattr(ProblemInstance, "__post_init__", counting_post_init)
-        monkeypatch.setattr(sweep_module, "certify_model", counting_certify)
+        monkeypatch.setattr(sweep_module, "_certify", counting_certify)
         grid = _rhs_grid()
         run_sweep(grid, samples=256)
         families, svals, alphas, xs, qs = 2, 2, 2, 3, 2
         assert len(derivatives) == families
-        # |f'| at x, a, b, (x+a)/2 and (x+b)/2
-        assert len(deriv_points) == 5 * families * xs
+        # one evaluation of f' per family: a, b and the 12 boundary triples'
+        # mix points, then x, (x+a)/2 and (x+b)/2 of each x; only the sampler
+        # (12 + 256 triples, three point arrays) evaluates f' again
+        sampled = 3 * (12 + 256)
+        assert [n for n in deriv_sizes if n != sampled] == [14 + 3 * xs] * families
+        # one table of f and one of f' per family serve every certificate
+        assert len(set(map(id, tables))) == 2 * families
         # one domain check per (family, s, q) for the right sides plus one
         # instance per lhs integral
         assert len(instances) == families * svals * qs + families * alphas * xs == 20
@@ -320,6 +327,12 @@ class TestRightSidesFromValues:
 
 
 _FAILING_CFG = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
+
+
+def _abs_deriv(fp, a, b, x):
+    """|f'| at x, a, b, (x+a)/2 and (x+b)/2, each point evaluated on its own."""
+    points = (x, a, b, 0.5 * (x + a), 0.5 * (x + b))
+    return DerivValues(*(abs(fp.evaluate(u)) for u in points))
 
 
 def _reference_sweep(grid, cfg=DEFAULT_CONFIG, seed=0, samples=CERT_SAMPLES):
@@ -399,7 +412,7 @@ def _reference_sweep(grid, cfg=DEFAULT_CONFIG, seed=0, samples=CERT_SAMPLES):
                             spec = FRACTIONAL_BOUNDS[t]
                             c = cert(fid, f, fp, s, spec.target, spec.mode, q)
                             rhs = spec.formula(
-                                abs_deriv_values(fp, a, b, x, bound_thms),
+                                _abs_deriv(fp, a, b, x),
                                 *bound_weights(a, b, x, alpha), alpha, s, q, c1, c2, k3,
                             )
                             records.append(SweepRecord(
@@ -501,10 +514,10 @@ class TestRecordLoopAgainstOracle:
         assert got == {1.5: ("refuted", False), 3.0: ("proved", True)}
 
     def test_points_whose_lhs_failed_certify_no_bound(self, monkeypatch):
-        def refuse(g, target, *args):
-            raise AssertionError(f"certify_model called for {target}")
+        def refuse(table, target, *args):
+            raise AssertionError(f"a certificate was decided for {target}")
 
-        monkeypatch.setattr(sweep_module, "certify_model", refuse)
+        monkeypatch.setattr(sweep_module, "_certify", refuse)
         grid = replace(
             _rhs_grid(), alphas=(2.0,), xfracs=(0.25, 0.5, 0.75),
             families=_rhs_grid().families[:1], theorems=tuple(FRACTIONAL_BOUNDS),
@@ -512,6 +525,27 @@ class TestRecordLoopAgainstOracle:
         records = run_sweep(grid, _FAILING_CFG, samples=64)
         assert len(records) == 2 * 3 * 2 * 4
         assert all(math.isnan(r.lhs) and not r.certified for r in records)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_certificate_that_raises_fails_where_the_loop_reaches_its_key(self):
+        # |f'|^4 of 1e100*u^2 overflows at b and |f'|^2 does not: the rows
+        # before the first q = 4 point's T22 certificate come out, then its error
+        big = parse_function("1e100*(u-0)^2 on [0,1]")
+        grid = SweepGrid(
+            alphas=(1.0,), svals=(0.5,), xfracs=(0.5,), qvals=(2.0, 4.0),
+            families=(("u2", parse_function("1*(u-0)^2 on [0,1]")), ("big", big)),
+            theorems=(TheoremId.T21, TheoremId.T22),
+        )
+        rows = []
+        with pytest.raises(OverflowError, match="not finite at an endpoint"):
+            for row in sweep_module._sweep_rows(grid, samples=64):
+                rows.append(row)
+        assert [(r[0], r[1], r[6]) for r in rows] == [
+            ("T21", "u2", 2.0), ("T22", "u2", 2.0), ("T21", "u2", 4.0), ("T22", "u2", 4.0),
+            ("T21", "big", 2.0), ("T22", "big", 2.0), ("T21", "big", 4.0),
+        ]
+        with pytest.raises(OverflowError, match="not finite at an endpoint"):
+            _reference_sweep(grid, samples=64)
 
     @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, _FAILING_CFG], ids=["ok", "failing-lhs"])
     def test_checks_certificates_and_formulas_keep_the_oracle_order(self, cfg, monkeypatch):
@@ -525,11 +559,15 @@ class TestRecordLoopAgainstOracle:
                 log.append(("check", inst.f, inst.s, inst.q))
             post_init(inst)
 
-        certify = certify_model
+        certify, certify_table = certify_model, sweep_module._certify
 
         def logged_certify(g, target, q, a, b, s, mode, samples, seed):
             log.append(("certify", g, target, q, s, mode))
             return certify(g, target, q, a, b, s, mode, samples, seed)
+
+        def logged_certify_table(table, target, q, s, mode, samples, seed, weights):
+            log.append(("certify", table.model, target, q, s, mode))
+            return certify_table(table, target, q, s, mode, samples, seed, weights)
 
         def logged_formula(thm, formula):
             def run(*args):
@@ -542,7 +580,7 @@ class TestRecordLoopAgainstOracle:
                 FRACTIONAL_BOUNDS, thm, spec._replace(formula=logged_formula(thm, spec.formula))
             )
         monkeypatch.setattr(ProblemInstance, "__post_init__", logged_post_init)
-        monkeypatch.setattr(sweep_module, "certify_model", logged_certify)
+        monkeypatch.setattr(sweep_module, "_certify", logged_certify_table)
         monkeypatch.setitem(globals(), "certify_model", logged_certify)
         grid = _rhs_grid()
         run_sweep(grid, cfg, samples=64)
