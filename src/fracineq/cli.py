@@ -33,6 +33,8 @@ from .funcmodel import (
     CERT_SAMPLES,
     CertificationReport,
     FunctionModel,
+    _certify,
+    _model_table,
     certify_model,
     parse_function,
 )
@@ -177,11 +179,11 @@ def _cmd_bound_hh(args: argparse.Namespace) -> ExitCode:
     if ignored:
         print(f"note: {', '.join(ignored)} not used by hh")
     f = parse_function(args.f)
-    cert = certify_model(
-        f, "f", None, args.a, args.b, args.s, "convex", args.samples, args.seed
-    )
+    # certify_model's checks and table, whose points the sandwich reads too
+    table = _model_table(f, args.a, args.b, args.s, "convex", args.samples)
+    cert = _certify(table, "f", None, args.s, "convex", args.samples, args.seed)
     (left, mid, right), err = hh_sandwich_with_error(
-        f, args.a, args.b, args.s, DEFAULT_CONFIG
+        f, args.a, args.b, args.s, DEFAULT_CONFIG, table
     )
     print(f"left (scaled midpoint value) = {_g12(left)}")
     print(f"mid (mean integral) = {_g12(mid)} (quadrature error est {_g12(err)})")

@@ -583,12 +583,20 @@ def certify_model(
     samples it with the given count and seed. Raises OverflowError where g
     is not finite: at a or b when a rule decides, else at a checked point.
     """
+    table = _model_table(g_source, a, b, s, mode, samples)
+    return _certify(table, target, q, s, mode, samples, seed)
+
+
+def _model_table(
+    g_source: FunctionModel, a: float, b: float, s: float, mode: str, samples: int
+) -> _PointTable:
+    """certify_model's argument checks, then the table of g_source over [a, b]."""
     _check_certify_args(a, b, s, mode, samples)
     if a < g_source.lo or b > g_source.hi:
         raise DomainError(
             f"evaluation point outside domain [{g_source.lo!r}, {g_source.hi!r}]"
         )
-    return _certify(_PointTable(g_source, a, b), target, q, s, mode, samples, seed)
+    return _PointTable(g_source, a, b)
 
 
 def _certify(

@@ -284,42 +284,52 @@ def identity_lhs_batch(
     f, a, b = insts[0].f, insts[0].a, insts[0].b
     if any((i.f, i.a, i.b) != (f, a, b) for i in insts):
         raise DomainError("a batch of identity instances shares f, a and b")
-    fa, fb = f.evaluate(a), f.evaluate(b)
-    failed: dict = {}  # alpha -> the first error of its instances
+    return _identity_lhs_points(f, a, b, [(i.alpha, i.x) for i in insts], cfg)
+
+
+def _identity_lhs_points(
+    f: FunctionModel, a: float, b: float, points: list, cfg: QuadratureConfig
+) -> list:
+    """identity_lhs_batch of the (alpha, x) ``points``, each of which would
+    make a valid ProblemInstance on f over [a, b]."""
+    if not points:
+        return []
+    fa, fb = f.evaluate([a, b]).tolist()
+    failed: dict = {}  # alpha -> the first error of its points
     boundary = []
-    for i in insts:
+    for alpha, x in points:
         try:
-            boundary.append(((i.x - a) ** i.alpha * fa + (b - i.x) ** i.alpha * fb) / (b - a))
+            boundary.append(((x - a) ** alpha * fa + (b - x) ** alpha * fb) / (b - a))
         except OverflowError as exc:
-            failed.setdefault(i.alpha, exc)
+            failed.setdefault(alpha, exc)
             boundary.append(None)
-    live = [k for k, i in enumerate(insts) if i.alpha not in failed]
+    live = [k for k, (alpha, _) in enumerate(points) if alpha not in failed]
     js = rl_batch_with_error(
-        f, [(insts[k].alpha, insts[k].x, end) for k in live for end in (a, b)], cfg
+        f, [(points[k][0], points[k][1], end) for k in live for end in (a, b)], cfg
     )
     pairs = dict(zip(live, zip(js[::2], js[1::2])))
     for k in live:
         for j in pairs[k]:
             if isinstance(j, OverflowError):
-                failed.setdefault(insts[k].alpha, j)
+                failed.setdefault(points[k][0], j)
     gfac = {}
-    for alpha in dict.fromkeys(insts[k].alpha for k in live):
+    for alpha in dict.fromkeys(points[k][0] for k in live):
         if alpha not in failed:
             try:
                 gfac[alpha] = math.exp(log_gamma(alpha + 1.0)) / (b - a)
             except OverflowError as exc:
                 failed[alpha] = exc
     out: list = []
-    for k, i in enumerate(insts):
-        if i.alpha in failed:
-            out.append(failed[i.alpha])
+    for k, (alpha, _) in enumerate(points):
+        if alpha in failed:
+            out.append(failed[alpha])
             continue
         j1, j2 = pairs[k]
         failures = [j for j in (j1, j2) if isinstance(j, QuadratureToleranceError)]
         if failures:
             out.append(failures[0])
         else:
-            g = gfac[i.alpha]
+            g = gfac[alpha]
             out.append((boundary[k] - g * (j1[0] + j2[0]), g * (j1[1] + j2[1])))
     return out
 
@@ -711,8 +721,14 @@ def hh_sandwich_with_error(
     b: float,
     s: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
+    table: _PointTable | None = None,
 ) -> tuple[HHSandwich, float]:
-    """Endpoint-average sandwich values plus the mean-integral error estimate."""
+    """Endpoint-average sandwich values plus the mean-integral error estimate.
+
+    ``table`` is a point table of f over [a, b] that the caller has already
+    built, as a bound query has for its certificate; by default the call
+    builds its own after the integral.
+    """
     if not 0.0 < s <= 1.0:
         raise DomainError(f"s must lie in (0, 1], got {s!r}")
     if not (f.lo <= a < b <= f.hi):
@@ -720,7 +736,9 @@ def hh_sandwich_with_error(
             f"requires lo <= a < b <= hi, got [{a!r}, {b!r}] on [{f.lo!r}, {f.hi!r}]"
         )
     integral = integrate_adaptive(f.evaluate, a, b, cfg)
-    return _sandwich(_PointTable(f, a, b).ends_and_mid(), a, b, s, integral)
+    if table is None:
+        table = _PointTable(f, a, b)
+    return _sandwich(table.ends_and_mid(), a, b, s, integral)
 
 
 def _sandwich(

@@ -38,23 +38,27 @@ sides of the identity at every (alpha, x) of a family as one batch.
 
 Two loops refine a batch, chosen by its row count. A single integral or a
 batch of fewer than TABLE_ROWS rows keeps a heap of panels per row and
-walks the rows in Python. A wider batch keeps every row's panels in one
-table, a row per integral and a slot per panel, and runs each round as a
-few whole-array steps: test every row, pop each row's worst panel with one
-argmax, build the quarters, update the sums, write the children. The
-table's rounds cost a fixed ~50 us and the heaps' 3-7 us per split, and
-rows leave a batch as they converge, so a whole batch runs faster on the
-table from about 128 rows (0.7x the heaps' time at 440) and about 2.5x
-slower at 1 or 2. Three rules keep the table's bits the heaps':
+walks the rows in Python. A wider batch keeps a table of every row's panel
+errors, a row per integral and a slot per panel, beside a store with a
+record (lo, mid, hi, half values) for each panel not yet split, and runs
+each round as whole-array steps: update the sums, write the children,
+test every row, pop each row's worst panel with one argmax, build the
+quarters. A table round costs about 40 us outside the integrand, plus about
+0.6 us for each row that splits; a heap split costs about 2.5-3.5 us. Rows
+leave a batch as they converge, so over a whole batch the table takes about
+2x the heaps' time at 1 or 2 rows, 1.2x at 64, 1.0x at 128 and 0.6x at 440
+(a 2-core Xeon VM, numpy 2.4.6). Three rules keep the table's bits the
+heaps':
 
 - a panel's slot is its heap sequence number (round k's children at 2k + 1
   and 2k + 2, a popped slot's error set to -inf and never reused), so
   argmax's first maximum is the heap's (-error, seq) order;
-- Python's max(a, b) is b only if b > a: with a NaN b it is a, and
-  max(-0.0, 0.0) is -0.0, which np.maximum need not give; the table keeps
-  an error sum at max(e, 0.0) with np.where(0.0 > e, 0.0, e), and a row
-  that stops takes its verdict and tolerance from the heap loop's own
-  Python tests;
+- Python's max(a, b) is np.where(b > a, b, a): with a NaN b it is a, and
+  max(-0.0, 0.0) is -0.0, which np.maximum need not give. So the table
+  computes each row's tolerance max(abs_tol, rel_tol * |total|) and its
+  clamped error sum max(e, 0.0) that way, decides which rows stop with the
+  heap loop's tests on those arrays, and builds a result or a
+  QuadratureToleranceError only for the rows that stop;
 - sums keep the heap loop's order of operations, total + ((lval + rval) -
   pval) and ((err + lerr) + rerr) - perr, and its order of verdicts:
   non-finite, converged, out of budget, panel at floating-point resolution.
@@ -77,7 +81,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -145,23 +149,30 @@ class RowNodes(np.ndarray):
     __slots__ = ("rows",)
 
 
+class _AbsTols(list):
+    """The configs of a batch whose rows differ only in abs_tol: each row's
+    abs_tol, with ``base`` giving the rest, so that no config is built per
+    row."""
+
+    __slots__ = ("base",)
+
+
 def _panel_values(fn, rows, width, half, mid, nodes, weights) -> np.ndarray:
     """Each row's one-panel Gauss values on its ``width`` panels, shape
-    (rows, width), from one call of fn. half and mid list the panels'
-    half-widths and midpoints row after row; rows is None for a single
-    integral."""
-    half, mid = np.array(half), np.array(mid)
-    x = (mid[:, None] + half[:, None] * nodes).reshape(-1, width * len(nodes))
+    (rows, width), from one call of fn. half and mid hold the panels'
+    half-widths and midpoints row after row, flat or a row of them per
+    batch row; rows is None for a single integral."""
+    half, mid = np.asarray(half), np.asarray(mid)
+    x = (mid[..., None] + half[..., None] * nodes).reshape(-1, width * len(nodes))
     if rows is None:
         vals = fn(x[0])
-        rows = (0,)
     else:
         v = x.view(RowNodes)
         v.rows = rows
         vals = fn(v)
     # 3-D, not reshaped to 2-D: only then does each sum equal the per-panel
     # np.dot to the bit (see the module docstring)
-    sums = np.dot(np.asarray(vals).reshape(len(rows), width, len(nodes)), weights)
+    sums = np.dot(np.asarray(vals).reshape(len(x), width, len(nodes)), weights)
     return half.reshape(-1, width) * sums
 
 
@@ -187,13 +198,24 @@ def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
     if lo > hi:
         raise DomainError(f"integration requires lo <= hi, got [{lo!r}, {hi!r}]")
     single = isinstance(cfg, QuadratureConfig)
-    cfgs = [cfg] if single else list(cfg)
-    if not cfgs:
-        return []
-    if any(c.nodes_per_panel != cfgs[0].nodes_per_panel for c in cfgs):
-        raise DomainError("a batch shares one nodes_per_panel")
+    # each row's abs_tol, rel_tol and max_subdivisions, a list each
+    if isinstance(cfg, _AbsTols):
+        base = cfg.base
+        limits = (cfg, [base.rel_tol] * len(cfg), [base.max_subdivisions] * len(cfg))
+        n = base.nodes_per_panel
+    else:
+        cfgs = [cfg] if single else list(cfg)
+        if not cfgs:
+            return []
+        if any(c.nodes_per_panel != cfgs[0].nodes_per_panel for c in cfgs):
+            raise DomainError("a batch shares one nodes_per_panel")
+        limits = (
+            [c.abs_tol for c in cfgs], [c.rel_tol for c in cfgs],
+            [c.max_subdivisions for c in cfgs],
+        )
+        n = cfgs[0].nodes_per_panel
     if lo == hi:
-        return (0.0, 0.0) if single else [(0.0, 0.0)] * len(cfgs)
+        return (0.0, 0.0) if single else [(0.0, 0.0)] * len(limits[0])
     if math.isinf(2.0 * max(-lo, hi)):
         # a panel's lo + hi, or hi - lo, can overflow: integrate fn(2u) over
         # [lo/2, hi/2] and double. Halving and doubling are exact at this
@@ -205,11 +227,11 @@ def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
                 v.rows = u.rows
             return fn(v)
 
-        halved = [replace(c, abs_tol=0.5 * c.abs_tol or c.abs_tol) for c in cfgs]
-        halves = _refine(at_double, 0.5 * lo, 0.5 * hi, halved, single)
-        results = [_doubled(got, c) for got, c in zip(halves, cfgs)]
+        halved = ([0.5 * t or t for t in limits[0]], *limits[1:])
+        halves = _refine(at_double, 0.5 * lo, 0.5 * hi, halved, n, single)
+        results = [_doubled(got, t, r) for got, t, r in zip(halves, *limits[:2])]
     else:
-        results = _refine(fn, lo, hi, cfgs, single)
+        results = _refine(fn, lo, hi, limits, n, single)
     if not single:
         return results
     if isinstance(results[0], QuadratureToleranceError):
@@ -217,21 +239,22 @@ def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
     return results[0]
 
 
-def _refine(fn, lo, hi, cfgs, single) -> list:
-    """integrate_adaptive's refinement over [lo, hi]: each row's (value,
-    error_estimate) or QuadratureToleranceError."""
-    nodes, weights = _leggauss(cfgs[0].nodes_per_panel)
+def _refine(fn, lo, hi, limits, n, single) -> list:
+    """integrate_adaptive's refinement over [lo, hi] with n nodes per panel:
+    each row's (value, error_estimate) or QuadratureToleranceError. limits
+    holds the rows' abs_tol, rel_tol and max_subdivisions, a list each."""
+    nodes, weights = _leggauss(n)
     mid = 0.5 * (lo + hi)
-    active = list(range(len(cfgs)))
+    active = list(range(len(limits[0])))
     # every row's first three panels: [lo, hi] and its halves
     first = _panel_values(
         fn, None if single else active, 3,
-        (0.5 * (hi - lo), 0.5 * (mid - lo), 0.5 * (hi - mid)) * len(cfgs),
-        (0.5 * (lo + hi), 0.5 * (lo + mid), 0.5 * (mid + hi)) * len(cfgs),
+        (0.5 * (hi - lo), 0.5 * (mid - lo), 0.5 * (hi - mid)) * len(active),
+        (0.5 * (lo + hi), 0.5 * (lo + mid), 0.5 * (mid + hi)) * len(active),
         nodes, weights,
     )
-    if len(cfgs) >= TABLE_ROWS:
-        return _refine_table(fn, lo, hi, cfgs, first, nodes, weights)
+    if len(active) >= TABLE_ROWS:
+        return _refine_table(fn, lo, hi, first, limits, nodes, weights)
     # a panel's value is the sum of its halves, its error their gap to the
     # one-panel rule; per row a heap of (-error, tiebreak, lo, hi, value,
     # error, halves)
@@ -242,19 +265,20 @@ def _refine(fn, lo, hi, cfgs, single) -> list:
         heaps.append([(-err, 0, lo, hi, value, err, left, right)])
         totals.append(value)
         errs.append(err)
-    results: list = [None] * len(cfgs)
+    abs_tols, rel_tols, budgets = limits
+    results: list = [None] * len(active)
     splits = 0
     while active:
         split = []  # (row, popped heap entry)
         halves, mids = [], []  # of each split panel's four quarters
         for r in active:
-            c, total, total_err = cfgs[r], totals[r], errs[r]
-            tol = max(c.abs_tol, c.rel_tol * abs(total))
+            total, total_err = totals[r], errs[r]
+            tol = max(abs_tols[r], rel_tols[r] * abs(total))
             if not (math.isfinite(total) and math.isfinite(total_err)):
                 results[r] = QuadratureToleranceError(total, total_err, tol, _NON_FINITE)
             elif total_err <= tol:
                 results[r] = (total, total_err)
-            elif splits == c.max_subdivisions:
+            elif splits == budgets[r]:
                 results[r] = QuadratureToleranceError(total, total_err, tol)
             else:
                 top = heapq.heappop(heaps[r])
@@ -295,7 +319,7 @@ def _refine(fn, lo, hi, cfgs, single) -> list:
     return results
 
 
-def _doubled(got, cfg: QuadratureConfig):
+def _doubled(got, abs_tol: float, rel_tol: float):
     """A row's result on [lo/2, hi/2] as its result on [lo, hi]."""
     if isinstance(got, QuadratureToleranceError):
         return QuadratureToleranceError(
@@ -305,111 +329,134 @@ def _doubled(got, cfg: QuadratureConfig):
     if math.isfinite(value) and math.isfinite(err):
         return value, err
     # an integral past the float range fails as a non-finite sum does
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    tol = max(abs_tol, rel_tol * abs(value))
     return QuadratureToleranceError(value, err, tol, _NON_FINITE)
 
 
-def _refine_table(fn, lo, hi, cfgs, first, nodes, weights) -> list:
+def _refine_table(fn, lo, hi, first, limits, nodes, weights) -> list:
     """integrate_adaptive's refinement rounds for a batch of TABLE_ROWS rows
-    or more, each round a few whole-array steps over one table of every
-    row's panels; the module docstring gives the rules that keep each row's
-    bits those of the heap loop."""
-    results: list = [None] * len(cfgs)
-    # the rows still refining: batch row, table row, tolerances, budget, sums
-    ids = list(range(len(cfgs)))
-    at = np.arange(len(cfgs))
-    abs_tol = np.array([c.abs_tol for c in cfgs])
-    rel_tol = np.array([c.rel_tol for c in cfgs])
-    budget = np.array([c.max_subdivisions for c in cfgs])
-    with np.errstate(over="ignore", invalid="ignore"):
-        coarse, left, right = first.T
-        totals = left + right
-        errs = abs(totals - coarse)
-    # per table row and slot: the panel's error, and its lo, hi, value and
-    # two half values
-    errors = np.full((len(cfgs), 16), -math.inf)
-    errors[:, 0] = errs
-    panels = np.empty((len(cfgs), 16, 5))
-    panels[:, 0] = np.column_stack(np.broadcast_arrays(lo, hi, totals, left, right))
-    splits = 0
+    or more, each round a few whole-array steps over a table of every row's
+    panel errors and a store of panel records; the module docstring gives
+    the rules that keep each row's bits those of the heap loop."""
+    n = len(first)
+    results: list = [None] * n
+    budgets = limits[2]
+    # a record per panel not yet split: its lo, mid and hi and its two half
+    # values, whose sum is its value. A split panel's quarter cuts lmid and
+    # rmid are its children's mids; its left child takes over its record,
+    # which no round reads again, and its right child takes a new one.
+    store = np.empty((2 * n, 5))
+    store[:n, :3] = lo, 0.5 * (lo + hi), hi
+    store[:n, 3:] = first[:, 1:]
+    used = n
+    # per table row and slot: the error of the row's panel with that heap
+    # sequence number (-inf once popped, or before it exists), and the index
+    # of its record in the store
+    errors = np.full((n, 16), -math.inf)
+    record = np.zeros((n, 16), dtype=np.intp)
+    # the rows still refining (m of them): batch row, table row, a column
+    # each of abs_tol, rel_tol and budget, and sums
+    m = n
+    rows = at = np.arange(n)
+    record[:, 0] = rows
+    ids = rows.tolist()
+    lim = np.array(limits, dtype=float)
+    least = min(budgets)
+    splits, q = 0, None
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
-            # the heap loop splits a row whose error is finite and over
-            # max(abs_tol, rel_tol * |total|), a NaN or infinite total
-            # failing the comparison, and whose budget is not spent
+            if q is None:
+                totals = first[:, 1] + first[:, 2]
+                errs = errors[:, 0] = abs(totals - first[:, 0])
+            else:
+                # the quarters' sums, in the heap loop's order of operations;
+                # a panel's value is the sum of its half values, as there
+                vals = q[:, 0::2] + q[:, 1::2]  # the two children's values
+                verr = abs(vals - popped[:, 3:])
+                totals = totals + ((vals[:, 0] + vals[:, 1]) - (popped[:, 3] + popped[:, 4]))
+                e = ((errs + verr[:, 0]) + verr[:, 1]) - perr
+                errs = np.where(0.0 > e, 0.0, e)  # max(e, 0.0), -0.0 included
+                seq = 2 * splits + 1
+                if seq + 2 > errors.shape[1]:
+                    errors = np.concatenate((errors, np.full(errors.shape, -math.inf)), axis=1)
+                    record = np.concatenate((record, np.zeros(record.shape, np.intp)), axis=1)
+                if used + m > len(store):
+                    store = np.concatenate((store, np.empty(store.shape)))
+                # the children [lo, mid] and [mid, hi]
+                left, right = np.empty((m, 5)), store[used : used + m]
+                left[:, :3], right[:, :3] = cuts[:, :3], cuts[:, 2:]
+                left[:, 3:], right[:, 3:] = q[:, :2], q[:, 2:]
+                store[home] = left
+                slots = (at * errors.shape[1] + seq)[:, None] + (0, 1)
+                errors.ravel()[slots] = verr
+                flat = record.ravel()
+                flat[slots[:, 0]], flat[slots[:, 1]] = home, np.arange(used, used + m)
+                used += m
+                splits += 1
+                if 2 * m <= len(errors):
+                    # drop the finished rows, so that a row refining on
+                    # alone does not keep every row's slots
+                    errors, record, at = errors[at], record[at], np.arange(m)
+            # the heap loop's Python tests on every row at once: tol is
+            # max(abs_tol, rel_tol * |total|), abs_tol unless the other is
+            # greater, and a row splits if its sums are finite, its error is
+            # over tol, its budget is not spent and its worst panel halves.
+            # The worst panel is the first maximum over the whole row, past
+            # whose last child every slot holds -inf.
+            scaled = lim[1] * abs(totals)
+            tol = np.where(scaled > lim[0], scaled, lim[0])
+            worst = errors.argmax(axis=1)
+            if m < len(errors):
+                worst = worst[at]
+            worst += at * errors.shape[1]  # as an index into the flat table
+            home = record.ravel().take(worst)
+            popped = store.take(home, axis=0)
             go = (
-                (errs > np.maximum(abs_tol, rel_tol * abs(totals))) & (errs < math.inf)
-                & (budget != splits)
+                np.isfinite(totals) & (errs < math.inf) & (errs > tol)
+                & (popped[:, 0] < popped[:, 1]) & (popped[:, 1] < popped[:, 2])
             )
-            slot = errors[:, : 2 * splits + 1].argmax(axis=1)
-            if len(at) < len(errors):
-                slot = slot[at]
-            popped = panels[at, slot]
-            pmid = 0.5 * (popped[:, 0] + popped[:, 1])
-            go &= (popped[:, 0] < pmid) & (pmid < popped[:, 1])
+            if splits >= least:
+                go &= lim[2] != splits
             if not go.all():
-                for k, total, total_err in zip(
-                    np.flatnonzero(~go).tolist(), totals[~go].tolist(), errs[~go].tolist()
+                # the rows that stop, in the heap loop's order of verdicts:
+                # non-finite, converged, out of budget, at resolution
+                gone = (~go).nonzero()[0]
+                for k, t, e, tl in zip(
+                    gone.tolist(), totals[gone].tolist(), errs[gone].tolist(), tol[gone].tolist()
                 ):
-                    c = cfgs[ids[k]]
-                    tol = max(c.abs_tol, c.rel_tol * abs(total))
-                    if not (math.isfinite(total) and math.isfinite(total_err)):
-                        got = QuadratureToleranceError(total, total_err, tol, _NON_FINITE)
-                    elif total_err <= tol:
-                        got = (total, total_err)
-                    elif splits == c.max_subdivisions:
-                        got = QuadratureToleranceError(total, total_err, tol)
+                    i = ids[k]
+                    # math.isfinite of each, by comparisons
+                    if not (-math.inf < t < math.inf and -math.inf < e < math.inf):
+                        results[i] = QuadratureToleranceError(t, e, tl, _NON_FINITE)
+                    elif e <= tl:
+                        results[i] = (t, e)
                     else:
-                        got = QuadratureToleranceError(total, total_err, tol, _AT_RESOLUTION)
-                    results[ids[k]] = got
-                keep = np.flatnonzero(go)
-                if not len(keep):
+                        results[i] = QuadratureToleranceError(
+                            t, e, tl, None if splits == budgets[i] else _AT_RESOLUTION
+                        )
+                keep = go.nonzero()[0]
+                m = len(keep)
+                if not m:
                     return results
-                ids = [ids[k] for k in keep.tolist()]
-                at, abs_tol, rel_tol, budget = at[keep], abs_tol[keep], rel_tol[keep], budget[keep]
+                rows, at, lim = rows[keep], at[keep], lim[:, keep]
+                worst, home, popped = worst[keep], home[keep], popped[keep]
                 totals, errs = totals[keep], errs[keep]
-                slot, popped, pmid = slot[keep], popped[keep], pmid[keep]
-            perr = errors[at, slot]
-            errors[at, slot] = -math.inf
-            # each popped panel's quarter bounds: lo, lmid, mid, rmid, hi
-            cuts = np.empty((len(at), 5))
-            cuts[:, 0], cuts[:, 2], cuts[:, 4] = popped[:, 0], pmid, popped[:, 1]
-            cuts[:, 1::2] = 0.5 * (cuts[:, 0:3:2] + cuts[:, 2::2])
+                ids = rows.tolist()
+            perr = errors.ravel().take(worst)
+            errors.ravel()[worst] = -math.inf
+            # each popped panel's four quarters, between its cuts lo, lmid,
+            # mid, rmid and hi
+            cuts = np.empty((m, 5))
+            cuts[:, 0::2] = popped[:, :3]
+            cuts[:, 1::2] = 0.5 * (popped[:, :2] + popped[:, 1:3])
             halves = 0.5 * (cuts[:, 1:] - cuts[:, :-1])
             mids = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
-        q = _panel_values(fn, ids, 4, halves.ravel(), mids.ravel(), nodes, weights)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = q[:, 0::2] + q[:, 1::2]  # the two children's values
-            verr = abs(vals - popped[:, 3:])
-            totals = totals + ((vals[:, 0] + vals[:, 1]) - popped[:, 2])
-            e = ((errs + verr[:, 0]) + verr[:, 1]) - perr
-            errs = np.where(0.0 > e, 0.0, e)  # max(e, 0.0), -0.0 included
-        seq = 2 * splits + 1
-        if seq + 2 > errors.shape[1]:
-            errors = np.concatenate((errors, np.full(errors.shape, -math.inf)), axis=1)
-            panels = np.concatenate((panels, np.empty(panels.shape)), axis=1)
-        children = np.empty((len(at), 2, 5))
-        children[:, :, 0], children[:, :, 1] = cuts[:, 0:3:2], cuts[:, 2::2]
-        children[:, :, 2], children[:, :, 3:] = vals, q.reshape(-1, 2, 2)
-        errors[at, seq : seq + 2] = verr
-        panels[at, seq : seq + 2] = children
-        splits += 1
-        if 2 * len(at) <= len(errors):
-            # drop the finished rows, so that a row refining on alone does
-            # not keep every row's slots
-            errors, panels, at = errors[at], panels[at], np.arange(len(at))
+        q = _panel_values(fn, ids, 4, halves, mids, nodes, weights)
 
 
 def _check_order(alpha: float) -> None:
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError(f"fractional order must satisfy alpha > 0, got {alpha!r}")
-
-
-def _scaled_config(cfg: QuadratureConfig, scale: float) -> QuadratureConfig:
-    # tighten abs_tol so the rescaled result still meets the caller's budget
-    if scale <= 1.0:
-        return cfg
-    return replace(cfg, abs_tol=cfg.abs_tol / scale)
 
 
 def rl_batch_with_error(
@@ -480,8 +527,13 @@ def rl_batch_with_error(
                     np.power(v[i:j], e, out=pw[i:j])
         return f.evaluate((x - d * pw).clip(l, h))
 
-    cfgs = [_scaled_config(cfg, k) for k in scales]
-    for i, k, got in zip(live, scales, integrate_adaptive(integrand, 0.0, 1.0, cfgs)):
+    # each row's abs_tol tightened so that the scaled result still meets it
+    tols = _AbsTols(cfg.abs_tol / k if k > 1.0 else cfg.abs_tol for k in scales)
+    if 0.0 in tols:
+        # an abs_tol that underflows, refused as a config's would be
+        raise DomainError("tolerances must be positive")
+    tols.base = cfg
+    for i, k, got in zip(live, scales, integrate_adaptive(integrand, 0.0, 1.0, tols)):
         out[i] = got if isinstance(got, QuadratureToleranceError) else (k * got[0], k * got[1])
     return out
 

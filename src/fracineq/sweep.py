@@ -87,13 +87,13 @@ from .hh_core import (
     TheoremId,
     _check_alpha,
     _deriv_table,
+    _identity_lhs_points,
     _ratio,
     _sandwich,
     bound_weights,
     c1_c2,
     c3_root,
     conjugate_exponent,
-    identity_lhs_batch,
 )
 from .rlint import DEFAULT_CONFIG, QuadratureConfig, integrate_adaptive
 
@@ -249,14 +249,29 @@ def _lhs_by_alpha(f: FunctionModel, alphas, xs: list[float], cfg: QuadratureConf
     """alpha -> the (|lhs|, error_estimate) or QuadratureToleranceError of
     each x, from one quadrature batch for every alpha, or the error that
     alpha alone raises (its domain check, or an overflow)."""
+    # the domain check of the instances (alpha, x) for x in xs fails at the
+    # first x that fails: at xs[0] if alpha's own checks fail, as they do
+    # at every x, else at the first x that fails at alpha 1, with the same
+    # message as at any alpha that passes its own checks
+    x_error = None
+    try:
+        for x in xs:
+            ProblemInstance(f, f.lo, f.hi, x, 1.0, 1.0)
+    except DomainError as exc:
+        x_error = exc
     by_alpha: dict = {}
-    insts: list = []
+    points: list = []
     for alpha in dict.fromkeys(alphas):
         try:
-            insts += [ProblemInstance(f, f.lo, f.hi, x, alpha, 1.0) for x in xs]
+            ProblemInstance(f, f.lo, f.hi, xs[0], alpha, 1.0)
         except DomainError as exc:
             by_alpha[alpha] = exc
-    entries = iter(identity_lhs_batch(insts, cfg))
+            continue
+        if x_error is not None:
+            by_alpha[alpha] = x_error
+        else:
+            points += [(alpha, x) for x in xs]
+    entries = iter(_identity_lhs_points(f, f.lo, f.hi, points, cfg))
     for alpha in dict.fromkeys(alphas):
         if alpha in by_alpha:
             continue

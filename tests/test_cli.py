@@ -5,10 +5,12 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import fracineq.cli as cli
 from fracineq.errors import QuadratureToleranceError
+from fracineq.funcmodel import FunctionModel
 from fracineq.hh_core import BOUNDS, FRACTIONAL_BOUNDS, BoundReport, TheoremId
 from fracineq.sweep import read_csv
 
@@ -204,6 +206,21 @@ class TestBoundCommand:
         assert "sandwich holds" in out
         assert "slack left" in out and "slack right" in out
         assert "hypothesis certified: yes (proved: " in out
+
+    def test_hh_reads_one_point_table(self, capsys, monkeypatch):
+        # the certificate and the sandwich read f at the same 14 points:
+        # one evaluation there, then the integral's first and only round
+        sizes = []
+        evaluate = FunctionModel.evaluate
+
+        def counted(self, u):
+            sizes.append(np.size(u))
+            return evaluate(self, u)
+
+        monkeypatch.setattr(FunctionModel, "evaluate", counted)
+        argv = ["bound", "--thm", "hh", "--f", U2, "--a", "0", "--b", "1", "--s", "0.5"]
+        assert cli.main(argv) == cli.ExitCode.OK
+        assert sizes == [14, 3 * 15]
 
 
 class TestCertifyCommand:

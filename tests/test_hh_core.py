@@ -245,6 +245,24 @@ class TestIdentity:
                 expect.value, expect.error_estimate, str(expect),
             )
 
+    def test_a_batch_reads_f_at_a_and_b_in_one_evaluation(self, u15, monkeypatch):
+        # one evaluate of [a, b] for the boundary terms, none per endpoint,
+        # with the bits of two scalar evaluations
+        calls = []
+        evaluate = FunctionModel.evaluate
+
+        def counted(self, u):
+            calls.append(np.asarray(u).tolist() if np.ndim(u) < 2 else np.shape(u))
+            return evaluate(self, u)
+
+        insts = [ProblemInstance(u15, 0.0, 1.0, x, a, 1.0) for a in (0.5, 2.5) for x in (0.3, 0.6)]
+        expect = identity_lhs_batch(insts)
+        monkeypatch.setattr(FunctionModel, "evaluate", counted)
+        assert identity_lhs_batch(insts) == expect
+        assert calls[0] == [0.0, 1.0]
+        assert all(isinstance(c, tuple) for c in calls[1:])
+        assert u15.evaluate([0.0, 1.0]).tolist() == [u15.evaluate(0.0), u15.evaluate(1.0)]
+
     def test_an_empty_batch_is_an_empty_list(self):
         assert identity_lhs_batch([]) == []
 

@@ -448,6 +448,20 @@ class TestExactAgainstReference:
         assert counted.calls == 1 + 3
 
     @LOOPS
+    def test_an_error_equal_to_its_tolerance_converges(self, width):
+        # err <= max(abs_tol, rel_tol * |total|) is the test: a row whose
+        # first estimate is its abs_tol exactly converges without a split
+        fn = EXACT_CASES["kinked-0.7"][0]
+        value, err = _ref_integrate(fn, 0.0, 1.0, QuadratureConfig(abs_tol=1.0))
+        assert err > 0.0
+        cfg = QuadratureConfig(rel_tol=1e-300, abs_tol=err, max_subdivisions=1)
+        rows, cfgs = _pad([fn], [cfg], width)
+        counted = Counted(_by_row(rows))
+        got = integrate_adaptive(counted, 0.0, 1.0, cfgs)
+        assert got[0] == (value, err)
+        assert counted.calls == 1
+
+    @LOOPS
     def test_a_panel_at_floating_point_resolution_fails_its_row(self, width):
         # on [1, 1 + 4 ulp] the noise leaves an error sum over tolerance
         # once every panel is one ulp wide, so the next split finds no
@@ -918,7 +932,7 @@ class TestBatch:
     def test_a_wide_batch_drops_its_finished_rows(self):
         # 199 rows converge on their first panels and one spends 2000
         # splits; a table that kept every row's slots would hold 200 rows x
-        # 4096 slots x 48 bytes, 39 MB
+        # 4096 slots x 16 bytes, 13 MB
         n = 200
         tight = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300, max_subdivisions=2000)
 

@@ -240,6 +240,42 @@ def _rhs_grid():
     )
 
 
+def _first_instance_error(f, alpha, xs):
+    """The message of the first failing ProblemInstance(f, lo, hi, x, alpha,
+    1) over xs, in order, or None: the lhs batch's check per point."""
+    try:
+        for x in xs:
+            ProblemInstance(f, f.lo, f.hi, x, alpha, 1.0)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+class TestLhsDomainCheck:
+    # the lhs batch checks an instance per alpha and one per x, not one per
+    # (alpha, x); every alpha must still fail with its first point's message
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [0.0, 0.4, 1.0],
+            [0.0, 0.4, 1.0000000000000002, math.nan],
+            [math.nan, 0.4],
+            [-0.1, 0.4],
+            [0.3, math.inf],
+        ],
+    )
+    def test_each_alpha_fails_with_its_first_points_message(self, u2, xs):
+        alphas = [0.5, math.nan, 1e-300, math.inf, 2.0, -1.0]
+        got = sweep_module._lhs_by_alpha(u2, alphas, xs, DEFAULT_CONFIG)
+        assert len(got) == len(alphas)
+        for alpha in alphas:
+            want = _first_instance_error(u2, alpha, xs)
+            if want is None:
+                assert len(got[alpha]) == len(xs)
+            else:
+                assert isinstance(got[alpha], DomainError) and str(got[alpha]) == want
+
+
 class TestRightSidesFromValues:
     """The sweep's hoisted right sides against the public per-instance path."""
 
@@ -316,9 +352,9 @@ class TestRightSidesFromValues:
         assert [n for n in deriv_sizes if n != sampled] == [14 + 3 * xs] * families
         # one table of f and one of f' per family serve every certificate
         assert len(set(map(id, tables))) == 2 * families
-        # one domain check per (family, s, q) for the right sides plus one
-        # instance per lhs integral
-        assert len(instances) == families * svals * qs + families * alphas * xs == 20
+        # one domain check per (family, s, q) for the right sides, plus per
+        # family one per alpha and one per x for the lhs batch
+        assert len(instances) == families * svals * qs + families * (alphas + xs) == 18
         # one certify_model call per distinct certificate key: per (family,
         # s), the sandwich's and each (target, mode), with q where it is read
         pairs = {(spec.target, spec.mode) for spec in FRACTIONAL_BOUNDS.values()}
