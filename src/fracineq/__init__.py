@@ -33,16 +33,12 @@ from .rlint import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     integrate_adaptive,
-    rl_left,
     rl_left_with_error,
-    rl_right,
     rl_right_with_error,
 )
 from .hh_core import (
     BoundReport,
-    HHSandwich,
     ProblemInstance,
-    ProofConstants,
     TheoremId,
     bound,
     bound_classical,
@@ -51,11 +47,8 @@ from .hh_core import (
     bound_t23,
     bound_t24,
     conjugate_exponent,
-    hh_sandwich,
     hh_sandwich_with_error,
-    identity_lhs,
     identity_lhs_with_error,
-    identity_rhs,
     identity_rhs_with_error,
     proof_constants,
 )
@@ -100,19 +93,13 @@ __all__ = [
     "QuadratureConfig",
     "DEFAULT_CONFIG",
     "integrate_adaptive",
-    "rl_left",
-    "rl_right",
     "rl_left_with_error",
     "rl_right_with_error",
     "TheoremId",
     "ProblemInstance",
     "BoundReport",
-    "ProofConstants",
-    "HHSandwich",
     "conjugate_exponent",
     "proof_constants",
-    "identity_lhs",
-    "identity_rhs",
     "identity_lhs_with_error",
     "identity_rhs_with_error",
     "bound",
@@ -121,7 +108,6 @@ __all__ = [
     "bound_t23",
     "bound_t24",
     "bound_classical",
-    "hh_sandwich",
     "hh_sandwich_with_error",
     "CSV_COLUMNS",
     "SweepGrid",

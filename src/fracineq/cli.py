@@ -180,7 +180,7 @@ def _cmd_bound_hh(args: argparse.Namespace) -> ExitCode:
         print(f"note: {', '.join(ignored)} not used by hh")
     f = parse_function(args.f)
     # certify_model's checks and table, whose points the sandwich reads too
-    table = _model_table(f, args.a, args.b, args.s, "convex", args.samples)
+    table = _model_table(f, args.a, args.b, args.s, "convex", args.samples, args.seed)
     cert = _certify(table, "f", None, args.s, "convex", args.samples, args.seed)
     (left, mid, right), err = hh_sandwich_with_error(
         f, args.a, args.b, args.s, DEFAULT_CONFIG, table

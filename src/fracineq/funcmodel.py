@@ -84,8 +84,10 @@ __all__ = [
 # Scale factor for the certification tolerance: tol = CERT_TOL * (1 + max|g|).
 CERT_TOL = 1e-10
 
-# Default number of random triples per certification run.
+# Default number of random triples per certification run, and the most a
+# run may draw (50x the default)
 CERT_SAMPLES = 20_000
+MAX_CERT_SAMPLES = 10**6
 
 # How a certificate was decided; see the module docstring.
 CERT_KINDS = ("proved", "refuted", "sampled")
@@ -329,15 +331,17 @@ class CertificationReport:
     rule: str | None = None
 
 
-def _check_certify_args(lo: float, hi: float, s: float, mode: str, samples: int) -> None:
+def _check_certify_args(lo: float, hi: float, s: float, mode: str, samples: int, seed: int) -> None:
     if mode not in ("convex", "concave"):
         raise DomainError(f"mode must be 'convex' or 'concave', got {mode!r}")
     if not 0.0 < s <= 1.0:
         raise DomainError(f"s must lie in (0, 1], got {s!r}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"certification interval invalid: [{lo!r}, {hi!r}]")
-    if samples < 0:
-        raise DomainError("samples must be >= 0")
+    if not 0 <= samples <= MAX_CERT_SAMPLES:
+        raise DomainError(f"samples must lie in [0, {MAX_CERT_SAMPLES}], got {samples!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed!r}")
 
 
 # The 12 boundary triples: lam in {0, 1/2, 1} against every endpoint pair
@@ -460,7 +464,7 @@ def certify_pointwise(
     when it passes and "refuted" when its worst triple fails. Raises
     OverflowError when g is not finite at a sampled point.
     """
-    _check_certify_args(lo, hi, s, mode, samples)
+    _check_certify_args(lo, hi, s, mode, samples, seed)
 
     lam_b, xs_b, ys_b = _boundary_triples(lo, hi)
     rng = np.random.default_rng(seed)
@@ -583,15 +587,15 @@ def certify_model(
     samples it with the given count and seed. Raises OverflowError where g
     is not finite: at a or b when a rule decides, else at a checked point.
     """
-    table = _model_table(g_source, a, b, s, mode, samples)
+    table = _model_table(g_source, a, b, s, mode, samples, seed)
     return _certify(table, target, q, s, mode, samples, seed)
 
 
 def _model_table(
-    g_source: FunctionModel, a: float, b: float, s: float, mode: str, samples: int
+    g_source: FunctionModel, a: float, b: float, s: float, mode: str, samples: int, seed: int
 ) -> _PointTable:
     """certify_model's argument checks, then the table of g_source over [a, b]."""
-    _check_certify_args(a, b, s, mode, samples)
+    _check_certify_args(a, b, s, mode, samples, seed)
     if a < g_source.lo or b > g_source.hi:
         raise DomainError(
             f"evaluation point outside domain [{g_source.lo!r}, {g_source.hi!r}]"
@@ -615,7 +619,7 @@ def _certify(
     passes the same pair to every certificate at s.
     """
     a, b = table.a, table.b
-    _check_certify_args(a, b, s, mode, samples)
+    _check_certify_args(a, b, s, mode, samples, seed)
     if target == "abs_deriv_pow" and not (q is not None and q >= 1.0):
         raise DomainError(f"|f'|^q needs q >= 1, got {q!r}")
     g, terms = table.hypothesis(target, q)

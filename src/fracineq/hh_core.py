@@ -29,8 +29,8 @@ endpoint's |f'|^q; c16: its weights carry exponent 2). rhs and bound serve
 every id through one body. The t21..t24 rows (FRACTIONAL_BOUNDS) take
 precomputed floats, so sweeps compute |f'|, weights and constants once.
 
-hh_sandwich evaluates the two-sided endpoint-average inequality for s-convex
-f >= 0 itself:
+hh_sandwich_with_error evaluates the two-sided endpoint-average inequality
+for s-convex f >= 0 itself:
 
     2^(s-1) f((a+b)/2)  <=  (1/(b-a)) int_a^b f  <=  (f(a)+f(b))/(s+1)
 
@@ -40,6 +40,7 @@ whose right constant is attained by f(u) = u^s on [0, 1].
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -72,10 +73,7 @@ __all__ = [
     "BoundReport",
     "ProofConstants",
     "HHSandwich",
-    "identity_lhs",
-    "identity_rhs",
     "identity_lhs_with_error",
-    "identity_lhs_batch",
     "identity_rhs_with_error",
     "bound",
     "rhs",
@@ -92,7 +90,6 @@ __all__ = [
     "bound_weights",
     "c1_c2",
     "c3_root",
-    "hh_sandwich",
     "hh_sandwich_with_error",
     "proof_constants",
     "conjugate_exponent",
@@ -160,8 +157,8 @@ class ProblemInstance:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise DomainError(f"{name} must be finite")
-        if not self.a < self.b:
-            raise DomainError(f"requires a < b, got a={self.a!r}, b={self.b!r}")
+        if not (self.a < self.b and self.b - self.a < math.inf):
+            raise DomainError(f"requires a < b, b - a finite, got a={self.a!r}, b={self.b!r}")
         if not (self.f.lo <= self.a and self.b <= self.f.hi):
             raise DomainError(
                 f"[a, b] = [{self.a!r}, {self.b!r}] exceeds the model domain "
@@ -229,21 +226,25 @@ def _ratio(lhs: float, rhs: float) -> float:
 
 
 def _c1(alpha: float, s: float) -> float:
-    return alpha / ((s + 1.0) * (alpha + s + 1.0))
+    # past 1e300 the product can overflow, and c1 is 1/(s + 1) to the last bit
+    return alpha / ((s + 1.0) * (alpha + s + 1.0)) if alpha < 1e300 else 1.0 / (s + 1.0)
 
 
 def _c2(alpha: float, s: float) -> float:
-    ratio = math.exp(
-        log_gamma(alpha + 1.0) + log_gamma(s + 1.0) - log_gamma(alpha + s + 2.0)
-    )
+    if alpha > 1e8:
+        # log_gamma(alpha + 1) has lost the digits of the difference; to
+        # O(1/alpha) it is -(s + 1) log(alpha + 1), and B < 1e-8 here
+        ratio = math.exp(log_gamma(s + 1.0) - (s + 1.0) * math.log(alpha + 1.0))
+    else:
+        ratio = math.exp(
+            log_gamma(alpha + 1.0) + log_gamma(s + 1.0) - log_gamma(alpha + s + 2.0)
+        )
     return 1.0 / (s + 1.0) - ratio
 
 
-def _c3(alpha: float, p: float) -> float:
+def _log_c3(alpha: float, p: float) -> float:
     inv = 1.0 / alpha
-    return math.exp(
-        log_gamma(1.0 + p) + log_gamma(1.0 + inv) - log_gamma(1.0 + p + inv)
-    )
+    return log_gamma(1.0 + p) + log_gamma(1.0 + inv) - log_gamma(1.0 + p + inv)
 
 
 def proof_constants(alpha: float, s: float, p: float) -> ProofConstants:
@@ -254,44 +255,32 @@ def proof_constants(alpha: float, s: float, p: float) -> ProofConstants:
         raise DomainError(f"s must lie in (0, 1], got {s!r}")
     if not p > 1.0:
         raise DomainError(f"p must satisfy p > 1, got {p!r}")
-    return ProofConstants(_c1(alpha, s), _c2(alpha, s), _c3(alpha, p))
+    return ProofConstants(_c1(alpha, s), _c2(alpha, s), math.exp(_log_c3(alpha, p)))
 
 
 def identity_lhs_with_error(
     inst: ProblemInstance, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> tuple[float, float]:
     """Signed left side of the identity and its quadrature error estimate."""
-    got = identity_lhs_batch([inst], cfg)[0]
+    got = _identity_lhs_points(inst.f, inst.a, inst.b, [(inst.alpha, inst.x)], cfg)[0]
     if isinstance(got, Exception):
         raise got
     return got
 
 
-def identity_lhs_batch(
-    insts: list[ProblemInstance], cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> list:
-    """identity_lhs_with_error for instances that share f, a and b.
-
-    J1 and J2 of every instance are rows of one quadrature batch, whatever
-    their alpha. Each entry is (lhs, error_estimate), or the error that
-    identity_lhs_with_error raises: J1's QuadratureToleranceError if J1
-    fails, else J2's. An alpha whose boundary terms, scales or Gamma factor
-    overflow fails as a whole: each of its instances carries the
-    OverflowError a batch of that alpha alone raises first.
-    """
-    if not insts:
-        return []
-    f, a, b = insts[0].f, insts[0].a, insts[0].b
-    if any((i.f, i.a, i.b) != (f, a, b) for i in insts):
-        raise DomainError("a batch of identity instances shares f, a and b")
-    return _identity_lhs_points(f, a, b, [(i.alpha, i.x) for i in insts], cfg)
-
-
 def _identity_lhs_points(
     f: FunctionModel, a: float, b: float, points: list, cfg: QuadratureConfig
 ) -> list:
-    """identity_lhs_batch of the (alpha, x) ``points``, each of which would
-    make a valid ProblemInstance on f over [a, b]."""
+    """identity_lhs_with_error at each (alpha, x) of ``points``, each of
+    which would make a valid ProblemInstance on f over [a, b].
+
+    J1 and J2 of every point are rows of one quadrature batch, whatever
+    their alpha. Each entry is (lhs, error_estimate), or the error that
+    identity_lhs_with_error raises: J1's QuadratureToleranceError if J1
+    fails, else J2's. An alpha whose boundary terms, scales or Gamma factor
+    overflow fails as a whole: each of its points carries the OverflowError
+    a batch of that alpha alone raises first.
+    """
     if not points:
         return []
     fa, fb = f.evaluate([a, b]).tolist()
@@ -334,10 +323,6 @@ def _identity_lhs_points(
     return out
 
 
-def identity_lhs(inst: ProblemInstance, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    return identity_lhs_with_error(inst, cfg)[0]
-
-
 def identity_rhs_with_error(
     inst: ProblemInstance, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> tuple[float, float]:
@@ -371,16 +356,13 @@ def identity_rhs_with_error(
         return sg * (np.power(t, alpha) - 1.0) * fp.evaluate(u)
 
     total, err = 0.0, 0.0
-    for w, got in zip(weights, integrate_adaptive(integrand, 0.0, 1.0, [cfg] * len(weights))):
+    tols = [cfg.abs_tol] * len(weights)
+    for w, got in zip(weights, integrate_adaptive(integrand, 0.0, 1.0, cfg, tols)):
         if isinstance(got, QuadratureToleranceError):
             raise got
         total += w * got[0]
         err += w * got[1]
     return total, err
-
-
-def identity_rhs(inst: ProblemInstance, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    return identity_rhs_with_error(inst, cfg)[0]
 
 
 def bound_weights(a: float, b: float, x: float, alpha: float) -> tuple[float, float]:
@@ -397,8 +379,10 @@ def c1_c2(alpha: float, s: float) -> tuple[float, float]:
 
 
 def c3_root(alpha: float, p: float) -> float:
-    """c3(alpha, p)^(1/p), the Holder constant of the t22 and t24 right sides."""
-    return _c3(alpha, p) ** (1.0 / p)
+    """c3(alpha, p)^(1/p), the Holder constant of the t22 and t24 right sides;
+    from log c3 where c3 is below the normal floats (small alpha, large p)."""
+    c3 = math.exp(_log_c3(alpha, p))
+    return c3 ** (1.0 / p) if c3 >= sys.float_info.min else math.exp(_log_c3(alpha, p) / p)
 
 
 class DerivValues(NamedTuple):
@@ -757,13 +741,3 @@ def _sandwich(
     right = (fa + fb) / (s + 1.0)
     return HHSandwich(left, value / (b - a), right), err / (b - a)
 
-
-def hh_sandwich(
-    f: FunctionModel,
-    a: float,
-    b: float,
-    s: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> HHSandwich:
-    """(left, mid, right) of the endpoint-average sandwich for s-convex f."""
-    return hh_sandwich_with_error(f, a, b, s, cfg)[0]

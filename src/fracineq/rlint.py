@@ -31,10 +31,11 @@ through gemv, add the products in another order and change the last bits.
 Integrals over the same [lo, hi] run as one batch, as in scipy's quad_vec.
 Each refinement round calls the integrand once, with a RowNodes array that
 holds, for each row that splits, that row's own four quarter panels; it
-returns a row of values per row. Rows keep their own panels, tolerance and
-budget, so each result equals the one-integral result bit for bit, and a
-batch takes as many rounds as its slowest row. A sweep integrates both
-sides of the identity at every (alpha, x) of a family as one batch.
+returns a row of values per row. A batch shares one QuadratureConfig, and
+each row has its own abs_tol. Rows keep their own panels and abs_tol, so
+each result equals the one-integral result at that abs_tol bit for bit,
+and a batch takes as many rounds as its slowest row. A sweep integrates
+both sides of the identity at every (alpha, x) of a family as one batch.
 
 Two loops refine a batch, chosen by its row count. A single integral or a
 batch of fewer than TABLE_ROWS rows keeps a heap of panels per row and
@@ -93,8 +94,6 @@ from .specfun import log_gamma
 __all__ = [
     "QuadratureConfig",
     "integrate_adaptive",
-    "rl_left",
-    "rl_right",
     "rl_left_with_error",
     "rl_right_with_error",
     "rl_batch_with_error",
@@ -114,10 +113,10 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise DomainError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-        if self.nodes_per_panel < 2:
-            raise DomainError("nodes_per_panel must be >= 2")
+        if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 1):
+            raise DomainError("max_subdivisions must be an int >= 1")
+        if not (isinstance(self.nodes_per_panel, int) and self.nodes_per_panel >= 2):
+            raise DomainError("nodes_per_panel must be an int >= 2")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -149,14 +148,6 @@ class RowNodes(np.ndarray):
     __slots__ = ("rows",)
 
 
-class _AbsTols(list):
-    """The configs of a batch whose rows differ only in abs_tol: each row's
-    abs_tol, with ``base`` giving the rest, so that no config is built per
-    row."""
-
-    __slots__ = ("base",)
-
-
 def _panel_values(fn, rows, width, half, mid, nodes, weights) -> np.ndarray:
     """Each row's one-panel Gauss values on its ``width`` panels, shape
     (rows, width), from one call of fn. half and mid hold the panels'
@@ -176,46 +167,37 @@ def _panel_values(fn, rows, width, half, mid, nodes, weights) -> np.ndarray:
     return half.reshape(-1, width) * sums
 
 
-def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
+def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG, abs_tols=None):
     """Integrate a vectorized callable over [lo, hi], alone or in a batch.
 
-    With one QuadratureConfig, fn maps a node array to values of the same
-    length and the call returns (value, error_estimate) with the estimate
-    driven below max(abs_tol, rel_tol * |value|). It raises
-    QuadratureToleranceError when max_subdivisions panel splits cannot reach
-    the tolerance, when the panel to split is too narrow to halve, or at
-    once when the running value or estimate turns non-finite; the exception
-    carries the best value and its achieved estimate.
+    Without abs_tols, fn maps a node array to values of the same length and
+    the call returns (value, error_estimate) with the estimate driven below
+    max(abs_tol, rel_tol * |value|). It raises QuadratureToleranceError
+    when max_subdivisions panel splits cannot reach the tolerance, when the
+    panel to split is too narrow to halve, or at once when the running value
+    or estimate turns non-finite; the exception carries the best value and
+    its achieved estimate.
 
-    With a sequence of configs, which share nodes_per_panel, fn receives a
-    RowNodes v with a row of nodes for each integral in v.rows and returns a
-    row of values for each, as scipy's quad_vec does; each round passes only
-    the rows that split. The call returns a list with each row's (value,
-    error_estimate), or the exception that row would raise alone.
+    With abs_tols, a list of each row's positive abs_tol in place of cfg's,
+    fn receives a RowNodes v with a row of nodes for each integral in v.rows
+    and returns a row of values for each, as scipy's quad_vec does; each
+    round passes only the rows that split. Every row shares cfg's rel_tol,
+    max_subdivisions and nodes_per_panel. The call returns a list with each
+    row's (value, error_estimate), or the exception that row would raise
+    alone.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("integration limits must be finite")
     if lo > hi:
         raise DomainError(f"integration requires lo <= hi, got [{lo!r}, {hi!r}]")
-    single = isinstance(cfg, QuadratureConfig)
-    # each row's abs_tol, rel_tol and max_subdivisions, a list each
-    if isinstance(cfg, _AbsTols):
-        base = cfg.base
-        limits = (cfg, [base.rel_tol] * len(cfg), [base.max_subdivisions] * len(cfg))
-        n = base.nodes_per_panel
-    else:
-        cfgs = [cfg] if single else list(cfg)
-        if not cfgs:
-            return []
-        if any(c.nodes_per_panel != cfgs[0].nodes_per_panel for c in cfgs):
-            raise DomainError("a batch shares one nodes_per_panel")
-        limits = (
-            [c.abs_tol for c in cfgs], [c.rel_tol for c in cfgs],
-            [c.max_subdivisions for c in cfgs],
-        )
-        n = cfgs[0].nodes_per_panel
+    single = abs_tols is None
+    tols = [cfg.abs_tol] if single else list(abs_tols)
+    if not all(t > 0.0 for t in tols):
+        raise DomainError("tolerances must be positive")
+    if not tols:
+        return []
     if lo == hi:
-        return (0.0, 0.0) if single else [(0.0, 0.0)] * len(limits[0])
+        return (0.0, 0.0) if single else [(0.0, 0.0)] * len(tols)
     if math.isinf(2.0 * max(-lo, hi)):
         # a panel's lo + hi, or hi - lo, can overflow: integrate fn(2u) over
         # [lo/2, hi/2] and double. Halving and doubling are exact at this
@@ -227,11 +209,11 @@ def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
                 v.rows = u.rows
             return fn(v)
 
-        halved = ([0.5 * t or t for t in limits[0]], *limits[1:])
-        halves = _refine(at_double, 0.5 * lo, 0.5 * hi, halved, n, single)
-        results = [_doubled(got, t, r) for got, t, r in zip(halves, *limits[:2])]
+        halved = [0.5 * t or t for t in tols]
+        halves = _refine(at_double, 0.5 * lo, 0.5 * hi, halved, cfg, single)
+        results = [_doubled(got, t, cfg.rel_tol) for got, t in zip(halves, tols)]
     else:
-        results = _refine(fn, lo, hi, limits, n, single)
+        results = _refine(fn, lo, hi, tols, cfg, single)
     if not single:
         return results
     if isinstance(results[0], QuadratureToleranceError):
@@ -239,13 +221,12 @@ def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG):
     return results[0]
 
 
-def _refine(fn, lo, hi, limits, n, single) -> list:
-    """integrate_adaptive's refinement over [lo, hi] with n nodes per panel:
-    each row's (value, error_estimate) or QuadratureToleranceError. limits
-    holds the rows' abs_tol, rel_tol and max_subdivisions, a list each."""
-    nodes, weights = _leggauss(n)
+def _refine(fn, lo, hi, abs_tols, cfg, single) -> list:
+    """integrate_adaptive's refinement over [lo, hi]: each row's (value,
+    error_estimate) or QuadratureToleranceError, a row per abs_tol."""
+    nodes, weights = _leggauss(cfg.nodes_per_panel)
     mid = 0.5 * (lo + hi)
-    active = list(range(len(limits[0])))
+    active = list(range(len(abs_tols)))
     # every row's first three panels: [lo, hi] and its halves
     first = _panel_values(
         fn, None if single else active, 3,
@@ -254,7 +235,7 @@ def _refine(fn, lo, hi, limits, n, single) -> list:
         nodes, weights,
     )
     if len(active) >= TABLE_ROWS:
-        return _refine_table(fn, lo, hi, first, limits, nodes, weights)
+        return _refine_table(fn, lo, hi, first, abs_tols, cfg, nodes, weights)
     # a panel's value is the sum of its halves, its error their gap to the
     # one-panel rule; per row a heap of (-error, tiebreak, lo, hi, value,
     # error, halves)
@@ -265,7 +246,7 @@ def _refine(fn, lo, hi, limits, n, single) -> list:
         heaps.append([(-err, 0, lo, hi, value, err, left, right)])
         totals.append(value)
         errs.append(err)
-    abs_tols, rel_tols, budgets = limits
+    rel_tol, budget = cfg.rel_tol, cfg.max_subdivisions
     results: list = [None] * len(active)
     splits = 0
     while active:
@@ -273,12 +254,12 @@ def _refine(fn, lo, hi, limits, n, single) -> list:
         halves, mids = [], []  # of each split panel's four quarters
         for r in active:
             total, total_err = totals[r], errs[r]
-            tol = max(abs_tols[r], rel_tols[r] * abs(total))
+            tol = max(abs_tols[r], rel_tol * abs(total))
             if not (math.isfinite(total) and math.isfinite(total_err)):
                 results[r] = QuadratureToleranceError(total, total_err, tol, _NON_FINITE)
             elif total_err <= tol:
                 results[r] = (total, total_err)
-            elif splits == budgets[r]:
+            elif splits == budget:
                 results[r] = QuadratureToleranceError(total, total_err, tol)
             else:
                 top = heapq.heappop(heaps[r])
@@ -333,14 +314,14 @@ def _doubled(got, abs_tol: float, rel_tol: float):
     return QuadratureToleranceError(value, err, tol, _NON_FINITE)
 
 
-def _refine_table(fn, lo, hi, first, limits, nodes, weights) -> list:
+def _refine_table(fn, lo, hi, first, abs_tols, cfg, nodes, weights) -> list:
     """integrate_adaptive's refinement rounds for a batch of TABLE_ROWS rows
     or more, each round a few whole-array steps over a table of every row's
     panel errors and a store of panel records; the module docstring gives
     the rules that keep each row's bits those of the heap loop."""
     n = len(first)
     results: list = [None] * n
-    budgets = limits[2]
+    rel_tol, budget = cfg.rel_tol, cfg.max_subdivisions
     # a record per panel not yet split: its lo, mid and hi and its two half
     # values, whose sum is its value. A split panel's quarter cuts lmid and
     # rmid are its children's mids; its left child takes over its record,
@@ -354,14 +335,13 @@ def _refine_table(fn, lo, hi, first, limits, nodes, weights) -> list:
     # of its record in the store
     errors = np.full((n, 16), -math.inf)
     record = np.zeros((n, 16), dtype=np.intp)
-    # the rows still refining (m of them): batch row, table row, a column
-    # each of abs_tol, rel_tol and budget, and sums
+    # the rows still refining (m of them): batch row, table row, abs_tol
+    # and sums
     m = n
     rows = at = np.arange(n)
     record[:, 0] = rows
     ids = rows.tolist()
-    lim = np.array(limits, dtype=float)
-    least = min(budgets)
+    atol = np.array(abs_tols, dtype=float)
     splits, q = 0, None
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -403,8 +383,8 @@ def _refine_table(fn, lo, hi, first, limits, nodes, weights) -> list:
             # over tol, its budget is not spent and its worst panel halves.
             # The worst panel is the first maximum over the whole row, past
             # whose last child every slot holds -inf.
-            scaled = lim[1] * abs(totals)
-            tol = np.where(scaled > lim[0], scaled, lim[0])
+            scaled = rel_tol * abs(totals)
+            tol = np.where(scaled > atol, scaled, atol)
             worst = errors.argmax(axis=1)
             if m < len(errors):
                 worst = worst[at]
@@ -412,11 +392,9 @@ def _refine_table(fn, lo, hi, first, limits, nodes, weights) -> list:
             home = record.ravel().take(worst)
             popped = store.take(home, axis=0)
             go = (
-                np.isfinite(totals) & (errs < math.inf) & (errs > tol)
+                (splits != budget) & np.isfinite(totals) & (errs < math.inf) & (errs > tol)
                 & (popped[:, 0] < popped[:, 1]) & (popped[:, 1] < popped[:, 2])
             )
-            if splits >= least:
-                go &= lim[2] != splits
             if not go.all():
                 # the rows that stop, in the heap loop's order of verdicts:
                 # non-finite, converged, out of budget, at resolution
@@ -432,13 +410,13 @@ def _refine_table(fn, lo, hi, first, limits, nodes, weights) -> list:
                         results[i] = (t, e)
                     else:
                         results[i] = QuadratureToleranceError(
-                            t, e, tl, None if splits == budgets[i] else _AT_RESOLUTION
+                            t, e, tl, None if splits == budget else _AT_RESOLUTION
                         )
                 keep = go.nonzero()[0]
                 m = len(keep)
                 if not m:
                     return results
-                rows, at, lim = rows[keep], at[keep], lim[:, keep]
+                rows, at, atol = rows[keep], at[keep], atol[keep]
                 worst, home, popped = worst[keep], home[keep], popped[keep]
                 totals, errs = totals[keep], errs[keep]
                 ids = rows.tolist()
@@ -527,13 +505,10 @@ def rl_batch_with_error(
                     np.power(v[i:j], e, out=pw[i:j])
         return f.evaluate((x - d * pw).clip(l, h))
 
-    # each row's abs_tol tightened so that the scaled result still meets it
-    tols = _AbsTols(cfg.abs_tol / k if k > 1.0 else cfg.abs_tol for k in scales)
-    if 0.0 in tols:
-        # an abs_tol that underflows, refused as a config's would be
-        raise DomainError("tolerances must be positive")
-    tols.base = cfg
-    for i, k, got in zip(live, scales, integrate_adaptive(integrand, 0.0, 1.0, tols)):
+    # each row's abs_tol tightened so that the scaled result still meets it;
+    # one that underflows to zero is refused as a config's would be
+    tols = [cfg.abs_tol / k if k > 1.0 else cfg.abs_tol for k in scales]
+    for i, k, got in zip(live, scales, integrate_adaptive(integrand, 0.0, 1.0, cfg, tols)):
         out[i] = got if isinstance(got, QuadratureToleranceError) else (k * got[0], k * got[1])
     return out
 
@@ -578,24 +553,3 @@ def rl_right_with_error(
         )
     return _one(f, alpha, b, x, cfg)
 
-
-def rl_left(
-    f: FunctionModel,
-    a: float,
-    alpha: float,
-    x: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
-    """Left Riemann-Liouville integral J_{a+}^alpha f evaluated at x."""
-    return rl_left_with_error(f, a, alpha, x, cfg)[0]
-
-
-def rl_right(
-    f: FunctionModel,
-    b: float,
-    alpha: float,
-    x: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
-    """Right Riemann-Liouville integral J_{b-}^alpha f evaluated at x."""
-    return rl_right_with_error(f, b, alpha, x, cfg)[0]

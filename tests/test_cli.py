@@ -523,6 +523,46 @@ class TestHostileInputs:
         assert err == "error: key 'alphas' repeats line 1 (at line 7)\n"
 
 
+# no rule or boundary triple decides u^0.25 on [0.01, 1]: its certificate
+# reaches the sampler
+SAMPLED = "1*(u-0)^0.25 on [0.01,1]"
+CERTIFYING = {
+    "certify": ["certify", "--f", SAMPLED, "--s", "0.5", "--mode", "convex"],
+    "t21": ["bound", "--thm", "t21", "--f", SAMPLED, "--a", "0.5", "--b", "1", "--x", "0.7",
+            "--alpha", "0.5", "--s", "0.5"],
+    "hh": ["bound", "--thm", "hh", "--f", SAMPLED, "--a", "0.5", "--b", "1", "--s", "0.5"],
+}
+
+
+class TestCertifierArguments:
+    """A negative seed or too many samples is a usage error on each command
+    that certifies; numpy raised ValueError there, which ended in exit 1,
+    the inequality-failed code, and a traceback."""
+
+    @pytest.mark.parametrize("command", sorted(CERTIFYING))
+    @pytest.mark.parametrize(
+        "extra,err",
+        [
+            (["--seed", "-1"], "error: seed must be >= 0, got -1\n"),
+            (["--samples", "1000001"], "error: samples must lie in [0, 1000000], got 1000001\n"),
+            (
+                ["--samples", "4611686018427387904"],
+                "error: samples must lie in [0, 1000000], got 4611686018427387904\n",
+            ),
+        ],
+        ids=["seed", "samples", "samples-2^62"],
+    )
+    def test_refused_with_one_line(self, command, extra, err, capsys):
+        code = cli.main(CERTIFYING[command] + extra)
+        assert code == cli.ExitCode.USAGE
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("command", sorted(CERTIFYING))
+    def test_seed_zero_is_accepted(self, command, capsys):
+        assert cli.main(CERTIFYING[command] + ["--seed", "0", "--samples", "500"]) == 0
+        assert "(sampled: 512 triples, seed 0" in capsys.readouterr().out
+
+
 HOSTILE = ("nan", "inf", "-inf", "1e308", "-1e308", "-0.5", "-3", "")
 VALID = {
     "--x": "0.5", "--alpha": "0.5", "--s": "0.5", "--q": "2",

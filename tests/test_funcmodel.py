@@ -15,6 +15,7 @@ from fracineq.errors import DerivativeSingularityError, DomainError, ParseError
 from fracineq.funcmodel import (
     CERT_SAMPLES,
     CERT_TOL,
+    MAX_CERT_SAMPLES,
     CertificationReport,
     FunctionModel,
     PowerTerm,
@@ -422,6 +423,34 @@ class TestCertifyModel:
         with pytest.raises(DomainError, match="outside domain"):
             certify_model(u2, "f", None, -1.0, 1.0, 0.5, "convex")
 
+    @pytest.mark.parametrize(
+        "samples,seed,needle",
+        [
+            (CERT_SAMPLES, -1, "seed must be >= 0, got -1"),
+            (-1, 0, "samples must lie in"),
+            (MAX_CERT_SAMPLES + 1, 0, f"samples must lie in \\[0, {MAX_CERT_SAMPLES}\\]"),
+            # 2^62 triples would need exabytes; the check refuses them first
+            (2**62, 0, "samples must lie in"),
+        ],
+        ids=["seed-minus-1", "samples-minus-1", "samples-max-plus-1", "samples-2^62"],
+    )
+    def test_seed_and_sample_count_are_checked_first(self, samples, seed, needle):
+        # u^2 is proved by a rule, which draws nothing; u^0.25 on [0.01, 1]
+        # is decided by the sampler, where numpy raised ValueError for a
+        # negative seed and an array too big for 2^62
+        for spec in ("1*(u-0)^2 on [0,1]", "1*(u-0)^0.25 on [0.01,1]"):
+            f = parse_function(spec)
+            with pytest.raises(DomainError, match=needle):
+                certify_model(f, "f", None, f.lo, f.hi, 0.5, "convex", samples, seed)
+            with pytest.raises(DomainError, match=needle):
+                certify_pointwise(f.evaluate, f.lo, f.hi, 0.5, "convex", samples, seed)
+
+    def test_seed_zero_and_the_most_samples_are_accepted(self, u2):
+        # a rule decides u^2, so MAX_CERT_SAMPLES triples are never drawn
+        got = certify_model(u2, "f", None, 0.0, 1.0, 1.0, "convex", MAX_CERT_SAMPLES, 0)
+        assert got.kind == "proved"
+        assert MAX_CERT_SAMPLES == 50 * CERT_SAMPLES
+
     def test_power_target_needs_q_at_least_one(self, u2):
         with pytest.raises(DomainError, match="q >= 1"):
             certify_model(u2, "abs_deriv_pow", 0.5, 0.0, 1.0, 0.5, "convex")
@@ -675,7 +704,7 @@ def _ref_rule(g_source, target, q, a, s, mode):
 def _reference_certify(g_source, target, q, a, b, s, mode, samples=CERT_SAMPLES, seed=0):
     """certify_model as one key's numpy path: g evaluated afresh at each
     step's own points, each step with its own violation formula call."""
-    funcmodel._check_certify_args(a, b, s, mode, samples)
+    funcmodel._check_certify_args(a, b, s, mode, samples, seed)
     if a < g_source.lo or b > g_source.hi:
         raise DomainError(
             f"evaluation point outside domain [{g_source.lo!r}, {g_source.hi!r}]"

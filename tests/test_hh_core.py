@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 import re
 
 import mpmath
@@ -24,12 +25,9 @@ from fracineq.hh_core import (
     c1_c2,
     c3_root,
     conjugate_exponent,
-    hh_sandwich,
+    _identity_lhs_points,
     hh_sandwich_with_error,
-    identity_lhs,
-    identity_lhs_batch,
     identity_lhs_with_error,
-    identity_rhs,
     identity_rhs_with_error,
     proof_constants,
     rhs,
@@ -62,6 +60,13 @@ class TestProblemInstance:
             ProblemInstance(u2, 0, 1, 0.5, 1, 1, q=1e17)
         inst = ProblemInstance(u2, 0, 1, 0.5, 1, 1, q=1e15)
         assert inst.p > 1.0
+
+    def test_a_span_past_the_float_range_is_refused(self):
+        # b - a = inf: the endpoint weights (b - x)^(alpha + 1)/(b - a) were NaN
+        f = parse_function("1*(u--1e308)^1 on [-1e308,1e308]")
+        with pytest.raises(DomainError, match="b - a finite"):
+            ProblemInstance(f, -1e308, 1e308, -1e308, 1.0, 1.0)
+        assert ProblemInstance(f, -1e308, 0.0, -1e308, 1.0, 1.0).b == 0.0
 
     @pytest.mark.parametrize("factor, holds", [(0.5, True), (2.0, False)])
     def test_conjugacy_defect_against_the_tolerance(self, u2, factor, holds):
@@ -176,13 +181,39 @@ class TestAlphaFloor:
                 worst = max(worst, float(abs(c3_root(alpha, p) - want) / want))
         assert worst <= 1e-10
 
+    @pytest.mark.parametrize("alpha", [1e7, 1e8, 1.0000001e8, 1e9, 1e12, 1e17, 1e300, 1e308])
+    def test_c1_and_c2_at_huge_orders(self, alpha):
+        # log_gamma(alpha + 1) loses the digits of log B(alpha + 1, s + 1)
+        # at these orders: c2 came out -0.5 at 1e17 and s = 1; and c1's
+        # denominator overflowed at 1e308, giving 0. mpmath's beta needs the
+        # digits of log Gamma(alpha) on top of the 50 kept
+        with mpmath.workdps(50 + int(math.log10(alpha))):
+            a = mpmath.mpf(alpha)
+            for s in (5e-324, 1e-3, 0.5, 1.0):
+                s1 = mpmath.mpf(s) + 1
+                c1, c2 = c1_c2(alpha, s)
+                assert c1 == pytest.approx(float(a / (s1 * (a + s1))), rel=1e-15)
+                assert c2 == pytest.approx(float(1 / s1 - mpmath.beta(a + 1, s1)), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "alpha,p", [(ALPHA_MIN, 1001.0), (ALPHA_MIN, 1e17), (1e-3, 4.5e15), (2e-3, 2000.0)]
+    )
+    def test_c3_root_where_c3_underflows(self, alpha, p):
+        # c3 is below the normal floats here, and its p-th root is not: the
+        # root of the underflowed c3 was 0, and t22 and t24 printed rhs = 0
+        with mpmath.workdps(50):
+            a, pp = mpmath.mpf(alpha), mpmath.mpf(p)
+            want = float((mpmath.beta(1 / a, pp + 1) / a) ** (1 / pp))
+        assert proof_constants(alpha, 1.0, p).c3 < sys.float_info.min
+        assert c3_root(alpha, p) == pytest.approx(want, rel=1e-10)
+
 
 class TestIdentity:
     def test_square_at_order_one(self, u2):
         # boundary average minus the mean integral: 1/2 - 1/3
         inst = ProblemInstance(u2, 0.0, 1.0, 0.5, 1.0, 1.0)
-        assert identity_lhs(inst) == pytest.approx(1.0 / 6.0, rel=1e-10)
-        assert identity_rhs(inst) == pytest.approx(1.0 / 6.0, rel=1e-8)
+        assert identity_lhs_with_error(inst)[0] == pytest.approx(1.0 / 6.0, rel=1e-10)
+        assert identity_rhs_with_error(inst)[0] == pytest.approx(1.0 / 6.0, rel=1e-8)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 3.0])
     @pytest.mark.parametrize("x", [0.0, 0.3, 0.5, 1.0])
@@ -255,16 +286,17 @@ class TestIdentity:
             calls.append(np.asarray(u).tolist() if np.ndim(u) < 2 else np.shape(u))
             return evaluate(self, u)
 
-        insts = [ProblemInstance(u15, 0.0, 1.0, x, a, 1.0) for a in (0.5, 2.5) for x in (0.3, 0.6)]
-        expect = identity_lhs_batch(insts)
+        points = [(a, x) for a in (0.5, 2.5) for x in (0.3, 0.6)]
+        cfg = QuadratureConfig()
+        expect = _identity_lhs_points(u15, 0.0, 1.0, points, cfg)
         monkeypatch.setattr(FunctionModel, "evaluate", counted)
-        assert identity_lhs_batch(insts) == expect
+        assert _identity_lhs_points(u15, 0.0, 1.0, points, cfg) == expect
         assert calls[0] == [0.0, 1.0]
         assert all(isinstance(c, tuple) for c in calls[1:])
         assert u15.evaluate([0.0, 1.0]).tolist() == [u15.evaluate(0.0), u15.evaluate(1.0)]
 
-    def test_an_empty_batch_is_an_empty_list(self):
-        assert identity_lhs_batch([]) == []
+    def test_an_empty_batch_is_an_empty_list(self, u15):
+        assert _identity_lhs_points(u15, 0.0, 1.0, [], QuadratureConfig()) == []
 
     def test_shifted_interval(self):
         f = parse_function("1*(u--1)^2 + 2*(u-0)^1 on [1,3]")
@@ -399,7 +431,7 @@ class TestClassicalReduction:
             raise AssertionError("a classical formula reached a fractional helper")
 
         for name in (
-            "_c1", "_c2", "_c3", "log_gamma", "c1_c2", "c3_root",
+            "_c1", "_c2", "_log_c3", "log_gamma", "c1_c2", "c3_root",
             "bound_weights", "_deriv_table",
         ):
             monkeypatch.setattr(hh_core, name, forbidden)
@@ -474,7 +506,7 @@ class TestSandwich:
         assert err <= 1e-10
 
     def test_classical_convex_case(self, u2):
-        left, mid, right = hh_sandwich(u2, 0.0, 1.0, 1.0)
+        (left, mid, right), _ = hh_sandwich_with_error(u2, 0.0, 1.0, 1.0)
         assert left == pytest.approx(0.25, rel=1e-15)
         assert mid == pytest.approx(1.0 / 3.0, rel=1e-10)
         assert right == pytest.approx(0.5, rel=1e-15)
@@ -483,26 +515,23 @@ class TestSandwich:
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.0])
     def test_holds_for_smooth_convex_families(self, u2, linear, s):
         for f in (u2, linear):
-            left, mid, right = hh_sandwich(f, 0.0, 1.0, s)
+            (left, mid, right), _ = hh_sandwich_with_error(f, 0.0, 1.0, s)
             band = 1e-9 * (1.0 + abs(right))
             assert left <= mid + band
             assert mid <= right + band
 
     def test_validation(self, u2):
         with pytest.raises(DomainError):
-            hh_sandwich(u2, 0.0, 1.0, 0.0)
+            hh_sandwich_with_error(u2, 0.0, 1.0, 0.0)
         with pytest.raises(DomainError):
-            hh_sandwich(u2, 0.8, 0.2, 0.5)
+            hh_sandwich_with_error(u2, 0.8, 0.2, 0.5)
         with pytest.raises(DomainError):
-            hh_sandwich(u2, 0.0, 1.5, 0.5)
-
-    def test_with_error_agrees(self, u2):
-        assert hh_sandwich(u2, 0.0, 1.0, 0.5) == hh_sandwich_with_error(u2, 0.0, 1.0, 0.5)[0]
+            hh_sandwich_with_error(u2, 0.0, 1.5, 0.5)
 
     def test_limits_whose_sum_overflows(self):
         # the midpoint is 0.5*a + 0.5*b: 0.5*(a + b) would be inf, outside [a, b]
         f = parse_function("1*(u-0)^0 + 1e-308*(u-0)^1 on [1e308,1.7e308]")
-        left, mid, right = hh_sandwich(f, 1e308, 1.7e308, 1.0)
+        (left, mid, right), _ = hh_sandwich_with_error(f, 1e308, 1.7e308, 1.0)
         # f is affine, so all three are f at the midpoint 1.35e308: 2.35
         assert left == pytest.approx(2.35, rel=1e-15)
         assert mid == pytest.approx(2.35, rel=1e-12)

@@ -30,9 +30,7 @@ from fracineq.rlint import (
     QuadratureConfig,
     integrate_adaptive,
     rl_batch_with_error,
-    rl_left,
     rl_left_with_error,
-    rl_right,
     rl_right_with_error,
 )
 from fracineq.specfun import log_gamma
@@ -102,6 +100,12 @@ class TestIntegrateAdaptive:
             {"abs_tol": -1.0},
             {"max_subdivisions": 0},
             {"nodes_per_panel": 1},
+            # a budget no split count equals, or a node count leggauss
+            # refuses with a TypeError
+            {"max_subdivisions": math.nan},
+            {"max_subdivisions": 2.5},
+            {"nodes_per_panel": math.nan},
+            {"nodes_per_panel": 15.0},
         ],
     )
     def test_config_validation(self, kwargs):
@@ -141,10 +145,12 @@ class TestSubdivisionBudget:
 
 class TestFrozenValues:
     def test_constant_order_half(self, const1):
-        assert rl_left(const1, 0.0, 0.5, 1.0) == pytest.approx(INV_GAMMA_15, rel=1e-12)
+        value, _ = rl_left_with_error(const1, 0.0, 0.5, 1.0)
+        assert value == pytest.approx(INV_GAMMA_15, rel=1e-12)
 
     def test_square_order_half(self, u2):
-        assert rl_left(u2, 0.0, 0.5, 1.0) == pytest.approx(POWER_HALF_U2, rel=1e-12)
+        value, _ = rl_left_with_error(u2, 0.0, 0.5, 1.0)
+        assert value == pytest.approx(POWER_HALF_U2, rel=1e-12)
 
     def test_oracle_matches_frozen_value(self):
         got = rl_power_rule_oracle(PowerTerm(1.0, 0.0, 2.0), 0.0, 0.5, 1.0)
@@ -189,7 +195,7 @@ class TestAgainstMpmath:
     def test_monomials(self, coeff, exponent, alpha, x):
         f = FunctionModel((PowerTerm(coeff, 0.0, exponent),), 0.0, 1.0)
         expect = _mp_rl_left(coeff, exponent, alpha, x)
-        assert rl_left(f, 0.0, alpha, x) == pytest.approx(expect, rel=1e-10)
+        assert rl_left_with_error(f, 0.0, alpha, x)[0] == pytest.approx(expect, rel=1e-10)
 
     def test_composite_model(self, linear):
         # 1 + u, order 1/4 at x = 0.8
@@ -198,15 +204,18 @@ class TestAgainstMpmath:
                 mpmath.quad(lambda t: (0.8 - t) ** -0.75 * (1 + t), [0, 0.8])
                 / mpmath.gamma(0.25)
             )
-        assert rl_left(linear, 0.0, 0.25, 0.8) == pytest.approx(expect, rel=1e-10)
+        assert rl_left_with_error(linear, 0.0, 0.25, 0.8)[0] == pytest.approx(expect, rel=1e-10)
 
 
 class TestOperatorProperties:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_linearity(self, alpha, u2, const1):
         combo = parse_function("3*(u-0)^0 + 2*(u-0)^2 on [0,1]")
-        direct = rl_left(combo, 0.0, alpha, 0.9)
-        parts = 3.0 * rl_left(const1, 0.0, alpha, 0.9) + 2.0 * rl_left(u2, 0.0, alpha, 0.9)
+        direct = rl_left_with_error(combo, 0.0, alpha, 0.9)[0]
+        parts = (
+            3.0 * rl_left_with_error(const1, 0.0, alpha, 0.9)[0]
+            + 2.0 * rl_left_with_error(u2, 0.0, alpha, 0.9)[0]
+        )
         # each side independently converged to the 1e-10 relative default
         assert direct == pytest.approx(parts, rel=4e-10)
 
@@ -214,43 +223,43 @@ class TestOperatorProperties:
     def test_mirror_symmetry(self, alpha):
         # u(1-u) is symmetric about 1/2, so both operators agree across [0, 1]
         f = parse_function("1*(u-0)^1 + -1*(u-0)^2 on [0,1]")
-        left = rl_left(f, 0.0, alpha, 1.0)
-        right = rl_right(f, 1.0, alpha, 0.0)
+        left = rl_left_with_error(f, 0.0, alpha, 1.0)[0]
+        right = rl_right_with_error(f, 1.0, alpha, 0.0)[0]
         assert left == pytest.approx(right, rel=1e-11)
 
     def test_alpha_one_is_the_ordinary_integral(self, u2):
         expect, _ = scipy.integrate.quad(u2.evaluate, 0.2, 0.9)
-        assert rl_left(u2, 0.2, 1.0, 0.9) == pytest.approx(expect, rel=1e-11)
+        assert rl_left_with_error(u2, 0.2, 1.0, 0.9)[0] == pytest.approx(expect, rel=1e-11)
         expect_r, _ = scipy.integrate.quad(u2.evaluate, 0.1, 0.6)
-        assert rl_right(u2, 0.6, 1.0, 0.1) == pytest.approx(expect_r, rel=1e-11)
+        assert rl_right_with_error(u2, 0.6, 1.0, 0.1)[0] == pytest.approx(expect_r, rel=1e-11)
 
     def test_degenerate_point_is_exact_zero(self, u2):
         assert rl_left_with_error(u2, 0.3, 0.5, 0.3) == (0.0, 0.0)
         assert rl_right_with_error(u2, 0.3, 0.5, 0.3) == (0.0, 0.0)
 
     def test_monotone_in_x_for_nonnegative_f(self, u2):
-        values = [rl_left(u2, 0.0, 0.5, x) for x in np.linspace(0.1, 1.0, 8)]
+        values = [rl_left_with_error(u2, 0.0, 0.5, x)[0] for x in np.linspace(0.1, 1.0, 8)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 class TestRLValidation:
     def test_order_must_be_positive(self, u2):
         with pytest.raises(DomainError):
-            rl_left(u2, 0.0, 0.0, 1.0)
+            rl_left_with_error(u2, 0.0, 0.0, 1.0)
         with pytest.raises(DomainError):
-            rl_right(u2, 1.0, -0.5, 0.0)
+            rl_right_with_error(u2, 1.0, -0.5, 0.0)
 
     def test_point_ordering(self, u2):
         with pytest.raises(DomainError):
-            rl_left(u2, 0.5, 0.5, 0.2)
+            rl_left_with_error(u2, 0.5, 0.5, 0.2)
         with pytest.raises(DomainError):
-            rl_right(u2, 0.5, 0.5, 0.8)
+            rl_right_with_error(u2, 0.5, 0.5, 0.8)
 
     def test_interval_inside_model_domain(self, u2):
         with pytest.raises(DomainError):
-            rl_left(u2, -0.5, 0.5, 0.5)
+            rl_left_with_error(u2, -0.5, 0.5, 0.5)
         with pytest.raises(DomainError):
-            rl_left(u2, 0.0, 0.5, 1.5)
+            rl_left_with_error(u2, 0.0, 0.5, 1.5)
 
 
 # -- the three-call-per-panel integrator, kept as an exactness oracle --------
@@ -332,11 +341,20 @@ def _square(u):
 LOOPS = pytest.mark.parametrize("width", [0, rlint.TABLE_ROWS], ids=["heaps", "table"])
 
 
-def _pad(rows, cfgs, width):
-    """rows and their configs, widened to ``width`` rows with u^2 rows."""
+# the abs_tol of a u^2 row that _pad adds: it converges on its first panels
+PAD_TOL = DEFAULT_CONFIG.abs_tol
+
+
+def _pad(rows, cfg, width):
+    """rows widened to ``width`` rows with u^2 rows, and each row's abs_tol:
+    cfg's for the given rows, PAD_TOL for the u^2 rows."""
     more = max(width - len(rows), 0)
-    pad = QuadratureConfig(nodes_per_panel=cfgs[0].nodes_per_panel)
-    return rows + [_square] * more, cfgs + [pad] * more
+    return rows + [_square] * more, [cfg.abs_tol] * len(rows) + [PAD_TOL] * more
+
+
+def _padded(lo, hi, cfg):
+    """The result of each u^2 row that _pad adds."""
+    return _ref_integrate(_square, lo, hi, replace(cfg, abs_tol=PAD_TOL))
 
 
 def _kinked(alpha, x=0.8):
@@ -404,14 +422,15 @@ class TestExactAgainstReference:
     def test_batch_rows_and_calls(self, nodes, width):
         names = ["kinked-0.3", "kinked-0.7", "kinked-2.5"]
         rows = [EXACT_CASES[n][0] for n in names] + [lambda u: np.exp(-u) * np.cos(3.0 * u)]
-        rows, cfgs = _pad(rows, [QuadratureConfig(nodes_per_panel=nodes)] * len(rows), width)
+        cfg = QuadratureConfig(nodes_per_panel=nodes)
+        rows, tols = _pad(rows, cfg, width)
         counted = Counted(_by_row(rows))
-        got = integrate_adaptive(counted, 0.0, 1.0, cfgs)
+        got = integrate_adaptive(counted, 0.0, 1.0, cfg, tols)
         splits = 0
-        for g, c, row in zip(rows, cfgs, got):
+        for g, t, row in zip(rows, tols, got):
             ref = Counted(g)
             try:
-                expect = _ref_integrate(ref, 0.0, 1.0, c)
+                expect = _ref_integrate(ref, 0.0, 1.0, replace(cfg, abs_tol=t))
             except QuadratureToleranceError as exc:
                 expect = exc
             _assert_same(row, expect)
@@ -440,11 +459,11 @@ class TestExactAgainstReference:
         cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=3)
         with pytest.raises(QuadratureToleranceError) as expect:
             _ref_integrate(fn, lo, hi, cfg)
-        rows, cfgs = _pad([fn], [cfg], width)
+        rows, tols = _pad([fn], cfg, width)
         counted = Counted(_by_row(rows))
-        got = integrate_adaptive(counted, lo, hi, cfgs)
+        got = integrate_adaptive(counted, lo, hi, cfg, tols)
         _assert_same(got[0], expect.value)
-        assert got[1:] == [_ref_integrate(_square, lo, hi)] * (len(rows) - 1)
+        assert got[1:] == [_padded(lo, hi, cfg)] * (len(rows) - 1)
         assert counted.calls == 1 + 3
 
     @LOOPS
@@ -455,10 +474,11 @@ class TestExactAgainstReference:
         value, err = _ref_integrate(fn, 0.0, 1.0, QuadratureConfig(abs_tol=1.0))
         assert err > 0.0
         cfg = QuadratureConfig(rel_tol=1e-300, abs_tol=err, max_subdivisions=1)
-        rows, cfgs = _pad([fn], [cfg], width)
+        rows, tols = _pad([fn], cfg, width)
         counted = Counted(_by_row(rows))
-        got = integrate_adaptive(counted, 0.0, 1.0, cfgs)
+        got = integrate_adaptive(counted, 0.0, 1.0, cfg, tols)
         assert got[0] == (value, err)
+        assert got[1:] == [_padded(0.0, 1.0, cfg)] * (len(rows) - 1)
         assert counted.calls == 1
 
     @LOOPS
@@ -477,12 +497,12 @@ class TestExactAgainstReference:
             _ref_integrate(ref, lo, hi, cfg)
         splits = (ref.calls - 3) // 6
         assert splits < cfg.max_subdivisions
-        rows, cfgs = _pad([noise], [cfg], width)
+        rows, tols = _pad([noise], cfg, width)
         counted = Counted(_by_row(rows))
-        got = integrate_adaptive(counted, lo, hi, cfgs)
+        got = integrate_adaptive(counted, lo, hi, cfg, tols)
         _assert_same(got[0], expect.value)
         assert str(got[0]).startswith(f"quadrature tolerance not met: {AT_RESOLUTION} (")
-        assert got[1:] == [_ref_integrate(_square, lo, hi)] * (len(rows) - 1)
+        assert got[1:] == [_padded(lo, hi, cfg)] * (len(rows) - 1)
         assert counted.calls == 1 + splits
 
     def test_each_call_is_whole_panels(self):
@@ -500,8 +520,8 @@ class TestExactAgainstReference:
     def test_each_batch_call_is_each_split_rows_own_quarter_panels(self, width):
         # the first call gives every row the same three panels; each later
         # one gives each row that splits its own four quarters, in C order
-        rows, cfgs = _pad(
-            [_kinked(0.3), _kinked(2.5), EXACT_CASES["smooth"][0]], [DEFAULT_CONFIG] * 3, width
+        rows, tols = _pad(
+            [_kinked(0.3), _kinked(2.5), EXACT_CASES["smooth"][0]], DEFAULT_CONFIG, width
         )
         calls = []
 
@@ -510,7 +530,7 @@ class TestExactAgainstReference:
             calls.append((list(v.rows), v.shape, np.array(v)))
             return _by_row(rows)(v)
 
-        got = integrate_adaptive(fn, 0.0, 1.0, cfgs)
+        got = integrate_adaptive(fn, 0.0, 1.0, DEFAULT_CONFIG, tols)
         assert got == [_ref_integrate(g, 0.0, 1.0) for g in rows]
         (sel, shape, v), *later = calls
         n = len(rows)
@@ -568,7 +588,7 @@ class TestLimitsWhoseSumOverflows:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = integrate_adaptive(
-                _by_row([np.ones_like] * width), 1e308, 1.5e308, [DEFAULT_CONFIG] * width
+                _by_row([np.ones_like] * width), 1e308, 1.5e308, DEFAULT_CONFIG, [1e-12] * width
             )
             assert got == [(5e307, 0.0)] * width
             assert integrate_adaptive(np.ones_like, 1e308, 1.5e308) == (5e307, 0.0)
@@ -594,7 +614,8 @@ class TestLimitsWhoseSumOverflows:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = integrate_adaptive(
-                _by_row([lambda u: fn(u / scale)] * width), scale * lo, scale * hi, [cfg] * width
+                _by_row([lambda u: fn(u / scale)] * width), scale * lo, scale * hi, cfg,
+                [cfg.abs_tol] * width,
             )
         for row in got:
             assert type(row) is type(small)
@@ -640,7 +661,18 @@ def _ref_rl(f, alpha, origin, x, cfg):
     return scale * value, scale * err
 
 
-# the rows and configs of the mixed-width batches
+def _noise(u):
+    return 3.7 * np.sin(1e20 * u) + math.pi
+
+
+# the rows, spans, configs and abs_tols of the mixed-width batches: a batch
+# shares one span and one config, and each of its rows has its own abs_tol.
+# On the 64-ulp span under a budget of 40 splits, at abs_tol 1e-300, the
+# row that is noise on its first 16 ulps reaches a panel at resolution and
+# the row that is noise throughout spends its budget. Row NAN_ROW is NaN
+# past 0.9; the reference has no non-finite test, so that row's reference
+# is the one-integral call.
+NAN_ROW = 7
 MIXED_ROWS = [
     _square,
     _kinked(0.3),
@@ -649,22 +681,49 @@ MIXED_ROWS = [
     EXACT_CASES["oscillatory"][0],
     lambda u: u**-0.4,
     lambda u: np.sign(u - 1.0 / 3.0),
+    lambda u: np.where(u > 0.9, math.nan, u),
+    _noise,
+    lambda u: np.where(u < 1.0 + 16 * math.ulp(1.0), _noise(u), math.pi),
 ]
+MIXED_SPANS = [(0.0, 1.0), (1.0, 1.0 + 64 * math.ulp(1.0))]
 MIXED_CONFIGS = [
     DEFAULT_CONFIG,
     QuadratureConfig(max_subdivisions=1),
     QuadratureConfig(max_subdivisions=3),
-    QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=200),
-    QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300, max_subdivisions=80),
+    QuadratureConfig(rel_tol=1e-13, max_subdivisions=200),
+    QuadratureConfig(rel_tol=1e-300, max_subdivisions=40),
 ]
+MIXED_ABS_TOLS = [1e-12, 1e-15, 1e-300]
 
 
 @functools.lru_cache(maxsize=None)
-def _mixed_reference(row, cfg):
+def _mixed_reference(row, span, cfg, tol):
+    cfg = replace(MIXED_CONFIGS[cfg], abs_tol=MIXED_ABS_TOLS[tol])
+    integrate = integrate_adaptive if row == NAN_ROW else _ref_integrate
     try:
-        return _ref_integrate(MIXED_ROWS[row], 0.0, 1.0, MIXED_CONFIGS[cfg])
+        return integrate(MIXED_ROWS[row], *MIXED_SPANS[span], cfg)
     except QuadratureToleranceError as exc:
         return exc
+
+
+def _mixed_batch(picks, span, cfg):
+    """The batch of MIXED_ROWS[i] at abs_tol MIXED_ABS_TOLS[t] for each (i,
+    t) of ``picks``, over MIXED_SPANS[span] under MIXED_CONFIGS[cfg],
+    checked row by row against the references; returns the rows' results."""
+    got = integrate_adaptive(
+        _by_row([MIXED_ROWS[i] for i, _ in picks]), *MIXED_SPANS[span], MIXED_CONFIGS[cfg],
+        [MIXED_ABS_TOLS[t] for _, t in picks],
+    )
+    assert len(got) == len(picks)
+    for (i, t), row in zip(picks, got):
+        assert _bits(row) == _bits(_mixed_reference(i, span, cfg, t))
+    return got
+
+
+def _verdict(got):
+    """converged, or the reason of a QuadratureToleranceError: None when
+    the budget ran out."""
+    return "converged" if isinstance(got, tuple) else got.reason
 
 
 def _bits(got):
@@ -774,9 +833,9 @@ class TestBatch:
         integrands = []
         real = rlint.integrate_adaptive
 
-        def spy(fn, lo, hi, cfgs):
+        def spy(fn, lo, hi, cfg, abs_tols):
             integrands.append(fn)
-            return real(fn, lo, hi, cfgs)
+            return real(fn, lo, hi, cfg, abs_tols)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rlint, "integrate_adaptive", spy)
@@ -808,11 +867,10 @@ class TestBatch:
 
     @LOOPS
     def test_a_row_turning_nan_fails_alone(self, width):
-        rows, cfgs = _pad(
-            [_kinked(0.7), _kinked(0.3), EXACT_CASES["oscillatory"][0]],
-            [DEFAULT_CONFIG, DEFAULT_CONFIG, QuadratureConfig(max_subdivisions=20000)],
-            width,
+        rows, tols = _pad(
+            [_kinked(0.7), _kinked(0.3), EXACT_CASES["oscillatory"][0]], DEFAULT_CONFIG, width
         )
+        tols[2] = 1e-15
         calls = []
 
         def fn(v):
@@ -822,11 +880,11 @@ class TestBatch:
                 out[v.rows.index(1)] = math.nan
             return out
 
-        got = integrate_adaptive(fn, 0.0, 1.0, cfgs)
+        got = integrate_adaptive(fn, 0.0, 1.0, DEFAULT_CONFIG, tols)
         assert isinstance(got[1], QuadratureToleranceError)
         assert "non-finite value" in str(got[1])
         assert got[0] == _ref_integrate(rows[0], 0.0, 1.0)
-        assert got[2] == _ref_integrate(rows[2], 0.0, 1.0, cfgs[2])
+        assert got[2] == _ref_integrate(rows[2], 0.0, 1.0, replace(DEFAULT_CONFIG, abs_tol=1e-15))
         assert got[3:] == [_ref_integrate(_square, 0.0, 1.0)] * (len(rows) - 3)
         assert len(calls) > 3  # the other rows went on refining
 
@@ -838,7 +896,7 @@ class TestBatch:
         # the heap loop's Python floats give NaN without a warning, and the
         # table's arrays must do the same
         def batch(width):
-            rows, cfgs = _pad([_kinked(0.3)], [DEFAULT_CONFIG], width)
+            rows, tols = _pad([_kinked(0.3)], DEFAULT_CONFIG, width)
             calls = []
 
             def fn(v):
@@ -849,7 +907,7 @@ class TestBatch:
                     out[0] = np.where(u < 0.5 * (u.min() + u.max()), math.inf, -math.inf)
                 return out
 
-            return integrate_adaptive(fn, 0.0, 1.0, cfgs), calls
+            return integrate_adaptive(fn, 0.0, 1.0, DEFAULT_CONFIG, tols), calls
 
         (bad, *rest), calls = batch(width)
         assert isinstance(bad, QuadratureToleranceError) and math.isnan(bad.value)
@@ -860,44 +918,46 @@ class TestBatch:
 
     @LOOPS
     def test_rows_keep_their_own_tolerance(self, width):
-        rows, cfgs = _pad(
-            [_kinked(0.3), _kinked(2.5)],
-            [DEFAULT_CONFIG, QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)],
-            width,
-        )
+        # one rel_tol so small that each row's abs_tol decides
+        cfg = QuadratureConfig(rel_tol=1e-300)
+        rows, tols = _pad([_kinked(0.3), _kinked(2.5)], cfg, width)
+        tols[1] = 1e-15
         shapes = []
 
         def fn(v):
             shapes.append((list(v.rows), v.shape))
             return _by_row(rows)(v)
 
-        got = integrate_adaptive(fn, 0.0, 1.0, cfgs)
-        assert got == [_ref_integrate(g, 0.0, 1.0, c) for g, c in zip(rows, cfgs)]
-        assert got[1] != _ref_integrate(rows[1], 0.0, 1.0)
+        got = integrate_adaptive(fn, 0.0, 1.0, cfg, tols)
+        assert got == [
+            _ref_integrate(g, 0.0, 1.0, replace(cfg, abs_tol=t)) for g, t in zip(rows, tols)
+        ]
+        assert got[1] != _ref_integrate(rows[1], 0.0, 1.0, cfg)
         assert shapes[0] == (list(range(len(rows))), (len(rows), 3 * 15))
         assert all(shape == (len(sel), 4 * 15) for sel, shape in shapes[1:])
         # the tighter row refines on alone once the other has converged
         assert shapes[-1][0] == [1]
 
     def test_empty_interval_batch(self):
-        assert integrate_adaptive(np.sin, 2.0, 2.0, [DEFAULT_CONFIG] * 3) == [(0.0, 0.0)] * 3
+        got = integrate_adaptive(np.sin, 2.0, 2.0, DEFAULT_CONFIG, [1e-12, 1e-15, 1.0])
+        assert got == [(0.0, 0.0)] * 3
 
     @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (2.0, 2.0)])
     def test_an_empty_batch_is_an_empty_list(self, lo, hi):
-        assert integrate_adaptive(np.sin, lo, hi, []) == []
+        assert integrate_adaptive(np.sin, lo, hi, DEFAULT_CONFIG, []) == []
         assert rl_batch_with_error(parse_function("1*(u-0)^2 on [0,1]"), []) == []
 
     def test_the_row_count_picks_the_loop(self, monkeypatch):
         tables = []
         real = rlint._refine_table
 
-        def spy(fn, lo, hi, cfgs, *rest):
-            tables.append(len(cfgs))
-            return real(fn, lo, hi, cfgs, *rest)
+        def spy(fn, lo, hi, first, *rest):
+            tables.append(len(first))
+            return real(fn, lo, hi, first, *rest)
 
         monkeypatch.setattr(rlint, "_refine_table", spy)
         for n in (1, 2, rlint.TABLE_ROWS - 1, rlint.TABLE_ROWS, rlint.TABLE_ROWS + 1):
-            got = integrate_adaptive(_by_row([_square] * n), 0.0, 1.0, [DEFAULT_CONFIG] * n)
+            got = integrate_adaptive(_by_row([_square] * n), 0.0, 1.0, DEFAULT_CONFIG, [1e-12] * n)
             assert got == [_ref_integrate(_square, 0.0, 1.0)] * n
         assert integrate_adaptive(_square, 0.0, 1.0) == _ref_integrate(_square, 0.0, 1.0)
         assert tables == [rlint.TABLE_ROWS, rlint.TABLE_ROWS + 1]
@@ -909,25 +969,34 @@ class TestBatch:
             st.integers(min_value=rlint.TABLE_ROWS - 4, max_value=rlint.TABLE_ROWS + 40),
         ),
         st.randoms(use_true_random=False),
+        st.sampled_from(range(len(MIXED_SPANS))),
+        st.sampled_from(range(len(MIXED_CONFIGS))),
     )
-    @example(1, random.Random(0))
-    @example(rlint.TABLE_ROWS, random.Random(0))
-    def test_a_batch_of_any_width_equals_each_row_alone(self, width, rnd):
-        # rows that converge at once, refine or spend their budget, each
-        # under its own tolerances and budget, on both sides of the width
-        # that picks the loop; the reference has no non-finite test, so
-        # test_a_row_turning_nan_fails_alone covers non-finite rows
+    @example(1, random.Random(0), 0, 0)
+    @example(rlint.TABLE_ROWS, random.Random(0), 1, len(MIXED_CONFIGS) - 1)
+    def test_a_batch_of_any_width_equals_each_row_alone(self, width, rnd, span, cfg):
+        # rows that converge at once, refine, spend their budget, turn
+        # non-finite or reach a panel at resolution, each under its own
+        # abs_tol, on both sides of the width that picks the loop
         picks = [
-            (rnd.randrange(len(MIXED_ROWS)), rnd.randrange(len(MIXED_CONFIGS)))
+            (rnd.randrange(len(MIXED_ROWS)), rnd.randrange(len(MIXED_ABS_TOLS)))
             for _ in range(width)
         ]
-        got = integrate_adaptive(
-            _by_row([MIXED_ROWS[i] for i, _ in picks]), 0.0, 1.0,
-            [MIXED_CONFIGS[j] for _, j in picks],
-        )
-        assert len(got) == width
-        for (i, j), row in zip(picks, got):
-            assert _bits(row) == _bits(_mixed_reference(i, j))
+        _mixed_batch(picks, span, cfg)
+
+    @LOOPS
+    def test_a_mixed_batch_reaches_every_verdict(self, width):
+        # every mixed row at every abs_tol on the 64-ulp span, under the
+        # config whose budget outlasts one noise row and not the other: one
+        # batch gives all four verdicts
+        picks = [(i, t) for i in range(len(MIXED_ROWS)) for t in range(len(MIXED_ABS_TOLS))]
+        picks += [(0, 0)] * (width - len(picks))
+        got = _mixed_batch(picks, 1, len(MIXED_CONFIGS) - 1)
+        verdicts = [_verdict(row) for row in got]
+        assert "converged" in verdicts
+        assert None in verdicts  # out of budget
+        assert rlint._NON_FINITE in verdicts
+        assert AT_RESOLUTION in verdicts
 
     def test_a_wide_batch_drops_its_finished_rows(self):
         # 199 rows converge on their first panels and one spends 2000
@@ -946,14 +1015,14 @@ class TestBatch:
                 out[-1] = last(u[-1])
             return out
 
-        expect = _ref_integrate(_square, 0.0, 1.0)
+        expect = _ref_integrate(_square, 0.0, 1.0, replace(tight, abs_tol=1e-12))
         ref = Counted(last)
         with pytest.raises(QuadratureToleranceError) as spent:
             _ref_integrate(ref, 0.0, 1.0, tight)
         assert ref.calls == 3 + 6 * 2000
         tracemalloc.start()
         try:
-            got = integrate_adaptive(fn, 0.0, 1.0, [DEFAULT_CONFIG] * (n - 1) + [tight])
+            got = integrate_adaptive(fn, 0.0, 1.0, tight, [1e-12] * (n - 1) + [tight.abs_tol])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -980,9 +1049,9 @@ class TestBatchWork:
         rows = []
         real = rlint.integrate_adaptive
 
-        def counted(fn, lo, hi, cfg=DEFAULT_CONFIG):
-            rows.append(len(cfg))
-            return real(fn, lo, hi, cfg)
+        def counted(fn, lo, hi, cfg=DEFAULT_CONFIG, abs_tols=None):
+            rows.append(len(abs_tols))
+            return real(fn, lo, hi, cfg, abs_tols)
 
         monkeypatch.setattr(rlint, "integrate_adaptive", counted)
         return rows
@@ -999,12 +1068,12 @@ class TestBatchWork:
         calls = []
         real = rlint.integrate_adaptive
 
-        def counted(fn, lo, hi, cfg):
+        def counted(fn, lo, hi, cfg, abs_tols):
             def count(v):
                 calls.append(len(v.rows))
                 return fn(v)
 
-            return real(count, lo, hi, cfg)
+            return real(count, lo, hi, cfg, abs_tols)
 
         monkeypatch.setattr(rlint, "integrate_adaptive", counted)
         rows = [(a, x, end) for a in (0.5, 1.0, 2.5) for x in (0.3, 0.8) for end in (0.0, 1.0)]

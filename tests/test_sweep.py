@@ -33,8 +33,8 @@ from fracineq.hh_core import (
     c1_c2,
     c3_root,
     conjugate_exponent,
+    _identity_lhs_points,
     hh_sandwich_with_error,
-    identity_lhs_batch,
     rhs_t21,
     rhs_t22,
     rhs_t23,
@@ -397,7 +397,7 @@ def _reference_sweep(grid, cfg=DEFAULT_CONFIG, seed=0, samples=CERT_SAMPLES):
     def lhs(fid, f, alpha, xs):
         if (fid, alpha) not in lhs_cache:
             insts = [ProblemInstance(f, f.lo, f.hi, x, alpha, 1.0) for x in xs]
-            row = identity_lhs_batch(insts, cfg)
+            row = _identity_lhs_points(f, f.lo, f.hi, [(i.alpha, i.x) for i in insts], cfg)
             # an overflow fails the whole alpha, as identity_lhs_with_error raises it
             if isinstance(row[0], Exception) and not isinstance(row[0], QuadratureToleranceError):
                 raise row[0]

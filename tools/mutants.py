@@ -47,6 +47,13 @@ MUTANTS = [
      "return pref * (wa * inner_a", "return " + ALPHA + "pref * (wa * inner_a"),
     ("t24 looser away from alpha 1", HH, "rhs_oracle",
      "return pref * (wa * d.mid_a", "return " + ALPHA + "pref * (wa * d.mid_a"),
+    ("c1 huge-order branch dropped", HH, "hh_core",
+     "if alpha < 1e300 else", "if alpha < math.inf else"),
+    ("c2 huge-order branch dropped", HH, "hh_core", "if alpha > 1e8:", "if alpha > 1e300:"),
+    ("span check dropped", HH, "hh_core",
+     "self.b - self.a < math.inf", "self.b - self.a <= math.inf"),
+    ("c3_root log branch dropped", HH, "hh_core",
+     "if c3 >= sys.float_info.min else", "if c3 >= 0.0 else"),
     ("sandwich right +1%", HH, "hh_core",
      "right = (fa + fb) / (s + 1.0)", "right = 1.01 * (fa + fb) / (s + 1.0)"),
     ("|f'(a)| and |f'(b)| swapped", HH, "hh_core", "fa, fb = absvals[:2]", "fb, fa = absvals[:2]"),
@@ -64,6 +71,14 @@ MUTANTS = [
     ("wx in place of wy", FM, "funcmodel",
      "combo = wx * gx + wy * gy", "combo = wx * gx + wx * gy"),
     ("_max_abs without abs", FM, "funcmodel", "float(np.abs(v).max())", "float(v.max())"),
+    ("seed check down by one", FM, "funcmodel", "if seed < 0:", "if seed < -1:"),
+    ("seed check up by one", FM, "funcmodel", "if seed < 0:", "if seed < 1:"),
+    ("sample-count check up by one", FM, "funcmodel",
+     "samples <= MAX_CERT_SAMPLES:", "samples <= MAX_CERT_SAMPLES + 1:"),
+    ("sample-count check down by one", FM, "funcmodel",
+     "samples <= MAX_CERT_SAMPLES:", "samples < MAX_CERT_SAMPLES:"),
+    ("budget of any type", RL, "rlint",
+     "isinstance(self.max_subdivisions, int) and ", ""),
     ("rel_tol x3", RL, "rlint", "rel_tol: float = 1e-10", "rel_tol: float = 3e-10"),
     ("max_subdivisions 500", RL, "rlint",
      "max_subdivisions: int = 2000", "max_subdivisions: int = 500"),
@@ -85,7 +100,13 @@ MUTANTS = [
      "elif total_err <= tol:", "elif total_err < tol:"),
     ("table convergence test strict", RL, "rlint", "elif e <= tl:", "elif e < tl:"),
     ("table tol by np.maximum", RL, "rlint",
-     "np.where(scaled > lim[0], scaled, lim[0])", "np.maximum(lim[0], scaled)"),
+     "np.where(scaled > atol, scaled, atol)", "np.maximum(atol, scaled)"),
+    ("table rel_tol x3", RL, "rlint",
+     "scaled = rel_tol * abs(totals)", "scaled = 3.0 * rel_tol * abs(totals)"),
+    ("heap budget test off by one", RL, "rlint",
+     "elif splits == budget:", "elif splits == budget + 1:"),
+    ("table budget test off by one", RL, "rlint",
+     "(splits != budget) &", "(splits != budget - 1) &"),
     ("table resolution test loosened", RL, "rlint",
      "(popped[:, 0] < popped[:, 1])", "(popped[:, 0] <= popped[:, 1])"),
     ("table children swapped", RL, "rlint",
