@@ -160,19 +160,41 @@ class FunctionModel:
         return self._singular_term() is not None
 
     def evaluate(self, u):
-        """Evaluate at a scalar or ndarray of points inside [lo, hi]."""
+        """Evaluate at a scalar or ndarray of points inside [lo, hi].
+
+        Raises DomainError when a point lies outside [lo, hi] or is NaN, then
+        returns _values. Only the quadrature integrands call _values directly:
+        their nodes are clipped into the domain, so this scan would find nothing.
+        """
         arr = np.asarray(u, dtype=float)
         # written so that a NaN point fails too: it compares false both ways
         if arr.size and not (arr.min() >= self.lo and arr.max() <= self.hi):
             raise DomainError(
                 f"evaluation point outside domain [{self.lo!r}, {self.hi!r}]"
             )
-        out = np.zeros_like(arr)
+        out = self._values(arr)
+        return float(out) if arr.ndim == 0 else out
+
+    def _values(self, arr: np.ndarray):
+        """The sum of coeff * (arr - shift)^exponent over the nonzero terms,
+        as a new array, for a C-ordered float array inside [lo, hi].
+
+        Its bits are those of 0.0 + the terms added in order: the first term
+        gets += 0.0, which turns a -0.0 into +0.0, and a zero shift is not
+        subtracted, since x - 0.0 is x for every float x.
+        """
+        out = None
         for t in self.terms:
             if t.coeff == 0.0:
                 continue
-            out = out + t.coeff * np.power(arr - t.shift, t.exponent)
-        return float(out) if arr.ndim == 0 else out
+            term = np.power(arr - t.shift if t.shift != 0.0 else arr, t.exponent)
+            term *= t.coeff
+            if out is None:
+                out = term
+                out += 0.0
+            else:
+                out += term
+        return np.zeros_like(arr) if out is None else out
 
     __call__ = evaluate
 

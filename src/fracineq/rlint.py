@@ -76,6 +76,15 @@ bits differ. And every array is C-ordered (np.ascontiguousarray, np.empty
 of a shape): np.empty_like or np.array of a broadcast view give F order,
 which changes the loops numpy runs and the last bits of np.power after
 them. alpha = 1 reduces to the classical integral; alpha = 0 is rejected.
+
+The batch integrand forms its nodes x - d * v^(1/alpha) in place in the
+power's own array (multiply, subtract, clip), the same operations in the
+same order as the expression, without its temporaries. It hands them to f's
+private kernel FunctionModel._values, not to evaluate: the clip puts every
+node in [min(o, x), max(o, x)], and rl_batch_with_error checks once per row
+that o and x lie in f's domain, so evaluate's domain scan (a min and a max
+over every node) could find nothing. The kernel sums the same terms in the
+same order, so the values keep their bits; evaluate keeps the scan.
 """
 
 from __future__ import annotations
@@ -450,13 +459,16 @@ def rl_batch_with_error(
     alone: the QuadratureToleranceError of its quadrature (value and
     estimate unscaled), or the OverflowError of a scale |x - o|^alpha /
     Gamma(alpha + 1) past the float range. o == x gives (0.0, 0.0). The
-    caller checks that every alpha > 0 and that every o and x lie in f's
-    domain.
+    caller checks that every alpha > 0. An o or x outside f's domain, or
+    NaN, raises DomainError, as evaluate does, for the whole batch.
     """
     out: list = [(0.0, 0.0)] * len(rows)
     groups: dict = {}  # alpha -> its rows, in order of first appearance
     for i, (alpha, o, x) in enumerate(rows):
         if o != x:
+            # the nodes lie between o and x, and f's values skip evaluate's scan
+            if not (f.lo <= o <= f.hi and f.lo <= x <= f.hi):
+                raise DomainError(f"evaluation point outside domain [{f.lo!r}, {f.hi!r}]")
             groups.setdefault(alpha, []).append(i)
     # the batch holds each alpha's rows together: per row its index, scale
     # and (x, the signed span x - o, min(o, x), max(o, x))
@@ -503,7 +515,11 @@ def rl_batch_with_error(
             for i, j, e in zip(cuts, [*cuts[1:], len(sel)], exponents):
                 if i < j:
                     np.power(v[i:j], e, out=pw[i:j])
-        return f.evaluate((x - d * pw).clip(l, h))
+        # x - d * pw clipped to [l, h], in place; clipped nodes need no scan
+        pw *= d
+        np.subtract(x, pw, out=pw)
+        np.clip(pw, l, h, out=pw)
+        return f._values(pw)
 
     # each row's abs_tol tightened so that the scaled result still meets it;
     # one that underflows to zero is refused as a config's would be

@@ -86,6 +86,7 @@ from .hh_core import (
     ProblemInstance,
     TheoremId,
     _check_alpha,
+    _check_q,
     _deriv_table,
     _identity_lhs_points,
     _ratio,
@@ -184,7 +185,8 @@ class SweepGrid:
 
     xfracs are relative positions: x = a + frac * (b - a) per family, where
     [a, b] is the family's model domain. q values must exceed 1 (the
-    power-mean q = 1 case is already covered by the first-power bound).
+    power-mean q = 1 case is already covered by the first-power bound) and
+    pass ProblemInstance's rule for q and its conjugate p.
     """
 
     alphas: tuple[float, ...]
@@ -217,6 +219,8 @@ class SweepGrid:
             raise DomainError("xfracs must lie in [0, 1]")
         if any(not q > 1.0 for q in self.qvals):
             raise DomainError("qvals must exceed 1")
+        for q in self.qvals:
+            _check_q(q)
         ids = [fid for fid, _ in self.families]
         if len(set(ids)) != len(ids):
             raise DomainError("family ids must be unique")
@@ -597,9 +601,10 @@ def write_csv(records: list[SweepRecord], path) -> None:
 
     Float cells use shortest round-trip literals, the id cells csv quoting.
     A cell that holds the same object as the previous row's is not formatted
-    again: the family..q block that a grid point's bound rows share, and the
-    lhs and quad_error_est cells that all its rows share. The test is
-    identity, never equality, so -0.0 after 0.0, and NaN, are written exactly.
+    again: each cell of the family..q block, whose cells a grid point's
+    bound rows share and most of which its next point shares, and the lhs
+    and quad_error_est cells that all its rows share. The test is identity,
+    never equality, so -0.0 after 0.0, and NaN, are written exactly.
     """
     quoted = _Quoted()
     # the previous row's cell objects
@@ -612,12 +617,20 @@ def write_csv(records: list[SweepRecord], path) -> None:
                 fid is fid0 and alpha is alpha0 and s is s0
                 and x is x0 and p is p0 and q is q0
             ):
-                fid0, alpha0, s0, x0, p0, q0 = fid, alpha, s, x, p, q
-                block = (
-                    f"{quoted[fid]},{'' if alpha is None else repr(alpha)},{s!r},"
-                    f"{'' if x is None else repr(x)},{'' if p is None else repr(p)},"
-                    f"{'' if q is None else repr(q)}"
-                )
+                # only the cells whose object changed are formatted again
+                if fid is not fid0:
+                    fid0, fid_cell = fid, quoted[fid]
+                if alpha is not alpha0:
+                    alpha0, alpha_cell = alpha, "" if alpha is None else repr(alpha)
+                if s is not s0:
+                    s0, s_cell = s, repr(s)
+                if x is not x0:
+                    x0, x_cell = x, "" if x is None else repr(x)
+                if p is not p0:
+                    p0, p_cell = p, "" if p is None else repr(p)
+                if q is not q0:
+                    q0, q_cell = q, "" if q is None else repr(q)
+                block = f"{fid_cell},{alpha_cell},{s_cell},{x_cell},{p_cell},{q_cell}"
             if lhs is not lhs0:
                 lhs0 = lhs
                 lhs_cell = repr(lhs)

@@ -336,13 +336,15 @@ family.u15 = 0.6666666666666666*(u-0)^1.5 on [0.01,1]
 @pytest.mark.parametrize(
     "q, theorems, err",
     [
-        # q = 1e17's conjugate rounds to p = 1, which the domain check refuses
+        # the grid applies ProblemInstance's rule for q and its conjugate p:
+        # q = 1e17's conjugate rounds to p = 1, and q = inf is refused by
+        # name, whichever bounds read c3 (inf ended in "log_gamma requires
+        # x > 0, got nan" when one did)
         ("1e17", "t21, t22, t23, t24, hh", "p must satisfy p > 1, got 1.0"),
         ("1e17", "t23", "p must satisfy p > 1, got 1.0"),
         ("1e17", "t21", "p must satisfy p > 1, got 1.0"),
-        ("inf", "t21, t22, t23, t24, hh", "log_gamma requires x > 0, got nan"),
-        # no bound reads c3, so the sweep's one domain check of (s, q) is first
-        ("inf", "t21, hh", "q must be finite"),
+        ("inf", "t21, t22, t23, t24, hh", "q must be finite, got inf"),
+        ("inf", "t21, hh", "q must be finite, got inf"),
     ],
 )
 def test_hostile_q_grid_ends_in_its_first_error(q, theorems, err, capsys, tmp_path):
@@ -371,18 +373,21 @@ _OVERFLOW = "inputs overflow floating point"
 @pytest.mark.parametrize(
     "alphas, q, err",
     [
-        # a sweep integrates every alpha of a family in one batch, yet an
-        # alpha that fails raises only where the loop reaches it: after the
-        # (s, q) checks of the alphas before it
+        # the grid refuses q = 1e17, whose conjugate rounds to p = 1, before
+        # any alpha fails
         ("0.5, 200", "1e17", "p must satisfy p > 1, got 1.0"),
-        ("200, 0.5", "1e17", _OVERFLOW),
-        ("0.5, 200", "3", _OVERFLOW),
+        ("200, 0.5", "1e17", "p must satisfy p > 1, got 1.0"),
         ("0.5, inf", "1e17", "p must satisfy p > 1, got 1.0"),
-        ("inf, 0.5", "1e17", "alpha must be finite"),
+        ("inf, 0.5", "1e17", "p must satisfy p > 1, got 1.0"),
+        # a sweep integrates every alpha of a family in one batch, yet an
+        # alpha that fails raises only where the loop reaches it
+        ("200, 0.5", "3", _OVERFLOW),
+        ("0.5, 200", "3", _OVERFLOW),
+        ("inf, 0.5", "3", "alpha must be finite"),
         ("0.5, inf", "3", "alpha must be finite"),
         # alpha = 200 overflows Gamma(alpha + 1) on every family; 120 only
         # the boundary terms (b - x)^alpha of the wide one, which comes second
-        ("120, 0.5", "1e17", "p must satisfy p > 1, got 1.0"),
+        ("120, 0.5", "3", _OVERFLOW),
         ("0.5, 120", "3", _OVERFLOW),
         # below hh_core.ALPHA_MIN c2 and c3 lose their digits: the grid refuses it
         ("0.5, 1e-300", "3", "alphas must be at least 0.0001, got 1e-300"),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fracineq import funcmodel
 from fracineq.errors import DerivativeSingularityError, DomainError, ParseError
@@ -133,6 +134,92 @@ class TestEvaluate:
         f = FunctionModel((PowerTerm(1.0, -1.0, -0.5),), 0.0, 1.0)
         assert f.evaluate(0.0) == pytest.approx(1.0, rel=1e-15)
         assert f.evaluate(3.0 - 2.0) == pytest.approx(2.0**-0.5, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            math.nextafter(1.0, 2.0),
+            math.nextafter(0.0, -1.0),
+            math.nan,
+            np.array([[0.5, 0.25], [0.75, math.nextafter(1.0, 2.0)]]),
+            np.array([[0.5, math.nan], [0.75, 1.0]]),
+        ],
+    )
+    def test_every_public_call_keeps_the_domain_scan(self, u):
+        # only the quadrature integrands, whose nodes are clipped into the
+        # domain, skip the scan; evaluate and its __call__ alias keep it
+        f = parse_function("2*(u-0)^1.5 + -1*(u-0)^2 on [0,1]")
+        for call in (f.evaluate, f):
+            with pytest.raises(DomainError, match="outside domain"):
+                call(u)
+
+
+def _parent_values(f, arr):
+    """The sum of f's terms as evaluate wrote it before _values: a zero array
+    plus each term in turn, every shift subtracted."""
+    out = np.zeros_like(arr)
+    for t in f.terms:
+        if t.coeff == 0.0:
+            continue
+        out = out + t.coeff * np.power(arr - t.shift, t.exponent)
+    return out
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A model and a C-ordered array of points in its domain: zero and
+    negative coefficients, shifts of 0, of lo and below lo, integer,
+    fractional and negative exponents, and points at lo and hi, where a
+    term anchored there is a zero power (a -0.0 term if its coefficient is
+    negative)."""
+    lo = draw(st.one_of(st.just(0.0), st.floats(-20.0, 20.0)))
+    hi = lo + draw(st.floats(1e-3, 20.0))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        e = draw(st.one_of(st.integers(0, 4).map(float), st.floats(-2.0, 4.0)))
+        # a negative exponent needs shift < lo, a fractional one shift <= lo
+        shifts = [lo - draw(st.floats(1e-3, 50.0))]
+        if e >= 0.0:
+            shifts.append(lo)
+        if e < 0.0 and lo > 0.0 or e >= 0.0 and (e.is_integer() or lo >= 0.0):
+            shifts.append(0.0)
+        coeff = draw(st.one_of(st.sampled_from([0.0, -1.5, 2.0]), st.floats(-100.0, 100.0)))
+        terms.append(PowerTerm(coeff, draw(st.sampled_from(shifts)), e))
+    f = FunctionModel(tuple(terms), lo, hi)
+    shape = draw(st.sampled_from([(), (1,), (7,), (3, 5), (2, 45)]))
+    points = st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+    return f, draw(arrays(np.float64, shape, elements=points))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_kernel_cases())
+@example((parse_function("-2*(u-0)^1.5 on [0,1]"), np.array([0.0, 1.0])))
+def test_the_kernel_keeps_the_bits_of_the_zero_start_sum(case):
+    f, arr = case
+    assert arr.flags.c_contiguous
+    want = np.asarray(_parent_values(f, arr))
+    got = np.asarray(f._values(arr))
+    assert got.shape == want.shape == arr.shape
+    assert (got.view(np.int64) == want.view(np.int64)).all()
+    # the public call returns the same bits, as a float for a 0-d input
+    public = f.evaluate(arr)
+    assert isinstance(public, float) if arr.ndim == 0 else public.shape == arr.shape
+    assert (np.asarray(public).view(np.int64) == want.view(np.int64)).all()
+
+
+def test_a_negative_zero_term_comes_out_as_positive_zero():
+    # -2 * 0^1.5 is -0.0; the sum starts from 0.0, and 0.0 + -0.0 is +0.0
+    f = parse_function("-2*(u-0)^1.5 on [0,1]")
+    got = f._values(np.array([0.0, 0.0]))
+    assert not np.signbit(got).any()
+    assert math.copysign(1.0, f.evaluate(0.0)) == 1.0
+
+
+def test_the_kernel_leaves_its_input_alone():
+    f = parse_function("3*(u-0)^1 on [0,1]")
+    arr = np.array([0.25, 0.5])
+    f._values(arr)
+    assert arr.tolist() == [0.25, 0.5]
 
 
 class TestValidation:

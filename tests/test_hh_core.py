@@ -207,6 +207,29 @@ class TestAlphaFloor:
         assert proof_constants(alpha, 1.0, p).c3 < sys.float_info.min
         assert c3_root(alpha, p) == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("alpha", [ALPHA_MIN, 1e-2, 0.25, 1.0, 3.0, 50.0, 1e8])
+    @pytest.mark.parametrize("p", [1e3, 2e3, 1e4, 1e6, 1e8, 1e12, 1e15, 1e17])
+    def test_c3_at_large_p_against_mpmath(self, alpha, p):
+        # log Gamma(1 + p) - log Gamma(1 + p + 1/alpha) kept only the last
+        # digits of two log-Gammas of about p log p: at alpha = 1, where c3 =
+        # 1/(1 + p), c3 was 2.2e-7 off at p = 1e8 and 1.0 at 1e17. From p =
+        # 1e3 on, the error of log c3, which is the relative error of c3, is
+        # a few ulps of log c3 and of log Gamma(1 + 1/alpha) (8e4 at ALPHA_MIN)
+        with mpmath.workdps(50 + int(math.log10(p))):
+            a, pp = mpmath.mpf(alpha), mpmath.mpf(p)
+            log_c3 = mpmath.log(mpmath.beta(1 / a, pp + 1) / a)
+            tol = 1e-15 * (1.0 + float(abs(log_c3) + abs(mpmath.loggamma(1 + 1 / a))))
+            c3 = proof_constants(alpha, 1.0, p).c3
+            if c3 >= sys.float_info.min:
+                assert abs(float(mpmath.log(c3) - log_c3)) <= tol
+            # the root's own rounding, and c3's error over p
+            root = c3_root(alpha, p)
+            assert abs(float(mpmath.log(root) - log_c3 / pp)) <= 4e-16 + tol / p
+
+    def test_c3_at_huge_p_is_one_over_one_plus_p(self):
+        for p in (1e8, 1e17):
+            assert proof_constants(1.0, 1.0, p).c3 == pytest.approx(1.0 / (1.0 + p), rel=1e-15)
+
 
 class TestIdentity:
     def test_square_at_order_one(self, u2):

@@ -865,6 +865,38 @@ class TestBatch:
         with pytest.raises(OverflowError):
             rl_left_with_error(f, 0.0, 2.0, 1e300)
 
+    @pytest.mark.parametrize(
+        "row", [(1.0, 0.0, 2.0), (0.5, -1e-300, 0.5), (1.0, math.nan, 0.5), (2.0, 0.5, math.nan)]
+    )
+    def test_a_row_outside_the_domain_fails_the_batch(self, u2, row):
+        # the integrand skips evaluate's domain scan; the batch checks o and x
+        with pytest.raises(DomainError, match=r"outside domain \[0\.0, 1\.0\]"):
+            rl_batch_with_error(u2, [(1.0, 0.0, 0.5), row])
+
+    def test_abs_tol_binds_the_scaled_result_past_a_unit_span(self):
+        # scales k = |x - o|^alpha / Gamma(alpha + 1) of 8e4 and 1.07e7, and
+        # integrals of 1e-11..1e-8, where rel_tol * |J| is under abs_tol: each
+        # row's abs_tol is divided by k on [0, 1], so that k times the unit
+        # integral's estimate, and its true error, still meet abs_tol
+        f = parse_function("1e-20*(u-0)^2 on [0,400]")
+        rows = [(2.0, 0.0, 400.0), (3.0, 0.0, 400.0), (3.0, 400.0, 0.0)]
+        # J of c*u^2 toward 0 from 400: c * 400^(alpha + 2) / ((alpha + 2) Gamma(alpha))
+        right = 1e-20 * 400.0**5 / (5.0 * math.gamma(3.0))
+        exact = [
+            rl_power_rule_oracle(f.terms[0], 0.0, 2.0, 400.0),
+            rl_power_rule_oracle(f.terms[0], 0.0, 3.0, 400.0),
+            right,
+        ]
+        cfg = DEFAULT_CONFIG
+        got = rl_batch_with_error(f, rows, cfg)
+        for (alpha, o, x), row, want in zip(rows, got, exact):
+            _assert_same(row, _ref_rl(f, alpha, o, x, cfg))
+            value, err = row
+            assert abs(x - o) ** alpha / math.gamma(alpha + 1.0) > 1e4
+            assert cfg.rel_tol * abs(value) < cfg.abs_tol
+            assert err <= cfg.abs_tol
+            assert abs(value - want) <= cfg.abs_tol
+
     @LOOPS
     def test_a_row_turning_nan_fails_alone(self, width):
         rows, tols = _pad(

@@ -6,14 +6,17 @@ import io
 import math
 import re
 import struct
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracineq import rlint
 from fracineq import sweep as sweep_module
 from fracineq.errors import CsvSchemaError, DomainError, ParseError, QuadratureToleranceError
 from fracineq.funcmodel import (
@@ -59,6 +62,10 @@ from fracineq.sweep import (
     write_csv,
 )
 from test_funcmodel import g_fn, mp_violation
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import worker  # noqa: E402
 
 ALL_THEOREMS = (
     TheoremId.T21,
@@ -118,6 +125,18 @@ class TestGrid:
     def test_alphas_share_the_instances_floor(self):
         with pytest.raises(DomainError, match=r"^alphas must be at least 0\.0001, got 1e-300$"):
             replace(_tiny_grid(), alphas=(0.5, 1e-300))
+
+    @pytest.mark.parametrize("q", [math.inf, 1e17])
+    @pytest.mark.parametrize("theorems", [ALL_THEOREMS, (TheoremId.HH11,)])
+    def test_qvals_share_the_instances_rule(self, u2, q, theorems):
+        # q = inf's conjugate was NaN, and a grid whose bounds read c3 ended
+        # in "log_gamma requires x > 0, got nan"; q = 1e17's rounds to p = 1
+        with pytest.raises(DomainError) as inst:
+            ProblemInstance(u2, 0.0, 1.0, 0.5, 1.0, 1.0, q=q)
+        with pytest.raises(DomainError) as grid:
+            replace(_tiny_grid(theorems), qvals=(2.0, q))
+        assert str(grid.value) == str(inst.value)
+        assert str(grid.value) in ("q must be finite, got inf", "p must satisfy p > 1, got 1.0")
 
     def test_duplicate_family_ids_rejected(self):
         f = parse_function("1*(u-0)^2 on [0,1]")
@@ -274,6 +293,72 @@ class TestLhsDomainCheck:
                 assert len(got[alpha]) == len(xs)
             else:
                 assert isinstance(got[alpha], DomainError) and str(got[alpha]) == want
+
+
+class TestLhsBatchWork:
+    def test_one_deep_family_batch_pins_its_integrand_calls_and_nodes(self, monkeypatch):
+        # the first family of perfbench's deep_quadrature grid for seed 101:
+        # 20 alphas x 11 x, both sides of the identity, 440 rows in one batch
+        grid = grid_from_config_text(worker.deep_config_text(101))
+        _, f = grid.families[0]
+        xs = [f.lo + frac * (f.hi - f.lo) for frac in grid.xfracs]
+        shapes, evaluated = [], []
+        real_integrate, real_evaluate = rlint.integrate_adaptive, FunctionModel.evaluate
+
+        def integrate(fn, lo, hi, cfg, abs_tols):
+            def counted(v):
+                shapes.append(v.shape)
+                return fn(v)
+
+            return real_integrate(counted, lo, hi, cfg, abs_tols)
+
+        def evaluate(self, u):
+            evaluated.append(np.size(u))
+            return real_evaluate(self, u)
+
+        monkeypatch.setattr(rlint, "integrate_adaptive", integrate)
+        monkeypatch.setattr(FunctionModel, "evaluate", evaluate)
+        got = sweep_module._lhs_by_alpha(f, grid.alphas, xs, DEFAULT_CONFIG)
+        assert all(len(got[alpha]) == len(xs) for alpha in grid.alphas)
+        assert len(shapes) == 20 and shapes[0] == (440, 3 * 15)
+        assert sum(rows * nodes for rows, nodes in shapes) == 167_220
+        # f at a and b for the boundary term: the integrand's nodes, clipped
+        # into f's domain, skip evaluate and its domain scan
+        assert evaluated == [2]
+
+
+class TestDerivedSeeds:
+    # the key of upow_s025's |f'| certificate at s = 0.5, one of the two the
+    # shipped grid can only sample; a run seed of 0 would not show the
+    # multiplier of the run seed
+    KEY = ("upow_s025", 0.5, "abs_deriv", "convex", None)
+
+    def test_a_documented_key_derives_a_pinned_seed(self):
+        assert _derive_seed(7, *self.KEY) == 1354760218
+        assert _derive_seed(0, *self.KEY) == 4248546371
+        # only the low 32 bits of the run seed count
+        assert _derive_seed(7 + 2**32, *self.KEY) == 1354760218
+
+    def test_a_sampled_sweep_certificate_draws_at_its_derived_seed(self, monkeypatch):
+        reports = []
+        real = sweep_module._certify
+
+        def certify(*args):
+            reports.append(real(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(sweep_module, "_certify", certify)
+        grid = grid_from_config_text(
+            "alphas = 1\nsvals = 0.5\nxfracs = 0.5\nqvals = 1.5\ntheorems = t21, t22\n"
+            "family.upow_s025 = 0.8*(u-0)^1.25 on [0.01,1]\n"
+        )
+        records = run_sweep(grid, seed=7, samples=256)
+        assert [r.certificate for r in records] == ["sampled", "sampled"]
+        # the T21 key above, then T22's |f'|^q key at q = 1.5
+        assert [(r.kind, r.seed) for r in reports] == [
+            ("sampled", 1354760218),
+            ("sampled", 1311207263),
+        ]
 
 
 class TestRightSidesFromValues:
@@ -515,11 +600,11 @@ class TestRecordLoopAgainstOracle:
     @pytest.mark.parametrize(
         "alphas, qvals",
         [
-            ((0.5, 200.0), (2.0, 1e17)),
-            ((200.0, 0.5), (2.0, 1e17)),
+            ((0.5, 200.0), (2.0, 3.0)),
+            ((200.0, 0.5), (2.0, 3.0)),
             ((0.5, 200.0), (2.0,)),
-            ((0.5, math.inf), (1e17,)),
-            ((math.inf, 0.5), (1e17,)),
+            ((0.5, math.inf), (3.0,)),
+            ((math.inf, 0.5), (3.0,)),
             ((0.5, 120.0, 2.0), (2.0,)),
         ],
     )

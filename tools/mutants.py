@@ -113,10 +113,18 @@ MUTANTS = [
      "cuts[:, :3], cuts[:, 2:]", "cuts[:, 2:], cuts[:, :3]"),
     ("table lmid from the wrong cuts", RL, "rlint",
      "0.5 * (popped[:, :2] + popped[:, 1:3])", "0.5 * (popped[:, :2] + popped[:, 2:3])"),
+    ("batch abs_tol not tightened past a unit span", RL, "rlint",
+     "tols = [cfg.abs_tol / k if k > 1.0 else cfg.abs_tol for k in scales]",
+     "tols = [cfg.abs_tol for k in scales]"),
+    ("kernel keeps a -0.0 first term", FM, "funcmodel", "out += 0.0", "pass"),
+    ("kernel shift-0 test inverted", FM, "funcmodel",
+     "if t.shift != 0.0 else arr", "if t.shift == 0.0 else arr"),
     ("VIOLATION_TOL x1000", SW, "sweep", "VIOLATION_TOL = 1e-9", "VIOLATION_TOL = 1e-6"),
     ("_SHRINK_FRACTION x2", SW, "sweep", "_SHRINK_FRACTION = 1e-9", "_SHRINK_FRACTION = 2e-9"),
     ("read_csv parses x once", SW, "sweep", "if x != x0:", "if x0 is None:"),
     ("read_csv parses quad_error_est once", SW, "sweep", "if qerr != qerr0:", "if qerr0 is None:"),
+    ("write_csv formats p once", SW, "sweep", "if p is not p0:", "if p0 is _UNSET:"),
+    ("derived seed multiplier", SW, "sweep", "0x9E3779B1", "0x9E3779B9"),
     ("BOUND_SLACK x1000", "cli.py", "cli", "BOUND_SLACK = 1e-9", "BOUND_SLACK = 1e-6"),
 ]
 
