@@ -92,6 +92,61 @@ MAX_CERT_SAMPLES = 10**6
 # How a certificate was decided; see the module docstring.
 CERT_KINDS = ("proved", "refuted", "sampled")
 
+# |1/p + 1/q - 1| must stay below this for a conjugate pair.
+CONJUGACY_TOL = 1e-12
+
+# g and its weighted sums may overflow on their way to the check that refuses
+# a non-finite g with OverflowError; numpy's warnings would only precede it
+_OVERFLOW_REFUSED = dict(over="ignore", invalid="ignore")
+
+# The one check of s, of an interval and of q and p (alpha's is in hh_core),
+# for every entry point; a sweep grid passes its field's name for messages.
+
+
+def _check_finite(value: float, name: str) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def _check_s(s: float, name: str = "s") -> None:
+    if not 0.0 < s <= 1.0:
+        raise DomainError(f"{name} must lie in (0, 1], got {s!r}")
+
+
+def _check_interval(a: float, b: float, domain=None, x=None, name: str = "x") -> None:
+    """a < b with b - a finite (so both are), [a, b] inside a model's
+    domain (lo, hi) and x in [a, b], each where given."""
+    if not (a < b and b - a < math.inf):
+        raise DomainError(f"requires a < b, b - a finite, got a={a!r}, b={b!r}")
+    if domain is not None and not (domain[0] <= a and b <= domain[1]):
+        lo, hi = domain
+        raise DomainError(f"[a, b] = [{a!r}, {b!r}] exceeds the model domain [{lo!r}, {hi!r}]")
+    if x is not None and not a <= x <= b:
+        raise DomainError(f"{name} must lie in [{a!r}, {b!r}], got {x!r}")
+
+
+def _check_q(q: float | None, p: float | None = None) -> float | None:
+    """Returns p, derived as q/(q - 1) when only a q > 1 is given. Each given
+    value must be finite, q >= 1, and p > 1 after the derivation (a huge q
+    rounds its conjugate down to 1); a given pair must be conjugate to
+    within CONJUGACY_TOL."""
+    for name, value in (("p", p), ("q", q)):
+        if value is not None:
+            _check_finite(value, name)
+    if q is not None and not q >= 1.0:
+        raise DomainError(f"q must satisfy q >= 1, got {q!r}")
+    if p is None and q is not None and q > 1.0:
+        p = q / (q - 1.0)
+    if p is not None and not p > 1.0:
+        raise DomainError(f"p must satisfy p > 1, got {p!r}")
+    if p is not None and q is not None:
+        defect = abs(1.0 / p + 1.0 / q - 1.0)
+        if defect > CONJUGACY_TOL:
+            raise DomainError(
+                f"p={p!r} and q={q!r} are not conjugate (|1/p + 1/q - 1| = {defect:.3e})"
+            )
+    return p
+
 
 @dataclass(frozen=True)
 class PowerTerm:
@@ -108,9 +163,7 @@ class PowerTerm:
 
     def __post_init__(self) -> None:
         for name in ("coeff", "shift", "exponent"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise DomainError(f"PowerTerm.{name} must be finite, got {v!r}")
+            _check_finite(getattr(self, name), f"PowerTerm.{name}")
 
 
 @dataclass(frozen=True)
@@ -356,10 +409,8 @@ class CertificationReport:
 def _check_certify_args(lo: float, hi: float, s: float, mode: str, samples: int, seed: int) -> None:
     if mode not in ("convex", "concave"):
         raise DomainError(f"mode must be 'convex' or 'concave', got {mode!r}")
-    if not 0.0 < s <= 1.0:
-        raise DomainError(f"s must lie in (0, 1], got {s!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError(f"certification interval invalid: [{lo!r}, {hi!r}]")
+    _check_s(s)
+    _check_interval(lo, hi)
     if not 0 <= samples <= MAX_CERT_SAMPLES:
         raise DomainError(f"samples must lie in [0, {MAX_CERT_SAMPLES}], got {samples!r}")
     if seed < 0:
@@ -467,6 +518,7 @@ class _PointTable:
         return fa, fb, fm
 
 
+@np.errstate(**_OVERFLOW_REFUSED)
 def certify_pointwise(
     fn,
     lo: float,
@@ -613,18 +665,17 @@ def certify_model(
     return _certify(table, target, q, s, mode, samples, seed)
 
 
+@np.errstate(**_OVERFLOW_REFUSED)
 def _model_table(
     g_source: FunctionModel, a: float, b: float, s: float, mode: str, samples: int, seed: int
 ) -> _PointTable:
     """certify_model's argument checks, then the table of g_source over [a, b]."""
     _check_certify_args(a, b, s, mode, samples, seed)
-    if a < g_source.lo or b > g_source.hi:
-        raise DomainError(
-            f"evaluation point outside domain [{g_source.lo!r}, {g_source.hi!r}]"
-        )
+    _check_interval(a, b, g_source.domain)
     return _PointTable(g_source, a, b)
 
 
+@np.errstate(**_OVERFLOW_REFUSED)
 def _certify(
     table: _PointTable,
     target: str,
@@ -642,8 +693,10 @@ def _certify(
     """
     a, b = table.a, table.b
     _check_certify_args(a, b, s, mode, samples, seed)
-    if target == "abs_deriv_pow" and not (q is not None and q >= 1.0):
-        raise DomainError(f"|f'|^q needs q >= 1, got {q!r}")
+    if target == "abs_deriv_pow":
+        if q is None:
+            raise DomainError("|f'|^q needs q >= 1, got None")
+        _check_q(q)
     g, terms = table.hypothesis(target, q)
     if weights is None:
         weights = _lam_weights(s)

@@ -54,6 +54,10 @@ from .funcmodel import (
     CertificationReport,
     FunctionModel,
     _certify,
+    _check_finite,
+    _check_interval,
+    _check_q,
+    _check_s,
     _PointTable,
 )
 from .rlint import (
@@ -95,9 +99,6 @@ __all__ = [
     "conjugate_exponent",
 ]
 
-# |1/p + 1/q - 1| must stay below this for a conjugate pair.
-CONJUGACY_TOL = 1e-12
-
 # The smallest order the closed forms of c2 and c3 hold to. Below it c2's
 # 1/(s+1) - B(alpha+1, s+1) and c3's log-Gamma difference at 1/alpha cancel:
 # against mpmath they lose about 1e-11 relative at 1e-4, 1e-3 at 1e-12, and
@@ -120,27 +121,28 @@ class TheoremId(str, Enum):
 
 
 def _check_alpha(alpha: float, name: str = "alpha") -> None:
-    """Refuse an order below ALPHA_MIN, or NaN: the one rule for every alpha."""
+    """The one rule for every alpha: finite and at least ALPHA_MIN (NaN fails)."""
     if not alpha >= ALPHA_MIN:
         raise DomainError(f"{name} must be at least {ALPHA_MIN:g}, got {alpha!r}")
+    _check_finite(alpha, name)
 
 
 def conjugate_exponent(q: float) -> float:
-    """p with 1/p + 1/q = 1 for q > 1."""
-    if not q > 1.0:
+    """p with 1/p + 1/q = 1 for q > 1, by the rule of funcmodel._check_q."""
+    p = _check_q(q)
+    if p is None:
         raise DomainError(f"conjugate exponent needs q > 1, got {q!r}")
-    return q / (q - 1.0)
+    return p
 
 
 @dataclass(frozen=True)
 class ProblemInstance:
     """One bound evaluation: a model, an interval, the split point and orders.
 
-    p is derived from q when only q is supplied, and checked like a given p
-    (p > 1) after it is derived; when both are given they must be conjugate
-    to within CONJUGACY_TOL. q = 1 leaves p unset (only the
-    power-mean bound accepts it, and the formula needs no p there). alpha
-    must be at least ALPHA_MIN.
+    Each parameter passes its one check: [a, b] and x against f's domain,
+    alpha, s, then q and p, with p derived when only q is supplied. q = 1
+    leaves p unset (only the power-mean bound accepts it, and the formula
+    needs no p there).
     """
 
     f: FunctionModel
@@ -153,48 +155,10 @@ class ProblemInstance:
     q: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "x", "alpha", "s"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
-        if not (self.a < self.b and self.b - self.a < math.inf):
-            raise DomainError(f"requires a < b, b - a finite, got a={self.a!r}, b={self.b!r}")
-        if not (self.f.lo <= self.a and self.b <= self.f.hi):
-            raise DomainError(
-                f"[a, b] = [{self.a!r}, {self.b!r}] exceeds the model domain "
-                f"[{self.f.lo!r}, {self.f.hi!r}]"
-            )
-        if not self.a <= self.x <= self.b:
-            raise DomainError(f"x must lie in [a, b], got x={self.x!r}")
+        _check_interval(self.a, self.b, self.f.domain, self.x)
         _check_alpha(self.alpha)
-        if not 0.0 < self.s <= 1.0:
-            raise DomainError(f"s must lie in (0, 1], got {self.s!r}")
+        _check_s(self.s)
         object.__setattr__(self, "p", _check_q(self.q, self.p))
-
-
-def _check_q(q: float | None, p: float | None = None) -> float | None:
-    """The one rule for q and p, of an instance and of a sweep grid's qvals;
-    returns p, derived from q when only q is given.
-
-    Each given value must be finite, q >= 1, and p > 1 after the derivation
-    (a huge q rounds its conjugate down to 1); a given pair must be conjugate
-    to within CONJUGACY_TOL.
-    """
-    for name, value in (("p", p), ("q", q)):
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-    if q is not None and not q >= 1.0:
-        raise DomainError(f"q must satisfy q >= 1, got {q!r}")
-    if p is None and q is not None and q > 1.0:
-        p = conjugate_exponent(q)
-    if p is not None and not p > 1.0:
-        raise DomainError(f"p must satisfy p > 1, got {p!r}")
-    if p is not None and q is not None:
-        defect = abs(1.0 / p + 1.0 / q - 1.0)
-        if defect > CONJUGACY_TOL:
-            raise DomainError(
-                f"p={p!r} and q={q!r} are not conjugate (|1/p + 1/q - 1| = {defect:.3e})"
-            )
-    return p
 
 
 @dataclass(frozen=True)
@@ -280,10 +244,8 @@ def proof_constants(alpha: float, s: float, p: float) -> ProofConstants:
     """Closed forms of the three unit integrals for alpha >= ALPHA_MIN, s in
     (0, 1], p > 1."""
     _check_alpha(alpha)
-    if not 0.0 < s <= 1.0:
-        raise DomainError(f"s must lie in (0, 1], got {s!r}")
-    if not p > 1.0:
-        raise DomainError(f"p must satisfy p > 1, got {p!r}")
+    _check_s(s)
+    _check_q(None, p)
     return ProofConstants(_c1(alpha, s), _c2(alpha, s), math.exp(_log_c3(alpha, p)))
 
 
@@ -743,12 +705,8 @@ def hh_sandwich_with_error(
     built, as a bound query has for its certificate; by default the call
     builds its own after the integral.
     """
-    if not 0.0 < s <= 1.0:
-        raise DomainError(f"s must lie in (0, 1], got {s!r}")
-    if not (f.lo <= a < b <= f.hi):
-        raise DomainError(
-            f"requires lo <= a < b <= hi, got [{a!r}, {b!r}] on [{f.lo!r}, {f.hi!r}]"
-        )
+    _check_s(s)
+    _check_interval(a, b, f.domain)
     integral = integrate_adaptive(f.evaluate, a, b, cfg)
     if table is None:
         table = _PointTable(f, a, b)

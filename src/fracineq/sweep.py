@@ -30,12 +30,10 @@ Each piece of a sweep's work runs at the loop level where its inputs change:
   hypothesis g (f, |f'| or |f'|^q) derived from its table once per q; the
   weights for each (alpha, x);
 - per family: the lhs of every (alpha, x), in one quadrature batch at the
-  first alpha; an alpha that fails raises only where the loop reaches it;
-  and the sandwich's mean integral, which does not depend on s;
-- per (family, s, q): one domain check and each bound's certificate, both at
-  the first point whose lhs succeeded and in record order there, so a bad
-  grid raises the same first error as a check per record would, and a
-  (family, s, q) whose points all fail quadrature certifies nothing;
+  first alpha; and the sandwich's mean integral, which does not depend on s;
+- per (family, s, q): each bound's certificate, at the first point whose
+  lhs succeeded, so a (family, s, q) whose points all fail quadrature
+  certifies nothing;
 - per s the boundary triples' lam^s and (1-lam)^s; per (alpha, s) c1 and c2,
   per q its conjugate p, per (alpha, p) c3^(1/p);
 - per record: only its bound's formula in hh_core.FRACTIONAL_BOUNDS, applied
@@ -43,7 +41,10 @@ Each piece of a sweep's work runs at the loop level where its inputs change:
   side to the bit.
 
 Quadrature failures at a single grid point produce error rows (NaN metrics,
-certified false) rather than aborting the sweep.
+certified false) rather than aborting the sweep. SweepGrid refuses a bad
+value when it is built, so only an overflow, which depends on the family,
+stops a sweep: an alpha's (boundary terms, scales or Gamma factor) or a
+certificate's (g not finite), raised where the loop first reaches it.
 
 A record is a SweepRecord, a named tuple of the CSV columns and then the
 certificate kind; a row is a plain tuple of the same fields in the same
@@ -77,16 +78,17 @@ from .funcmodel import (
     CERT_SAMPLES,
     FunctionModel,
     _certify,
+    _check_interval,
+    _check_q,
+    _check_s,
     _lam_weights,
     _PointTable,
     parse_function,
 )
 from .hh_core import (
     FRACTIONAL_BOUNDS,
-    ProblemInstance,
     TheoremId,
     _check_alpha,
-    _check_q,
     _deriv_table,
     _identity_lhs_points,
     _ratio,
@@ -185,8 +187,9 @@ class SweepGrid:
 
     xfracs are relative positions: x = a + frac * (b - a) per family, where
     [a, b] is the family's model domain. q values must exceed 1 (the
-    power-mean q = 1 case is already covered by the first-power bound) and
-    pass ProblemInstance's rule for q and its conjugate p.
+    power-mean q = 1 case is already covered by the first-power bound). Each
+    value, and each family's interval and x points, passes the instance's
+    check when the grid is built, so a sweep builds no ProblemInstance.
     """
 
     alphas: tuple[float, ...]
@@ -213,19 +216,28 @@ class SweepGrid:
                 raise DomainError(f"grid field {name} must be non-empty")
         for alpha in self.alphas:
             _check_alpha(alpha, "alphas")
-        if any(not 0.0 < s <= 1.0 for s in self.svals):
-            raise DomainError("svals must lie in (0, 1]")
-        if any(not 0.0 <= fr <= 1.0 for fr in self.xfracs):
-            raise DomainError("xfracs must lie in [0, 1]")
-        if any(not q > 1.0 for q in self.qvals):
-            raise DomainError("qvals must exceed 1")
+        for s in self.svals:
+            _check_s(s, "svals")
+        for fr in self.xfracs:
+            if not 0.0 <= fr <= 1.0:
+                raise DomainError(f"xfracs must lie in [0, 1], got {fr!r}")
         for q in self.qvals:
+            if not q > 1.0:
+                raise DomainError(f"qvals must exceed 1, got {q!r}")
             _check_q(q)
         ids = [fid for fid, _ in self.families]
         if len(set(ids)) != len(ids):
             raise DomainError("family ids must be unique")
         if any(not fid for fid in ids):
             raise DomainError("family ids must be non-empty")
+        for fid, f in self.families:
+            for x in _family_xs(f, self.xfracs):
+                _check_interval(f.lo, f.hi, None, x, f"x of family {fid}")
+
+
+def _family_xs(f: FunctionModel, xfracs) -> list[float]:
+    """A family's x points, lo + frac * (hi - lo) for each frac."""
+    return [f.lo + frac * (f.hi - f.lo) for frac in xfracs]
 
 
 def _derive_seed(seed: int, *parts) -> int:
@@ -251,34 +263,13 @@ def _error_row(
 
 def _lhs_by_alpha(f: FunctionModel, alphas, xs: list[float], cfg: QuadratureConfig) -> dict:
     """alpha -> the (|lhs|, error_estimate) or QuadratureToleranceError of
-    each x, from one quadrature batch for every alpha, or the error that
-    alpha alone raises (its domain check, or an overflow)."""
-    # the domain check of the instances (alpha, x) for x in xs fails at the
-    # first x that fails: at xs[0] if alpha's own checks fail, as they do
-    # at every x, else at the first x that fails at alpha 1, with the same
-    # message as at any alpha that passes its own checks
-    x_error = None
-    try:
-        for x in xs:
-            ProblemInstance(f, f.lo, f.hi, x, 1.0, 1.0)
-    except DomainError as exc:
-        x_error = exc
-    by_alpha: dict = {}
-    points: list = []
-    for alpha in dict.fromkeys(alphas):
-        try:
-            ProblemInstance(f, f.lo, f.hi, xs[0], alpha, 1.0)
-        except DomainError as exc:
-            by_alpha[alpha] = exc
-            continue
-        if x_error is not None:
-            by_alpha[alpha] = x_error
-        else:
-            points += [(alpha, x) for x in xs]
+    each x, from one quadrature batch for every alpha, or the overflow that
+    alpha alone raises. The grid has checked every alpha and x."""
+    alphas = list(dict.fromkeys(alphas))
+    points = [(alpha, x) for alpha in alphas for x in xs]
     entries = iter(_identity_lhs_points(f, f.lo, f.hi, points, cfg))
-    for alpha in dict.fromkeys(alphas):
-        if alpha in by_alpha:
-            continue
+    by_alpha: dict = {}
+    for alpha in alphas:
         row = [next(entries) for _ in xs]
         # an alpha that fails as a whole gives each of its x the same error
         if isinstance(row[0], Exception) and not isinstance(row[0], QuadratureToleranceError):
@@ -355,7 +346,7 @@ def _sweep_rows(
 
     for fid, f in grid.families:
         a, b = f.lo, f.hi
-        xs = [a + frac * (b - a) for frac in grid.xfracs]
+        xs = _family_xs(f, grid.xfracs)
         # f and f' each evaluated once, at every point the family's
         # certificates, sandwich and right sides read
         f_table = _PointTable(f, a, b) if TheoremId.HH11 in grid.theorems else None
@@ -396,13 +387,10 @@ def _sweep_rows(
             # kind), filled at the first point whose lhs succeeded
             by_q: list = [None] * len(grid.qvals)
 
-            def bounds_at_first_point(j, q, x, alpha):
-                # in record order: the domain check, then each bound's
-                # certificate before the caller applies that bound's formula,
-                # so a bad grid raises the same first error as a check per
-                # record would. The lhs batch already checked x, alpha, a and
-                # b on this f, so s, q and p are all this check adds.
-                ProblemInstance(f, a, b, x, alpha, s, q=q)
+            def bounds_at_first_point(j, q):
+                # each bound's certificate before the caller applies that
+                # bound's formula, so a certificate that overflows raises
+                # where a certificate per record would
                 rows = []
                 for tid, spec in bound_specs:
                     c = cert(fid, fp_table, s, spec.target, spec.mode, q)
@@ -427,7 +415,7 @@ def _sweep_rows(
                     dv = deriv[k]
                     wa, wb = weights[alpha, x]
                     for j, (q, p, k3) in enumerate(qpk):
-                        bounds = by_q[j] or bounds_at_first_point(j, q, x, alpha)
+                        bounds = by_q[j] or bounds_at_first_point(j, q)
                         for tid, formula, verdict, kind in bounds:
                             rhs = formula(dv, wa, wb, alpha, s, q, c1, c2, k3)
                             yield (

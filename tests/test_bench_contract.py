@@ -9,7 +9,10 @@ perfbench/worker.py reaches into the package by name: `cli.main`,
 renamed or removed the worker exits non-zero and `perfbench/run.py`
 prints no result line. These tests run the worker's own functions,
 untraced, on the tiny inputs of perfbench/test_counters.py, so such a
-break fails here first. Nothing under perfbench/ is changed by them.
+break fails here first. perfbench/tracer.py wraps each name in its
+`TARGETS` and reports a metric whose name no longer resolves as null, so
+every one of them must resolve too. Nothing under perfbench/ is changed by
+them.
 """
 
 import json
@@ -21,6 +24,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import tracer  # noqa: E402
 import worker  # noqa: E402
 from test_counters import tiny_inputs  # noqa: E402
 
@@ -63,3 +67,11 @@ def test_measured_run_has_every_result_key(workload, tmp_path):
     out = json.loads(json.dumps(worker.summary(run)))
     for key in COMMON_KEYS + MEASURED_KEYS[workload]:
         assert out[key] is not None, key
+
+
+@pytest.mark.parametrize("name", sorted(tracer.TARGETS))
+def test_every_traced_target_resolves(name):
+    # a traced name that no longer resolves makes the tracer report its
+    # metrics as null, and the traced run's result line is malformed
+    module, path = tracer.TARGETS[name]
+    assert tracer._resolve(module, path) is not None, f"{name}: {module}.{path} is gone"

@@ -374,17 +374,18 @@ _OVERFLOW = "inputs overflow floating point"
     "alphas, q, err",
     [
         # the grid refuses q = 1e17, whose conjugate rounds to p = 1, before
-        # any alpha fails
+        # any alpha overflows; it checks alphas before qvals, so an infinite
+        # alpha is its first error
         ("0.5, 200", "1e17", "p must satisfy p > 1, got 1.0"),
         ("200, 0.5", "1e17", "p must satisfy p > 1, got 1.0"),
-        ("0.5, inf", "1e17", "p must satisfy p > 1, got 1.0"),
-        ("inf, 0.5", "1e17", "p must satisfy p > 1, got 1.0"),
+        ("0.5, inf", "1e17", "alphas must be finite, got inf"),
+        ("inf, 0.5", "1e17", "alphas must be finite, got inf"),
         # a sweep integrates every alpha of a family in one batch, yet an
-        # alpha that fails raises only where the loop reaches it
+        # alpha that overflows raises only where the loop reaches it
         ("200, 0.5", "3", _OVERFLOW),
         ("0.5, 200", "3", _OVERFLOW),
-        ("inf, 0.5", "3", "alpha must be finite"),
-        ("0.5, inf", "3", "alpha must be finite"),
+        ("inf, 0.5", "3", "alphas must be finite, got inf"),
+        ("0.5, inf", "3", "alphas must be finite, got inf"),
         # alpha = 200 overflows Gamma(alpha + 1) on every family; 120 only
         # the boundary terms (b - x)^alpha of the wide one, which comes second
         ("120, 0.5", "3", _OVERFLOW),

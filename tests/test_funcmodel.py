@@ -485,7 +485,8 @@ class TestCertifyModel:
                 report = certify_model(fp, "abs_deriv_pow", 2.0, 0.0, 1.0, s, mode)
                 assert report.kind == "proved" and report.rule == "g = 0"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the certifier refuses a g that is not finite with no warning first
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_values_go_to_the_sampler(self):
         # neither the rule path nor the sampler gives a verdict on
         # non-finite values
@@ -495,7 +496,8 @@ class TestCertifyModel:
         with pytest.raises(OverflowError, match="not finite"):
             certify_pointwise(big.evaluate, 0.0, 1e10, 1.0, "convex", 64)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the certifier refuses a g that is not finite with no warning first
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_at_an_endpoint_fails_before_sampling(self, monkeypatch):
         def no_sampling(*args, **kwargs):
             raise AssertionError("certify_pointwise was called")
@@ -507,7 +509,8 @@ class TestCertifyModel:
                 certify_model(g, target, None, 0.0, 10.0, 0.5, "convex")
 
     def test_interval_outside_the_model_is_rejected(self, u2):
-        with pytest.raises(DomainError, match="outside domain"):
+        # the instance's interval check and message
+        with pytest.raises(DomainError, match=r"^\[a, b\] = \[-1\.0, 1\.0\] exceeds the model domain"):
             certify_model(u2, "f", None, -1.0, 1.0, 0.5, "convex")
 
     @pytest.mark.parametrize(

@@ -12,7 +12,11 @@ so that a call gets past its argument checks often enough to test what it
 builds; the rest are the hostile EDGES or any float at all.
 """
 
+import contextlib
+import io
 import math
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -20,9 +24,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fracineq import cli
 from fracineq.errors import DomainError, QuadratureToleranceError
 from fracineq.funcmodel import (
     CERT_KINDS,
+    CONJUGACY_TOL,
     MAX_CERT_SAMPLES,
     FunctionModel,
     PowerTerm,
@@ -31,7 +37,6 @@ from fracineq.funcmodel import (
 )
 from fracineq.hh_core import (
     ALPHA_MIN,
-    CONJUGACY_TOL,
     ProblemInstance,
     TheoremId,
     bound_weights,
@@ -148,12 +153,6 @@ class TestFuzz:
             return
         _check_instance(inst, weights)
 
-    # the certifier's array arithmetic warns of an overflow of g, or of its
-    # weighted sums, before the call refuses the draw with an OverflowError;
-    # test_funcmodel's overflow tests ignore the same warnings
-    OVERFLOW_WARNS = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-
-    @OVERFLOW_WARNS
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(certify_args())
     # fracineq certify --f '1*(u-0)^0.25 on [0.01,1]' --s 0.5 --mode convex
@@ -212,7 +211,6 @@ class TestFuzz:
                 value, err = row
                 assert math.isfinite(value) and err <= max(t, cfg.rel_tol * abs(value))
 
-    @OVERFLOW_WARNS
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(st.data(), st.sampled_from(MODELS[:2]), SEEDS, SAMPLES)
     def test_sweeps(self, data, f, seed, samples):
@@ -244,3 +242,137 @@ class TestFuzz:
             if rec.certificate is not None:
                 # not an error row: every number is finite
                 assert all(math.isfinite(v) for v in (rec.lhs, rec.rhs, rec.margin, rec.ratio))
+
+
+# -- the command line ---------------------------------------------------------
+
+CLI_FLOATS = st.one_of(st.sampled_from(EDGES), st.floats())
+# text a number, a spec or a config line may be handed instead
+JUNK = st.text(alphabet=st.sampled_from(list("0123456789.-+e,*^()[]u on=#\n")), max_size=12)
+HOSTILE_TEXT = CLI_FLOATS.map(repr) | JUNK
+# counts and seeds: negative, past MAX_CERT_SAMPLES or the int64 range, or not ints
+HOSTILE_INTS = st.sampled_from((-1, -(2**63), MAX_CERT_SAMPLES + 1, 2**62)).map(str) | HOSTILE_TEXT
+
+
+@st.composite
+def specs(draw):
+    """A function spec: a fuzzed model's, or one power term from drawn
+    numbers, one of which may be hostile, or junk."""
+    kind = draw(st.integers(0, 7))
+    if kind < 4:
+        return draw(st.sampled_from(SPECS))
+    if kind == 7:
+        return draw(JUNK)
+    parts = [
+        repr(draw(st.floats(-3.0, 3.0))), "0.0", repr(draw(st.sampled_from((0.0, 0.5, 2.0)))),
+        "0.0", repr(draw(st.sampled_from((1.0, 2.0)))),
+    ]
+    bad = draw(st.integers(0, 2 * len(parts)))
+    if bad < len(parts):
+        parts[bad] = draw(HOSTILE_TEXT)
+    return "{}*(u-{})^{} on [{},{}]".format(*parts)
+
+
+@st.composite
+def config_texts(draw):
+    """Sweep config text: a small valid grid but for at most one hostile
+    value, and lines dropped, repeated or of junk."""
+    lists = {
+        "alphas": st.floats(0.25, 3.0), "svals": st.floats(0.2, 1.0),
+        "xfracs": st.floats(0.0, 1.0), "qvals": st.floats(1.2, 3.0),
+    }
+    bad = draw(st.sampled_from([None] * len(lists) + list(lists)))
+    lines = []
+    for key, valid in lists.items():
+        values = [repr(draw(valid)) for _ in range(draw(st.integers(1, 2)))]
+        if key == bad:
+            values[-1] = draw(HOSTILE_TEXT)
+        lines.append(f"{key} = {', '.join(values)}")
+    ids = ("t21", "t22", "t23", "t24", "hh")
+    tokens = draw(st.lists(mostly(st.sampled_from(ids), hostile=JUNK), min_size=1, max_size=3))
+    lines.append(f"theorems = {', '.join(tokens)}")
+    for k in range(draw(st.integers(1, 2))):
+        lines.append(f"family.f{k} = {draw(st.sampled_from(SPECS[1:]) | specs())}")
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("drop", "repeat", "junk")))
+        if edit == "drop":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at] if edit == "repeat" else draw(JUNK))
+    return "\n".join(lines) + "\n"
+
+
+# each subcommand's flags: (name, valid values, required)
+CLI_FLAGS = {
+    "identity": [
+        ("f", None, True), ("a", st.just(0.0), True), ("b", st.just(1.0), True),
+        ("x", st.floats(0.0, 1.0), True), ("alpha", st.floats(0.25, 3.0), True),
+        ("tol", st.just(1e-8), False),
+    ],
+    "bound": [
+        ("thm", st.sampled_from(("t21", "t22", "t23", "t24", "c13", "c14", "c15", "c16", "hh")),
+         True),
+        ("f", None, True), ("a", st.just(0.0), True), ("b", st.just(1.0), True),
+        ("x", st.floats(0.0, 1.0), True), ("alpha", st.floats(0.25, 3.0), True),
+        ("s", st.floats(0.2, 1.0), True), ("q", st.floats(1.2, 3.0), True),
+        ("p", st.floats(1.5, 6.0), False), ("samples", st.integers(0, 40), True),
+        ("seed", st.integers(0, 2**64), False),
+    ],
+    "certify": [
+        ("f", None, True), ("s", st.floats(0.2, 1.0), True),
+        ("mode", st.sampled_from(("convex", "concave")), True),
+        ("samples", st.integers(0, 40), True), ("seed", st.integers(0, 2**64), False),
+    ],
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand and its flags, valid but for at most one hostile value
+    or left-out flag; for the sweep, its config text (None: the shipped grid)."""
+    command = draw(st.sampled_from((*CLI_FLAGS, "sweep", "junk")))
+    if command == "junk":
+        return draw(st.lists(JUNK, max_size=3)), None
+    if command == "sweep":
+        return ["sweep", "--summary"], draw(st.none() | config_texts())
+    flags = CLI_FLAGS[command]
+    bad = draw(st.integers(0, 2 * len(flags)))
+    argv = [command]
+    for k, (name, valid, required) in enumerate(flags):
+        if k == bad and draw(st.booleans()) or not required and draw(st.booleans()):
+            continue  # left out
+        if name == "f":
+            value = draw(specs())
+        elif k == bad:
+            value = draw(HOSTILE_INTS if name in ("samples", "seed") else HOSTILE_TEXT)
+        else:
+            value = str(draw(valid))
+        # --name=value, so that a value such as -inf is not read as a flag
+        argv.append(f"--{name}={value}")
+    return argv, None
+
+
+class TestCliFuzz:
+    """cli.main in process: every argv ends in an ExitCode, with at most one
+    stderr line on exit 2 or 3, and nothing raised or warned."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(cli_argvs())
+    def test_every_argv_ends_in_an_exit_code(self, drawn):
+        argv, config = drawn
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if argv[:1] == ["sweep"]:
+                argv = argv + ["--out", os.path.join(tmp, "out.csv")]
+                if config is not None:
+                    path = os.path.join(tmp, "grid.cfg")
+                    with open(path, "w") as fh:
+                        fh.write(config)
+                    argv += ["--config", path]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        assert code in set(cli.ExitCode), (argv, code)
+        if code in (cli.ExitCode.USAGE, cli.ExitCode.QUADRATURE):
+            assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())

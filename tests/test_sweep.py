@@ -259,40 +259,88 @@ def _rhs_grid():
     )
 
 
-def _first_instance_error(f, alpha, xs):
-    """The message of the first failing ProblemInstance(f, lo, hi, x, alpha,
-    1) over xs, in order, or None: the lhs batch's check per point."""
-    try:
-        for x in xs:
-            ProblemInstance(f, f.lo, f.hi, x, alpha, 1.0)
-    except DomainError as exc:
-        return str(exc)
-    return None
+# a family whose last x point, 0.3 + 1.0 * (0.9 - 0.3), rounds past hi
+_PAST_HI = ("past", parse_function("1*(u-0)^2 on [0.3,0.9]"))
 
 
-class TestLhsDomainCheck:
-    # the lhs batch checks an instance per alpha and one per x, not one per
-    # (alpha, x); every alpha must still fail with its first point's message
+class TestGridChecksUpFront:
+    """A grid refuses, when it is built, every value a sweep would refuse
+    with a DomainError, through the instance's checks and with its field's
+    name; a sweep then builds no ProblemInstance."""
+
     @pytest.mark.parametrize(
-        "xs",
+        "field, value, want",
         [
-            [0.0, 0.4, 1.0],
-            [0.0, 0.4, 1.0000000000000002, math.nan],
-            [math.nan, 0.4],
-            [-0.1, 0.4],
-            [0.3, math.inf],
+            ("alphas", math.inf, "alphas must be finite, got inf"),
+            ("alphas", math.nan, "alphas must be at least 0.0001, got nan"),
+            ("alphas", -1.0, "alphas must be at least 0.0001, got -1.0"),
+            ("svals", 0.0, "svals must lie in (0, 1], got 0.0"),
+            ("svals", math.nan, "svals must lie in (0, 1], got nan"),
+            ("svals", 1.5, "svals must lie in (0, 1], got 1.5"),
+            ("xfracs", -0.1, "xfracs must lie in [0, 1], got -0.1"),
+            ("qvals", 1.0, "qvals must exceed 1, got 1.0"),
+            ("qvals", math.nan, "qvals must exceed 1, got nan"),
         ],
     )
-    def test_each_alpha_fails_with_its_first_points_message(self, u2, xs):
-        alphas = [0.5, math.nan, 1e-300, math.inf, 2.0, -1.0]
-        got = sweep_module._lhs_by_alpha(u2, alphas, xs, DEFAULT_CONFIG)
-        assert len(got) == len(alphas)
-        for alpha in alphas:
-            want = _first_instance_error(u2, alpha, xs)
-            if want is None:
-                assert len(got[alpha]) == len(xs)
-            else:
-                assert isinstance(got[alpha], DomainError) and str(got[alpha]) == want
+    def test_each_field_is_refused_by_name(self, field, value, want):
+        # after a valid value, so that the message is the hostile one's
+        valid = getattr(_tiny_grid(), field)[0]
+        with pytest.raises(DomainError) as got:
+            replace(_tiny_grid(), **{field: (valid, value)})
+        assert str(got.value) == want
+
+    @pytest.mark.parametrize("field, name", [("alphas", "alpha"), ("svals", "s")])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0, 1e-300, 1.5])
+    def test_a_field_shares_the_instances_message(self, u2, field, name, value):
+        kwargs = {"alpha": 1.0, "s": 1.0, name: value}
+        try:
+            ProblemInstance(u2, 0.0, 1.0, 0.5, **kwargs)
+        except DomainError as exc:
+            want = str(exc).replace(name, field, 1)
+        else:
+            replace(_tiny_grid(), **{field: (value,)})
+            return
+        with pytest.raises(DomainError) as got:
+            replace(_tiny_grid(), **{field: (value,)})
+        assert str(got.value) == want
+
+    def test_an_x_point_past_hi_is_refused(self):
+        with pytest.raises(DomainError) as got:
+            replace(_tiny_grid(), xfracs=(0.5, 1.0), families=(_PAST_HI,))
+        assert str(got.value) == "x of family past must lie in [0.3, 0.9], got 0.9000000000000001"
+        # the instance refuses that point too
+        _, f = _PAST_HI
+        with pytest.raises(DomainError, match="must lie in"):
+            ProblemInstance(f, f.lo, f.hi, f.lo + 1.0 * (f.hi - f.lo), 1.0, 1.0)
+
+    def test_a_span_past_the_float_range_is_refused(self):
+        wide = ("wide", parse_function("1*(u--1e308)^1 on [-1e308,1e308]"))
+        with pytest.raises(DomainError, match=r"^requires a < b, b - a finite, got a=-1e\+308"):
+            replace(_tiny_grid(), families=(wide,))
+
+    def test_several_faults_end_in_the_grids_first(self):
+        # alphas, then svals, xfracs, qvals, family ids, and each family's x
+        # points: the first field's fault, before any row is made
+        with pytest.raises(DomainError, match="^alphas must be finite"):
+            replace(
+                _tiny_grid(), alphas=(0.5, math.inf), svals=(0.0,), qvals=(math.inf,),
+                xfracs=(1.0,), families=(_PAST_HI,),
+            )
+
+    @pytest.mark.parametrize("text", ["shipped", "deep101"])
+    def test_a_sweep_builds_no_instance(self, text, monkeypatch):
+        text = standard_config_text() if text == "shipped" else worker.deep_config_text(101)
+        grid, _ = apply_derivative_shrink(grid_from_config_text(text))
+        built = []
+        post_init = ProblemInstance.__post_init__
+
+        def counted(inst):
+            built.append(inst)
+            post_init(inst)
+
+        monkeypatch.setattr(ProblemInstance, "__post_init__", counted)
+        rows = sum(1 for _ in sweep_module._sweep_rows(grid, samples=64))
+        assert rows > 0 and built == []
 
 
 class TestLhsBatchWork:
@@ -428,7 +476,7 @@ class TestRightSidesFromValues:
         monkeypatch.setattr(sweep_module, "_certify", counting_certify)
         grid = _rhs_grid()
         run_sweep(grid, samples=256)
-        families, svals, alphas, xs, qs = 2, 2, 2, 3, 2
+        families, svals, xs, qs = 2, 2, 3, 2
         assert len(derivatives) == families
         # one evaluation of f' per family: a, b and the 12 boundary triples'
         # mix points, then x, (x+a)/2 and (x+b)/2 of each x; only the sampler
@@ -437,9 +485,8 @@ class TestRightSidesFromValues:
         assert [n for n in deriv_sizes if n != sampled] == [14 + 3 * xs] * families
         # one table of f and one of f' per family serve every certificate
         assert len(set(map(id, tables))) == 2 * families
-        # one domain check per (family, s, q) for the right sides, plus per
-        # family one per alpha and one per x for the lhs batch
-        assert len(instances) == families * svals * qs + families * (alphas + xs) == 18
+        # the grid checked every value when it was built
+        assert instances == []
         # one certify_model call per distinct certificate key: per (family,
         # s), the sandwich's and each (target, mode), with q where it is read
         pairs = {(spec.target, spec.mode) for spec in FRACTIONAL_BOUNDS.values()}
@@ -598,25 +645,31 @@ class TestRecordLoopAgainstOracle:
                 assert rows[0].quad_error_est == rows[1].quad_error_est > 0.0
 
     @pytest.mark.parametrize(
-        "alphas, qvals",
+        "alphas, qvals, grid_error",
         [
-            ((0.5, 200.0), (2.0, 3.0)),
-            ((200.0, 0.5), (2.0, 3.0)),
-            ((0.5, 200.0), (2.0,)),
-            ((0.5, math.inf), (3.0,)),
-            ((math.inf, 0.5), (3.0,)),
-            ((0.5, 120.0, 2.0), (2.0,)),
+            ((0.5, 200.0), (2.0, 3.0), None),
+            ((200.0, 0.5), (2.0, 3.0), None),
+            ((0.5, 200.0), (2.0,), None),
+            # the grid refuses an infinite alpha when it is built
+            ((0.5, math.inf), (3.0,), "alphas must be finite, got inf"),
+            ((math.inf, 0.5), (3.0,), "alphas must be finite, got inf"),
+            ((0.5, 120.0, 2.0), (2.0,), None),
         ],
     )
-    def test_a_failing_alpha_raises_the_oracles_first_error(self, alphas, qvals):
-        # one lhs batch per family, yet each alpha's error is raised where
+    def test_a_failing_alpha_raises_the_oracles_first_error(self, alphas, qvals, grid_error):
+        # one lhs batch per family, yet each alpha's overflow is raised where
         # the per-record loop raises it
-        grid = replace(
-            _rhs_grid(),
+        fields = dict(
             alphas=alphas,
             qvals=qvals,
             families=(*_rhs_grid().families, ("wide", parse_function("1*(u-0)^2 on [0,1000]"))),
         )
+        if grid_error is not None:
+            with pytest.raises(DomainError) as refused:
+                replace(_rhs_grid(), **fields)
+            assert str(refused.value) == grid_error
+            return
+        grid = replace(_rhs_grid(), **fields)
         with pytest.raises(Exception) as want:
             _reference_sweep(grid, samples=64)
         with pytest.raises(type(want.value)) as got:
@@ -647,7 +700,8 @@ class TestRecordLoopAgainstOracle:
         assert len(records) == 2 * 3 * 2 * 4
         assert all(math.isnan(r.lhs) and not r.certified for r in records)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the certifier refuses a g that is not finite with no warning first
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_certificate_that_raises_fails_where_the_loop_reaches_its_key(self):
         # |f'|^4 of 1e100*u^2 overflows at b and |f'|^2 does not: the rows
         # before the first q = 4 point's T22 certificate come out, then its error
@@ -670,8 +724,8 @@ class TestRecordLoopAgainstOracle:
 
     @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, _FAILING_CFG], ids=["ok", "failing-lhs"])
     def test_checks_certificates_and_formulas_keep_the_oracle_order(self, cfg, monkeypatch):
-        # the oracle checks every point; run_sweep checks only the first
-        # point of each (family, s, q) whose lhs succeeded
+        # the oracle checks every point; run_sweep checks none, since its
+        # grid checked every value when it was built
         log = []
         post_init = ProblemInstance.__post_init__
 
@@ -714,8 +768,9 @@ class TestRecordLoopAgainstOracle:
                 continue
             seen.add(event)
             want.append(event)
-        assert got == want
-        assert sum(e[0] == "check" for e in got) == 2 * 2 * 2
+        assert got == [e for e in want if e[0] != "check"]
+        assert sum(e[0] == "check" for e in want) == 2 * 2 * 2
+        assert sum(e[0] == "check" for e in got) == 0
 
 
 class TestRowPathAgainstRecordPath:

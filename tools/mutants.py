@@ -50,14 +50,14 @@ MUTANTS = [
     ("c1 huge-order branch dropped", HH, "hh_core",
      "if alpha < 1e300 else", "if alpha < math.inf else"),
     ("c2 huge-order branch dropped", HH, "hh_core", "if alpha > 1e8:", "if alpha > 1e300:"),
-    ("span check dropped", HH, "hh_core",
-     "self.b - self.a < math.inf", "self.b - self.a <= math.inf"),
+    ("span check dropped", FM, "hh_core", "b - a < math.inf", "b - a <= math.inf"),
     ("c3_root log branch dropped", HH, "hh_core",
      "if c3 >= sys.float_info.min else", "if c3 >= 0.0 else"),
     ("sandwich right +1%", HH, "hh_core",
      "right = (fa + fb) / (s + 1.0)", "right = 1.01 * (fa + fb) / (s + 1.0)"),
     ("|f'(a)| and |f'(b)| swapped", HH, "hh_core", "fa, fb = absvals[:2]", "fb, fa = absvals[:2]"),
-    ("CONJUGACY_TOL 1e-6", HH, "hh_core", "CONJUGACY_TOL = 1e-12", "CONJUGACY_TOL = 1e-6"),
+    ("CONJUGACY_TOL 1e-6", FM, "hh_core", "CONJUGACY_TOL = 1e-12", "CONJUGACY_TOL = 1e-6"),
+    ("alpha finiteness dropped", HH, "sweep", "_check_finite(alpha, name)", "pass"),
     ("powered convex rule widened", FM, "funcmodel",
      "if all(r == 0 or r >= 1 for r in exps):", "if all(r == 0 or r >= 0.5 for r in exps):"),
     ("convex rule widened", FM, "funcmodel",
@@ -117,6 +117,9 @@ MUTANTS = [
      "tols = [cfg.abs_tol / k if k > 1.0 else cfg.abs_tol for k in scales]",
      "tols = [cfg.abs_tol for k in scales]"),
     ("kernel keeps a -0.0 first term", FM, "funcmodel", "out += 0.0", "pass"),
+    ("s bound made strict", FM, "funcmodel", "if not 0.0 < s <= 1.0:", "if not 0.0 < s < 1.0:"),
+    ("certifier warns before it refuses", FM, "funcmodel",
+     'dict(over="ignore", invalid="ignore")', "dict()"),
     ("kernel shift-0 test inverted", FM, "funcmodel",
      "if t.shift != 0.0 else arr", "if t.shift == 0.0 else arr"),
     ("VIOLATION_TOL x1000", SW, "sweep", "VIOLATION_TOL = 1e-9", "VIOLATION_TOL = 1e-6"),
@@ -125,6 +128,8 @@ MUTANTS = [
     ("read_csv parses quad_error_est once", SW, "sweep", "if qerr != qerr0:", "if qerr0 is None:"),
     ("write_csv formats p once", SW, "sweep", "if p is not p0:", "if p0 is _UNSET:"),
     ("derived seed multiplier", SW, "sweep", "0x9E3779B1", "0x9E3779B9"),
+    ("grid x-point check dropped", SW, "sweep",
+     'for x in _family_xs(f, self.xfracs):', "for x in ():"),
     ("BOUND_SLACK x1000", "cli.py", "cli", "BOUND_SLACK = 1e-9", "BOUND_SLACK = 1e-6"),
 ]
 
