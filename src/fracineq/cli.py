@@ -52,6 +52,7 @@ from .rlint import DEFAULT_CONFIG
 from .sweep import (
     _derivative_domain,
     _g12,
+    _holds,
     _sweep_rows,
     apply_derivative_shrink,
     format_summary,
@@ -70,10 +71,6 @@ class ExitCode(IntEnum):
     FAILURE = 1
     USAGE = 2
     QUADRATURE = 3
-
-
-# slack granted when comparing lhs <= rhs, relative to the bound's size
-BOUND_SLACK = 1e-9
 
 
 def _shrink_for_derivative(f: FunctionModel, a: float) -> tuple[FunctionModel, float, str | None]:
@@ -154,7 +151,7 @@ def _cmd_bound(args: argparse.Namespace) -> ExitCode:
     f, a, note = _shrink_for_derivative(f, args.a)
     if note:
         print(note)
-    inst = ProblemInstance(f, a, args.b, args.x, alpha, args.s, p=args.p, q=args.q)
+    inst = ProblemInstance(f, a, args.b, args.x, alpha, args.s, q=args.q)
     report = bound(tid, inst, DEFAULT_CONFIG, args.samples, args.seed)
     if spec.note is not None:
         print(spec.note)
@@ -163,7 +160,7 @@ def _cmd_bound(args: argparse.Namespace) -> ExitCode:
     print(f"margin = {_g12(report.margin)}")
     print(f"ratio = {_g12(report.ratio)}")
     _print_certification(report.certification, "bound")
-    if report.lhs <= report.rhs + BOUND_SLACK * (1.0 + abs(report.rhs)):
+    if _holds(report.rhs - report.lhs, report.rhs):
         print("bound holds")
         return ExitCode.OK
     print("bound VIOLATED")
@@ -173,7 +170,7 @@ def _cmd_bound(args: argparse.Namespace) -> ExitCode:
 def _cmd_bound_hh(args: argparse.Namespace) -> ExitCode:
     ignored = [
         name
-        for name, val in (("--x", args.x), ("--alpha", args.alpha), ("--q", args.q), ("--p", args.p))
+        for name, val in (("--x", args.x), ("--alpha", args.alpha), ("--q", args.q))
         if val is not None
     ]
     if ignored:
@@ -182,17 +179,15 @@ def _cmd_bound_hh(args: argparse.Namespace) -> ExitCode:
     # certify_model's checks and table, whose points the sandwich reads too
     table = _model_table(f, args.a, args.b, args.s, "convex", args.samples, args.seed)
     cert = _certify(table, "f", None, args.s, "convex", args.samples, args.seed)
-    (left, mid, right), err = hh_sandwich_with_error(
-        f, args.a, args.b, args.s, DEFAULT_CONFIG, table
-    )
+    sandwich, err = hh_sandwich_with_error(f, args.a, args.b, args.s, DEFAULT_CONFIG, table)
+    left, mid, right = sandwich
     print(f"left (scaled midpoint value) = {_g12(left)}")
     print(f"mid (mean integral) = {_g12(mid)} (quadrature error est {_g12(err)})")
     print(f"right (endpoint average) = {_g12(right)}")
     print(f"slack left = {_g12(mid - left)}")
     print(f"slack right = {_g12(right - mid)}")
     _print_certification(cert, "sandwich")
-    band = BOUND_SLACK * (1.0 + abs(right))
-    if mid >= left - band and mid <= right + band:
+    if _holds(sandwich.margin, right):
         print("sandwich holds")
         return ExitCode.OK
     print("sandwich VIOLATED")
@@ -310,7 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--alpha", type=float, help="integral order (t2x)")
     bound.add_argument("--s", type=float, required=True, help="convexity order in (0, 1]")
     bound.add_argument("--q", type=float, help="power-mean exponent (t22..t24, c14..c16)")
-    bound.add_argument("--p", type=float, help="conjugate of q (derived when omitted)")
     bound.add_argument(
         "--samples",
         type=int,

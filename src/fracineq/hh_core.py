@@ -56,6 +56,7 @@ from .funcmodel import (
     _certify,
     _check_finite,
     _check_interval,
+    _check_p,
     _check_q,
     _check_s,
     _PointTable,
@@ -140,9 +141,9 @@ class ProblemInstance:
     """One bound evaluation: a model, an interval, the split point and orders.
 
     Each parameter passes its one check: [a, b] and x against f's domain,
-    alpha, s, then q and p, with p derived when only q is supplied. q = 1
-    leaves p unset (only the power-mean bound accepts it, and the formula
-    needs no p there).
+    alpha, s, then q. p is not an argument: it is q's conjugate q/(q - 1),
+    and None where q is None or 1 (only the power-mean bound accepts q = 1,
+    and the formula needs no p there).
     """
 
     f: FunctionModel
@@ -151,14 +152,14 @@ class ProblemInstance:
     x: float
     alpha: float
     s: float
-    p: float | None = None
     q: float | None = None
+    p: float | None = field(init=False)
 
     def __post_init__(self) -> None:
         _check_interval(self.a, self.b, self.f.domain, self.x)
         _check_alpha(self.alpha)
         _check_s(self.s)
-        object.__setattr__(self, "p", _check_q(self.q, self.p))
+        object.__setattr__(self, "p", _check_q(self.q))
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,11 @@ class HHSandwich(NamedTuple):
     left: float
     mid: float
     right: float
+
+    @property
+    def margin(self) -> float:
+        """The smaller of the two slacks, so one rule decides both inequalities."""
+        return min(self.right - self.mid, self.mid - self.left)
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -245,7 +251,7 @@ def proof_constants(alpha: float, s: float, p: float) -> ProofConstants:
     (0, 1], p > 1."""
     _check_alpha(alpha)
     _check_s(s)
-    _check_q(None, p)
+    _check_p(p)
     return ProofConstants(_c1(alpha, s), _c2(alpha, s), math.exp(_log_c3(alpha, p)))
 
 
@@ -328,8 +334,8 @@ def identity_rhs_with_error(
     # sign and clip bounds; the b side's kernel (1 - t^alpha) is
     # -(t^alpha - 1), exactly in IEEE
     weights, table = [], []
-    for end, sign in ((a, 1.0), (b, -1.0)):
-        w = abs(x - end) ** (alpha + 1.0) / (b - a)
+    wa, wb = bound_weights(a, b, x, alpha)
+    for w, end, sign in ((wa, a, 1.0), (wb, b, -1.0)):
         if w != 0.0:
             weights.append(w)
             table.append((end, sign, min(x, end), max(x, end)))

@@ -9,8 +9,9 @@ lhs/rhs (1 at the sharpness witness u^s on [0, 1]), and ``margin`` the
 smaller of the two sandwich slacks so one violation threshold covers both
 inequalities.
 
-A record is a violation when it is certified and margin < -1e-9 * (1 + rhs),
-one order looser than the quadrature tolerance driving lhs. Certifications
+A record is a violation when it is certified, its margin is finite and it
+fails _holds, the CLI's rule too: margin < -1e-9 * (1 + |rhs|), one order
+looser than the quadrature tolerance driving lhs. Certifications
 are cached per (family, s, target, mode, q) and decided as
 funcmodel.certify_model decides them, on the family's point table: proved
 or refuted by a rule on the power-sum terms where one applies, else refuted
@@ -136,8 +137,13 @@ CSV_COLUMNS = (
     "quad_error_est",
 )
 
-# margin < -VIOLATION_TOL * (1 + rhs) flags a certified record as a violation
 VIOLATION_TOL = 1e-9
+
+
+def _holds(margin: float, rhs: float) -> bool:
+    """The one rule of every bound and sandwich verdict; NaN fails it."""
+    return margin >= -VIOLATION_TOL * (1.0 + abs(rhs))
+
 
 _WIDTH = len(CSV_COLUMNS)
 
@@ -373,12 +379,11 @@ def _sweep_rows(
                         integral.error_estimate,
                     )
                 else:
-                    (left, mid, right), err = _sandwich(
-                        f_table.ends_and_mid(), a, b, s, integral
-                    )
+                    sandwich, err = _sandwich(f_table.ends_and_mid(), a, b, s, integral)
+                    mid, right = sandwich.mid, sandwich.right
                     yield (
                         TheoremId.HH11.value, fid, None, s, None, None, None,
-                        mid, right, min(right - mid, mid - left), _ratio(mid, right),
+                        mid, right, sandwich.margin, _ratio(mid, right),
                         c.verdict, err, c.kind,
                     )
             if not bound_thms:
@@ -426,11 +431,7 @@ def _sweep_rows(
 
 def is_violation(rec: SweepRecord) -> bool:
     """Certified record whose margin undercuts the violation threshold."""
-    return (
-        rec.certified
-        and math.isfinite(rec.margin)
-        and rec.margin < -VIOLATION_TOL * (1.0 + rec.rhs)
-    )
+    return rec.certified and math.isfinite(rec.margin) and not _holds(rec.margin, rec.rhs)
 
 
 @dataclass(frozen=True)
@@ -493,8 +494,8 @@ def summarize(records: list[SweepRecord]) -> SweepSummary:
             group.certified += 1
         if not isfinite(margin):
             continue
-        # is_violation's rule inline: a call per row costs more than the test
-        if margin < -tol * (1.0 + rhs):
+        # a copy of _holds: a call per row costs more than the test
+        if not margin >= -tol * (1.0 + abs(rhs)):
             violations += 1
             if group is not None:
                 group.violations += 1

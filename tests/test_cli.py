@@ -1,18 +1,24 @@
 """Exit codes and output of the command line front end."""
 
+import contextlib
+import io
+import math
 import random
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fracineq.cli as cli
 from fracineq.errors import QuadratureToleranceError
 from fracineq.funcmodel import FunctionModel
-from fracineq.hh_core import BOUNDS, FRACTIONAL_BOUNDS, BoundReport, TheoremId
-from fracineq.sweep import read_csv
+from fracineq.hh_core import BOUNDS, FRACTIONAL_BOUNDS, BoundReport, HHSandwich, TheoremId
+from fracineq.sweep import SweepRecord, is_violation, read_csv, summarize
 
 U2 = "1*(u-0)^2 on [0,1]"
 SQRT = "1*(u-0)^0.5 on [0,1]"
@@ -455,7 +461,7 @@ class TestHostileInputs:
             (
                 ["bound", "--thm", "t23", "--f", U2, "--a", "0", "--b", "1", "--x", "0.5",
                  "--alpha", "0.5", "--s", "1", "--q", "2", "--p", "inf"],
-                "p must be finite",
+                "unrecognized arguments: --p inf",
             ),
             (
                 ["bound", "--thm", "t21", "--f", "1*(u-0)^2 on [0,1e200]", "--a", "0",
@@ -572,7 +578,7 @@ class TestCertifierArguments:
 HOSTILE = ("nan", "inf", "-inf", "1e308", "-1e308", "-0.5", "-3", "")
 VALID = {
     "--x": "0.5", "--alpha": "0.5", "--s": "0.5", "--q": "2",
-    "--p": "2", "--tol": "1e-8", "--a": "0", "--b": "1",
+    "--tol": "1e-8", "--a": "0", "--b": "1",
 }
 POINT = ("--a", "--b", "--x", "--s")
 COMMANDS = (
@@ -583,8 +589,8 @@ COMMANDS = (
         ("bound --thm hh", ("--a", "--b", "--s")),
         ("certify --mode convex", ("--s",)),
     ]
-    + [(f"bound --thm {t}", POINT + ("--alpha", "--q", "--p")) for t in ("t22", "t23", "t24")]
-    + [(f"bound --thm {c}", POINT + ("--q", "--p")) for c in ("c14", "c15", "c16")]
+    + [(f"bound --thm {t}", POINT + ("--alpha", "--q")) for t in ("t22", "t23", "t24")]
+    + [(f"bound --thm {c}", POINT + ("--q",)) for c in ("c14", "c15", "c16")]
 )
 
 
@@ -618,7 +624,7 @@ class TestBoundSlack:
     """lhs may pass rhs by the documented 1e-9 * (1 + |rhs|): over by half of
     that the check holds, over by twice that it fails."""
 
-    SLACK = 1e-9  # written out: a test that reads cli.BOUND_SLACK moves with it
+    SLACK = 1e-9  # written out: a test that reads sweep.VIOLATION_TOL moves with it
     POINT = ["--f", U2, "--a", "0", "--b", "1", "--s", "1"]
 
     @pytest.mark.parametrize("factor, code", [(0.5, 0), (2.0, 1)])
@@ -641,14 +647,95 @@ class TestBoundSlack:
         real = cli.hh_sandwich_with_error
 
         def outside(*args):
-            (left, _, right), err = real(*args)
+            sandwich, err = real(*args)
+            left, right = sandwich.left, sandwich.right
             band = self.SLACK * (1.0 + abs(right))
             mid = left - factor * band if side == "left" else right + factor * band
-            return (left, mid, right), err
+            return sandwich._replace(mid=mid), err
 
         monkeypatch.setattr(cli, "hh_sandwich_with_error", outside)
         assert cli.main(["bound", "--thm", "hh", *self.POINT]) == code
         capsys.readouterr()
+
+
+NEG = "-3*(u-0)^0 + 1*(u-0)^1 on [0,1]"  # u - 3: every side of its sandwich is -2.5
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _lhs_rhs(draw):
+    """A finite lhs and rhs, negatives included, whose margin rhs - lhs is
+    finite and often within a few bands 1e-9 * (1 + |rhs|) of 0."""
+    rhs = draw(st.sampled_from((0.0, -0.0, 1.0, -1.0, -2.5, 1e300, -1e300)) | FINITE)
+    band = 1e-9 * (1.0 + abs(rhs))
+    margin = draw(st.floats(-3.0, 3.0).map(lambda k: k * band) | FINITE)
+    lhs = rhs - margin
+    assume(math.isfinite(lhs) and math.isfinite(rhs - lhs))
+    return lhs, rhs
+
+
+class TestOneRule:
+    """A sweep record's violation, summarize's count of it and the bound
+    command's t21 and hh verdicts all read margin >= -1e-9 * (1 + |rhs|)."""
+
+    POINT = ["--f", U2, "--a", "0", "--b", "1", "--s", "1"]
+
+    def _verdicts(self, lhs, rhs):
+        """(exit code, last line) of bound --thm t21 reporting this lhs and
+        rhs, and of bound --thm hh with this mid and right (and left = -inf,
+        so the right slack rhs - lhs is the sandwich's margin)."""
+        real = cli.bound
+
+        def fake_bound(*args):
+            return replace(real(*args), lhs=lhs, rhs=rhs)
+
+        def fake_sandwich(*args):
+            return HHSandwich(-math.inf, lhs, rhs), 0.0
+
+        got = []
+        with mock.patch.object(cli, "bound", fake_bound), \
+                mock.patch.object(cli, "hh_sandwich_with_error", fake_sandwich):
+            for argv in (
+                ["bound", "--thm", "t21", *self.POINT, "--x", "0.5", "--alpha", "0.5"],
+                ["bound", "--thm", "hh", *self.POINT],
+            ):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(argv)
+                got.append((code, out.getvalue().splitlines()[-1]))
+        return got
+
+    def test_a_tight_sandwich_below_zero_holds_in_the_sweep_and_in_bound(self, capsys, tmp_path):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(
+            "alphas = 1\nsvals = 1\nxfracs = 0.5\nqvals = 2\ntheorems = hh\n"
+            f"family.neg = {NEG}\n"
+        )
+        code = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "neg.csv")])
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert (code, last) == (cli.ExitCode.OK, "certified = 1  errors = 0  violations = 0")
+        (row,) = read_csv(tmp_path / "neg.csv")
+        assert (row.rhs, row.margin, row.certified) == (-2.5, 0.0, True)
+        code = cli.main(["bound", "--thm", "hh", f"--f={NEG}", "--a", "0", "--b", "1", "--s", "1"])
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert (code, last) == (cli.ExitCode.OK, "sandwich holds")
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_lhs_rhs(), st.booleans())
+    def test_the_sweep_summarize_and_bound_agree(self, lhs_rhs, certified):
+        lhs, rhs = lhs_rhs
+        rec = SweepRecord(
+            "T21", "f", 0.5, 1.0, 0.5, None, None, lhs, rhs, rhs - lhs, 1.0, certified, 0.0
+        )
+        violated = is_violation(rec)
+        assert summarize([rec]).violations == violated
+        codes = {code for code, _ in self._verdicts(lhs, rhs)}
+        assert len(codes) == 1
+        assert violated == (certified and codes == {cli.ExitCode.FAILURE})
+
+    @pytest.mark.parametrize("lhs, rhs", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_a_nan_lhs_or_rhs_is_violated(self, lhs, rhs):
+        assert self._verdicts(lhs, rhs) == [(1, "bound VIOLATED"), (1, "sandwich VIOLATED")]
 
 
 class TestParserCache:

@@ -508,6 +508,18 @@ class TestCertifyModel:
             with pytest.raises(OverflowError, match="not finite at an endpoint"):
                 certify_model(g, target, None, 0.0, 10.0, 0.5, "convex")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_finite_g_near_the_float_range_has_a_finite_violation(self):
+        # at (x, x, 1/2) the weighted sum 2 * 0.5^0.5 * 1.7e308 passes the
+        # float range; the violation (sqrt 2 - 1) * 1.7e308 does not
+        g = parse_function("1.7e308*(u-0)^0 on [0,1]")
+        for report in (
+            certify_model(g, "f", None, 0.0, 1.0, 0.5, "concave", samples=10),
+            certify_pointwise(g.evaluate, 0.0, 1.0, 0.5, "concave", 10),
+        ):
+            assert report.kind == "refuted"
+            assert report.worst_violation == pytest.approx(SQRT2_MINUS_1 * 1.7e308, rel=1e-12)
+
     def test_interval_outside_the_model_is_rejected(self, u2):
         # the instance's interval check and message
         with pytest.raises(DomainError, match=r"^\[a, b\] = \[-1\.0, 1\.0\] exceeds the model domain"):

@@ -848,6 +848,18 @@ class TestViolationRule:
     def test_uncertified_records_never_count(self):
         assert not is_violation(self._rec(margin=-1.0, certified=False))
 
+    def test_threshold_reads_the_size_of_rhs(self):
+        # the band is 1e-9 * (1 + |rhs|) = 3.5e-9 at rhs = -2.5, not -1.5e-9
+        assert not is_violation(self._rec(margin=0.0, rhs=-2.5))
+        assert not is_violation(self._rec(margin=-3e-9, rhs=-2.5))
+        assert is_violation(self._rec(margin=-4e-9, rhs=-2.5))
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_margin_is_never_a_violation(self, margin):
+        rec = self._rec(margin=margin)
+        assert not is_violation(rec)
+        assert summarize([rec]).violations == 0
+
 
 class TestRecord:
     ARGS = ("T21", "f", 1.0, 1.0, 0.5, 2.0, 2.0, 0.5, 1.0, 0.5, 0.5, True, 1e-12)

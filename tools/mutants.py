@@ -56,7 +56,6 @@ MUTANTS = [
     ("sandwich right +1%", HH, "hh_core",
      "right = (fa + fb) / (s + 1.0)", "right = 1.01 * (fa + fb) / (s + 1.0)"),
     ("|f'(a)| and |f'(b)| swapped", HH, "hh_core", "fa, fb = absvals[:2]", "fb, fa = absvals[:2]"),
-    ("CONJUGACY_TOL 1e-6", FM, "hh_core", "CONJUGACY_TOL = 1e-12", "CONJUGACY_TOL = 1e-6"),
     ("alpha finiteness dropped", HH, "sweep", "_check_finite(alpha, name)", "pass"),
     ("powered convex rule widened", FM, "funcmodel",
      "if all(r == 0 or r >= 1 for r in exps):", "if all(r == 0 or r >= 0.5 for r in exps):"),
@@ -117,12 +116,19 @@ MUTANTS = [
      "tols = [cfg.abs_tol / k if k > 1.0 else cfg.abs_tol for k in scales]",
      "tols = [cfg.abs_tol for k in scales]"),
     ("kernel keeps a -0.0 first term", FM, "funcmodel", "out += 0.0", "pass"),
+    ("overflowed weighted sum kept", FM, "funcmodel",
+     "if not np.isfinite(combo).all():", "if False:"),
     ("s bound made strict", FM, "funcmodel", "if not 0.0 < s <= 1.0:", "if not 0.0 < s < 1.0:"),
     ("certifier warns before it refuses", FM, "funcmodel",
      'dict(over="ignore", invalid="ignore")', "dict()"),
     ("kernel shift-0 test inverted", FM, "funcmodel",
      "if t.shift != 0.0 else arr", "if t.shift == 0.0 else arr"),
     ("VIOLATION_TOL x1000", SW, "sweep", "VIOLATION_TOL = 1e-9", "VIOLATION_TOL = 1e-6"),
+    ("VIOLATION_TOL x1000 in bound", SW, "cli", "VIOLATION_TOL = 1e-9", "VIOLATION_TOL = 1e-6"),
+    ("abs dropped from the rule", SW, "cli",
+     "-VIOLATION_TOL * (1.0 + abs(rhs))", "-VIOLATION_TOL * (1.0 + rhs)"),
+    ("abs dropped from summarize's copy", SW, "cli",
+     "-tol * (1.0 + abs(rhs))", "-tol * (1.0 + rhs)"),
     ("_SHRINK_FRACTION x2", SW, "sweep", "_SHRINK_FRACTION = 1e-9", "_SHRINK_FRACTION = 2e-9"),
     ("read_csv parses x once", SW, "sweep", "if x != x0:", "if x0 is None:"),
     ("read_csv parses quad_error_est once", SW, "sweep", "if qerr != qerr0:", "if qerr0 is None:"),
@@ -130,7 +136,6 @@ MUTANTS = [
     ("derived seed multiplier", SW, "sweep", "0x9E3779B1", "0x9E3779B9"),
     ("grid x-point check dropped", SW, "sweep",
      'for x in _family_xs(f, self.xfracs):', "for x in ():"),
-    ("BOUND_SLACK x1000", "cli.py", "cli", "BOUND_SLACK = 1e-9", "BOUND_SLACK = 1e-6"),
 ]
 
 
