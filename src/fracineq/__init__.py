@@ -46,7 +46,6 @@ from .hh_core import (
     bound_t22,
     bound_t23,
     bound_t24,
-    conjugate_exponent,
     hh_sandwich_with_error,
     identity_lhs_with_error,
     identity_rhs_with_error,
@@ -98,7 +97,6 @@ __all__ = [
     "TheoremId",
     "ProblemInstance",
     "BoundReport",
-    "conjugate_exponent",
     "proof_constants",
     "identity_lhs_with_error",
     "identity_rhs_with_error",

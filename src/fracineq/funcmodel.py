@@ -451,11 +451,6 @@ def _max_abs(*values: np.ndarray) -> float:
     return max(maxes) if all(map(math.isfinite, maxes)) else math.inf
 
 
-def _lam_weights(s: float) -> tuple[np.ndarray, np.ndarray]:
-    """lam^s and (1-lam)^s of the 12 boundary triples."""
-    return np.power(_LAM, s), np.power(1.0 - _LAM, s)
-
-
 def _boundary_triples(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lam, x, y) for lam in {0, 1/2, 1} against every endpoint pair: 12 triples."""
     ends = np.array([lo, hi], dtype=float)
@@ -567,10 +562,11 @@ def certify_pointwise(
     )
 
 
-def _refutation(table, g, weights, at, s, mode, seed, rule) -> CertificationReport | None:
+def _refutation(table, g, at, s, mode, seed, rule) -> CertificationReport | None:
     """The refuted report of the worst of the boundary triples ``at`` (_ALL
     or a _WITNESS), from g at the table's points, or None if none fails."""
-    wx, wy = weights
+    # lam^s and (1-lam)^s of the 12 boundary triples
+    wx, wy = np.power(_LAM, s), np.power(1.0 - _LAM, s)
     lam, xi, yi = _LAM[at], _X_AT[at], _Y_AT[at]
     gx, gy, gm = g[xi], g[yi], g[_MIX_AT[at]]
     worst, viol, tol = _violation(wx[at], wy[at], gx, gy, gm, _max_abs(gx, gy, gm), mode)
@@ -681,13 +677,8 @@ def _certify(
     mode: str,
     samples: int = CERT_SAMPLES,
     seed: int = 0,
-    weights: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> CertificationReport:
-    """certify_model on the table of g_source over [a, b].
-
-    ``weights`` are _lam_weights(s), computed here when not given; a sweep
-    passes the same pair to every certificate at s.
-    """
+    """certify_model on the table of g_source over [a, b]."""
     a, b = table.a, table.b
     _check_certify_args(a, b, s, mode, samples, seed)
     if target == "abs_deriv_pow":
@@ -695,8 +686,6 @@ def _certify(
             raise DomainError("|f'|^q needs q >= 1, got None")
         _check_q(q)
     g, terms = table.hypothesis(target, q)
-    if weights is None:
-        weights = _lam_weights(s)
     decided = _rule(terms, s, mode)
     if decided is not None:
         kind, rule = decided
@@ -713,10 +702,10 @@ def _certify(
             )
         # the triple (e, e, 1/2) at the first endpoint of largest g: a on a tie
         at = _WITNESS[int(np.argmax(g[:2]))]
-        if (refuted := _refutation(table, g, weights, at, s, mode, seed, rule)):
+        if (refuted := _refutation(table, g, at, s, mode, seed, rule)):
             return refuted
     # the sampler's first 12 triples: most failures show here, before any draw
-    if (refuted := _refutation(table, g, weights, _ALL, s, mode, seed, "boundary triple")):
+    if (refuted := _refutation(table, g, _ALL, s, mode, seed, "boundary triple")):
         return refuted
     model = table.model
     return certify_pointwise(

@@ -12,6 +12,11 @@ where J1 = (1/Gamma(alpha)) int_a^x (t-a)^(alpha-1) f(t) dt and
 J2 = (1/Gamma(alpha)) int_x^b (b-t)^(alpha-1) f(t) dt. In terms of the
 operators in :mod:`fracineq.rlint`, J1 is the right integral with terminal x
 evaluated at a and J2 is the left integral with origin x evaluated at b.
+One helper computes the left side: _identity_lhs_rows integrates J1 and J2
+at every (alpha, x) of a function in one quadrature batch and maps each
+alpha to its row of entries, or to the overflow that fails that alpha. A
+sweep calls it once per family; identity_lhs_with_error calls it at one
+alpha and one x.
 
 Four closed-form upper bounds for |identity| are provided (ids t21..t24),
 each valid under a certified convexity hypothesis on |f'| or |f'|^q:
@@ -97,7 +102,6 @@ __all__ = [
     "c3_root",
     "hh_sandwich_with_error",
     "proof_constants",
-    "conjugate_exponent",
 ]
 
 # The smallest order the closed forms of c2 and c3 hold to. Below it c2's
@@ -126,14 +130,6 @@ def _check_alpha(alpha: float, name: str = "alpha") -> None:
     if not alpha >= ALPHA_MIN:
         raise DomainError(f"{name} must be at least {ALPHA_MIN:g}, got {alpha!r}")
     _check_finite(alpha, name)
-
-
-def conjugate_exponent(q: float) -> float:
-    """p with 1/p + 1/q = 1 for q > 1, by the rule of funcmodel._check_q."""
-    p = _check_q(q)
-    if p is None:
-        raise DomainError(f"conjugate exponent needs q > 1, got {q!r}")
-    return p
 
 
 @dataclass(frozen=True)
@@ -258,66 +254,60 @@ def proof_constants(alpha: float, s: float, p: float) -> ProofConstants:
 def identity_lhs_with_error(
     inst: ProblemInstance, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> tuple[float, float]:
-    """Signed left side of the identity and its quadrature error estimate."""
-    got = _identity_lhs_points(inst.f, inst.a, inst.b, [(inst.alpha, inst.x)], cfg)[0]
-    if isinstance(got, Exception):
-        raise got
-    return got
+    """Signed left side of the identity and its quadrature error estimate:
+    _identity_lhs_rows at the instance's one alpha and one x, which raises
+    the alpha's OverflowError, else the point's QuadratureToleranceError."""
+    row = _identity_lhs_rows(inst.f, inst.a, inst.b, [inst.alpha], [inst.x], cfg)[inst.alpha]
+    if isinstance(row, OverflowError):
+        raise row
+    if isinstance(row[0], QuadratureToleranceError):
+        raise row[0]
+    return row[0]
 
 
-def _identity_lhs_points(
-    f: FunctionModel, a: float, b: float, points: list, cfg: QuadratureConfig
-) -> list:
-    """identity_lhs_with_error at each (alpha, x) of ``points``, each of
-    which would make a valid ProblemInstance on f over [a, b].
+def _identity_lhs_rows(
+    f: FunctionModel, a: float, b: float, alphas, xs, cfg: QuadratureConfig
+) -> dict:
+    """The identity's signed left side at every (alpha, x), each of which
+    would make a valid ProblemInstance on f over [a, b], alpha by alpha.
 
-    J1 and J2 of every point are rows of one quadrature batch, whatever
-    their alpha. Each entry is (lhs, error_estimate), or the error that
-    identity_lhs_with_error raises: J1's QuadratureToleranceError if J1
-    fails, else J2's. An alpha whose boundary terms, scales or Gamma factor
-    overflow fails as a whole: each of its points carries the OverflowError
-    a batch of that alpha alone raises first.
+    J1 and J2 of every (alpha, x) are rows of one quadrature batch, whatever
+    their alpha. Each alpha maps to the entry of each x: (lhs,
+    error_estimate), or J1's QuadratureToleranceError if J1 fails, else
+    J2's. An alpha whose boundary terms, J scales or Gamma factor overflow
+    maps instead to the first such OverflowError, in that order, which fails
+    it as a whole.
     """
-    if not points:
-        return []
     fa, fb = f.evaluate([a, b]).tolist()
-    failed: dict = {}  # alpha -> the first error of its points
-    boundary = []
-    for alpha, x in points:
+    rows: dict = {}  # alpha -> each x's boundary term, then its entry; or the overflow
+    for alpha in dict.fromkeys(alphas):
         try:
-            boundary.append(((x - a) ** alpha * fa + (b - x) ** alpha * fb) / (b - a))
+            rows[alpha] = [((x - a) ** alpha * fa + (b - x) ** alpha * fb) / (b - a) for x in xs]
         except OverflowError as exc:
-            failed.setdefault(alpha, exc)
-            boundary.append(None)
-    live = [k for k, (alpha, _) in enumerate(points) if alpha not in failed]
-    js = rl_batch_with_error(
-        f, [(points[k][0], points[k][1], end) for k in live for end in (a, b)], cfg
-    )
-    pairs = dict(zip(live, zip(js[::2], js[1::2])))
-    for k in live:
-        for j in pairs[k]:
-            if isinstance(j, OverflowError):
-                failed.setdefault(points[k][0], j)
-    gfac = {}
-    for alpha in dict.fromkeys(points[k][0] for k in live):
-        if alpha not in failed:
-            try:
-                gfac[alpha] = math.exp(log_gamma(alpha + 1.0)) / (b - a)
-            except OverflowError as exc:
-                failed[alpha] = exc
-    out: list = []
-    for k, (alpha, _) in enumerate(points):
-        if alpha in failed:
-            out.append(failed[alpha])
+            rows[alpha] = exc
+    live = [alpha for alpha, row in rows.items() if isinstance(row, list)]
+    js = iter(rl_batch_with_error(
+        f, [(alpha, x, end) for alpha in live for x in xs for end in (a, b)], cfg
+    ))
+    for alpha in live:
+        pairs = [(next(js), next(js)) for _ in xs]
+        overflows = [j for pair in pairs for j in pair if isinstance(j, OverflowError)]
+        try:
+            g = math.exp(log_gamma(alpha + 1.0)) / (b - a)
+        except OverflowError as exc:
+            overflows.append(exc)
+        if overflows:
+            rows[alpha] = overflows[0]
             continue
-        j1, j2 = pairs[k]
-        failures = [j for j in (j1, j2) if isinstance(j, QuadratureToleranceError)]
-        if failures:
-            out.append(failures[0])
-        else:
-            g = gfac[alpha]
-            out.append((boundary[k] - g * (j1[0] + j2[0]), g * (j1[1] + j2[1])))
-    return out
+        entries = []
+        for boundary, (j1, j2) in zip(rows[alpha], pairs):
+            failures = [j for j in (j1, j2) if isinstance(j, QuadratureToleranceError)]
+            entries.append(
+                failures[0] if failures
+                else (boundary - g * (j1[0] + j2[0]), g * (j1[1] + j2[1]))
+            )
+        rows[alpha] = entries
+    return rows
 
 
 def identity_rhs_with_error(

@@ -28,15 +28,17 @@ Each piece of a sweep's work runs at the loop level where its inputs change:
   f': each model evaluated once, at a, b and the boundary triples' mix
   points, which every certificate reads, and for f' also at the points
   t21..t24 read (x and the midpoints (x+a)/2 and (x+b)/2) for each x; each
-  hypothesis g (f, |f'| or |f'|^q) derived from its table once per q; the
-  weights for each (alpha, x);
-- per family: the lhs of every (alpha, x), in one quadrature batch at the
-  first alpha; and the sandwich's mean integral, which does not depend on s;
+  hypothesis g (f, |f'| or |f'|^q) derived from its table once per q;
+- per family: one hh_core._identity_lhs_rows call at the first alpha, which
+  integrates the lhs of every (alpha, x) in one quadrature batch and gives
+  each alpha its row or its overflow; the weights of each (alpha, x), at
+  the alpha's first s; and the sandwich's mean integral, which does not
+  depend on s;
 - per (family, s, q): each bound's certificate, at the first point whose
   lhs succeeded, so a (family, s, q) whose points all fail quadrature
   certifies nothing;
-- per s the boundary triples' lam^s and (1-lam)^s; per (alpha, s) c1 and c2,
-  per q its conjugate p, per (alpha, p) c3^(1/p);
+- per (alpha, s) c1 and c2, per (alpha, p) c3^(1/p), with each q's p the
+  grid's;
 - per record: only its bound's formula in hh_core.FRACTIONAL_BOUNDS, applied
   as rhs_t21..rhs_t24 apply it, so a record's rhs equals the public right
   side to the bit.
@@ -44,8 +46,10 @@ Each piece of a sweep's work runs at the loop level where its inputs change:
 Quadrature failures at a single grid point produce error rows (NaN metrics,
 certified false) rather than aborting the sweep. SweepGrid refuses a bad
 value when it is built, so only an overflow, which depends on the family,
-stops a sweep: an alpha's (boundary terms, scales or Gamma factor) or a
-certificate's (g not finite), raised where the loop first reaches it.
+stops a sweep: an alpha's (its lhs boundary terms, J scales or Gamma
+factor, then its weights) or a certificate's (g not finite), raised where
+the loop first reaches it. A point's lhs is signed in its row; the point's
+records read its absolute value.
 
 A record is a SweepRecord, a named tuple of the CSV columns and then the
 certificate kind; a row is a plain tuple of the same fields in the same
@@ -69,7 +73,7 @@ import io
 import math
 import zlib
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import NamedTuple
 
@@ -82,7 +86,6 @@ from .funcmodel import (
     _check_interval,
     _check_q,
     _check_s,
-    _lam_weights,
     _PointTable,
     parse_function,
 )
@@ -91,13 +94,12 @@ from .hh_core import (
     TheoremId,
     _check_alpha,
     _deriv_table,
-    _identity_lhs_points,
+    _identity_lhs_rows,
     _ratio,
     _sandwich,
     bound_weights,
     c1_c2,
     c3_root,
-    conjugate_exponent,
 )
 from .rlint import DEFAULT_CONFIG, QuadratureConfig, integrate_adaptive
 
@@ -196,6 +198,8 @@ class SweepGrid:
     power-mean q = 1 case is already covered by the first-power bound). Each
     value, and each family's interval and x points, passes the instance's
     check when the grid is built, so a sweep builds no ProblemInstance.
+    pvals is not an argument: it holds the conjugate p of each q that q's
+    check derives, as ProblemInstance.p does.
     """
 
     alphas: tuple[float, ...]
@@ -204,6 +208,7 @@ class SweepGrid:
     qvals: tuple[float, ...]
     families: tuple[tuple[str, FunctionModel], ...]
     theorems: tuple[TheoremId, ...]
+    pvals: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphas", tuple(self.alphas))
@@ -227,10 +232,12 @@ class SweepGrid:
         for fr in self.xfracs:
             if not 0.0 <= fr <= 1.0:
                 raise DomainError(f"xfracs must lie in [0, 1], got {fr!r}")
+        pvals = []
         for q in self.qvals:
             if not q > 1.0:
                 raise DomainError(f"qvals must exceed 1, got {q!r}")
-            _check_q(q)
+            pvals.append(_check_q(q))
+        object.__setattr__(self, "pvals", tuple(pvals))
         ids = [fid for fid, _ in self.families]
         if len(set(ids)) != len(ids):
             raise DomainError("family ids must be unique")
@@ -267,27 +274,6 @@ def _error_row(
     )
 
 
-def _lhs_by_alpha(f: FunctionModel, alphas, xs: list[float], cfg: QuadratureConfig) -> dict:
-    """alpha -> the (|lhs|, error_estimate) or QuadratureToleranceError of
-    each x, from one quadrature batch for every alpha, or the overflow that
-    alpha alone raises. The grid has checked every alpha and x."""
-    alphas = list(dict.fromkeys(alphas))
-    points = [(alpha, x) for alpha in alphas for x in xs]
-    entries = iter(_identity_lhs_points(f, f.lo, f.hi, points, cfg))
-    by_alpha: dict = {}
-    for alpha in alphas:
-        row = [next(entries) for _ in xs]
-        # an alpha that fails as a whole gives each of its x the same error
-        if isinstance(row[0], Exception) and not isinstance(row[0], QuadratureToleranceError):
-            by_alpha[alpha] = row[0]
-        else:
-            by_alpha[alpha] = [
-                got if isinstance(got, QuadratureToleranceError) else (abs(got[0]), got[1])
-                for got in row
-            ]
-    return by_alpha
-
-
 def run_sweep(
     grid: SweepGrid,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -310,7 +296,6 @@ def _sweep_rows(
 ) -> Iterator[tuple]:
     """run_sweep's records as rows, plain tuples in SweepRecord's field
     order, one at a time."""
-    lhs_cache: dict = {}
     cert_cache: dict = {}
     bound_thms = [t for t in grid.theorems if t is not TheoremId.HH11]
     # each bound's id and table row once per sweep, not once per record
@@ -320,13 +305,10 @@ def _sweep_rows(
     c12: dict = {}
     if not all(holder):
         c12 = {(alpha, s): c1_c2(alpha, s) for alpha in grid.alphas for s in grid.svals}
-    qps = [(q, conjugate_exponent(q)) for q in grid.qvals]
+    qps = list(zip(grid.qvals, grid.pvals))
     c3p: dict = {}
     if any(holder):
-        c3p = {(alpha, p): c3_root(alpha, p) for alpha in grid.alphas for _, p in qps}
-
-    # lam^s and (1-lam)^s of the boundary triples, once per s
-    lam_weights = {s: _lam_weights(s) for s in grid.svals}
+        c3p = {(alpha, p): c3_root(alpha, p) for alpha in grid.alphas for p in grid.pvals}
 
     def cert(fid, table, s, target, mode, q):
         if target != "abs_deriv_pow":
@@ -334,21 +316,9 @@ def _sweep_rows(
         key = (fid, s, target, mode, q)
         if key not in cert_cache:
             cert_cache[key] = _certify(
-                table, target, q, s, mode, samples, _derive_seed(seed, *key),
-                lam_weights[s],
+                table, target, q, s, mode, samples, _derive_seed(seed, *key)
             )
         return cert_cache[key]
-
-    def lhs(fid, f, alpha, xs):
-        # the family's first call integrates every (alpha, x) in one batch;
-        # an alpha that failed raises here, where the loop first reaches it,
-        # so a bad grid still ends in its first error
-        if fid not in lhs_cache:
-            lhs_cache[fid] = _lhs_by_alpha(f, grid.alphas, xs, cfg)
-        got = lhs_cache[fid][alpha]
-        if isinstance(got, Exception):
-            raise got
-        return got
 
     for fid, f in grid.families:
         a, b = f.lo, f.hi
@@ -356,15 +326,12 @@ def _sweep_rows(
         # f and f' each evaluated once, at every point the family's
         # certificates, sandwich and right sides read
         f_table = _PointTable(f, a, b) if TheoremId.HH11 in grid.theorems else None
-        fp_table = deriv = weights = None
+        fp_table = deriv = None
         if bound_thms:  # the sandwich needs no f', which may be singular at lo
             fp_table, deriv = _deriv_table(f.derivative(), a, b, xs, bound_thms)
-            weights = {
-                (alpha, x): bound_weights(a, b, x, alpha)
-                for alpha in grid.alphas
-                for x in xs
-            }
         integral = None  # int_a^b f for the sandwich, or its error
+        lhs_rows = None  # each alpha's lhs entries, or its overflow
+        weights: dict = {}  # alpha -> each x's bound_weights
         for s in grid.svals:
             if TheoremId.HH11 in grid.theorems:
                 c = cert(fid, f_table, s, "f", "convex", None)
@@ -406,7 +373,17 @@ def _sweep_rows(
             for alpha in grid.alphas:
                 c1, c2 = c12.get((alpha, s), (math.nan, math.nan))
                 qpk = [(q, p, c3p.get((alpha, p), math.nan)) for q, p in qps]
-                row = lhs(fid, f, alpha, xs)
+                # the lhs of every (alpha, x) in one batch at the family's
+                # first alpha, and an alpha's weights at its first s: an
+                # overflow of either raises here, where the loop first
+                # reaches the alpha, so a bad grid still ends in its first error
+                if lhs_rows is None:
+                    lhs_rows = _identity_lhs_rows(f, a, b, grid.alphas, xs, cfg)
+                row = lhs_rows[alpha]
+                if isinstance(row, OverflowError):
+                    raise row
+                if alpha not in weights:
+                    weights[alpha] = [bound_weights(a, b, x, alpha) for x in xs]
                 for k, x in enumerate(xs):
                     got = row[k]
                     if isinstance(got, QuadratureToleranceError):
@@ -416,9 +393,9 @@ def _sweep_rows(
                                     thm, fid, alpha, s, x, p, q, got.error_estimate
                                 )
                         continue
-                    lhs_val, qerr = got
+                    lhs_val, qerr = abs(got[0]), got[1]
                     dv = deriv[k]
-                    wa, wb = weights[alpha, x]
+                    wa, wb = weights[alpha][k]
                     for j, (q, p, k3) in enumerate(qpk):
                         bounds = by_q[j] or bounds_at_first_point(j, q)
                         for tid, formula, verdict, kind in bounds:

@@ -918,8 +918,8 @@ class TestTablesAgainstThePerKeyPath:
         seen = []
         certify = sweep_module._certify
 
-        def spy(table, target, q, s, mode, samples, seed, weights):
-            report = certify(table, target, q, s, mode, samples, seed, weights)
+        def spy(table, target, q, s, mode, samples, seed):
+            report = certify(table, target, q, s, mode, samples, seed)
             args = (table.model, target, q, table.a, table.b, s, mode, samples, seed)
             seen.append((args, report))
             return report

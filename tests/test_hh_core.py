@@ -24,8 +24,7 @@ from fracineq.hh_core import (
     bound_t24,
     c1_c2,
     c3_root,
-    conjugate_exponent,
-    _identity_lhs_points,
+    _identity_lhs_rows,
     hh_sandwich_with_error,
     identity_lhs_with_error,
     identity_rhs_with_error,
@@ -92,12 +91,6 @@ class TestProblemInstance:
         base.update(kwargs)
         with pytest.raises(DomainError):
             ProblemInstance(**base)
-
-    def test_conjugate_exponent(self):
-        assert conjugate_exponent(2.0) == 2.0
-        assert conjugate_exponent(3.0) == 1.5
-        with pytest.raises(DomainError):
-            conjugate_exponent(1.0)
 
 
 class TestProofConstants:
@@ -303,17 +296,41 @@ class TestIdentity:
             calls.append(np.asarray(u).tolist() if np.ndim(u) < 2 else np.shape(u))
             return evaluate(self, u)
 
-        points = [(a, x) for a in (0.5, 2.5) for x in (0.3, 0.6)]
-        cfg = QuadratureConfig()
-        expect = _identity_lhs_points(u15, 0.0, 1.0, points, cfg)
+        alphas, xs, cfg = (0.5, 2.5), (0.3, 0.6), QuadratureConfig()
+        expect = _identity_lhs_rows(u15, 0.0, 1.0, alphas, xs, cfg)
         monkeypatch.setattr(FunctionModel, "evaluate", counted)
-        assert _identity_lhs_points(u15, 0.0, 1.0, points, cfg) == expect
+        assert _identity_lhs_rows(u15, 0.0, 1.0, alphas, xs, cfg) == expect
         assert calls[0] == [0.0, 1.0]
         assert all(isinstance(c, tuple) for c in calls[1:])
         assert u15.evaluate([0.0, 1.0]).tolist() == [u15.evaluate(0.0), u15.evaluate(1.0)]
 
-    def test_an_empty_batch_is_an_empty_list(self, u15):
-        assert _identity_lhs_points(u15, 0.0, 1.0, [], QuadratureConfig()) == []
+    def test_an_empty_batch_is_an_empty_dict(self, u15):
+        assert _identity_lhs_rows(u15, 0.0, 1.0, [], [0.5], QuadratureConfig()) == {}
+
+    # d^alpha fits, but d^alpha / Gamma(alpha + 1) as the batch computes it,
+    # exp(alpha log d - log Gamma(alpha + 1)), does not: only the J scale overflows
+    HUGE = 1.7976931348611825e308
+    ALPHA_NEAR_1 = 1.0000000000000009
+
+    @pytest.mark.parametrize(
+        "spec, alpha, xs",
+        [
+            ("1*(u-0)^2 on [0,1000]", 120.0, [250.0, 1000.0]),  # (1000 - 250)^120
+            (f"1*(u-0)^0 on [0,{HUGE!r}]", ALPHA_NEAR_1, [HUGE]),
+            ("1*(u-0)^2 on [0,1]", 200.0, [0.25, 1.0]),  # Gamma(201)
+        ],
+        ids=["boundary-term", "j-scale", "gamma-factor"],
+    )
+    def test_an_alpha_that_overflows_fails_alone(self, spec, alpha, xs):
+        f = parse_function(spec)
+        got = _identity_lhs_rows(f, f.lo, f.hi, [0.5, alpha], xs, QuadratureConfig())
+        assert list(got) == [0.5, alpha]
+        assert isinstance(got[alpha], OverflowError)
+        assert got[0.5] == [
+            identity_lhs_with_error(ProblemInstance(f, f.lo, f.hi, x, 0.5, 1.0)) for x in xs
+        ]
+        with pytest.raises(OverflowError):
+            identity_lhs_with_error(ProblemInstance(f, f.lo, f.hi, xs[0], alpha, 1.0))
 
     def test_shifted_interval(self):
         f = parse_function("1*(u--1)^2 + 2*(u-0)^1 on [1,3]")

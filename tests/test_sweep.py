@@ -22,6 +22,7 @@ from fracineq.errors import CsvSchemaError, DomainError, ParseError, QuadratureT
 from fracineq.funcmodel import (
     CERT_SAMPLES,
     FunctionModel,
+    _check_q,
     certify_model,
     certify_pointwise,
     parse_function,
@@ -35,8 +36,7 @@ from fracineq.hh_core import (
     bound_weights,
     c1_c2,
     c3_root,
-    conjugate_exponent,
-    _identity_lhs_points,
+    _identity_lhs_rows,
     hh_sandwich_with_error,
     rhs_t21,
     rhs_t22,
@@ -366,7 +366,7 @@ class TestLhsBatchWork:
 
         monkeypatch.setattr(rlint, "integrate_adaptive", integrate)
         monkeypatch.setattr(FunctionModel, "evaluate", evaluate)
-        got = sweep_module._lhs_by_alpha(f, grid.alphas, xs, DEFAULT_CONFIG)
+        got = _identity_lhs_rows(f, f.lo, f.hi, grid.alphas, xs, DEFAULT_CONFIG)
         assert all(len(got[alpha]) == len(xs) for alpha in grid.alphas)
         assert len(shapes) == 20 and shapes[0] == (440, 3 * 15)
         assert sum(rows * nodes for rows, nodes in shapes) == 167_220
@@ -434,7 +434,7 @@ class TestRightSidesFromValues:
         failed = {(r.family_id, r.s, r.alpha, r.x) for r in rows if math.isnan(r.lhs)}
         assert failed
         expected = sorted(
-            (t.value, q, conjugate_exponent(q)) for t in PUBLIC_RHS for q in grid.qvals
+            (t.value, q, _check_q(q)) for t in PUBLIC_RHS for q in grid.qvals
         )
         for point in failed:
             at = [r for r in rows if (r.family_id, r.s, r.alpha, r.x) == point]
@@ -465,10 +465,10 @@ class TestRightSidesFromValues:
         certify_keys, tables = [], []
         certify = sweep_module._certify
 
-        def counting_certify(table, target, q, s, mode, samples, seed, weights):
+        def counting_certify(table, target, q, s, mode, samples, seed):
             certify_keys.append((table.model, target, q, s, mode))
             tables.append(table)  # kept alive, so each id stays its own
-            return certify(table, target, q, s, mode, samples, seed, weights)
+            return certify(table, target, q, s, mode, samples, seed)
 
         monkeypatch.setattr(FunctionModel, "derivative", counting_derivative)
         monkeypatch.setattr(FunctionModel, "evaluate", counting_evaluate)
@@ -528,11 +528,12 @@ def _reference_sweep(grid, cfg=DEFAULT_CONFIG, seed=0, samples=CERT_SAMPLES):
 
     def lhs(fid, f, alpha, xs):
         if (fid, alpha) not in lhs_cache:
-            insts = [ProblemInstance(f, f.lo, f.hi, x, alpha, 1.0) for x in xs]
-            row = _identity_lhs_points(f, f.lo, f.hi, [(i.alpha, i.x) for i in insts], cfg)
-            # an overflow fails the whole alpha, as identity_lhs_with_error raises it
-            if isinstance(row[0], Exception) and not isinstance(row[0], QuadratureToleranceError):
-                raise row[0]
+            for x in xs:
+                ProblemInstance(f, f.lo, f.hi, x, alpha, 1.0)
+            # a batch of this alpha alone: an overflow fails the whole alpha
+            row = _identity_lhs_rows(f, f.lo, f.hi, [alpha], xs, cfg)[alpha]
+            if isinstance(row, OverflowError):
+                raise row
             lhs_cache[fid, alpha] = [
                 got if isinstance(got, QuadratureToleranceError) else (abs(got[0]), got[1])
                 for got in row
@@ -561,7 +562,7 @@ def _reference_sweep(grid, cfg=DEFAULT_CONFIG, seed=0, samples=CERT_SAMPLES):
             for alpha in grid.alphas if bound_thms else ():
                 for k, x in enumerate(xs):
                     for q in grid.qvals:
-                        p = conjugate_exponent(q)
+                        p = _check_q(q)
                         got = lhs(fid, f, alpha, xs)[k]
                         if isinstance(got, QuadratureToleranceError):
                             records.extend(
@@ -722,6 +723,40 @@ class TestRecordLoopAgainstOracle:
         with pytest.raises(OverflowError, match="not finite at an endpoint"):
             _reference_sweep(grid, samples=64)
 
+    @pytest.mark.parametrize(
+        "alpha, families, blocks",
+        [
+            # Gamma(201) overflows on every family: u2's alpha 0.5 rows at
+            # the first s come out, then the error
+            (200.0, ("u2",), [("u2", 0.5, 0.5)]),
+            # (b - x)^120 overflows only the wide family's boundary terms (and
+            # its weights): every u2 row, then the wide family's alpha 0.5 rows
+            (120.0, ("u2", "wide"), [
+                ("u2", 0.5, 0.5), ("u2", 0.5, 120.0), ("u2", 1.0, 0.5), ("u2", 1.0, 120.0),
+                ("wide", 0.5, 0.5),
+            ]),
+        ],
+        ids=["gamma-factor", "boundary-term"],
+    )
+    def test_an_alpha_that_overflows_fails_where_the_loop_reaches_it(
+        self, alpha, families, blocks
+    ):
+        # the family's one lhs batch holds every alpha, yet only the alpha
+        # that overflows fails, where the loop reaches it
+        specs = {"u2": "1*(u-0)^2 on [0,1]", "wide": "1*(u-0)^2 on [0,1000]"}
+        grid = SweepGrid(
+            alphas=(0.5, alpha), svals=(0.5, 1.0), xfracs=(0.25, 1.0), qvals=(2.0,),
+            families=tuple((fid, parse_function(specs[fid])) for fid in families),
+            theorems=(TheoremId.T21, TheoremId.T22),
+        )
+        rows = []
+        with pytest.raises(OverflowError):
+            for row in sweep_module._sweep_rows(grid, samples=64):
+                rows.append(row)
+        # each (family, s, alpha) block: two x points, two bounds
+        assert [(r[1], r[3], r[2]) for r in rows] == [b for b in blocks for _ in range(4)]
+        assert not any(math.isnan(r[7]) for r in rows)
+
     @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, _FAILING_CFG], ids=["ok", "failing-lhs"])
     def test_checks_certificates_and_formulas_keep_the_oracle_order(self, cfg, monkeypatch):
         # the oracle checks every point; run_sweep checks none, since its
@@ -740,9 +775,9 @@ class TestRecordLoopAgainstOracle:
             log.append(("certify", g, target, q, s, mode))
             return certify(g, target, q, a, b, s, mode, samples, seed)
 
-        def logged_certify_table(table, target, q, s, mode, samples, seed, weights):
+        def logged_certify_table(table, target, q, s, mode, samples, seed):
             log.append(("certify", table.model, target, q, s, mode))
-            return certify_table(table, target, q, s, mode, samples, seed, weights)
+            return certify_table(table, target, q, s, mode, samples, seed)
 
         def logged_formula(thm, formula):
             def run(*args):

@@ -136,6 +136,12 @@ MUTANTS = [
     ("derived seed multiplier", SW, "sweep", "0x9E3779B1", "0x9E3779B9"),
     ("grid x-point check dropped", SW, "sweep",
      'for x in _family_xs(f, self.xfracs):', "for x in ():"),
+    # an alpha's overflow raised out of the family's whole lhs batch
+    ("boundary-term overflow fails the batch", HH, "sweep", "rows[alpha] = exc", "raise exc"),
+    ("J-scale overflow fails the batch", HH, "hh_core",
+     "isinstance(j, OverflowError)]",
+     "isinstance(j, OverflowError) and (_ for _ in ()).throw(j)]"),
+    ("Gamma-factor overflow fails the batch", HH, "sweep", "overflows.append(exc)", "raise exc"),
 ]
 
 
