@@ -76,32 +76,18 @@ from .specfun import log_gamma
 
 __all__ = [
     "TheoremId",
-    "BoundSpec",
-    "FRACTIONAL_BOUNDS",
-    "BOUNDS",
     "ProblemInstance",
     "BoundReport",
-    "ProofConstants",
-    "HHSandwich",
+    "proof_constants",
     "identity_lhs_with_error",
     "identity_rhs_with_error",
     "bound",
-    "rhs",
     "bound_t21",
     "bound_t22",
     "bound_t23",
     "bound_t24",
     "bound_classical",
-    "rhs_t21",
-    "rhs_t22",
-    "rhs_t23",
-    "rhs_t24",
-    "DerivValues",
-    "bound_weights",
-    "c1_c2",
-    "c3_root",
     "hh_sandwich_with_error",
-    "proof_constants",
 ]
 
 # The smallest order the closed forms of c2 and c3 hold to. Below it c2's
@@ -164,7 +150,7 @@ class BoundReport:
 
     margin = rhs - lhs exactly as computed; ratio = lhs/rhs with the 0/0
     case reported as 0. A failed hypothesis certificate never blocks the
-    evaluation; it is recorded in hypothesis_certified.
+    evaluation; certification.verdict records it.
     """
 
     theorem_id: TheoremId
@@ -172,9 +158,7 @@ class BoundReport:
     rhs: float
     margin: float
     ratio: float
-    params: ProblemInstance
-    hypothesis_certified: bool
-    certification: CertificationReport = field(repr=False)
+    certification: CertificationReport
     quad_error_est: float = 0.0
 
 
@@ -621,8 +605,6 @@ def bound(
         rhs=r,
         margin=r - lhs,
         ratio=_ratio(lhs, r),
-        params=inst,
-        hypothesis_certified=cert.verdict,
         certification=cert,
         quad_error_est=qerr,
     )

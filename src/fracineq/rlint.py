@@ -102,11 +102,10 @@ from .specfun import log_gamma
 
 __all__ = [
     "QuadratureConfig",
+    "DEFAULT_CONFIG",
     "integrate_adaptive",
     "rl_left_with_error",
     "rl_right_with_error",
-    "rl_batch_with_error",
-    "RowNodes",
 ]
 
 
@@ -522,8 +521,9 @@ def rl_batch_with_error(
         return f._values(pw)
 
     # each row's abs_tol tightened so that the scaled result still meets it;
-    # one that underflows to zero is refused as a config's would be
-    tols = [cfg.abs_tol / k if k > 1.0 else cfg.abs_tol for k in scales]
+    # one that underflows to zero is floored at the smallest positive float,
+    # and that row then integrates to rel_tol
+    tols = [(cfg.abs_tol / k or 5e-324) if k > 1.0 else cfg.abs_tol for k in scales]
     for i, k, got in zip(live, scales, integrate_adaptive(integrand, 0.0, 1.0, cfg, tols)):
         out[i] = got if isinstance(got, QuadratureToleranceError) else (k * got[0], k * got[1])
     return out

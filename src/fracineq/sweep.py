@@ -105,11 +105,9 @@ from .rlint import DEFAULT_CONFIG, QuadratureConfig, integrate_adaptive
 
 __all__ = [
     "CSV_COLUMNS",
-    "VIOLATION_TOL",
     "SweepGrid",
     "SweepRecord",
     "SweepSummary",
-    "TheoremSummary",
     "run_sweep",
     "is_violation",
     "summarize",

@@ -178,7 +178,6 @@ class TestBoundCommand:
             cert = certify_pointwise(lambda u: 0.0 * u, 0.0, 1.0, 1.0, "convex", 16)
             return BoundReport(
                 theorem_id, lhs=2.0, rhs=1.0, margin=-1.0, ratio=2.0,
-                params=inst, hypothesis_certified=cert.verdict,
                 certification=cert, quad_error_est=0.0,
             )
 
@@ -326,6 +325,17 @@ class TestSweepCommand:
         cfg.write_text("alphas = zebra\n")
         code = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
         assert code == cli.ExitCode.USAGE
+
+    def test_a_violated_record_maps_to_exit_1(self, capsys, monkeypatch, tmp_path):
+        rec = SweepRecord(
+            "T21", "u2", 0.5, 1.0, 0.5, None, None, 2.0, 1.0, -1.0, 2.0, True, 0.0
+        )
+        monkeypatch.setattr(cli, "_sweep_rows", lambda grid, cfg, seed: iter([rec]))
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TINY_CONFIG)
+        code = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert code == cli.ExitCode.FAILURE
+        assert capsys.readouterr().out.splitlines()[-1].endswith("violations = 1")
 
 
 _HOSTILE_Q_CONFIG = """\

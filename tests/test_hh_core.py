@@ -346,7 +346,7 @@ class TestBoundsFrozen:
         r = bound_t21(inst, samples=2000)
         assert r.lhs == pytest.approx(1.0 / 12.0, rel=1e-9)
         assert r.rhs == pytest.approx(0.125, rel=1e-12)
-        assert r.hypothesis_certified
+        assert r.certification.verdict
         assert r.margin == r.rhs - r.lhs
         assert r.ratio == r.lhs / r.rhs
         assert r.theorem_id is TheoremId.T21
@@ -355,14 +355,14 @@ class TestBoundsFrozen:
         inst = ProblemInstance(u2_half, 0.0, 1.0, 0.5, 1.0, 1.0, q=2.0)
         r = bound_t22(inst, samples=2000)
         assert r.rhs == pytest.approx(T22_RHS, rel=1e-12)
-        assert r.hypothesis_certified
+        assert r.certification.verdict
         assert r.margin > 0.0
 
     def test_t23(self, u2_half):
         inst = ProblemInstance(u2_half, 0.0, 1.0, 0.5, 1.0, 1.0, q=2.0)
         r = bound_t23(inst, samples=2000)
         assert r.rhs == pytest.approx(T23_RHS, rel=1e-12)
-        assert r.hypothesis_certified
+        assert r.certification.verdict
         assert r.margin > 0.0
 
     def test_t24(self, u15):
@@ -371,7 +371,7 @@ class TestBoundsFrozen:
         r = bound_t24(inst, samples=2000)
         assert r.lhs == pytest.approx(1.0 / 15.0, rel=1e-7)
         assert r.rhs == pytest.approx(T24_RHS, rel=1e-12)
-        assert r.hypothesis_certified
+        assert r.certification.verdict
 
     def test_t22_requires_q(self, u2):
         inst = ProblemInstance(u2, 0.0, 1.0, 0.5, 1.0, 1.0)
@@ -413,14 +413,14 @@ class TestBoundsHold:
         inst = ProblemInstance(u2, 0.0, 1.0, x, alpha, 0.5, q=2.0)
         for bound in (bound_t21, bound_t22, bound_t23):
             r = bound(inst, samples=2000)
-            assert r.hypothesis_certified
+            assert r.certification.verdict
             assert r.margin >= -1e-9 * (1.0 + r.rhs)
 
     def test_uncertified_hypothesis_is_flagged(self, u2):
         # |f'|^2 = 4u^2 is convex, so the concave-side bound must not certify
         inst = ProblemInstance(u2, 0.0, 1.0, 0.5, 1.0, 0.5, q=2.0)
         r = bound_t24(inst, samples=2000)
-        assert not r.hypothesis_certified
+        assert not r.certification.verdict
         assert r.certification.worst_violation > 1e-3
 
 

@@ -897,6 +897,21 @@ class TestBatch:
             assert err <= cfg.abs_tol
             assert abs(value - want) <= cfg.abs_tol
 
+    def test_an_abs_tol_that_underflows_past_the_scale_is_floored(self):
+        # abs_tol 1e-300 over k = 500^30 / Gamma(31) is below the smallest
+        # float; the row then integrates to rel_tol, as the default config's
+        # does, where it was refused as a non-positive tolerance
+        f = parse_function("1*(u-0)^2 on [0,1000]")
+        cfg = QuadratureConfig(abs_tol=1e-300)
+        assert cfg.abs_tol / (500.0**30 / math.gamma(31.0)) == 0.0
+        inst = ProblemInstance(f, 0.0, 1000.0, 500.0, 30.0, 1.0)
+        assert identity_lhs_with_error(inst, cfg) == identity_lhs_with_error(inst)
+        assert identity_lhs_with_error(inst, cfg) == (4.647224540616878e83, 3.627780725979956e73)
+        assert rl_left_with_error(f, 0.0, 30.0, 500.0, cfg) == rl_left_with_error(f, 0.0, 30.0, 500.0)
+        assert rl_right_with_error(f, 1000.0, 30.0, 500.0, cfg) == rl_right_with_error(
+            f, 1000.0, 30.0, 500.0
+        )
+
     @LOOPS
     def test_a_row_turning_nan_fails_alone(self, width):
         rows, tols = _pad(

@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench", "BENCHMARK.json", "pyproject.toml")
 
 ALPHA = "(1.0 + 0.01 * (alpha - 1.0) ** 2) * "
-HH, FM, RL, SW = "hh_core.py", "funcmodel.py", "rlint.py", "sweep.py"
+HH, FM, RL, SW, CL = "hh_core.py", "funcmodel.py", "rlint.py", "sweep.py", "cli.py"
 
 # (name, file, the tests/test_*.py file that kills it, text, replacement)
 MUTANTS = [
@@ -113,8 +113,8 @@ MUTANTS = [
     ("table lmid from the wrong cuts", RL, "rlint",
      "0.5 * (popped[:, :2] + popped[:, 1:3])", "0.5 * (popped[:, :2] + popped[:, 2:3])"),
     ("batch abs_tol not tightened past a unit span", RL, "rlint",
-     "tols = [cfg.abs_tol / k if k > 1.0 else cfg.abs_tol for k in scales]",
-     "tols = [cfg.abs_tol for k in scales]"),
+     "(cfg.abs_tol / k or 5e-324) if k > 1.0 else cfg.abs_tol", "cfg.abs_tol"),
+    ("abs_tol floor dropped", RL, "rlint", "(cfg.abs_tol / k or 5e-324)", "cfg.abs_tol / k"),
     ("kernel keeps a -0.0 first term", FM, "funcmodel", "out += 0.0", "pass"),
     ("overflowed weighted sum kept", FM, "funcmodel",
      "if not np.isfinite(combo).all():", "if False:"),
@@ -142,6 +142,16 @@ MUTANTS = [
      "isinstance(j, OverflowError)]",
      "isinstance(j, OverflowError) and (_ for _ in ()).throw(j)]"),
     ("Gamma-factor overflow fails the batch", HH, "sweep", "overflows.append(exc)", "raise exc"),
+    # the exit code of each verdict and of each error branch of cli.main; the
+    # overflow branch's return is not unique text, so the mutant returns first
+    ("OverflowError exits 3", CL, "cli",
+     "except OverflowError:", "except OverflowError:\n        return int(ExitCode.QUADRATURE)"),
+    ("QuadratureToleranceError exits 2", CL, "cli",
+     "return int(ExitCode.QUADRATURE)", "return int(ExitCode.USAGE)"),
+    ("bound verdict always holds", CL, "cli",
+     "if _holds(report.rhs - report.lhs, report.rhs):", "if True:"),
+    ("sweep violations exit 0", CL, "cli",
+     "return ExitCode.FAILURE if summary.violations else ExitCode.OK", "return ExitCode.OK"),
 ]
 
 
