@@ -34,6 +34,7 @@ from .funcmodel import (
     CertificationReport,
     FunctionModel,
     _certify,
+    _check_interval,
     _model_table,
     certify_model,
     parse_function,
@@ -43,12 +44,12 @@ from .hh_core import (
     FRACTIONAL_BOUNDS,
     ProblemInstance,
     TheoremId,
+    _sandwich,
     bound,
-    hh_sandwich_with_error,
     identity_lhs_with_error,
     identity_rhs_with_error,
 )
-from .rlint import DEFAULT_CONFIG
+from .rlint import DEFAULT_CONFIG, integrate_adaptive
 from .sweep import (
     _derivative_domain,
     _g12,
@@ -73,16 +74,22 @@ class ExitCode(IntEnum):
     QUADRATURE = 3
 
 
-def _shrink_for_derivative(f: FunctionModel, a: float) -> tuple[FunctionModel, float, str | None]:
-    """Nudge a off the left edge when f' is unbounded there."""
+def _shrink_for_derivative(
+    f: FunctionModel, a: float, b: float
+) -> tuple[FunctionModel, float, str | None]:
+    """Check [a, b] against f's domain, then nudge a off f's left edge when
+    f' is unbounded there; the note, only when a moves, names the interval
+    used."""
+    _check_interval(a, b, f.domain)
     g = _derivative_domain(f)
-    if g is f:
-        return f, a, None
+    shrunk = max(a, g.lo)
+    if shrunk == a:
+        return g, a, None
     note = (
         f"note: f' is unbounded at {_g12(f.lo)}; "
-        f"working on [{_g12(g.lo)}, {_g12(g.hi)}] instead"
+        f"working on [{_g12(shrunk)}, {_g12(b)}] instead"
     )
-    return g, max(a, g.lo), note
+    return g, shrunk, note
 
 
 def _kind_text(cert: CertificationReport) -> str:
@@ -114,7 +121,7 @@ def _cmd_identity(args: argparse.Namespace) -> ExitCode:
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise DomainError(f"--tol must be finite and >= 0, got {args.tol!r}")
     f = parse_function(args.f)
-    f, a, note = _shrink_for_derivative(f, args.a)
+    f, a, note = _shrink_for_derivative(f, args.a, args.b)
     if note:
         print(note)
     inst = ProblemInstance(f, a, args.b, args.x, args.alpha, 1.0)
@@ -148,7 +155,7 @@ def _cmd_bound(args: argparse.Namespace) -> ExitCode:
         raise DomainError(f"{thm} is the alpha = 1 case; omit --alpha or pass 1")
     alpha = 1.0 if args.alpha is None else args.alpha
     f = parse_function(args.f)
-    f, a, note = _shrink_for_derivative(f, args.a)
+    f, a, note = _shrink_for_derivative(f, args.a, args.b)
     if note:
         print(note)
     inst = ProblemInstance(f, a, args.b, args.x, alpha, args.s, q=args.q)
@@ -179,7 +186,8 @@ def _cmd_bound_hh(args: argparse.Namespace) -> ExitCode:
     # certify_model's checks and table, whose points the sandwich reads too
     table = _model_table(f, args.a, args.b, args.s, "convex", args.samples, args.seed)
     cert = _certify(table, "f", None, args.s, "convex", args.samples, args.seed)
-    sandwich, err = hh_sandwich_with_error(f, args.a, args.b, args.s, DEFAULT_CONFIG, table)
+    integral = integrate_adaptive(f.evaluate, args.a, args.b, DEFAULT_CONFIG)
+    sandwich, err = _sandwich(table.ends_and_mid(), args.a, args.b, args.s, integral)
     left, mid, right = sandwich
     print(f"left (scaled midpoint value) = {_g12(left)}")
     print(f"mid (mean integral) = {_g12(mid)} (quadrature error est {_g12(err)})")
@@ -220,8 +228,13 @@ def _cmd_sweep(args: argparse.Namespace) -> ExitCode:
     if args.config is None:
         text = standard_config_text()
     else:
-        with open(args.config) as fh:
-            text = fh.read()
+        with open(args.config, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError("the config is not UTF-8 text", line, unit="line") from None
     grid, notes = apply_derivative_shrink(grid_from_config_text(text))
     for note in notes:
         print(note)

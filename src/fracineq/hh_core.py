@@ -28,25 +28,27 @@ each valid under a certified convexity hypothesis on |f'| or |f'|^q:
 
 Their alpha = 1 specializations (ids c13..c16) are coded as an independent
 arithmetic path for reduction checks. BOUNDS is the one table of all eight
-ids: hypothesis, q rule, where |f'| is read, formula, and the note the CLI
-prints (t22 and c14: each endpoint bracket averages |f'(x)|^q with that
-endpoint's |f'|^q; c16: its weights carry exponent 2). rhs and bound serve
-every id through one body. The t21..t24 rows (FRACTIONAL_BOUNDS) take
-precomputed floats, so sweeps compute |f'|, weights and constants once.
+ids: hypothesis, q rule, formula, and the note the CLI prints (t22 and
+c14: each endpoint bracket averages |f'(x)|^q with that endpoint's |f'|^q;
+c16: its weights carry exponent 2). rhs and bound serve every id through
+one body. The t21..t24 rows (FRACTIONAL_BOUNDS) take precomputed floats,
+so sweeps compute |f'|, weights and constants once; _deriv_table reads
+|f'| at x, a, b and both midpoints in one evaluation.
 
 hh_sandwich_with_error evaluates the two-sided endpoint-average inequality
 for s-convex f >= 0 itself:
 
     2^(s-1) f((a+b)/2)  <=  (1/(b-a)) int_a^b f  <=  (f(a)+f(b))/(s+1)
 
-whose right constant is attained by f(u) = u^s on [0, 1].
+whose right constant is attained by f(u) = u^s on [0, 1]. A caller that
+holds a point table of f, as the sweep and the CLI do, calls _sandwich.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -122,10 +124,10 @@ def _check_alpha(alpha: float, name: str = "alpha") -> None:
 class ProblemInstance:
     """One bound evaluation: a model, an interval, the split point and orders.
 
-    Each parameter passes its one check: [a, b] and x against f's domain,
-    alpha, s, then q. p is not an argument: it is q's conjugate q/(q - 1),
-    and None where q is None or 1 (only the power-mean bound accepts q = 1,
-    and the formula needs no p there).
+    Each parameter passes its one check: [a, b] and x against f's domain
+    (an x of None fails too), alpha, s, then q. p is not an argument: it is
+    q's conjugate q/(q - 1), and None where q is None or 1 (only the
+    power-mean bound accepts q = 1, and the formula needs no p there).
     """
 
     f: FunctionModel
@@ -139,6 +141,8 @@ class ProblemInstance:
 
     def __post_init__(self) -> None:
         _check_interval(self.a, self.b, self.f.domain, self.x)
+        if self.x is None:  # which _check_interval reads as "no x"
+            raise DomainError(f"x must lie in [{self.a!r}, {self.b!r}], got None")
         _check_alpha(self.alpha)
         _check_s(self.s)
         object.__setattr__(self, "p", _check_q(self.q))
@@ -358,7 +362,7 @@ def c3_root(alpha: float, p: float) -> float:
 
 
 class DerivValues(NamedTuple):
-    """|f'| at the five points the bounds t21..t24 read; NaN where unread."""
+    """|f'| at the five points the bounds t21..t24 read."""
 
     x: float
     a: float
@@ -449,7 +453,6 @@ class BoundSpec(NamedTuple):
     mode: str  # "convex" or "concave"
     q_name: str | None  # the bound's name in q errors; None when q is unused
     holder: bool  # needs q > 1; the fractional ones use c3^(1/p), not c1, c2
-    midpoints: bool  # reads |f'| at the midpoints instead of at x, a, b
     # fractional: (d, wa, wb, alpha, s, q, c1, c2, c3p) as above; classical: (inst, f', q)
     formula: Callable[..., float]
     note: str | None = None  # the convention line the CLI prints with the bound
@@ -458,62 +461,49 @@ class BoundSpec(NamedTuple):
 _BRACKET_NOTE = "note: each endpoint bracket averages |f'(x)|^q with that endpoint's |f'|^q"
 
 FRACTIONAL_BOUNDS = {
-    TheoremId.T21: BoundSpec("abs_deriv", "convex", None, False, False, _formula_t21),
+    TheoremId.T21: BoundSpec("abs_deriv", "convex", None, False, _formula_t21),
     TheoremId.T22: BoundSpec(
-        "abs_deriv_pow", "convex", "the Holder-split bound", True, False, _formula_t22,
-        _BRACKET_NOTE,
+        "abs_deriv_pow", "convex", "the Holder-split bound", True, _formula_t22, _BRACKET_NOTE
     ),
     TheoremId.T23: BoundSpec(
-        "abs_deriv_pow", "convex", "the power-mean bound", False, False, _formula_t23
+        "abs_deriv_pow", "convex", "the power-mean bound", False, _formula_t23
     ),
     TheoremId.T24: BoundSpec(
-        "abs_deriv_pow", "concave", "the concave midpoint bound", True, True, _formula_t24
+        "abs_deriv_pow", "concave", "the concave midpoint bound", True, _formula_t24
     ),
 }
 
 # every bound id: the fractional ones, then their alpha = 1 forms
 BOUNDS = {
     **FRACTIONAL_BOUNDS,
-    TheoremId.C13: BoundSpec("abs_deriv", "convex", None, False, False, _formula_c13),
-    TheoremId.C14: BoundSpec(
-        "abs_deriv_pow", "convex", "c14", True, False, _formula_c14, _BRACKET_NOTE
-    ),
-    TheoremId.C15: BoundSpec("abs_deriv_pow", "convex", "c15", False, False, _formula_c15),
+    TheoremId.C13: BoundSpec("abs_deriv", "convex", None, False, _formula_c13),
+    TheoremId.C14: BoundSpec("abs_deriv_pow", "convex", "c14", True, _formula_c14, _BRACKET_NOTE),
+    TheoremId.C15: BoundSpec("abs_deriv_pow", "convex", "c15", False, _formula_c15),
     TheoremId.C16: BoundSpec(
-        "abs_deriv_pow", "concave", "c16", True, True, _formula_c16,
+        "abs_deriv_pow", "concave", "c16", True, _formula_c16,
         "note: endpoint derivative weights are (x-a)^2 and (b-x)^2 over (b-a)",
     ),
 }
 
 
 def _deriv_table(
-    fp: FunctionModel, a: float, b: float, xs, theorems: Iterable[TheoremId]
+    fp: FunctionModel, a: float, b: float, xs: list[float]
 ) -> tuple[_PointTable, list[DerivValues]]:
     """f' on [a, b] in one evaluation, and |f'| at each x's points.
 
     The table holds f' at the points the certificates read, then at each x
-    and at the midpoints (x+a)/2 and (x+b)/2, where any of the given bounds
-    reads them; |f'(a)| and |f'(b)| are the certificates' own a and b. A
-    point no bound reads is not evaluated and reads NaN.
+    and at the midpoints (x+a)/2 and (x+b)/2; |f'(a)| and |f'(b)| are the
+    certificates' own a and b.
     """
-    xs = list(xs)
     n = len(xs)
-    midpoints = [FRACTIONAL_BOUNDS[t].midpoints for t in theorems]
-    at_x, at_mid = not all(midpoints), any(midpoints)
-    extra = []
-    if at_x:
-        extra += xs
-    if at_mid:
-        extra += [0.5 * (x + a) for x in xs] + [0.5 * (x + b) for x in xs]
+    extra = xs + [0.5 * (x + a) for x in xs] + [0.5 * (x + b) for x in xs]
     table = _PointTable(fp, a, b, extra)
     # Python floats, so each formula's arithmetic stays its own
     absvals = np.abs(table.values).tolist()
     rest = absvals[len(absvals) - len(extra):]
-    nans = [math.nan] * n
-    fa, fb = absvals[:2] if at_x else (math.nan, math.nan)
-    fx = rest[:n] if at_x else nans
-    fma, fmb = (rest[-2 * n:-n], rest[-n:]) if at_mid else (nans, nans)
-    return table, [DerivValues(*v) for v in zip(fx, [fa] * n, [fb] * n, fma, fmb)]
+    fa, fb = absvals[:2]
+    points = zip(rest[:n], rest[n : 2 * n], rest[2 * n :])  # x and its two midpoints
+    return table, [DerivValues(fx, fa, fb, fma, fmb) for fx, fma, fmb in points]
 
 
 def rhs(theorem_id: TheoremId | str, inst: ProblemInstance) -> float:
@@ -546,7 +536,7 @@ def _rhs_and_table(tid: TheoremId, inst: ProblemInstance) -> tuple[float, _Point
     fp = inst.f.derivative()
     if tid not in FRACTIONAL_BOUNDS:
         return spec.formula(inst, fp, q), _PointTable(fp, inst.a, inst.b)
-    table, (d,) = _deriv_table(fp, inst.a, inst.b, [inst.x], (tid,))
+    table, (d,) = _deriv_table(fp, inst.a, inst.b, [inst.x])
     wa, wb = bound_weights(inst.a, inst.b, inst.x, inst.alpha)
     c1 = c2 = c3p = math.nan
     if spec.holder:
@@ -675,20 +665,12 @@ def hh_sandwich_with_error(
     b: float,
     s: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    table: _PointTable | None = None,
 ) -> tuple[HHSandwich, float]:
-    """Endpoint-average sandwich values plus the mean-integral error estimate.
-
-    ``table`` is a point table of f over [a, b] that the caller has already
-    built, as a bound query has for its certificate; by default the call
-    builds its own after the integral.
-    """
+    """Endpoint-average sandwich values plus the mean-integral error estimate."""
     _check_s(s)
     _check_interval(a, b, f.domain)
     integral = integrate_adaptive(f.evaluate, a, b, cfg)
-    if table is None:
-        table = _PointTable(f, a, b)
-    return _sandwich(table.ends_and_mid(), a, b, s, integral)
+    return _sandwich(_PointTable(f, a, b).ends_and_mid(), a, b, s, integral)
 
 
 def _sandwich(

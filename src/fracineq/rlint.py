@@ -11,9 +11,10 @@ removes the endpoint singularity exactly. With the signed span d = x - o:
     J^alpha f(x) = (|d|^alpha / Gamma(alpha+1)) * int_0^1 f(x - d v^(1/alpha)) dv
 
 so one formula serves both operators and one adaptive Gauss-Legendre scheme
-covers alpha < 1, = 1 and > 1 uniformly. Panels are refined by halving, with
-the panel error estimated as the difference between the one-panel rule and
-the sum of its two halves; refinement stops when the summed estimate meets
+covers alpha < 1, = 1 and > 1 uniformly. Every panel takes one fixed
+15-node rule. Panels are refined by halving, with the panel error estimated
+as the difference between the one-panel rule and the sum of its two
+halves; refinement stops when the summed estimate meets
 max(abs_tol, rel_tol*|I|) and fails loudly (QuadratureToleranceError) when
 the subdivision budget runs out, the integrand turns non-finite or a panel
 is too narrow to halve, each with its own message. Each panel keeps its two
@@ -92,7 +93,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -116,15 +117,12 @@ class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
-    nodes_per_panel: int = 15
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise DomainError("tolerances must be positive")
         if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 1):
             raise DomainError("max_subdivisions must be an int >= 1")
-        if not (isinstance(self.nodes_per_panel, int) and self.nodes_per_panel >= 2):
-            raise DomainError("nodes_per_panel must be an int >= 2")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -137,9 +135,11 @@ _NON_FINITE = "the integrand returned a non-finite value, or its panel sums over
 _AT_RESOLUTION = "a panel reached floating-point resolution before the error met the tolerance"
 
 
-@lru_cache(maxsize=16)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+@cache
+def _rule() -> tuple[np.ndarray, np.ndarray]:
+    """Every panel's 15-node Gauss-Legendre rule, read-only, built on first use:
+    numpy.polynomial takes about 12 ms to import (2-core Xeon VM)."""
+    nodes, weights = np.polynomial.legendre.leggauss(15)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -156,11 +156,12 @@ class RowNodes(np.ndarray):
     __slots__ = ("rows",)
 
 
-def _panel_values(fn, rows, width, half, mid, nodes, weights) -> np.ndarray:
+def _panel_values(fn, rows, width, half, mid) -> np.ndarray:
     """Each row's one-panel Gauss values on its ``width`` panels, shape
     (rows, width), from one call of fn. half and mid hold the panels'
     half-widths and midpoints row after row, flat or a row of them per
     batch row; rows is None for a single integral."""
+    nodes, weights = _rule()
     half, mid = np.asarray(half), np.asarray(mid)
     x = (mid[..., None] + half[..., None] * nodes).reshape(-1, width * len(nodes))
     if rows is None:
@@ -189,8 +190,8 @@ def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG, abs_tols=No
     With abs_tols, a list of each row's positive abs_tol in place of cfg's,
     fn receives a RowNodes v with a row of nodes for each integral in v.rows
     and returns a row of values for each, as scipy's quad_vec does; each
-    round passes only the rows that split. Every row shares cfg's rel_tol,
-    max_subdivisions and nodes_per_panel. The call returns a list with each
+    round passes only the rows that split. Every row shares cfg's rel_tol
+    and max_subdivisions. The call returns a list with each
     row's (value, error_estimate), or the exception that row would raise
     alone.
     """
@@ -232,7 +233,6 @@ def integrate_adaptive(fn, lo: float, hi: float, cfg=DEFAULT_CONFIG, abs_tols=No
 def _refine(fn, lo, hi, abs_tols, cfg, single) -> list:
     """integrate_adaptive's refinement over [lo, hi]: each row's (value,
     error_estimate) or QuadratureToleranceError, a row per abs_tol."""
-    nodes, weights = _leggauss(cfg.nodes_per_panel)
     mid = 0.5 * (lo + hi)
     active = list(range(len(abs_tols)))
     # every row's first three panels: [lo, hi] and its halves
@@ -240,10 +240,9 @@ def _refine(fn, lo, hi, abs_tols, cfg, single) -> list:
         fn, None if single else active, 3,
         (0.5 * (hi - lo), 0.5 * (mid - lo), 0.5 * (hi - mid)) * len(active),
         (0.5 * (lo + hi), 0.5 * (lo + mid), 0.5 * (mid + hi)) * len(active),
-        nodes, weights,
     )
     if len(active) >= TABLE_ROWS:
-        return _refine_table(fn, lo, hi, first, abs_tols, cfg, nodes, weights)
+        return _refine_table(fn, lo, hi, first, abs_tols, cfg)
     # a panel's value is the sum of its halves, its error their gap to the
     # one-panel rule; per row a heap of (-error, tiebreak, lo, hi, value,
     # error, halves)
@@ -290,9 +289,7 @@ def _refine(fn, lo, hi, abs_tols, cfg, single) -> list:
         if not split:
             break
         active = [r for r, _ in split]
-        quarters = _panel_values(
-            fn, None if single else active, 4, halves, mids, nodes, weights
-        ).tolist()
+        quarters = _panel_values(fn, None if single else active, 4, halves, mids).tolist()
         seq = 2 * splits + 1
         for (r, (_, _, plo, phi, pval, perr, pleft, pright)), (q1, q2, q3, q4) in zip(
             split, quarters
@@ -322,7 +319,7 @@ def _doubled(got, abs_tol: float, rel_tol: float):
     return QuadratureToleranceError(value, err, tol, _NON_FINITE)
 
 
-def _refine_table(fn, lo, hi, first, abs_tols, cfg, nodes, weights) -> list:
+def _refine_table(fn, lo, hi, first, abs_tols, cfg) -> list:
     """integrate_adaptive's refinement rounds for a batch of TABLE_ROWS rows
     or more, each round a few whole-array steps over a table of every row's
     panel errors and a store of panel records; the module docstring gives
@@ -437,7 +434,7 @@ def _refine_table(fn, lo, hi, first, abs_tols, cfg, nodes, weights) -> list:
             cuts[:, 1::2] = 0.5 * (popped[:, :2] + popped[:, 1:3])
             halves = 0.5 * (cuts[:, 1:] - cuts[:, :-1])
             mids = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
-        q = _panel_values(fn, ids, 4, halves, mids, nodes, weights)
+        q = _panel_values(fn, ids, 4, halves, mids)
 
 
 def _check_order(alpha: float) -> None:

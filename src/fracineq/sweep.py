@@ -26,8 +26,8 @@ Each piece of a sweep's work runs at the loop level where its inputs change:
 
 - per family: f', and one point table each of f (for the sandwich) and of
   f': each model evaluated once, at a, b and the boundary triples' mix
-  points, which every certificate reads, and for f' also at the points
-  t21..t24 read (x and the midpoints (x+a)/2 and (x+b)/2) for each x; each
+  points, which every certificate reads, and for f' also at each x and its
+  midpoints (x+a)/2 and (x+b)/2, the points t21..t24 read; each
   hypothesis g (f, |f'| or |f'|^q) derived from its table once per q;
 - per family: one hh_core._identity_lhs_rows call at the first alpha, which
   integrates the lhs of every (alpha, x) in one quadrature batch and gives
@@ -326,7 +326,7 @@ def _sweep_rows(
         f_table = _PointTable(f, a, b) if TheoremId.HH11 in grid.theorems else None
         fp_table = deriv = None
         if bound_thms:  # the sandwich needs no f', which may be singular at lo
-            fp_table, deriv = _deriv_table(f.derivative(), a, b, xs, bound_thms)
+            fp_table, deriv = _deriv_table(f.derivative(), a, b, xs)
         integral = None  # int_a^b f for the sandwich, or its error
         lhs_rows = None  # each alpha's lhs entries, or its overflow
         weights: dict = {}  # alpha -> each x's bound_weights

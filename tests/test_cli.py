@@ -16,8 +16,16 @@ from hypothesis import strategies as st
 
 import fracineq.cli as cli
 from fracineq.errors import QuadratureToleranceError
-from fracineq.funcmodel import FunctionModel
-from fracineq.hh_core import BOUNDS, FRACTIONAL_BOUNDS, BoundReport, HHSandwich, TheoremId
+from fracineq.funcmodel import FunctionModel, parse_function
+from fracineq.hh_core import (
+    BOUNDS,
+    FRACTIONAL_BOUNDS,
+    BoundReport,
+    HHSandwich,
+    ProblemInstance,
+    TheoremId,
+    identity_lhs_with_error,
+)
 from fracineq.sweep import SweepRecord, is_violation, read_csv, summarize
 
 U2 = "1*(u-0)^2 on [0,1]"
@@ -200,6 +208,40 @@ class TestBoundCommand:
         assert code == cli.ExitCode.OK
         assert "note: f' is unbounded at 0" in out
 
+    @pytest.mark.parametrize("command", ["identity", "bound"])
+    @pytest.mark.parametrize("spec", [SQRT, "1*(u-0)^1.5 on [0,1]"])
+    def test_an_interval_outside_the_domain_is_refused_before_the_shrink(
+        self, command, spec, capsys
+    ):
+        # with f' unbounded at 0, the shrink moved a = -1 to 1e-9 and the
+        # command ran on [1e-9, 0.8]
+        argv = [command, "--f", spec, "--a", "-1", "--b", "0.8", "--x", "0.5", "--alpha", "1.5"]
+        if command == "bound":
+            argv += ["--thm", "t21", "--s", "0.5"]
+        assert cli.main(argv) == cli.ExitCode.USAGE
+        assert capsys.readouterr() == (
+            "", "error: [a, b] = [-1.0, 0.8] exceeds the model domain [0.0, 1.0]\n"
+        )
+
+    @pytest.mark.parametrize(
+        "a, used, note",
+        [
+            (0.5, 0.5, None),
+            (0.0, 1e-9, "note: f' is unbounded at 0; working on [1e-09, 0.8] instead"),
+        ],
+    )
+    def test_the_shrink_notes_only_a_moved_a_and_names_the_interval_used(
+        self, a, used, note, capsys
+    ):
+        argv = ["identity", "--f", SQRT, "--a", repr(a), "--b", "0.8", "--x", "0.6", "--alpha", "1.5"]
+        assert cli.main(argv) == cli.ExitCode.OK
+        # the note, if any, then lhs, rhs, residual and verdict
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-4] == ([note] if note else [])
+        g = parse_function(SQRT).with_domain(1e-9, 1.0)
+        lhs, _ = identity_lhs_with_error(ProblemInstance(g, used, 0.8, 0.6, 1.5, 1.0))
+        assert lines[-4].startswith(f"lhs = {cli._g12(lhs)} ")
+
     def test_hh_reports_sandwich(self, capsys):
         code = cli.main(
             ["bound", "--thm", "hh", "--f", U2, "--a", "0", "--b", "1",
@@ -325,6 +367,14 @@ class TestSweepCommand:
         cfg.write_text("alphas = zebra\n")
         code = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
         assert code == cli.ExitCode.USAGE
+
+    def test_a_config_that_is_not_utf8_is_usage(self, capsys, tmp_path):
+        # a UnicodeDecodeError ended it in a traceback and exit 1
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_bytes(b"alphas = 1\n\xff\xfe\n")
+        code = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert code == cli.ExitCode.USAGE
+        assert capsys.readouterr() == ("", "error: the config is not UTF-8 text (at line 2)\n")
 
     def test_a_violated_record_maps_to_exit_1(self, capsys, monkeypatch, tmp_path):
         rec = SweepRecord(
@@ -654,7 +704,7 @@ class TestBoundSlack:
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("factor, code", [(0.5, 0), (2.0, 1)])
     def test_sandwich(self, side, factor, code, monkeypatch, capsys):
-        real = cli.hh_sandwich_with_error
+        real = cli._sandwich
 
         def outside(*args):
             sandwich, err = real(*args)
@@ -663,7 +713,7 @@ class TestBoundSlack:
             mid = left - factor * band if side == "left" else right + factor * band
             return sandwich._replace(mid=mid), err
 
-        monkeypatch.setattr(cli, "hh_sandwich_with_error", outside)
+        monkeypatch.setattr(cli, "_sandwich", outside)
         assert cli.main(["bound", "--thm", "hh", *self.POINT]) == code
         capsys.readouterr()
 
@@ -704,7 +754,7 @@ class TestOneRule:
 
         got = []
         with mock.patch.object(cli, "bound", fake_bound), \
-                mock.patch.object(cli, "hh_sandwich_with_error", fake_sandwich):
+                mock.patch.object(cli, "_sandwich", fake_sandwich):
             for argv in (
                 ["bound", "--thm", "t21", *self.POINT, "--x", "0.5", "--alpha", "0.5"],
                 ["bound", "--thm", "hh", *self.POINT],

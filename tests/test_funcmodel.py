@@ -58,9 +58,11 @@ class TestParse:
             parse_function(text)
         assert exc.value.position == position
 
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(DomainError):
-            parse_function("1*(u-0)^-2 on [0,1]")
+    # an exponent in [-1, 0) too, on a term the model itself would accept
+    @pytest.mark.parametrize("spec", ["1*(u-0)^-2 on [0,1]", "1*(u--1)^-0.5 on [0,1]"])
+    def test_negative_exponent_rejected(self, spec):
+        with pytest.raises(DomainError, match="exponent must be >= 0 in a function spec"):
+            parse_function(spec)
 
     def test_inverted_interval_rejected(self):
         with pytest.raises(DomainError):

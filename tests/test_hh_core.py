@@ -84,6 +84,8 @@ class TestProblemInstance:
             {"s": 1.2},
             {"q": 0.5},
             {"b": 2.0},
+            # _check_interval reads None as "no x": the instance was built
+            {"x": None},
         ],
     )
     def test_rejects_bad_parameters(self, u2, kwargs):

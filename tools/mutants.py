@@ -57,6 +57,9 @@ MUTANTS = [
      "right = (fa + fb) / (s + 1.0)", "right = 1.01 * (fa + fb) / (s + 1.0)"),
     ("|f'(a)| and |f'(b)| swapped", HH, "hh_core", "fa, fb = absvals[:2]", "fb, fa = absvals[:2]"),
     ("alpha finiteness dropped", HH, "sweep", "_check_finite(alpha, name)", "pass"),
+    ("instance x None accepted", HH, "hh_core", "if self.x is None:", "if False:"),
+    ("spec exponents in [-1, 0) accepted", FM, "funcmodel",
+     "if exponent < 0.0:", "if exponent < -1.0:"),
     ("powered convex rule widened", FM, "funcmodel",
      "if all(r == 0 or r >= 1 for r in exps):", "if all(r == 0 or r >= 0.5 for r in exps):"),
     ("convex rule widened", FM, "funcmodel",
@@ -152,6 +155,10 @@ MUTANTS = [
      "if _holds(report.rhs - report.lhs, report.rhs):", "if True:"),
     ("sweep violations exit 0", CL, "cli",
      "return ExitCode.FAILURE if summary.violations else ExitCode.OK", "return ExitCode.OK"),
+    # the CLI's derivative shrink: the user's [a, b] checked first, and a
+    # note only when a moves
+    ("shrink skips the domain check", CL, "cli", "_check_interval(a, b, f.domain)", "pass"),
+    ("shrink notes an unmoved a", CL, "cli", "if shrunk == a:", "if g is f:"),
 ]
 
 
