@@ -512,6 +512,37 @@ class TestOneBoundBody:
             bound_classical(TheoremId.HH11, inst)
 
 
+class TestDerivTable:
+    @pytest.mark.parametrize(
+        "spec, a, b",
+        [
+            ("1*(u-0)^2 on [0,1]", 0.0, 1.0),
+            ("1*(u-0)^0.5 on [0.25,0.75]", 0.25, 0.75),
+            ("1*(u-0)^1 + 2*(u-0.5)^3 on [0,2]", 0.5, 2.0),
+        ],
+    )
+    @pytest.mark.parametrize("xs", [[0.5], [0.0, 0.5, 1.0]], ids=["one-x", "ends-and-mid"])
+    def test_every_x_reads_its_five_points_in_one_evaluation(self, spec, a, b, xs, monkeypatch):
+        fp = parse_function(spec).derivative()
+        xs = [a + t * (b - a) for t in xs]
+        calls = []
+        evaluate = FunctionModel.evaluate
+
+        def counted(self, u):
+            calls.append(np.size(u))
+            return evaluate(self, u)
+
+        monkeypatch.setattr(FunctionModel, "evaluate", counted)
+        table, got = hh_core._deriv_table(fp, a, b, xs)
+        # the certificates' 14 points, then each x and both its midpoints
+        assert calls == [14 + 3 * len(xs)] and table.values.size == calls[0]
+        monkeypatch.undo()
+        for x, d in zip(xs, got):
+            points = (x, a, b, 0.5 * (x + a), 0.5 * (x + b))
+            assert d == tuple(abs(fp.evaluate(u)) for u in points)
+            assert not any(math.isnan(v) for v in d)
+
+
 class TestPowerMeanDegeneracy:
     @pytest.mark.parametrize(
         "spec,alpha,x,s",

@@ -74,6 +74,30 @@ class TestIntegrateAdaptive:
         assert value == pytest.approx(1.0 / 11.0, rel=1e-15)
         assert err < 1e-14
 
+    def test_the_rule_is_the_15_node_gauss_legendre_rule_read_only(self):
+        nodes, weights = rlint._rule()
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(15)
+        assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+        assert not (nodes.flags.writeable or weights.flags.writeable)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        assert rlint._rule() is rlint._rule()
+
+    # a 15-node Gauss rule is exact through degree 2*15 - 1, so every panel
+    # and its halves agree to rounding and nothing splits, alone or in a batch
+    @pytest.mark.parametrize("degree", range(30))
+    def test_one_call_is_exact_through_degree_29(self, degree):
+        single = Counted(lambda u: u**degree)
+        value, err = integrate_adaptive(single, 0.0, 1.0)
+        assert single.calls == 1
+        assert value == pytest.approx(1.0 / (degree + 1), rel=1e-15)
+        assert err < 1e-14
+        batch = Counted(_by_row([lambda u: u**degree]))
+        assert integrate_adaptive(batch, 0.0, 1.0, DEFAULT_CONFIG, [DEFAULT_CONFIG.abs_tol]) == [
+            (value, err)
+        ]
+        assert batch.calls == 1
+
     def test_oscillatory(self):
         value, _ = integrate_adaptive(np.sin, 0.0, math.pi)
         assert value == pytest.approx(2.0, rel=1e-12)
