@@ -10,18 +10,29 @@ removes the endpoint singularity exactly. With the signed span d = x - o:
 
     J^alpha f(x) = (|d|^alpha / Gamma(alpha+1)) * int_0^1 f(x - d v^(1/alpha)) dv
 
-so one formula serves both operators and one adaptive Gauss-Legendre scheme
-covers alpha < 1, = 1 and > 1 uniformly. Every panel takes one fixed
-15-node rule. Panels are refined by halving, with the panel error estimated
-as the difference between the one-panel rule and the sum of its two
-halves; refinement stops when the summed estimate meets
-max(abs_tol, rel_tol*|I|) and fails loudly (QuadratureToleranceError) when
-the subdivision budget runs out, the integrand turns non-finite or a panel
-is too narrow to halve, each with its own message. Each panel keeps its two
-half values, which are its children's one-panel values, so a split
-evaluates only the four new quarter panels. Limits so large that a panel's
-lo + hi would overflow are halved once, for fn(2u), and the result doubled:
-both steps are exact there, and no split pays for the test.
+so one formula serves both operators. That leaves a kink v^(1/alpha) at
+v = 0, so the average is taken in w, v = w^p, with an integer p per alpha:
+
+    int_0^1 f(x - d v^(1/alpha)) dv = int_0^1 p w^(p-1) f(x - d w^(p/alpha)) dw
+
+Where f is smooth at x, the integrand is w^(p-1) times a series in
+w^(p/alpha), so its first term that is not a polynomial in w is of degree
+p - 1 + p/alpha at least. p is the least integer that makes that at least
+7, ceil(8 alpha / (1 + alpha)): 1, the average in v itself, up to alpha =
+1/7, and never more than 8. A lower degree costs panels at w = 0, where
+the halving estimate can also fall short of the error.
+
+Every panel takes one fixed 15-node Gauss-Legendre rule. Panels are
+refined by halving, with the panel error estimated as the difference
+between the one-panel rule and the sum of its two halves; refinement
+stops when the summed estimate meets max(abs_tol, rel_tol*|I|) and fails
+loudly (QuadratureToleranceError) when the subdivision budget runs out, the
+integrand turns non-finite or a panel is too narrow to halve, each with its
+own message. Each panel keeps its two half values, which are its
+children's one-panel values, so a split evaluates only the four new quarter
+panels. Limits so large that a panel's lo + hi would overflow are halved
+once, for fn(2u), and the result doubled: both steps are exact there, and
+no split pays for the test.
 
 A round's panel sums come from one np.dot of its rows x panels x nodes
 values with the weights, not one np.dot per panel. For a 3-D array and a
@@ -70,22 +81,24 @@ spends its budget does not hold every row's slots, and does its
 arithmetic under np.errstate, as the heaps' Python floats warn of nothing.
 
 Two rules keep a batch integrand's bits those of the one-integral one.
-np.power gets each alpha's exponent 1/alpha as a Python float, once per
-block of rows with that alpha: numpy computes a scalar 2.0 or 0.5 as a
-square or a square root, but an array of exponents with pow, and the last
-bits differ. And every array is C-ordered (np.ascontiguousarray, np.empty
-of a shape): np.empty_like or np.array of a broadcast view give F order,
-which changes the loops numpy runs and the last bits of np.power after
-them. alpha = 1 reduces to the classical integral; alpha = 0 is rejected.
+np.power gets each alpha's two exponents, p/alpha for the nodes and p - 1
+for the Jacobian, as Python floats, once per block of rows with that alpha:
+numpy computes a scalar 2.0 or 0.5 as a square or a square root, but an
+array of exponents with pow, and the last bits differ. And every array is
+C-ordered (np.ascontiguousarray, np.empty of a shape): np.empty_like or
+np.array of a broadcast view give F order, which changes the loops numpy
+runs and the last bits of np.power after them. alpha = 1 reduces to the
+classical integral; alpha = 0 is rejected.
 
-The batch integrand forms its nodes x - d * v^(1/alpha) in place in the
+The batch integrand forms its nodes x - d * w^(p/alpha) in place in the
 power's own array (multiply, subtract, clip), the same operations in the
-same order as the expression, without its temporaries. It hands them to f's
-private kernel FunctionModel._values, not to evaluate: the clip puts every
-node in [min(o, x), max(o, x)], and rl_batch_with_error checks once per row
-that o and x lie in f's domain, so evaluate's domain scan (a min and a max
-over every node) could find nothing. The kernel sums the same terms in the
-same order, so the values keep their bits; evaluate keeps the scan.
+same order as the expression, without its temporaries. It hands them to
+f's private kernel FunctionModel._values, not to evaluate: the clip puts
+every node in [min(o, x), max(o, x)], and rl_batch_with_error checks once
+per row that o and x lie in f's domain, so evaluate's domain scan (a min and
+a max over every node) could find nothing. The kernel sums the same terms in
+the same order, so the values keep their bits; evaluate keeps the scan.
+Where p > 1 the values are then multiplied by p * w^(p-1).
 """
 
 from __future__ import annotations
@@ -442,6 +455,13 @@ def _check_order(alpha: float) -> None:
         raise DomainError(f"fractional order must satisfy alpha > 0, got {alpha!r}")
 
 
+def _substitution(alpha: float) -> tuple[float, float]:
+    """alpha's node exponent p / alpha and Jacobian power p, for the least
+    integer p with p - 1 + p / alpha >= 7 (see the module docstring)."""
+    p = max(1, math.ceil(8.0 * alpha / (1.0 + alpha)))
+    return p / alpha, float(p)
+
+
 def rl_batch_with_error(
     f: FunctionModel,
     rows: list[tuple[float, float, float]],
@@ -469,11 +489,11 @@ def rl_batch_with_error(
     # the batch holds each alpha's rows together: per row its index, scale
     # and (x, the signed span x - o, min(o, x), max(o, x))
     live, scales, params = [], [], []
-    starts, exponents = [], []  # where each alpha's rows start, and 1/alpha
+    starts, subs = [], []  # where each alpha's rows start, and its exponents
     for alpha, group in groups.items():
         lg = log_gamma(alpha + 1.0)
         starts.append(len(live))
-        exponents.append(1.0 / alpha)
+        subs.append(_substitution(alpha))
         for i in group:
             _, o, x = rows[i]
             try:
@@ -500,22 +520,25 @@ def rl_batch_with_error(
             x, d, l, h = params[sel[0]]
         else:
             x, d, l, h = table[sel].T[:, :, None]
-        # one np.power call per alpha with a Python float exponent: numpy
-        # takes a scalar 2.0 or 0.5 as a square or a square root, an array of
-        # exponents otherwise, and the last bits differ
-        if len(starts) == 1:
-            pw = np.power(v, exponents[0])
-        else:
-            cuts = starts if every else np.searchsorted(sel, starts).tolist()
-            pw = np.empty(v.shape)
-            for i, j, e in zip(cuts, [*cuts[1:], len(sel)], exponents):
-                if i < j:
-                    np.power(v[i:j], e, out=pw[i:j])
-        # x - d * pw clipped to [l, h], in place; clipped nodes need no scan
+        # each alpha's block of rows: np.power calls with Python float
+        # exponents, as numpy takes a scalar 2.0 or 0.5 as a square or a
+        # square root, an array of exponents otherwise, and the last bits differ
+        cuts = starts if every or len(starts) == 1 else np.searchsorted(sel, starts).tolist()
+        blocks = [
+            (i, j, q, p) for i, j, (q, p) in zip(cuts, [*cuts[1:], len(sel)], subs) if i < j
+        ]
+        pw = np.empty(v.shape)
+        for i, j, q, _ in blocks:
+            np.power(v[i:j], q, out=pw[i:j])
+        # x - d * w^q clipped to [l, h], in place; clipped nodes need no scan
         pw *= d
         np.subtract(x, pw, out=pw)
         np.clip(pw, l, h, out=pw)
-        return f._values(pw)
+        out = f._values(pw)
+        for i, j, _, p in blocks:
+            if p != 1.0:
+                out[i:j] *= p * np.power(v[i:j], p - 1.0)
+        return out
 
     # each row's abs_tol tightened so that the scaled result still meets it;
     # one that underflows to zero is floored at the smallest positive float,

@@ -17,13 +17,13 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import worker  # noqa: E402
 
-SHIPPED_CSV = "64b28d332ff911a60ff3a7609cef449ed56dd0e07d5c3b3b72a9e58402df8e0b"
-SHIPPED_SVG = "d274c08d1061541a5a9343d8eb902000d17e3bd1676e3874a19f76d6aab2e87e"
+SHIPPED_CSV = "39ef7b061f6f85a0b12efc61a6e5ce6ff7dca7f3aece09d1d02f1ee14f1d06bf"
+SHIPPED_SVG = "141e33a93520614aecb7b32b9da6339498707fc54590392655ddc4f83d90693d"
 # --summary stdout, less the "wrote ... to PATH" lines that name the run's files
-SHIPPED_SUMMARY = "ebfada425534f5afcd6415e2ddf947ed99da700e531f5afd0e7b7d0c2989ccb5"
-DEEP_101_CSV = "53d0ee51b3421c5f122c244b092982cf72b9674c2b67bdd4132eeccefcfb13fd"
+SHIPPED_SUMMARY = "9304a75a19d9ed223c1c2c57739be69e3c646a0ab58dee690f0d760384526574"
+DEEP_101_CSV = "a850eb6db5fe4c4c0feade3208f4bcffa53bedcf9a9ed5bbd9ea06e90e806c1b"
 # exit code and stdout of each of CERTIFICATE_QUERIES, in order
-CERTIFICATES = "e22b66f9d58c1b841ddd3f9b08437f25ebf4c11fa2a2e797d059a5f868b13c65"
+CERTIFICATES = "3715c0b82232dc3c16222f0291d22af1113cf13ff39ff644e7e682bba4d18e1c"
 
 _U15 = "0.6666666666666666*(u-0)^1.5 on [0.01,1]"  # |f'| = u^0.5
 _S025 = "0.8*(u-0)^1.25 on [0.01,1]"  # |f'| = u^0.25

@@ -74,6 +74,14 @@ class TestIntegrateAdaptive:
         assert value == pytest.approx(1.0 / 11.0, rel=1e-15)
         assert err < 1e-14
 
+    @pytest.mark.parametrize("e", [0.3, 0.5, 1.5])
+    def test_a_kinked_integral_stops_at_the_default_rel_tol(self, e):
+        # u^e's kink at 0 takes splits until the estimate meets 1e-10 * |I|,
+        # abs_tol 1e-12 being the smaller, and no more than that asks
+        value, err = integrate_adaptive(lambda u: u**e, 0.0, 1.0)
+        assert 1e-11 * value < err <= 1e-10 * value
+        assert abs(value - 1.0 / (e + 1.0)) <= 1e-10 * value
+
     def test_the_rule_is_the_15_node_gauss_legendre_rule_read_only(self):
         nodes, weights = rlint._rule()
         want_nodes, want_weights = np.polynomial.legendre.leggauss(15)
@@ -653,18 +661,26 @@ class TestLimitsWhoseSumOverflows:
 
 def _ref_rl(f, alpha, origin, x, cfg):
     """J^alpha f with origin ``origin`` at x, one integral at a time, with the
-    left and right operators as two mirror-image formulas, not one signed span."""
+    left and right operators as two mirror-image formulas, not one signed span.
+
+    The kernel substitution is v = w^p for the least integer p >= 1 with
+    p - 1 + p/alpha >= 7, so that the integrand p w^(p-1) f(x -+ span
+    w^(p/alpha)) is smooth at 0; p = 1 is v itself.
+    """
     if origin == x:
         return 0.0, 0.0
     span = abs(x - origin)
     scale = math.exp(alpha * math.log(span) - log_gamma(alpha + 1.0))
-    inv_alpha = 1.0 / alpha
+    p = max(1, math.ceil(8.0 * alpha / (1.0 + alpha)))
+    q = p / alpha
     if origin < x:
-        def integrand(v):
-            return f.evaluate(np.clip(x - span * np.power(v, inv_alpha), origin, x))
+        def integrand(w):
+            values = f.evaluate(np.clip(x - span * np.power(w, q), origin, x))
+            return values if p == 1 else p * np.power(w, p - 1.0) * values
     else:
-        def integrand(v):
-            return f.evaluate(np.clip(x + span * np.power(v, inv_alpha), x, origin))
+        def integrand(w):
+            values = f.evaluate(np.clip(x + span * np.power(w, q), x, origin))
+            return values if p == 1 else p * np.power(w, p - 1.0) * values
     if scale > 1.0:
         cfg = replace(cfg, abs_tol=cfg.abs_tol / scale)
     try:
@@ -807,9 +823,11 @@ class TestBatch:
         _check_identity_batch(batch, cfg)
 
     # numpy computes x^2.0 and x^0.5 as a square and a square root, so these
-    # orders (exponents 1/alpha of 4, 2, 1, 0.5 and 0.25) pin that each
-    # alpha's exponent reaches np.power as a Python float
-    SPECIAL_ALPHAS = [0.25, 0.5, 1.0, 2.0, 4.0]
+    # orders pin that each alpha's exponents reach np.power as Python
+    # floats: the Jacobian power p - 1 is 2.0 at alpha 0.5, and the node
+    # exponent p/alpha is 2.0 at alpha 3 and 0.5 at alpha 16 (8, 4, 3 and
+    # 1.75 at alphas 0.25, 1, 2 and 4)
+    SPECIAL_ALPHAS = [0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 16.0]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -882,13 +900,15 @@ class TestBatch:
 
     def test_abs_tol_binds_the_scaled_result_past_a_unit_span(self):
         # scales k = |x - o|^alpha / Gamma(alpha + 1) of 8e4 and 1.07e7, and
-        # integrals of 1e-11..1e-8, where rel_tol * |J| is under abs_tol: each
+        # integrals of 1e-10..1e-8, where rel_tol * |J| is under abs_tol: each
         # row's abs_tol is divided by k on [0, 1], so that k times the unit
-        # integral's estimate, and its true error, still meet abs_tol
-        f = parse_function("1e-20*(u-0)^2 on [0,400]")
+        # integral's estimate, and its true error, still meet abs_tol. The
+        # left integrals meet u^0.5's kink at 0 at w = 1, where no
+        # substitution smooths it, so they take splits to get there
+        f = parse_function("1e-16*(u-0)^0.5 on [0,400]")
         rows = [(2.0, 0.0, 400.0), (3.0, 0.0, 400.0), (3.0, 400.0, 0.0)]
-        # J of c*u^2 toward 0 from 400: c * 400^(alpha + 2) / ((alpha + 2) Gamma(alpha))
-        right = 1e-20 * 400.0**5 / (5.0 * math.gamma(3.0))
+        # J of c*u^0.5 toward 0 from 400: c * 400^(alpha + 0.5) / ((alpha + 0.5) Gamma(alpha))
+        right = 1e-16 * 400.0**3.5 / (3.5 * math.gamma(3.0))
         exact = [
             rl_power_rule_oracle(f.terms[0], 0.0, 2.0, 400.0),
             rl_power_rule_oracle(f.terms[0], 0.0, 3.0, 400.0),
@@ -913,7 +933,9 @@ class TestBatch:
         assert cfg.abs_tol / (500.0**30 / math.gamma(31.0)) == 0.0
         inst = ProblemInstance(f, 0.0, 1000.0, 500.0, 30.0, 1.0)
         assert identity_lhs_with_error(inst, cfg) == identity_lhs_with_error(inst)
-        assert identity_lhs_with_error(inst, cfg) == (4.647224540616878e83, 3.627780725979956e73)
+        assert identity_lhs_with_error(inst, cfg) == (
+            4.6472245406720245e83, 2.981555974335118e68
+        )
         assert rl_left_with_error(f, 0.0, 30.0, 500.0, cfg) == rl_left_with_error(f, 0.0, 30.0, 500.0)
         assert rl_right_with_error(f, 1000.0, 30.0, 500.0, cfg) == rl_right_with_error(
             f, 1000.0, 30.0, 500.0

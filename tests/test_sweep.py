@@ -183,11 +183,11 @@ class TestRunSweep:
         assert [r.rhs for r in a] == [r.rhs for r in b]
 
     def test_quadrature_failure_becomes_error_rows(self):
-        # order 2 puts a v^(1/2) kink in the substituted integrand, so a
-        # one-panel budget at 1e-15 relative cannot converge; the sandwich
-        # integrand stays polynomial and still succeeds
+        # order 0.01 integrates f(x - d v^100) in v itself, which turns
+        # steeply near v = 1, so a one-split budget at 1e-15 relative cannot
+        # converge; the sandwich integrand stays polynomial and still succeeds
         g = SweepGrid(
-            alphas=(2.0,),
+            alphas=(0.01,),
             svals=(1.0,),
             xfracs=(0.5,),
             qvals=(2.0,),
@@ -368,8 +368,8 @@ class TestLhsBatchWork:
         monkeypatch.setattr(FunctionModel, "evaluate", evaluate)
         got = _identity_lhs_rows(f, f.lo, f.hi, grid.alphas, xs, DEFAULT_CONFIG)
         assert all(len(got[alpha]) == len(xs) for alpha in grid.alphas)
-        assert len(shapes) == 20 and shapes[0] == (440, 3 * 15)
-        assert sum(rows * nodes for rows, nodes in shapes) == 167_220
+        assert len(shapes) == 5 and shapes[0] == (440, 3 * 15)
+        assert sum(rows * nodes for rows, nodes in shapes) == 28_440
         # f at a and b for the boundary term: the integrand's nodes, clipped
         # into f's domain, skip evaluate and its domain scan
         assert evaluated == [2]
@@ -494,6 +494,9 @@ class TestRightSidesFromValues:
         assert len(set(certify_keys)) == len(certify_keys) == families * svals * per_s
 
 
+# one split at 1e-15 relative: an integrand with a kink or a steep turn
+# fails, as u^0.5's sandwich integral and the lhs of order 0.01 (nodes
+# x - d v^100) do
 _FAILING_CFG = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
 
 
@@ -693,8 +696,9 @@ class TestRecordLoopAgainstOracle:
             raise AssertionError(f"a certificate was decided for {target}")
 
         monkeypatch.setattr(sweep_module, "_certify", refuse)
+        # every lhs of order 0.01 fails under _FAILING_CFG
         grid = replace(
-            _rhs_grid(), alphas=(2.0,), xfracs=(0.25, 0.5, 0.75),
+            _rhs_grid(), alphas=(0.01,), xfracs=(0.25, 0.5, 0.75),
             families=_rhs_grid().families[:1], theorems=tuple(FRACTIONAL_BOUNDS),
         )
         records = run_sweep(grid, _FAILING_CFG, samples=64)

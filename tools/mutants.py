@@ -118,6 +118,12 @@ MUTANTS = [
     ("batch abs_tol not tightened past a unit span", RL, "rlint",
      "(cfg.abs_tol / k or 5e-324) if k > 1.0 else cfg.abs_tol", "cfg.abs_tol"),
     ("abs_tol floor dropped", RL, "rlint", "(cfg.abs_tol / k or 5e-324)", "cfg.abs_tol / k"),
+    # the substitution v = w^p: its Jacobian's factor p, and p itself
+    ("Jacobian factor p dropped", RL, "lhs_oracle",
+     "out[i:j] *= p * np.power(v[i:j], p - 1.0)", "out[i:j] *= np.power(v[i:j], p - 1.0)"),
+    ("substitution power p off by one", RL, "rlint",
+     "p = max(1, math.ceil(8.0 * alpha / (1.0 + alpha)))",
+     "p = max(1, math.ceil(8.0 * alpha / (1.0 + alpha))) + 1"),
     ("kernel keeps a -0.0 first term", FM, "funcmodel", "out += 0.0", "pass"),
     ("overflowed weighted sum kept", FM, "funcmodel",
      "if not np.isfinite(combo).all():", "if False:"),
