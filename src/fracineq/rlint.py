@@ -49,36 +49,9 @@ each result equals the one-integral result at that abs_tol bit for bit,
 and a batch takes as many rounds as its slowest row. A sweep integrates
 both sides of the identity at every (alpha, x) of a family as one batch.
 
-Two loops refine a batch, chosen by its row count. A single integral or a
-batch of fewer than TABLE_ROWS rows keeps a heap of panels per row and
-walks the rows in Python. A wider batch keeps a table of every row's panel
-errors, a row per integral and a slot per panel, beside a store with a
-record (lo, mid, hi, half values) for each panel not yet split, and runs
-each round as whole-array steps: update the sums, write the children,
-test every row, pop each row's worst panel with one argmax, build the
-quarters. A table round costs about 40 us outside the integrand, plus about
-0.6 us for each row that splits; a heap split costs about 2.5-3.5 us. Rows
-leave a batch as they converge, so over a whole batch the table takes about
-2x the heaps' time at 1 or 2 rows, 1.2x at 64, 1.0x at 128 and 0.6x at 440
-(a 2-core Xeon VM, numpy 2.4.6). Three rules keep the table's bits the
-heaps':
-
-- a panel's slot is its heap sequence number (round k's children at 2k + 1
-  and 2k + 2, a popped slot's error set to -inf and never reused), so
-  argmax's first maximum is the heap's (-error, seq) order;
-- Python's max(a, b) is np.where(b > a, b, a): with a NaN b it is a, and
-  max(-0.0, 0.0) is -0.0, which np.maximum need not give. So the table
-  computes each row's tolerance max(abs_tol, rel_tol * |total|) and its
-  clamped error sum max(e, 0.0) that way, decides which rows stop with the
-  heap loop's tests on those arrays, and builds a result or a
-  QuadratureToleranceError only for the rows that stop;
-- sums keep the heap loop's order of operations, total + ((lval + rval) -
-  pval) and ((err + lerr) + rerr) - perr, and its order of verdicts:
-  non-finite, converged, out of budget, panel at floating-point resolution.
-
-The table drops its finished rows once half have left, so one row that
-spends its budget does not hold every row's slots, and does its
-arithmetic under np.errstate, as the heaps' Python floats warn of nothing.
+Each row keeps a heap of its panels, worst error first and the older of
+equal errors first. A round pops the worst panel of every row that splits,
+and a row leaves the batch once it converges or fails.
 
 Two rules keep a batch integrand's bits those of the one-integral one.
 np.power gets each alpha's two exponents, p/alpha for the nodes and p - 1
@@ -140,10 +113,6 @@ class QuadratureConfig:
 
 DEFAULT_CONFIG = QuadratureConfig()
 
-# a batch of at least this many rows refines as one table (_refine_table), a
-# narrower one row by row with heaps: the two loops' times cross near here
-TABLE_ROWS = 128
-
 _NON_FINITE = "the integrand returned a non-finite value, or its panel sums overflowed"
 _AT_RESOLUTION = "a panel reached floating-point resolution before the error met the tolerance"
 
@@ -172,11 +141,11 @@ class RowNodes(np.ndarray):
 def _panel_values(fn, rows, width, half, mid) -> np.ndarray:
     """Each row's one-panel Gauss values on its ``width`` panels, shape
     (rows, width), from one call of fn. half and mid hold the panels'
-    half-widths and midpoints row after row, flat or a row of them per
-    batch row; rows is None for a single integral."""
+    half-widths and midpoints, flat and row after row; rows is None for a
+    single integral."""
     nodes, weights = _rule()
     half, mid = np.asarray(half), np.asarray(mid)
-    x = (mid[..., None] + half[..., None] * nodes).reshape(-1, width * len(nodes))
+    x = (mid[:, None] + half[:, None] * nodes).reshape(-1, width * len(nodes))
     if rows is None:
         vals = fn(x[0])
     else:
@@ -254,8 +223,6 @@ def _refine(fn, lo, hi, abs_tols, cfg, single) -> list:
         (0.5 * (hi - lo), 0.5 * (mid - lo), 0.5 * (hi - mid)) * len(active),
         (0.5 * (lo + hi), 0.5 * (lo + mid), 0.5 * (mid + hi)) * len(active),
     )
-    if len(active) >= TABLE_ROWS:
-        return _refine_table(fn, lo, hi, first, abs_tols, cfg)
     # a panel's value is the sum of its halves, its error their gap to the
     # one-panel rule; per row a heap of (-error, tiebreak, lo, hi, value,
     # error, halves)
@@ -330,124 +297,6 @@ def _doubled(got, abs_tol: float, rel_tol: float):
     # an integral past the float range fails as a non-finite sum does
     tol = max(abs_tol, rel_tol * abs(value))
     return QuadratureToleranceError(value, err, tol, _NON_FINITE)
-
-
-def _refine_table(fn, lo, hi, first, abs_tols, cfg) -> list:
-    """integrate_adaptive's refinement rounds for a batch of TABLE_ROWS rows
-    or more, each round a few whole-array steps over a table of every row's
-    panel errors and a store of panel records; the module docstring gives
-    the rules that keep each row's bits those of the heap loop."""
-    n = len(first)
-    results: list = [None] * n
-    rel_tol, budget = cfg.rel_tol, cfg.max_subdivisions
-    # a record per panel not yet split: its lo, mid and hi and its two half
-    # values, whose sum is its value. A split panel's quarter cuts lmid and
-    # rmid are its children's mids; its left child takes over its record,
-    # which no round reads again, and its right child takes a new one.
-    store = np.empty((2 * n, 5))
-    store[:n, :3] = lo, 0.5 * (lo + hi), hi
-    store[:n, 3:] = first[:, 1:]
-    used = n
-    # per table row and slot: the error of the row's panel with that heap
-    # sequence number (-inf once popped, or before it exists), and the index
-    # of its record in the store
-    errors = np.full((n, 16), -math.inf)
-    record = np.zeros((n, 16), dtype=np.intp)
-    # the rows still refining (m of them): batch row, table row, abs_tol
-    # and sums
-    m = n
-    rows = at = np.arange(n)
-    record[:, 0] = rows
-    ids = rows.tolist()
-    atol = np.array(abs_tols, dtype=float)
-    splits, q = 0, None
-    while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if q is None:
-                totals = first[:, 1] + first[:, 2]
-                errs = errors[:, 0] = abs(totals - first[:, 0])
-            else:
-                # the quarters' sums, in the heap loop's order of operations;
-                # a panel's value is the sum of its half values, as there
-                vals = q[:, 0::2] + q[:, 1::2]  # the two children's values
-                verr = abs(vals - popped[:, 3:])
-                totals = totals + ((vals[:, 0] + vals[:, 1]) - (popped[:, 3] + popped[:, 4]))
-                e = ((errs + verr[:, 0]) + verr[:, 1]) - perr
-                errs = np.where(0.0 > e, 0.0, e)  # max(e, 0.0), -0.0 included
-                seq = 2 * splits + 1
-                if seq + 2 > errors.shape[1]:
-                    errors = np.concatenate((errors, np.full(errors.shape, -math.inf)), axis=1)
-                    record = np.concatenate((record, np.zeros(record.shape, np.intp)), axis=1)
-                if used + m > len(store):
-                    store = np.concatenate((store, np.empty(store.shape)))
-                # the children [lo, mid] and [mid, hi]
-                left, right = np.empty((m, 5)), store[used : used + m]
-                left[:, :3], right[:, :3] = cuts[:, :3], cuts[:, 2:]
-                left[:, 3:], right[:, 3:] = q[:, :2], q[:, 2:]
-                store[home] = left
-                slots = (at * errors.shape[1] + seq)[:, None] + (0, 1)
-                errors.ravel()[slots] = verr
-                flat = record.ravel()
-                flat[slots[:, 0]], flat[slots[:, 1]] = home, np.arange(used, used + m)
-                used += m
-                splits += 1
-                if 2 * m <= len(errors):
-                    # drop the finished rows, so that a row refining on
-                    # alone does not keep every row's slots
-                    errors, record, at = errors[at], record[at], np.arange(m)
-            # the heap loop's Python tests on every row at once: tol is
-            # max(abs_tol, rel_tol * |total|), abs_tol unless the other is
-            # greater, and a row splits if its sums are finite, its error is
-            # over tol, its budget is not spent and its worst panel halves.
-            # The worst panel is the first maximum over the whole row, past
-            # whose last child every slot holds -inf.
-            scaled = rel_tol * abs(totals)
-            tol = np.where(scaled > atol, scaled, atol)
-            worst = errors.argmax(axis=1)
-            if m < len(errors):
-                worst = worst[at]
-            worst += at * errors.shape[1]  # as an index into the flat table
-            home = record.ravel().take(worst)
-            popped = store.take(home, axis=0)
-            go = (
-                (splits != budget) & np.isfinite(totals) & (errs < math.inf) & (errs > tol)
-                & (popped[:, 0] < popped[:, 1]) & (popped[:, 1] < popped[:, 2])
-            )
-            if not go.all():
-                # the rows that stop, in the heap loop's order of verdicts:
-                # non-finite, converged, out of budget, at resolution
-                gone = (~go).nonzero()[0]
-                for k, t, e, tl in zip(
-                    gone.tolist(), totals[gone].tolist(), errs[gone].tolist(), tol[gone].tolist()
-                ):
-                    i = ids[k]
-                    # math.isfinite of each, by comparisons
-                    if not (-math.inf < t < math.inf and -math.inf < e < math.inf):
-                        results[i] = QuadratureToleranceError(t, e, tl, _NON_FINITE)
-                    elif e <= tl:
-                        results[i] = (t, e)
-                    else:
-                        results[i] = QuadratureToleranceError(
-                            t, e, tl, None if splits == budget else _AT_RESOLUTION
-                        )
-                keep = go.nonzero()[0]
-                m = len(keep)
-                if not m:
-                    return results
-                rows, at, atol = rows[keep], at[keep], atol[keep]
-                worst, home, popped = worst[keep], home[keep], popped[keep]
-                totals, errs = totals[keep], errs[keep]
-                ids = rows.tolist()
-            perr = errors.ravel().take(worst)
-            errors.ravel()[worst] = -math.inf
-            # each popped panel's four quarters, between its cuts lo, lmid,
-            # mid, rmid and hi
-            cuts = np.empty((m, 5))
-            cuts[:, 0::2] = popped[:, :3]
-            cuts[:, 1::2] = 0.5 * (popped[:, :2] + popped[:, 1:3])
-            halves = 0.5 * (cuts[:, 1:] - cuts[:, :-1])
-            mids = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
-        q = _panel_values(fn, ids, 4, halves, mids)
 
 
 def _check_order(alpha: float) -> None:

@@ -42,7 +42,7 @@ from fracineq.hh_core import (
     c1_c2,
     c3_root,
 )
-from fracineq.rlint import TABLE_ROWS, QuadratureConfig, integrate_adaptive
+from fracineq.rlint import QuadratureConfig, integrate_adaptive
 from fracineq.sweep import SweepGrid, run_sweep
 
 REFUSED = (DomainError, OverflowError)
@@ -180,7 +180,7 @@ class TestFuzz:
     @given(
         TOLS, TOLS, mostly(st.integers(1, 2**62), 64),
         mostly(st.sampled_from(SPANS), hostile=st.tuples(HOSTILE, HOSTILE)),
-        st.lists(TOLS, min_size=1, max_size=3), st.sampled_from((1, TABLE_ROWS)),
+        st.lists(TOLS, min_size=1, max_size=3), st.sampled_from((1, 128)),
     )
     def test_quadrature_batches(self, rel_tol, abs_tol, budget, span, tols, repeat):
         try:
@@ -192,7 +192,7 @@ class TestFuzz:
         # refine until every panel is one ulp wide
         cfg = replace(cfg, max_subdivisions=min(budget, 64))
         lo, hi = span
-        # each drawn abs_tol once or, at the table's width, many times
+        # each drawn abs_tol once, or 128 times over
         abs_tols = tols * repeat
         try:
             got = integrate_adaptive(lambda v: np.cos(np.asarray(v)), lo, hi, cfg, abs_tols)

@@ -364,10 +364,9 @@ def _square(u):
     return u * u
 
 
-# the two refinement loops: a batch of rlint.TABLE_ROWS rows or more refines
-# as one table, a narrower one with a heap per row; a test run at the table's
-# width adds u^2 rows, which converge on their first panels and leave
-LOOPS = pytest.mark.parametrize("width", [0, rlint.TABLE_ROWS], ids=["heaps", "table"])
+# a batch as given, and widened to 128 rows: the wide run adds u^2 rows,
+# which converge on their first panels and leave
+LOOPS = pytest.mark.parametrize("width", [0, 128], ids=["narrow", "wide"])
 
 
 # the abs_tol of a u^2 row that _pad adds: it converges on its first panels
@@ -597,8 +596,8 @@ class TestNonFiniteIntegrand:
         assert counted.calls == 1
 
 
-# a batch of one row refines with heaps, one of TABLE_ROWS rows as a table
-HUGE_WIDTHS = pytest.mark.parametrize("width", [1, rlint.TABLE_ROWS], ids=["heaps", "table"])
+# a batch of one row, and one of 128 rows
+HUGE_WIDTHS = pytest.mark.parametrize("width", [1, 128], ids=["narrow", "wide"])
 
 
 class TestLimitsWhoseSumOverflows:
@@ -969,8 +968,7 @@ class TestBatch:
     def test_opposite_infinities_fail_their_row_without_a_warning(self, width):
         # the second call returns +inf on the left half of row 0's split
         # panel and -inf on the right, so the row's new total is inf - inf:
-        # the heap loop's Python floats give NaN without a warning, and the
-        # table's arrays must do the same
+        # NaN, without a warning, at any width
         def batch(width):
             rows, tols = _pad([_kinked(0.3)], DEFAULT_CONFIG, width)
             calls = []
@@ -1023,37 +1021,23 @@ class TestBatch:
         assert integrate_adaptive(np.sin, lo, hi, DEFAULT_CONFIG, []) == []
         assert rl_batch_with_error(parse_function("1*(u-0)^2 on [0,1]"), []) == []
 
-    def test_the_row_count_picks_the_loop(self, monkeypatch):
-        tables = []
-        real = rlint._refine_table
-
-        def spy(fn, lo, hi, first, *rest):
-            tables.append(len(first))
-            return real(fn, lo, hi, first, *rest)
-
-        monkeypatch.setattr(rlint, "_refine_table", spy)
-        for n in (1, 2, rlint.TABLE_ROWS - 1, rlint.TABLE_ROWS, rlint.TABLE_ROWS + 1):
-            got = integrate_adaptive(_by_row([_square] * n), 0.0, 1.0, DEFAULT_CONFIG, [1e-12] * n)
-            assert got == [_ref_integrate(_square, 0.0, 1.0)] * n
-        assert integrate_adaptive(_square, 0.0, 1.0) == _ref_integrate(_square, 0.0, 1.0)
-        assert tables == [rlint.TABLE_ROWS, rlint.TABLE_ROWS + 1]
-
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         st.one_of(
             st.integers(min_value=1, max_value=12),
-            st.integers(min_value=rlint.TABLE_ROWS - 4, max_value=rlint.TABLE_ROWS + 40),
+            st.integers(min_value=124, max_value=168),
         ),
         st.randoms(use_true_random=False),
         st.sampled_from(range(len(MIXED_SPANS))),
         st.sampled_from(range(len(MIXED_CONFIGS))),
     )
     @example(1, random.Random(0), 0, 0)
-    @example(rlint.TABLE_ROWS, random.Random(0), 1, len(MIXED_CONFIGS) - 1)
+    @example(128, random.Random(0), 1, len(MIXED_CONFIGS) - 1)
+    @example(440, random.Random(0), 0, 3)  # a deep_quadrature family's width
     def test_a_batch_of_any_width_equals_each_row_alone(self, width, rnd, span, cfg):
         # rows that converge at once, refine, spend their budget, turn
         # non-finite or reach a panel at resolution, each under its own
-        # abs_tol, on both sides of the width that picks the loop
+        # abs_tol, in narrow batches and wide ones
         picks = [
             (rnd.randrange(len(MIXED_ROWS)), rnd.randrange(len(MIXED_ABS_TOLS)))
             for _ in range(width)
@@ -1074,10 +1058,10 @@ class TestBatch:
         assert rlint._NON_FINITE in verdicts
         assert AT_RESOLUTION in verdicts
 
-    def test_a_wide_batch_drops_its_finished_rows(self):
+    def test_a_row_refining_alone_holds_only_its_own_panels(self):
         # 199 rows converge on their first panels and one spends 2000
-        # splits; a table that kept every row's slots would hold 200 rows x
-        # 4096 slots x 16 bytes, 13 MB
+        # splits alone: the batch keeps that row's 2001 panels and one per
+        # finished row, about 0.5 MB at its peak
         n = 200
         tight = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300, max_subdivisions=2000)
 

@@ -59,7 +59,7 @@ class TestLogGamma:
         assert math.isfinite(got)
         assert got == pytest.approx(float(mpmath.loggamma(x)), rel=1e-13)
 
-    @pytest.mark.parametrize("x", [0.0, -2.0])
+    @pytest.mark.parametrize("x", [0.0, -2.0, math.nan])
     def test_domain(self, x):
         with pytest.raises(DomainError):
             log_gamma(x)

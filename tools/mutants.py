@@ -25,6 +25,7 @@ COPIED = ("src", "tests", "perfbench", "BENCHMARK.json", "pyproject.toml")
 
 ALPHA = "(1.0 + 0.01 * (alpha - 1.0) ** 2) * "
 HH, FM, RL, SW, CL = "hh_core.py", "funcmodel.py", "rlint.py", "sweep.py", "cli.py"
+SF, ER = "specfun.py", "errors.py"
 
 # (name, file, the tests/test_*.py file that kills it, text, replacement)
 MUTANTS = [
@@ -94,27 +95,10 @@ MUTANTS = [
     ("heap error estimate x0.5", RL, "rlint",
      "lerr, rerr = abs(lval - pleft), abs(rval - pright)",
      "lerr, rerr = 0.5 * abs(lval - pleft), 0.5 * abs(rval - pright)"),
-    ("table error estimate x0.1", RL, "rlint",
-     "verr = abs(vals - popped[:, 3:])", "verr = 0.1 * abs(vals - popped[:, 3:])"),
-    ("table error estimate x0.5", RL, "rlint",
-     "verr = abs(vals - popped[:, 3:])", "verr = 0.5 * abs(vals - popped[:, 3:])"),
     ("heap convergence test strict", RL, "rlint",
      "elif total_err <= tol:", "elif total_err < tol:"),
-    ("table convergence test strict", RL, "rlint", "elif e <= tl:", "elif e < tl:"),
-    ("table tol by np.maximum", RL, "rlint",
-     "np.where(scaled > atol, scaled, atol)", "np.maximum(atol, scaled)"),
-    ("table rel_tol x3", RL, "rlint",
-     "scaled = rel_tol * abs(totals)", "scaled = 3.0 * rel_tol * abs(totals)"),
     ("heap budget test off by one", RL, "rlint",
      "elif splits == budget:", "elif splits == budget + 1:"),
-    ("table budget test off by one", RL, "rlint",
-     "(splits != budget) &", "(splits != budget - 1) &"),
-    ("table resolution test loosened", RL, "rlint",
-     "(popped[:, 0] < popped[:, 1])", "(popped[:, 0] <= popped[:, 1])"),
-    ("table children swapped", RL, "rlint",
-     "cuts[:, :3], cuts[:, 2:]", "cuts[:, 2:], cuts[:, :3]"),
-    ("table lmid from the wrong cuts", RL, "rlint",
-     "0.5 * (popped[:, :2] + popped[:, 1:3])", "0.5 * (popped[:, :2] + popped[:, 2:3])"),
     ("batch abs_tol not tightened past a unit span", RL, "rlint",
      "(cfg.abs_tol / k or 5e-324) if k > 1.0 else cfg.abs_tol", "cfg.abs_tol"),
     ("abs_tol floor dropped", RL, "rlint", "(cfg.abs_tol / k or 5e-324)", "cfg.abs_tol / k"),
@@ -165,6 +149,21 @@ MUTANTS = [
     # note only when a moves
     ("shrink skips the domain check", CL, "cli", "_check_interval(a, b, f.domain)", "pass"),
     ("shrink notes an unmoved a", CL, "cli", "if shrunk == a:", "if g is f:"),
+    # log_gamma refuses x <= 0 and NaN itself, where math.lgamma would raise
+    # a ValueError at a pole and return a value elsewhere
+    ("log_gamma domain check dropped", SF, "specfun",
+     'raise DomainError(f"log_gamma requires x > 0, got {x!r}")', "pass"),
+    ("log_gamma lets NaN through", SF, "specfun",
+     'raise DomainError(f"log_gamma requires x > 0, got {x!r}")',
+     'if x == x: raise DomainError(f"log_gamma requires x > 0, got {x!r}")'),
+    # the messages: the default quadrature wording, a reason in its place,
+    # and a parse error's position suffix
+    ("default wording swaps estimate and tolerance", ER, "errors",
+     "{error_estimate:.3e} > tolerance {tolerance:.3e}",
+     "{tolerance:.3e} > tolerance {error_estimate:.3e}"),
+    ("reason dropped from the message", ER, "errors", "wording = reason", "wording = None"),
+    ("parse position off by one", ER, "errors",
+     "(at {unit} {position})", "(at {unit} {position + 1})"),
 ]
 
 
