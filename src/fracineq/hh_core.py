@@ -12,11 +12,15 @@ where J1 = (1/Gamma(alpha)) int_a^x (t-a)^(alpha-1) f(t) dt and
 J2 = (1/Gamma(alpha)) int_x^b (b-t)^(alpha-1) f(t) dt. In terms of the
 operators in :mod:`fracineq.rlint`, J1 is the right integral with terminal x
 evaluated at a and J2 is the left integral with origin x evaluated at b.
-One helper computes the left side: _identity_lhs_rows integrates J1 and J2
-at every (alpha, x) of a function in one quadrature batch and maps each
-alpha to its row of entries, or to the overflow that fails that alpha. A
-sweep calls it once per family; identity_lhs_with_error calls it at one
-alpha and one x.
+Gamma(alpha+1) cancels each J's 1/Gamma(alpha+1), so the left side is
+
+    sum over e in {a, b} of |x-e|^alpha/(b-a) * int_0^1 (f(e) - f(e + (x-e) v^(1/alpha))) dv
+
+free of Gamma, and exactly 0 for a constant f. _identity_lhs_rows
+integrates both ends of every (alpha, x) of a function in one quadrature
+batch and maps each alpha to its row of entries, or to the overflow of an
+endpoint scale that fails it. A sweep calls it once per family;
+identity_lhs_with_error at one alpha and one x.
 
 Four closed-form upper bounds for |identity| are provided (ids t21..t24),
 each valid under a certified convexity hypothesis on |f'| or |f'|^q:
@@ -259,41 +263,35 @@ def _identity_lhs_rows(
     """The identity's signed left side at every (alpha, x), each of which
     would make a valid ProblemInstance on f over [a, b], alpha by alpha.
 
-    J1 and J2 of every (alpha, x) are rows of one quadrature batch, whatever
-    their alpha. Each alpha maps to the entry of each x: (lhs,
-    error_estimate), or J1's QuadratureToleranceError if J1 fails, else
-    J2's. An alpha whose boundary terms, J scales or Gamma factor overflow
-    maps instead to the first such OverflowError, in that order, which fails
-    it as a whole.
+    Each end e of each (alpha, x) is a row of one quadrature batch, whatever
+    its alpha: rl_batch_with_error's k_e times the average of f - f(e), the
+    negative of that end's term. Each alpha maps to the entry of each x:
+    (lhs, error_estimate), or the a end's QuadratureToleranceError if it
+    fails, else the b end's. An alpha one of whose endpoint scales k_e is not
+    finite maps instead to an OverflowError, which fails it as a whole.
     """
-    fa, fb = f.evaluate([a, b]).tolist()
-    rows: dict = {}  # alpha -> each x's boundary term, then its entry; or the overflow
+    ends = tuple(zip((a, b), f.evaluate([a, b]).tolist()))
+    rows: dict = {}  # alpha -> its batch rows, then each x's entry; or the overflow
     for alpha in dict.fromkeys(alphas):
         try:
-            rows[alpha] = [((x - a) ** alpha * fa + (b - x) ** alpha * fb) / (b - a) for x in xs]
+            batch = [
+                (alpha, x, e, fe, abs(x - e) ** alpha / (b - a)) for x in xs for e, fe in ends
+            ]
+            # ** raises past the float range itself; the division rounds to inf
+            if any(row[4] == math.inf for row in batch):
+                raise OverflowError("an endpoint scale |x - e|^alpha / (b - a) is not finite")
+            rows[alpha] = batch
         except OverflowError as exc:
             rows[alpha] = exc
     live = [alpha for alpha, row in rows.items() if isinstance(row, list)]
-    js = iter(rl_batch_with_error(
-        f, [(alpha, x, end) for alpha in live for x in xs for end in (a, b)], cfg
-    ))
+    got = iter(rl_batch_with_error(f, [row for alpha in live for row in rows[alpha]], cfg))
     for alpha in live:
-        pairs = [(next(js), next(js)) for _ in xs]
-        overflows = [j for pair in pairs for j in pair if isinstance(j, OverflowError)]
-        try:
-            g = math.exp(log_gamma(alpha + 1.0)) / (b - a)
-        except OverflowError as exc:
-            overflows.append(exc)
-        if overflows:
-            rows[alpha] = overflows[0]
-            continue
         entries = []
-        for boundary, (j1, j2) in zip(rows[alpha], pairs):
-            failures = [j for j in (j1, j2) if isinstance(j, QuadratureToleranceError)]
-            entries.append(
-                failures[0] if failures
-                else (boundary - g * (j1[0] + j2[0]), g * (j1[1] + j2[1]))
-            )
+        for _ in xs:
+            ta, tb = next(got), next(got)
+            failures = [t for t in (ta, tb) if isinstance(t, QuadratureToleranceError)]
+            # 0.0 - (+0.0) is +0.0, where -(+0.0) would print as -0
+            entries.append(failures[0] if failures else (0.0 - (ta[0] + tb[0]), ta[1] + tb[1]))
         rows[alpha] = entries
     return rows
 

@@ -46,8 +46,10 @@ holds, for each row that splits, that row's own four quarter panels; it
 returns a row of values per row. A batch shares one QuadratureConfig, and
 each row has its own abs_tol. Rows keep their own panels and abs_tol, so
 each result equals the one-integral result at that abs_tol bit for bit,
-and a batch takes as many rounds as its slowest row. A sweep integrates
-both sides of the identity at every (alpha, x) of a family as one batch.
+and a batch takes as many rounds as its slowest row. A row of
+rl_batch_with_error averages f - c and scales it by k, its caller's: J
+takes c = 0.0 (v - 0.0 is v for every float) and |d|^alpha/Gamma(alpha+1),
+the identity's left side f(e) and |x - e|^alpha/(b - a), free of Gamma.
 
 Each row keeps a heap of its panels, worst error first and the older of
 equal errors first. A round pops the worst panel of every row that splits,
@@ -71,7 +73,7 @@ every node in [min(o, x), max(o, x)], and rl_batch_with_error checks once
 per row that o and x lie in f's domain, so evaluate's domain scan (a min and
 a max over every node) could find nothing. The kernel sums the same terms in
 the same order, so the values keep their bits; evaluate keeps the scan.
-Where p > 1 the values are then multiplied by p * w^(p-1).
+Then c is subtracted and, where p > 1, p * w^(p-1) multiplied in.
 """
 
 from __future__ import annotations
@@ -313,47 +315,42 @@ def _substitution(alpha: float) -> tuple[float, float]:
 
 def rl_batch_with_error(
     f: FunctionModel,
-    rows: list[tuple[float, float, float]],
+    rows: list[tuple[float, float, float, float, float]],
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> list:
-    """J^alpha f with origin o, evaluated at x, for each (alpha, o, x) of ``rows``.
+    """k * int_0^1 (f(x - (x - o) v^(1/alpha)) - c) dv for each (alpha, o,
+    x, c, k) of ``rows``, all in one batch, whatever their alpha.
 
-    o < x is the left integral J_{o+}^alpha f(x), o > x the right one
-    J_{o-}^alpha f(x); all are rows of one batch, whatever their alpha. Each
-    entry is (value, error_estimate), or the error that integral raises
-    alone: the QuadratureToleranceError of its quadrature (value and
-    estimate unscaled), or the OverflowError of a scale |x - o|^alpha /
-    Gamma(alpha + 1) past the float range. o == x gives (0.0, 0.0). The
-    caller checks that every alpha > 0. An o or x outside f's domain, or
-    NaN, raises DomainError, as evaluate does, for the whole batch.
+    c = 0.0 and k = |x - o|^alpha / Gamma(alpha + 1) give the left integral
+    J_{o+}^alpha f(x) for o < x, the right one J_{o-}^alpha f(x) for o > x.
+    A k above 1 divides the row's abs_tol, so that k times the result still
+    meets it. Each entry is (value, error_estimate), or the
+    QuadratureToleranceError that row raises alone (value and estimate
+    unscaled); o == x gives (0.0, 0.0). The caller checks that every alpha
+    > 0. An o or x outside f's domain, or NaN, raises DomainError, as
+    evaluate does, for the whole batch.
     """
     out: list = [(0.0, 0.0)] * len(rows)
     groups: dict = {}  # alpha -> its rows, in order of first appearance
-    for i, (alpha, o, x) in enumerate(rows):
+    for i, (alpha, o, x, _, _) in enumerate(rows):
         if o != x:
             # the nodes lie between o and x, and f's values skip evaluate's scan
             if not (f.lo <= o <= f.hi and f.lo <= x <= f.hi):
                 raise DomainError(f"evaluation point outside domain [{f.lo!r}, {f.hi!r}]")
             groups.setdefault(alpha, []).append(i)
-    # the batch holds each alpha's rows together: per row its index, scale
-    # and (x, the signed span x - o, min(o, x), max(o, x))
-    live, scales, params = [], [], []
+    if not groups:
+        return out
+    # the batch holds each alpha's rows together: per row its index and (x,
+    # the signed span x - o, min(o, x), max(o, x), c)
+    live, params = [], []
     starts, subs = [], []  # where each alpha's rows start, and its exponents
     for alpha, group in groups.items():
-        lg = log_gamma(alpha + 1.0)
         starts.append(len(live))
         subs.append(_substitution(alpha))
+        live += group
         for i in group:
-            _, o, x = rows[i]
-            try:
-                scales.append(math.exp(alpha * math.log(abs(x - o)) - lg))
-            except OverflowError as exc:
-                out[i] = exc
-                continue
-            live.append(i)
-            params.append((x, x - o, min(o, x), max(o, x)))
-    if not live:
-        return out
+            _, o, x, c, _ = rows[i]
+            params.append((x, x - o, min(o, x), max(o, x), c))
     table = np.array(params)
     columns = table.T[:, :, None]
 
@@ -364,11 +361,11 @@ def rl_batch_with_error(
         v = np.ascontiguousarray(v)
         every = len(sel) == len(live)
         if every:
-            x, d, l, h = columns
+            x, d, l, h, c = columns
         elif len(sel) == 1:
-            x, d, l, h = params[sel[0]]
+            x, d, l, h, c = params[sel[0]]
         else:
-            x, d, l, h = table[sel].T[:, :, None]
+            x, d, l, h, c = table[sel].T[:, :, None]
         # each alpha's block of rows: np.power calls with Python float
         # exponents, as numpy takes a scalar 2.0 or 0.5 as a square or a
         # square root, an array of exponents otherwise, and the last bits differ
@@ -384,6 +381,7 @@ def rl_batch_with_error(
         np.subtract(x, pw, out=pw)
         np.clip(pw, l, h, out=pw)
         out = f._values(pw)
+        out -= c
         for i, j, _, p in blocks:
             if p != 1.0:
                 out[i:j] *= p * np.power(v[i:j], p - 1.0)
@@ -392,6 +390,7 @@ def rl_batch_with_error(
     # each row's abs_tol tightened so that the scaled result still meets it;
     # one that underflows to zero is floored at the smallest positive float,
     # and that row then integrates to rel_tol
+    scales = [rows[i][4] for i in live]
     tols = [(cfg.abs_tol / k or 5e-324) if k > 1.0 else cfg.abs_tol for k in scales]
     for i, k, got in zip(live, scales, integrate_adaptive(integrand, 0.0, 1.0, cfg, tols)):
         out[i] = got if isinstance(got, QuadratureToleranceError) else (k * got[0], k * got[1])
@@ -399,7 +398,9 @@ def rl_batch_with_error(
 
 
 def _one(f: FunctionModel, alpha: float, origin: float, x: float, cfg) -> tuple[float, float]:
-    got = rl_batch_with_error(f, [(alpha, origin, x)], cfg)[0]
+    span = abs(x - origin)  # J's scale span^alpha / Gamma(alpha + 1) raises its overflow
+    k = math.exp(alpha * math.log(span) - log_gamma(alpha + 1.0)) if span else 0.0
+    got = rl_batch_with_error(f, [(alpha, origin, x, 0.0, k)], cfg)[0]
     if isinstance(got, Exception):
         raise got
     return got

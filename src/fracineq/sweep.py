@@ -46,10 +46,10 @@ Each piece of a sweep's work runs at the loop level where its inputs change:
 Quadrature failures at a single grid point produce error rows (NaN metrics,
 certified false) rather than aborting the sweep. SweepGrid refuses a bad
 value when it is built, so only an overflow, which depends on the family,
-stops a sweep: an alpha's (its lhs boundary terms, J scales or Gamma
-factor, then its weights) or a certificate's (g not finite), raised where
-the loop first reaches it. A point's lhs is signed in its row; the point's
-records read its absolute value.
+stops a sweep: an alpha's (its lhs endpoint scales, then its weights) or
+a certificate's (g not finite), raised where the loop first reaches it. A
+point's lhs is signed in its row; the point's records read its absolute
+value.
 
 A record is a SweepRecord, a named tuple of the CSV columns and then the
 certificate kind; a row is a plain tuple of the same fields in the same

@@ -62,6 +62,24 @@ class TestIdentityCommand:
         assert code == cli.ExitCode.FAILURE
         assert "exceeds tolerance" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "alpha, x, lhs",
+        [
+            # 0.5^1e300 rounds both endpoint scales to 0: the lhs is +0.0
+            ("1e300", "0.5", "0"),
+            # where Gamma(201) would overflow
+            ("200", "0.25", "9.62378616269e-26"),
+        ],
+    )
+    def test_an_order_past_the_gamma_range_holds(self, alpha, x, lhs, capsys):
+        code = cli.main(
+            ["identity", "--f", U2, "--a", "0", "--b", "1", "--x", x, "--alpha", alpha]
+        )
+        out = capsys.readouterr().out
+        assert code == cli.ExitCode.OK
+        assert out.startswith(f"lhs = {lhs} (quadrature error est ")
+        assert "identity holds" in out
+
     def test_quadrature_failure_maps_to_exit_3(self, capsys, monkeypatch):
         def boom(inst, cfg):
             raise QuadratureToleranceError(1.0, 1e-3, 1e-10)
@@ -452,8 +470,8 @@ _OVERFLOW = "inputs overflow floating point"
         ("0.5, 200", "3", _OVERFLOW),
         ("inf, 0.5", "3", "alphas must be finite, got inf"),
         ("0.5, inf", "3", "alphas must be finite, got inf"),
-        # alpha = 200 overflows Gamma(alpha + 1) on every family; 120 only
-        # the boundary terms (b - x)^alpha of the wide one, which comes second
+        # alpha = 200 and 120 overflow only the wide family's endpoint
+        # scales |x - e|^alpha, and the wide family comes second
         ("120, 0.5", "3", _OVERFLOW),
         ("0.5, 120", "3", _OVERFLOW),
         # below hh_core.ALPHA_MIN c2 and c3 lose their digits: the grid refuses it
@@ -529,8 +547,9 @@ class TestHostileInputs:
                 "overflow",
             ),
             (
-                ["identity", "--f", U2, "--a", "0", "--b", "1", "--x", "0.5",
-                 "--alpha", "1e300"],
+                # (1000 - 250)^120, an endpoint scale of the lhs
+                ["identity", "--f", "1*(u-0)^2 on [0,1000]", "--a", "0", "--b", "1000",
+                 "--x", "250", "--alpha", "120"],
                 "overflow",
             ),
             (

@@ -17,13 +17,13 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import worker  # noqa: E402
 
-SHIPPED_CSV = "39ef7b061f6f85a0b12efc61a6e5ce6ff7dca7f3aece09d1d02f1ee14f1d06bf"
-SHIPPED_SVG = "141e33a93520614aecb7b32b9da6339498707fc54590392655ddc4f83d90693d"
+SHIPPED_CSV = "96cf7f96de31b61ae0e8295876e125632828c5d1d84a75042436b41b008a29d2"
+SHIPPED_SVG = "b8a5f4b1467e5c187bda4873e906551f6cf24459668f00847e32c6197fc5131e"
 # --summary stdout, less the "wrote ... to PATH" lines that name the run's files
-SHIPPED_SUMMARY = "9304a75a19d9ed223c1c2c57739be69e3c646a0ab58dee690f0d760384526574"
-DEEP_101_CSV = "a850eb6db5fe4c4c0feade3208f4bcffa53bedcf9a9ed5bbd9ea06e90e806c1b"
+SHIPPED_SUMMARY = "0f4ab7b2b1fe505fc305a6984291030c0df9ec0590ed57251570658fdb9505ab"
+DEEP_101_CSV = "257c29d78cde0183254e9c0bc2d3720633aab4f7be71ee6b19ea6625b6697752"
 # exit code and stdout of each of CERTIFICATE_QUERIES, in order
-CERTIFICATES = "3715c0b82232dc3c16222f0291d22af1113cf13ff39ff644e7e682bba4d18e1c"
+CERTIFICATES = "8f0997205bdcb387e7b679091c0fa1a82589135e5b274666735d9722c3d096f6"
 
 _U15 = "0.6666666666666666*(u-0)^1.5 on [0.01,1]"  # |f'| = u^0.5
 _S025 = "0.8*(u-0)^1.25 on [0.01,1]"  # |f'| = u^0.25

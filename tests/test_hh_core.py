@@ -309,19 +309,14 @@ class TestIdentity:
     def test_an_empty_batch_is_an_empty_dict(self, u15):
         assert _identity_lhs_rows(u15, 0.0, 1.0, [], [0.5], QuadratureConfig()) == {}
 
-    # d^alpha fits, but d^alpha / Gamma(alpha + 1) as the batch computes it,
-    # exp(alpha log d - log Gamma(alpha + 1)), does not: only the J scale overflows
-    HUGE = 1.7976931348611825e308
-    ALPHA_NEAR_1 = 1.0000000000000009
-
     @pytest.mark.parametrize(
         "spec, alpha, xs",
         [
             ("1*(u-0)^2 on [0,1000]", 120.0, [250.0, 1000.0]),  # (1000 - 250)^120
-            (f"1*(u-0)^0 on [0,{HUGE!r}]", ALPHA_NEAR_1, [HUGE]),
-            ("1*(u-0)^2 on [0,1]", 200.0, [0.25, 1.0]),  # Gamma(201)
+            # 1e-310^1e-4 fits, and its quotient by b - a = 1e-310 rounds to inf
+            ("1*(u-0)^2 on [0,1e-310]", 1e-4, [1e-310, 5e-311]),
         ],
-        ids=["boundary-term", "j-scale", "gamma-factor"],
+        ids=["boundary-term", "endpoint-scale"],
     )
     def test_an_alpha_that_overflows_fails_alone(self, spec, alpha, xs):
         f = parse_function(spec)
@@ -333,6 +328,29 @@ class TestIdentity:
         ]
         with pytest.raises(OverflowError):
             identity_lhs_with_error(ProblemInstance(f, f.lo, f.hi, xs[0], alpha, 1.0))
+
+    # inputs where a J scale d^alpha / Gamma(alpha + 1), taken as exp(alpha
+    # log d - log Gamma(alpha + 1)), overflows while d^alpha fits, and where
+    # Gamma(201) does: the lhs forms neither
+    HUGE = 1.7976931348611825e308
+    ALPHA_NEAR_1 = 1.0000000000000009
+
+    def test_a_constant_whose_j_scale_overflowed_has_lhs_plus_zero(self):
+        # f' = 0, so the exact lhs is 0, as is the right side on paper (its
+        # weights |x - e|^(alpha + 1) overflow on this interval), and f - f(e)
+        # is 0 at every node
+        f = parse_function(f"1*(u-0)^0 on [0,{self.HUGE!r}]")
+        xs = [1.0, self.HUGE]
+        got = _identity_lhs_rows(f, f.lo, f.hi, [0.5, self.ALPHA_NEAR_1], xs, QuadratureConfig())
+        assert repr(got) == repr({0.5: [(0.0, 0.0)] * 2, self.ALPHA_NEAR_1: [(0.0, 0.0)] * 2})
+
+    def test_alpha_200_where_gamma_201_overflowed_has_the_right_side(self, u2):
+        got = _identity_lhs_rows(u2, 0.0, 1.0, [0.5, 200.0], [0.25, 1.0], QuadratureConfig())
+        for x, entry in zip([0.25, 1.0], got[200.0]):
+            inst = ProblemInstance(u2, 0.0, 1.0, x, 200.0, 1.0)
+            assert entry == identity_lhs_with_error(inst)
+            rhs, _ = identity_rhs_with_error(inst)
+            assert math.isfinite(entry[0]) and abs(entry[0] - rhs) <= 1e-12 * abs(rhs)
 
     def test_shifted_interval(self):
         f = parse_function("1*(u--1)^2 + 2*(u-0)^1 on [1,3]")

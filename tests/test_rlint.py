@@ -289,6 +289,20 @@ class TestRLValidation:
         with pytest.raises(DomainError):
             rl_left_with_error(u2, 0.0, 0.5, 1.5)
 
+    def test_an_overflowing_scale_raises_from_the_public_integrals(self):
+        # J's scale |x - o|^alpha / Gamma(alpha + 1) past the float range
+        # raises before any quadrature; a scale in range keeps its integral
+        f = parse_function("1*(u-0)^0 on [0,1e300]")
+        with pytest.raises(OverflowError):
+            rl_left_with_error(f, 0.0, 2.0, 1e300)
+        with pytest.raises(OverflowError):
+            rl_right_with_error(f, 1e300, 2.0, 0.0)
+        for a, o, x, got in (
+            (2.0, 0.0, 1.0, rl_left_with_error(f, 0.0, 2.0, 1.0)),
+            (0.5, 1e300, 0.0, rl_right_with_error(f, 1e300, 0.5, 0.0)),
+        ):
+            assert got == _ref_rl(f, a, o, x, 0.0, _j_scale(a, o, x), DEFAULT_CONFIG)
+
 
 # -- the three-call-per-panel integrator, kept as an exactness oracle --------
 
@@ -658,35 +672,44 @@ class TestLimitsWhoseSumOverflows:
 # -- batches: every row equals the reference integrator run on it alone -------
 
 
-def _ref_rl(f, alpha, origin, x, cfg):
-    """J^alpha f with origin ``origin`` at x, one integral at a time, with the
-    left and right operators as two mirror-image formulas, not one signed span.
+def _j_scale(alpha, origin, x):
+    """J^alpha's own scale |x - origin|^alpha / Gamma(alpha + 1), 0.0 where
+    the span is."""
+    if origin == x:
+        return 0.0
+    return math.exp(alpha * math.log(abs(x - origin)) - log_gamma(alpha + 1.0))
+
+
+def _ref_rl(f, alpha, origin, x, c, k, cfg):
+    """k times the average of f - c behind J^alpha f with origin ``origin``
+    at x, one integral at a time, with the left and right operators as two
+    mirror-image formulas, not one signed span; c = 0.0 and k =
+    _j_scale(alpha, origin, x) give J^alpha f itself.
 
     The kernel substitution is v = w^p for the least integer p >= 1 with
-    p - 1 + p/alpha >= 7, so that the integrand p w^(p-1) f(x -+ span
-    w^(p/alpha)) is smooth at 0; p = 1 is v itself.
+    p - 1 + p/alpha >= 7, so that the integrand p w^(p-1) (f(x -+ span
+    w^(p/alpha)) - c) is smooth at 0; p = 1 is v itself.
     """
     if origin == x:
         return 0.0, 0.0
     span = abs(x - origin)
-    scale = math.exp(alpha * math.log(span) - log_gamma(alpha + 1.0))
     p = max(1, math.ceil(8.0 * alpha / (1.0 + alpha)))
     q = p / alpha
     if origin < x:
         def integrand(w):
-            values = f.evaluate(np.clip(x - span * np.power(w, q), origin, x))
+            values = f.evaluate(np.clip(x - span * np.power(w, q), origin, x)) - c
             return values if p == 1 else p * np.power(w, p - 1.0) * values
     else:
         def integrand(w):
-            values = f.evaluate(np.clip(x + span * np.power(w, q), x, origin))
+            values = f.evaluate(np.clip(x + span * np.power(w, q), x, origin)) - c
             return values if p == 1 else p * np.power(w, p - 1.0) * values
-    if scale > 1.0:
-        cfg = replace(cfg, abs_tol=cfg.abs_tol / scale)
+    if k > 1.0:
+        cfg = replace(cfg, abs_tol=cfg.abs_tol / k)
     try:
         value, err = _ref_integrate(integrand, 0.0, 1.0, cfg)
     except QuadratureToleranceError as exc:
         return exc
-    return scale * value, scale * err
+    return k * value, k * err
 
 
 def _noise(u):
@@ -799,23 +822,60 @@ BATCH_CONFIGS = [
 
 
 def _check_identity_batch(batch, cfg, alphas=None):
-    # both sides of the identity at every x: right integrals toward lo,
-    # left integrals toward hi, and zero-span rows at the endpoints; with
-    # several alphas, every (alpha, x) of a family in one batch
+    # both ends of the identity at every x: right integrals toward lo, left
+    # integrals toward hi, and zero-span rows at the endpoints, each as the
+    # lhs forms it (f less f(end), over |x - end|^alpha / (hi - lo)) and as
+    # J itself (c = 0.0 and J's scale); with several alphas, every (alpha,
+    # x) of a family in one batch
     f, alpha, xs = batch
     rows = [
-        (a, origin, at)
+        row
         for a in alphas or [alpha]
         for origin in xs
         for at in (f.lo, f.hi)
+        for row in (
+            (a, origin, at, f.evaluate(at), abs(origin - at) ** a / (f.hi - f.lo)),
+            (a, origin, at, 0.0, _j_scale(a, origin, at)),
+        )
     ]
     got = rl_batch_with_error(f, rows, cfg)
     assert len(got) == len(rows)
-    for (a, origin, x), row in zip(rows, got):
-        _assert_same(row, _ref_rl(f, a, origin, x, cfg))
+    for (a, origin, x, c, k), row in zip(rows, got):
+        _assert_same(row, _ref_rl(f, a, origin, x, c, k, cfg))
 
 
 class TestBatch:
+    # first in the class, so that pytest -x stops here on a loose abs_tol:
+    # the property tests below catch it too, after hypothesis shrinks it
+    def test_abs_tol_binds_the_scaled_result_past_a_unit_span(self):
+        # scales k = |x - o|^alpha / Gamma(alpha + 1) of 8e4 and 1.07e7, and
+        # integrals of 1e-10..1e-8, where rel_tol * |J| is under abs_tol: each
+        # row's abs_tol is divided by k on [0, 1], so that k times the unit
+        # integral's estimate, and its true error, still meet abs_tol. The
+        # left integrals meet u^0.5's kink at 0 at w = 1, where no
+        # substitution smooths it, so they take splits to get there
+        f = parse_function("1e-16*(u-0)^0.5 on [0,400]")
+        rows = [
+            (alpha, o, x, 0.0, _j_scale(alpha, o, x))
+            for alpha, o, x in ((2.0, 0.0, 400.0), (3.0, 0.0, 400.0), (3.0, 400.0, 0.0))
+        ]
+        # J of c*u^0.5 toward 0 from 400: c * 400^(alpha + 0.5) / ((alpha + 0.5) Gamma(alpha))
+        right = 1e-16 * 400.0**3.5 / (3.5 * math.gamma(3.0))
+        exact = [
+            rl_power_rule_oracle(f.terms[0], 0.0, 2.0, 400.0),
+            rl_power_rule_oracle(f.terms[0], 0.0, 3.0, 400.0),
+            right,
+        ]
+        cfg = DEFAULT_CONFIG
+        got = rl_batch_with_error(f, rows, cfg)
+        for (alpha, o, x, c, k), row, want in zip(rows, got, exact):
+            _assert_same(row, _ref_rl(f, alpha, o, x, c, k, cfg))
+            value, err = row
+            assert abs(x - o) ** alpha / math.gamma(alpha + 1.0) > 1e4
+            assert cfg.rel_tol * abs(value) < cfg.abs_tol
+            assert err <= cfg.abs_tol
+            assert abs(value - want) <= cfg.abs_tol
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(_identity_batches(), st.sampled_from(BATCH_CONFIGS))
     def test_each_row_equals_the_reference_alone(self, batch, cfg):
@@ -853,7 +913,12 @@ class TestBatch:
         # every row's first three panels are the same nodes; given them as a
         # broadcast view (stride 0 across rows) rather than laid out in C
         # order, the integrand must return the same bits
-        rows = [(a, o, x) for a in self.SPECIAL_ALPHAS for o, x in ((0.4, 0.01), (0.4, 1.0))]
+        rows = [
+            (a, o, x, c, k)
+            for a in self.SPECIAL_ALPHAS
+            for o, x in ((0.4, 0.01), (0.4, 1.0))
+            for c, k in ((u15.evaluate(x), abs(x - o) ** a), (0.0, _j_scale(a, o, x)))
+        ]
         integrands = []
         real = rlint.integrate_adaptive
 
@@ -864,8 +929,8 @@ class TestBatch:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rlint, "integrate_adaptive", spy)
             got = rl_batch_with_error(u15, rows, DEFAULT_CONFIG)
-        for (a, o, x), row in zip(rows, got):
-            _assert_same(row, _ref_rl(u15, a, o, x, DEFAULT_CONFIG))
+        for (a, o, x, c, k), row in zip(rows, got):
+            _assert_same(row, _ref_rl(u15, a, o, x, c, k, DEFAULT_CONFIG))
         nodes, _ = rlint._rule()
         panel = np.concatenate([0.5 + 0.5 * nodes, 0.25 + 0.25 * nodes, 0.75 + 0.25 * nodes])
         shared = np.broadcast_to(panel, (len(rows), panel.size)).view(rlint.RowNodes)
@@ -878,62 +943,34 @@ class TestBatch:
         assert out.flags.c_contiguous
         assert out.tobytes() == integrands[0](dense).tobytes()
 
-    def test_an_overflowing_scale_fails_its_row_alone(self):
-        # |x - o|^alpha / Gamma(alpha + 1) past the float range
-        f = parse_function("1*(u-0)^0 on [0,1e300]")
-        rows = [(2.0, 0.0, 1e300), (2.0, 0.0, 1.0), (0.5, 1e300, 0.0)]
-        got = rl_batch_with_error(f, rows, DEFAULT_CONFIG)
-        assert isinstance(got[0], OverflowError)
-        for (a, o, x), row in zip(rows[1:], got[1:]):
-            _assert_same(row, _ref_rl(f, a, o, x, DEFAULT_CONFIG))
-        with pytest.raises(OverflowError):
-            rl_left_with_error(f, 0.0, 2.0, 1e300)
-
     @pytest.mark.parametrize(
-        "row", [(1.0, 0.0, 2.0), (0.5, -1e-300, 0.5), (1.0, math.nan, 0.5), (2.0, 0.5, math.nan)]
+        "row",
+        [
+            (1.0, 0.0, 2.0, 0.0, 1.0),
+            (0.5, -1e-300, 0.5, 0.0, 1.0),
+            (1.0, math.nan, 0.5, 0.0, 1.0),
+            (2.0, 0.5, math.nan, 0.0, 1.0),
+        ],
     )
     def test_a_row_outside_the_domain_fails_the_batch(self, u2, row):
         # the integrand skips evaluate's domain scan; the batch checks o and x
         with pytest.raises(DomainError, match=r"outside domain \[0\.0, 1\.0\]"):
-            rl_batch_with_error(u2, [(1.0, 0.0, 0.5), row])
-
-    def test_abs_tol_binds_the_scaled_result_past_a_unit_span(self):
-        # scales k = |x - o|^alpha / Gamma(alpha + 1) of 8e4 and 1.07e7, and
-        # integrals of 1e-10..1e-8, where rel_tol * |J| is under abs_tol: each
-        # row's abs_tol is divided by k on [0, 1], so that k times the unit
-        # integral's estimate, and its true error, still meet abs_tol. The
-        # left integrals meet u^0.5's kink at 0 at w = 1, where no
-        # substitution smooths it, so they take splits to get there
-        f = parse_function("1e-16*(u-0)^0.5 on [0,400]")
-        rows = [(2.0, 0.0, 400.0), (3.0, 0.0, 400.0), (3.0, 400.0, 0.0)]
-        # J of c*u^0.5 toward 0 from 400: c * 400^(alpha + 0.5) / ((alpha + 0.5) Gamma(alpha))
-        right = 1e-16 * 400.0**3.5 / (3.5 * math.gamma(3.0))
-        exact = [
-            rl_power_rule_oracle(f.terms[0], 0.0, 2.0, 400.0),
-            rl_power_rule_oracle(f.terms[0], 0.0, 3.0, 400.0),
-            right,
-        ]
-        cfg = DEFAULT_CONFIG
-        got = rl_batch_with_error(f, rows, cfg)
-        for (alpha, o, x), row, want in zip(rows, got, exact):
-            _assert_same(row, _ref_rl(f, alpha, o, x, cfg))
-            value, err = row
-            assert abs(x - o) ** alpha / math.gamma(alpha + 1.0) > 1e4
-            assert cfg.rel_tol * abs(value) < cfg.abs_tol
-            assert err <= cfg.abs_tol
-            assert abs(value - want) <= cfg.abs_tol
+            rl_batch_with_error(u2, [(1.0, 0.0, 0.5, 0.0, 1.0), row])
 
     def test_an_abs_tol_that_underflows_past_the_scale_is_floored(self):
-        # abs_tol 1e-300 over k = 500^30 / Gamma(31) is below the smallest
-        # float; the row then integrates to rel_tol, as the default config's
-        # does, where it was refused as a non-positive tolerance
+        # abs_tol 1e-300 over the lhs's k = 500^30 / 1000, or over J's
+        # 500^30 / Gamma(31), is below the smallest float; the row then
+        # integrates to rel_tol, as the default config's does, where it was
+        # refused as a non-positive tolerance
         f = parse_function("1*(u-0)^2 on [0,1000]")
         cfg = QuadratureConfig(abs_tol=1e-300)
+        assert cfg.abs_tol / (500.0**30 / 1000.0) == 0.0
         assert cfg.abs_tol / (500.0**30 / math.gamma(31.0)) == 0.0
         inst = ProblemInstance(f, 0.0, 1000.0, 500.0, 30.0, 1.0)
         assert identity_lhs_with_error(inst, cfg) == identity_lhs_with_error(inst)
+        # 500^30 (2 * 1000 * 500 * 30/31 - 2 * 500^2 * 30/32) / 1000, correctly rounded
         assert identity_lhs_with_error(inst, cfg) == (
-            4.6472245406720245e83, 2.981555974335118e68
+            4.647224540671994e83, 2.439454888092385e68
         )
         assert rl_left_with_error(f, 0.0, 30.0, 500.0, cfg) == rl_left_with_error(f, 0.0, 30.0, 500.0)
         assert rl_right_with_error(f, 1000.0, 30.0, 500.0, cfg) == rl_right_with_error(
@@ -1136,7 +1173,12 @@ class TestBatchWork:
             return real(count, lo, hi, cfg, abs_tols)
 
         monkeypatch.setattr(rlint, "integrate_adaptive", counted)
-        rows = [(a, x, end) for a in (0.5, 1.0, 2.5) for x in (0.3, 0.8) for end in (0.0, 1.0)]
+        rows = [
+            (a, x, end, u2.evaluate(end), abs(x - end) ** a)
+            for a in (0.5, 1.0, 2.5)
+            for x in (0.3, 0.8)
+            for end in (0.0, 1.0)
+        ]
         rl_batch_with_error(u2, rows)
         alone = []
         for row in rows:

@@ -346,7 +346,7 @@ class TestGridChecksUpFront:
 class TestLhsBatchWork:
     def test_one_deep_family_batch_pins_its_integrand_calls_and_nodes(self, monkeypatch):
         # the first family of perfbench's deep_quadrature grid for seed 101:
-        # 20 alphas x 11 x, both sides of the identity, 440 rows in one batch
+        # 20 alphas x 11 x, both ends of the lhs, 440 rows in one batch
         grid = grid_from_config_text(worker.deep_config_text(101))
         _, f = grid.families[0]
         xs = [f.lo + frac * (f.hi - f.lo) for frac in grid.xfracs]
@@ -368,9 +368,9 @@ class TestLhsBatchWork:
         monkeypatch.setattr(FunctionModel, "evaluate", evaluate)
         got = _identity_lhs_rows(f, f.lo, f.hi, grid.alphas, xs, DEFAULT_CONFIG)
         assert all(len(got[alpha]) == len(xs) for alpha in grid.alphas)
-        assert len(shapes) == 5 and shapes[0] == (440, 3 * 15)
-        assert sum(rows * nodes for rows, nodes in shapes) == 28_440
-        # f at a and b for the boundary term: the integrand's nodes, clipped
+        assert len(shapes) == 6 and shapes[0] == (440, 3 * 15)
+        assert sum(rows * nodes for rows, nodes in shapes) == 29_100
+        # f at a and b, which each end's rows subtract: the integrand's nodes, clipped
         # into f's domain, skip evaluate and its domain scan
         assert evaluated == [2]
 
@@ -730,17 +730,21 @@ class TestRecordLoopAgainstOracle:
     @pytest.mark.parametrize(
         "alpha, families, blocks",
         [
-            # Gamma(201) overflows on every family: u2's alpha 0.5 rows at
-            # the first s come out, then the error
-            (200.0, ("u2",), [("u2", 0.5, 0.5)]),
-            # (b - x)^120 overflows only the wide family's boundary terms (and
+            # the lhs forms no Gamma(201): every u2 row is finite, alpha
+            # 200's too; (x - a)^200 overflows the wide family's endpoint
+            # scales, after its alpha 0.5 rows
+            (200.0, ("u2", "wide"), [
+                ("u2", 0.5, 0.5), ("u2", 0.5, 200.0), ("u2", 1.0, 0.5), ("u2", 1.0, 200.0),
+                ("wide", 0.5, 0.5),
+            ]),
+            # (b - x)^120 overflows only the wide family's endpoint scales (and
             # its weights): every u2 row, then the wide family's alpha 0.5 rows
             (120.0, ("u2", "wide"), [
                 ("u2", 0.5, 0.5), ("u2", 0.5, 120.0), ("u2", 1.0, 0.5), ("u2", 1.0, 120.0),
                 ("wide", 0.5, 0.5),
             ]),
         ],
-        ids=["gamma-factor", "boundary-term"],
+        ids=["finite-on-u2", "boundary-term"],
     )
     def test_an_alpha_that_overflows_fails_where_the_loop_reaches_it(
         self, alpha, families, blocks

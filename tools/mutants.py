@@ -131,10 +131,14 @@ MUTANTS = [
      'for x in _family_xs(f, self.xfracs):', "for x in ():"),
     # an alpha's overflow raised out of the family's whole lhs batch
     ("boundary-term overflow fails the batch", HH, "sweep", "rows[alpha] = exc", "raise exc"),
-    ("J-scale overflow fails the batch", HH, "hh_core",
-     "isinstance(j, OverflowError)]",
-     "isinstance(j, OverflowError) and (_ for _ in ()).throw(j)]"),
-    ("Gamma-factor overflow fails the batch", HH, "sweep", "overflows.append(exc)", "raise exc"),
+    # the Gamma-free lhs: each end's row averages f - f(e), scaled by |x - e|^alpha / (b - a)
+    ("subtraction of c dropped", RL, "hh_core", "out -= c", "pass"),
+    ("a-end row given f(b)", HH, "hh_core",
+     "f.evaluate([a, b]).tolist()", "f.evaluate([b, b]).tolist()"),
+    ("endpoint-scale finiteness check dropped", HH, "hh_core",
+     "if any(row[4] == math.inf for row in batch):", "if False:"),
+    ("lhs sign flipped", HH, "hh_core", "0.0 - (ta[0] + tb[0])", "ta[0] + tb[0]"),
+    ("zero lhs negated to -0.0", HH, "hh_core", "0.0 - (ta[0] + tb[0])", "-(ta[0] + tb[0])"),
     # the exit code of each verdict and of each error branch of cli.main; the
     # overflow branch's return is not unique text, so the mutant returns first
     ("OverflowError exits 3", CL, "cli",
