@@ -29,7 +29,11 @@ and the first step that decides gives the report's ``kind``:
    convex cone, and c*(u-c0)^r with c >= 0 and c0 at or below the
    interval's left end is s-convex for every s <= r when 0 < r <= 1, and for
    every s when r = 0 or r >= 1 (Hudzik & Maligranda 1994, Aequationes Math.
-   48:100-111). Exponents are compared exactly, as fractions of the floats.
+   48:100-111). A term with r < 0, which a spec cannot write but f' can
+   have, and which a model keeps only with c0 below its domain, is positive
+   and convex on [a, b]; a nonnegative convex g is s-convex for every s, as
+   lam <= lam^s, and so is a power q >= 1 of a nonnegative convex sum.
+   Exponents are compared exactly, as fractions of the floats.
    Such a report is ``proved``. A rule may also name a witness: a
    nonnegative s-concave g with s < 1 is identically 0 (take x = y), so
    (e, e, 1/2) at an endpoint e refutes it, and the report is ``refuted``
@@ -618,13 +622,25 @@ def _rule(
         return "proved", "g = 0"
     s_exact = Fraction(s)
     if mode == "convex":
+        # a term with r < 0 is convex on [a, b], as its c0 < a; a nonnegative
+        # convex g is s-convex for every s, since lam <= lam^s on [0, 1]
+        negative = any(r < 0 for r in exps)
         if powered:
-            if all(r == 0 or r >= 1 for r in exps):
-                return "proved", "|f'| is a nonnegative convex power sum and q >= 1"
+            # a power q >= 1 of a nonnegative convex sum is convex
+            if not all(r <= 0 or r >= 1 for r in exps):
+                return None
+            if negative:
+                return "proved", (
+                    "|f'| is a nonnegative convex power sum with a negative exponent and q >= 1"
+                )
+            return "proved", "|f'| is a nonnegative convex power sum and q >= 1"
+        if not all(r <= 0 or r >= 1 or s_exact <= r for r in exps):
             return None
-        if all(r == 0 or r >= 1 or (0 < r and s_exact <= r) for r in exps):
-            return "proved", "nonnegative power sum, each exponent 0, >= 1 or in [s, 1]"
-        return None
+        if negative:
+            return "proved", (
+                "nonnegative power sum with a negative exponent, each exponent <= 0, >= 1 or in [s, 1]"
+            )
+        return "proved", "nonnegative power sum, each exponent 0, >= 1 or in [s, 1]"
     if s_exact == 1 and not powered and len(exps) == 1 and 0 <= exps[0] <= 1:
         return "proved", "one nonnegative power term with exponent in [0, 1]"
     if s_exact < 1 and all(r >= 0 for r in exps):
@@ -689,10 +705,10 @@ def _certify(
     decided = _rule(terms, s, mode)
     if decided is not None:
         kind, rule = decided
-        # a rule reasons about real numbers; where g overflows in floats (it
-        # is nondecreasing, so the endpoints show it) no verdict is given, and
-        # the sampler, whose points include both endpoints, would only say so
-        # after evaluating all of them
+        # a rule reasons about real numbers; where g overflows in floats (each
+        # of its terms is monotone, so the endpoints show it) no verdict is
+        # given, and the sampler, whose points include both endpoints, would
+        # only say so after evaluating all of them
         if not np.isfinite(g[:2]).all():
             raise OverflowError("the hypothesis function is not finite at an endpoint")
         if kind == "proved":

@@ -400,6 +400,8 @@ def rl_batch_with_error(
 def _one(f: FunctionModel, alpha: float, origin: float, x: float, cfg) -> tuple[float, float]:
     span = abs(x - origin)  # J's scale span^alpha / Gamma(alpha + 1) raises its overflow
     k = math.exp(alpha * math.log(span) - log_gamma(alpha + 1.0)) if span else 0.0
+    if k == math.inf:  # a span that overflows itself: math.exp(inf) is inf, not an error
+        raise OverflowError("J's scale |x - o|^alpha / Gamma(alpha + 1) is not finite")
     got = rl_batch_with_error(f, [(alpha, origin, x, 0.0, k)], cfg)[0]
     if isinstance(got, Exception):
         raise got

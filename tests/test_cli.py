@@ -614,13 +614,15 @@ class TestHostileInputs:
         assert err == "error: key 'alphas' repeats line 1 (at line 7)\n"
 
 
-# no rule or boundary triple decides u^0.25 on [0.01, 1]: its certificate
-# reaches the sampler
+# no rule or boundary triple decides u^0.25 on [0.01, 1] at s = 0.5: its
+# certificate reaches the sampler. t21 certifies |f'|, so it takes upow_s025,
+# whose |f'| is that u^0.25 (the f' of SAMPLED, 0.25 u^-0.75, is proved)
 SAMPLED = "1*(u-0)^0.25 on [0.01,1]"
+SAMPLED_DERIVATIVE = "0.8*(u-0)^1.25 on [0.01,1]"
 CERTIFYING = {
     "certify": ["certify", "--f", SAMPLED, "--s", "0.5", "--mode", "convex"],
-    "t21": ["bound", "--thm", "t21", "--f", SAMPLED, "--a", "0.5", "--b", "1", "--x", "0.7",
-            "--alpha", "0.5", "--s", "0.5"],
+    "t21": ["bound", "--thm", "t21", "--f", SAMPLED_DERIVATIVE, "--a", "0.5", "--b", "1",
+            "--x", "0.7", "--alpha", "0.5", "--s", "0.5"],
     "hh": ["bound", "--thm", "hh", "--f", SAMPLED, "--a", "0.5", "--b", "1", "--s", "0.5"],
 }
 
@@ -652,6 +654,39 @@ class TestCertifierArguments:
     def test_seed_zero_is_accepted(self, command, capsys):
         assert cli.main(CERTIFYING[command] + ["--seed", "0", "--samples", "500"]) == 0
         assert "(sampled: 512 triples, seed 0" in capsys.readouterr().out
+
+
+class TestRootFamilyDerivative:
+    """The README family u^0.5 on [0, 1]: on the domain shrunk off 0, |f'| =
+    0.5 u^-0.5 is positive and convex, so every s-convex hypothesis on it is
+    proved, and no triple is drawn; the s-concave ones still fail at a
+    boundary triple."""
+
+    ARGV = ["bound", "--f", SQRT, "--a", "0", "--b", "1", "--x", "0.3", "--s", "0.4"]
+    ALPHA, Q = ["--alpha", "0.7"], ["--q", "2"]
+    EXTRA = {
+        "t21": ALPHA, "t22": ALPHA + Q, "t23": ALPHA + Q, "t24": ALPHA + Q,
+        "c13": [], "c14": Q, "c15": Q, "c16": Q,
+    }
+
+    @pytest.mark.parametrize("thm", ["t21", "t22", "t23", "c13", "c14", "c15"])
+    def test_convex_hypotheses_are_proved(self, thm, capsys):
+        code = cli.main(self.ARGV + ["--thm", thm] + self.EXTRA[thm])
+        out = capsys.readouterr().out
+        assert code == cli.ExitCode.OK
+        assert (
+            "hypothesis certified: yes (proved: nonnegative power sum with a negative "
+            "exponent, each exponent <= 0, >= 1 or in [s, 1])\n"
+        ) in out
+        assert out.endswith("bound holds\n")
+
+    @pytest.mark.parametrize("thm", ["t24", "c16"])
+    def test_concave_hypotheses_are_refuted_at_a_boundary_triple(self, thm, capsys):
+        code = cli.main(self.ARGV + ["--thm", thm] + self.EXTRA[thm])
+        out = capsys.readouterr().out
+        assert code == cli.ExitCode.OK
+        assert "hypothesis certified: NO (refuted: boundary triple; " in out
+        assert out.endswith("bound holds\n")
 
 
 HOSTILE = ("nan", "inf", "-inf", "1e308", "-1e308", "-0.5", "-3", "")

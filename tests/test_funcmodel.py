@@ -450,6 +450,35 @@ class TestCertifyModel:
         mixed = parse_function("1*(u-0)^0.5 + 2*(u-0)^1.5 on [0,1]")
         assert certify_model(mixed, "abs_deriv_pow", 2.0, 0.0, 1.0, 0.3, "convex").kind == "sampled"
 
+    def test_a_negative_exponent_is_proved_through_convexity(self):
+        # |f'| = 0.5 u^-0.5 of u^0.5 on the domain shrunk off 0: positive and
+        # convex, so s-convex for every s, under a label that names the case
+        fp = parse_function("1*(u-0)^0.5 on [1e-09,1]").derivative()
+        label = "nonnegative power sum with a negative exponent, each exponent <= 0, >= 1 or in [s, 1]"
+        for target, q in (("abs_deriv", None), ("abs_deriv_pow", 1.5)):
+            for s in (0.05, 0.5, 1.0):
+                report = certify_model(fp, target, q, 1e-09, 1.0, s, "convex")
+                assert (report.kind, report.rule, report.samples) == ("proved", label, 0)
+        # beside u^1.5, a power q >= 1 of the sum is convex too
+        fp = parse_function("1*(u-0)^0.5 + 1*(u-0)^2.5 on [1e-09,1]").derivative()
+        report = certify_model(fp, "abs_deriv_pow", 2.0, 1e-09, 1.0, 0.5, "convex")
+        assert (report.kind, report.rule) == (
+            "proved", "|f'| is a nonnegative convex power sum with a negative exponent and q >= 1"
+        )
+
+    def test_a_negative_exponent_proves_nothing_beside_an_exponent_below_s(self):
+        # |f'| = 0.5 u^-0.5 + 0.75 u^0.25: the u^0.25 term decides, at s <= 0.25
+        fp = parse_function("1*(u-0)^0.5 + 0.6*(u-0)^1.25 on [0.01,1]").derivative()
+        assert certify_model(fp, "abs_deriv", None, 0.01, 1.0, 0.25, "convex").kind == "proved"
+        up = np.nextafter(0.25, 1.0)
+        assert certify_model(fp, "abs_deriv", None, 0.01, 1.0, up, "convex").kind == "sampled"
+        # the power of the sum is proved only when every exponent is <= 0 or >= 1
+        report = certify_model(fp, "abs_deriv_pow", 2.0, 0.01, 1.0, 0.25, "convex")
+        assert report.kind == "sampled"
+        # a decreasing g is not s-concave either: no rule proves it
+        report = certify_model(fp, "abs_deriv", None, 0.01, 1.0, 1.0, "concave")
+        assert report.kind == "refuted"
+
     def test_negative_derivative_is_proved_through_its_absolute_value(self):
         fp = parse_function("-2*(u-0)^1 on [0,1]")
         assert certify_model(fp, "abs_deriv", None, 0.0, 1.0, 0.5, "convex").kind == "proved"
@@ -740,6 +769,51 @@ def test_a_boundary_refutation_is_also_a_sampler_refutation(case, seed):
         assert full.tol >= report.tol
 
 
+@st.composite
+def _root_type_derivatives(draw):
+    """f' of a power sum with terms of exponent e in (0, 1), so that f' has
+    exponents e - 1 in (-1, 0), and what to certify of it. The terms are
+    anchored below lo, or at lo with the domain shrunk as the sweep shrinks
+    it. Exponents in (1, 2) give f' exponents in (0, 1) beside them."""
+    lo = draw(st.sampled_from([0.0, 0.01, 0.5]))
+    hi = lo + draw(st.sampled_from([0.5, 1.0, 3.0]))
+    shrunk = draw(st.booleans())
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    terms = tuple(
+        PowerTerm(
+            sign * draw(st.floats(0.1, 3.0)),
+            lo if shrunk else lo - draw(st.sampled_from([0.01, 0.25])),
+            draw(
+                st.one_of(
+                    st.floats(0.05, 0.95), st.floats(1.05, 1.95), st.sampled_from([1.0, 2.0, 3.0])
+                )
+            ),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    f = FunctionModel(terms, lo, hi)
+    if shrunk:
+        f = f.with_domain(lo + 1e-9 * (hi - lo), hi)
+    target = draw(st.sampled_from(["abs_deriv", "abs_deriv_pow"]))
+    q = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    s = draw(st.one_of(st.floats(0.05, 1.0), st.just(1.0)))
+    return f.derivative(), target, q, s
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_root_type_derivatives(), st.integers(0, 2**32 - 1))
+def test_a_proved_root_type_derivative_passes_the_full_sampler(case, seed):
+    fp, target, q, s = case
+    report = certify_model(fp, target, q, fp.lo, fp.hi, s, "convex", samples=0)
+    # g's exponents: those of f', or r*q for the power of one term
+    power = Fraction(q) if target == "abs_deriv_pow" and len(fp.terms) == 1 else 1
+    if any(0 < Fraction(t.exponent) * power < Fraction(s) for t in fp.terms):
+        assert report.kind != "proved"
+    if report.kind == "proved":
+        full = certify_pointwise(g_fn(fp, target, q), fp.lo, fp.hi, s, "convex", CERT_SAMPLES, seed)
+        assert full.verdict, (full.worst_violation, full.tol, full.witness)
+
+
 # -- the per-key path, kept as the oracle of the shared tables ---------------
 
 
@@ -791,13 +865,24 @@ def _ref_rule(g_source, target, q, a, s, mode):
         exps = [exps[0] * Fraction(q)]
     s_exact = Fraction(s)
     if mode == "convex":
+        # r < 0 only in f', whose c0 < a: a positive convex term, and a
+        # nonnegative convex g is s-convex for every s
+        with_negative = min(exps) < 0
         if powered:
-            if all(r == 0 or r >= 1 for r in exps):
-                return "proved", "|f'| is a nonnegative convex power sum and q >= 1"
+            if not all(r <= 0 or r >= 1 for r in exps):
+                return None
+            if with_negative:
+                return "proved", (
+                    "|f'| is a nonnegative convex power sum with a negative exponent and q >= 1"
+                )
+            return "proved", "|f'| is a nonnegative convex power sum and q >= 1"
+        if not all(r <= 0 or r >= 1 or (0 < r and s_exact <= r) for r in exps):
             return None
-        if all(r == 0 or r >= 1 or (0 < r and s_exact <= r) for r in exps):
-            return "proved", "nonnegative power sum, each exponent 0, >= 1 or in [s, 1]"
-        return None
+        if with_negative:
+            return "proved", (
+                "nonnegative power sum with a negative exponent, each exponent <= 0, >= 1 or in [s, 1]"
+            )
+        return "proved", "nonnegative power sum, each exponent 0, >= 1 or in [s, 1]"
     if s_exact == 1 and not powered and len(exps) == 1 and 0 <= exps[0] <= 1:
         return "proved", "one nonnegative power term with exponent in [0, 1]"
     if s_exact < 1 and all(r >= 0 for r in exps):
@@ -942,6 +1027,16 @@ class TestTablesAgainstThePerKeyPath:
         (parse_function("1*(u-0)^2 + -1*(u-0)^1 on [0,1]"), "abs_deriv", 2.0, 1.0, "convex"), 1
     )
     @example((parse_function("1*(u-0)^400 on [0,10]"), "abs_deriv_pow", 2.0, 0.5, "convex"), 2)
+    @example(
+        (parse_function("1*(u-0)^0.5 on [1e-09,1]").derivative(), "abs_deriv", 1.0, 0.5, "convex"), 5
+    )
+    @example(
+        (
+            parse_function("1*(u-0)^0.5 + 1*(u-0)^2.5 on [1e-09,1]").derivative(),
+            "abs_deriv_pow", 2.0, 0.3, "convex",
+        ),
+        6,
+    )
     @example((parse_function("1e200*(u-0)^2 on [0,1]"), "abs_deriv_pow", 3.0, 1.0, "convex"), 3)
     @example(
         (parse_function("1e300*(u-0)^2 + -1*(u-0)^1 on [0,1e10]"), "f", 1.0, 1.0, "convex"), 4

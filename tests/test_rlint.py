@@ -303,6 +303,16 @@ class TestRLValidation:
         ):
             assert got == _ref_rl(f, a, o, x, 0.0, _j_scale(a, o, x), DEFAULT_CONFIG)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_a_span_that_overflows_raises_from_the_public_integrals(self, alpha):
+        # |x - o| = 2e308 is inf in floats, and so is its log: J's scale came
+        # out inf without an error, and each integral (inf, inf)
+        f = parse_function("1*(u-0)^0 on [-1e308,1e308]")
+        with pytest.raises(OverflowError, match="J's scale"):
+            rl_left_with_error(f, -1e308, alpha, 1e308)
+        with pytest.raises(OverflowError, match="J's scale"):
+            rl_right_with_error(f, 1e308, alpha, -1e308)
+
 
 # -- the three-call-per-panel integrator, kept as an exactness oracle --------
 

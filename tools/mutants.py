@@ -62,9 +62,14 @@ MUTANTS = [
     ("spec exponents in [-1, 0) accepted", FM, "funcmodel",
      "if exponent < 0.0:", "if exponent < -1.0:"),
     ("powered convex rule widened", FM, "funcmodel",
-     "if all(r == 0 or r >= 1 for r in exps):", "if all(r == 0 or r >= 0.5 for r in exps):"),
-    ("convex rule widened", FM, "funcmodel",
-     "(0 < r and s_exact <= r)", "(0 < r and s_exact <= 2 * r)"),
+     "if not all(r <= 0 or r >= 1 for r in exps):",
+     "if not all(r <= 0 or r >= 0.5 for r in exps):"),
+    ("convex rule widened", FM, "funcmodel", "or s_exact <= r for", "or s_exact <= 2 * r for"),
+    # a negative exponent is proved as a convex term: only r <= 0, not r < s
+    ("negative-exponent rule narrowed", FM, "cli",
+     "r <= 0 or r >= 1 or s_exact", "r == 0 or r >= 1 or s_exact"),
+    ("negative-exponent rule widened", FM, "funcmodel",
+     "r <= 0 or r >= 1 or s_exact", "r <= 0.5 or r >= 1 or s_exact"),
     ("concave rule widened", FM, "funcmodel", "0 <= exps[0] <= 1:", "0 <= exps[0] <= 2:"),
     ("CERT_TOL x1000", FM, "funcmodel", "CERT_TOL = 1e-10", "CERT_TOL = 1e-7"),
     ("CERT_TOL 1e-13", FM, "funcmodel", "CERT_TOL = 1e-10", "CERT_TOL = 1e-13"),
@@ -102,6 +107,7 @@ MUTANTS = [
     ("batch abs_tol not tightened past a unit span", RL, "rlint",
      "(cfg.abs_tol / k or 5e-324) if k > 1.0 else cfg.abs_tol", "cfg.abs_tol"),
     ("abs_tol floor dropped", RL, "rlint", "(cfg.abs_tol / k or 5e-324)", "cfg.abs_tol / k"),
+    ("J-scale overflow check dropped", RL, "rlint", "if k == math.inf:", "if False:"),
     # the substitution v = w^p: its Jacobian's factor p, and p itself
     ("Jacobian factor p dropped", RL, "lhs_oracle",
      "out[i:j] *= p * np.power(v[i:j], p - 1.0)", "out[i:j] *= np.power(v[i:j], p - 1.0)"),
